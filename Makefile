@@ -29,6 +29,11 @@
 #   bench-transpile - gate-count reductions of the circuit-optimization pass
 #                    stack per paper circuit family; refreshes
 #                    BENCH_transpile_optimization.json (speedup-gated).
+#   bench-smoke    - run each whole-solve benchmark workload (BENCHMARK.json,
+#                    perfbench/run.py) for 3 s and fail unless every run
+#                    reports correct with no failed operations.  Checks that
+#                    the benchmark runs and verifies its answers; the timings
+#                    are not gated.  Runs in the CI test job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
 #                    refreshes BENCH_service_throughput.json.  Wall-clock
@@ -38,7 +43,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-fig10 bench-transpile bench-service
+.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-fig10 bench-transpile bench-service bench-smoke
 
 test-fast:
 	$(PYTEST) -q -m "not slow"
@@ -79,3 +84,13 @@ bench-transpile:
 
 bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
+
+BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+
+bench-smoke:
+	@for workload in $(BENCH_WORKLOADS); do \
+		echo "== $$workload"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace 0 | tail -n 1 \
+			| $(PYTHON) -c 'import json, sys; r = json.load(sys.stdin); print({k: r[k] for k in ("correct", "attempted", "failed")}); sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
+			|| exit 1; \
+	done

@@ -36,7 +36,7 @@ from harness import (
 )
 
 from repro.problems import make_benchmark
-from repro.solvers.cyclic_qaoa import CyclicQAOASolver
+from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
 from repro.solvers.optimizer import CobylaOptimizer
 from repro.solvers.variational import EngineOptions, evolve_parameter_sets
 
@@ -54,10 +54,14 @@ def _build_specs(problem, num_layers: int):
     optimizer = CobylaOptimizer(max_iterations=1)
     options = EngineOptions(shots=1, seed=0)
     dense_spec = CyclicQAOASolver(
-        num_layers=num_layers, optimizer=optimizer, options=options, backend="dense"
+        config=CyclicQAOAConfig(num_layers=num_layers, backend="dense"),
+        optimizer=optimizer,
+        options=options,
     ).build_spec(problem)
     subspace_spec = CyclicQAOASolver(
-        num_layers=num_layers, optimizer=optimizer, options=options, backend="subspace"
+        config=CyclicQAOAConfig(num_layers=num_layers, backend="subspace"),
+        optimizer=optimizer,
+        options=options,
     ).build_spec(problem)
     return dense_spec, subspace_spec
 

@@ -18,8 +18,8 @@ from harness import engine_options, optimizer, percentage
 from repro.analysis.report import print_table
 from repro.problems import make_benchmark
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
-from repro.solvers.cyclic_qaoa import CyclicQAOASolver
-from repro.solvers.penalty_qaoa import PenaltyQAOASolver
+from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
+from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 
 LAYERS = (1, 2, 3, 4)
 SCALES = ("F1", "G1", "K1")
@@ -34,10 +34,14 @@ def _fig7_rows() -> list[dict]:
         for scale, problem in problems:
             solvers = {
                 "penalty": PenaltyQAOASolver(
-                    num_layers=layers, optimizer=optimizer(), options=engine_options()
+                    config=PenaltyQAOAConfig(num_layers=layers),
+                    optimizer=optimizer(),
+                    options=engine_options(),
                 ),
                 "cyclic": CyclicQAOASolver(
-                    num_layers=layers, optimizer=optimizer(), options=engine_options()
+                    config=CyclicQAOAConfig(num_layers=layers),
+                    optimizer=optimizer(),
+                    options=engine_options(),
                 ),
                 "choco-q": ChocoQSolver(
                     config=ChocoQConfig(num_layers=layers),

@@ -22,10 +22,10 @@ from repro.analysis.report import print_table
 from repro.problems import make_benchmark
 from repro.qcircuit.noise import IBM_FEZ
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
-from repro.solvers.cyclic_qaoa import CyclicQAOASolver
-from repro.solvers.hea import HEASolver
+from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
+from repro.solvers.hea import HEAConfig, HEASolver
 from repro.solvers.latency import LatencyModel
-from repro.solvers.penalty_qaoa import PenaltyQAOASolver
+from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 
 CASES = ("F1", "G1", "K1")
 
@@ -39,12 +39,20 @@ def _fig11_data() -> tuple[list[dict], list[dict]]:
         _, optimal_value = problem.brute_force_optimum()
         solvers = {
             "penalty": PenaltyQAOASolver(
-                num_layers=3, optimizer=optimizer(100), options=engine_options()
+                config=PenaltyQAOAConfig(num_layers=3),
+                optimizer=optimizer(100),
+                options=engine_options(),
             ),
             "cyclic": CyclicQAOASolver(
-                num_layers=3, optimizer=optimizer(100), options=engine_options()
+                config=CyclicQAOAConfig(num_layers=3),
+                optimizer=optimizer(100),
+                options=engine_options(),
             ),
-            "hea": HEASolver(num_layers=2, optimizer=optimizer(100), options=engine_options()),
+            "hea": HEASolver(
+                config=HEAConfig(num_layers=2),
+                optimizer=optimizer(100),
+                options=engine_options(),
+            ),
             "choco-q": ChocoQSolver(
                 config=ChocoQConfig(num_layers=2),
                 optimizer=optimizer(100),

@@ -11,9 +11,10 @@ resolves all of that once per solver prepare.
 This benchmark times one full cost evaluation (ansatz evolution +
 probability reduction + diagonal expectation) per backend and path:
 
-* ``*_recompute`` — the pre-PR structure-per-call paths, kept callable via
-  ``CommuteHamiltonianTerm.apply_evolution`` (dense) and
-  :func:`~repro.hamiltonian.commute.subspace_pairing_loop` (subspace);
+* ``*_recompute`` — the structure-per-call paths: the dense one rebuilds
+  :func:`~repro.hamiltonian.commute.dense_term_pairing` per term and call,
+  the subspace one runs
+  :func:`~repro.hamiltonian.commute.subspace_pairing_loop` per term and call;
 * ``*_compiled``  — the same arithmetic over the program's cached pair
   indices (bit-identical final states, asserted on every row).
 
@@ -34,7 +35,11 @@ import numpy as np
 
 from harness import print_speedup_rows, time_call, write_bench_json
 
-from repro.hamiltonian.commute import rotate_pairs_cs, subspace_pairing_loop
+from repro.hamiltonian.commute import (
+    dense_term_pairing,
+    rotate_pairs_cs,
+    subspace_pairing_loop,
+)
 from repro.hamiltonian.compiled import apply_diagonal_phase, prepare_ansatz_state
 from repro.problems import make_benchmark
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
@@ -85,8 +90,10 @@ def legacy_dense_evolve(driver, spec, num_layers: int):
             beta = parameters[..., 2 * layer + 1]
             state = apply_diagonal_phase(state, gamma, spec.cost_diagonal)
             for term in driver.terms:
-                # apply_evolution rebuilds np.arange(2^n) + both masks here.
-                state = term.apply_evolution(state, beta)
+                # Rebuilds np.arange(2^n) + both masks per term and call.
+                state = rotate_pairs_cs(
+                    state, np.cos(beta), np.sin(beta), *dense_term_pairing(term)
+                )
         return state
 
     return evolve

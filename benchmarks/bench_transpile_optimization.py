@@ -36,7 +36,7 @@ from repro.qcircuit import (
     transpile_with_report,
 )
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
-from repro.solvers.cyclic_qaoa import CyclicQAOASolver
+from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
 
 #: Gate on the best family's lowered/optimized two-qubit ratio.  F1 under the
 #: ``+rzz`` basis measures 1.25x (20% reduction); gate a notch below so a
@@ -55,7 +55,7 @@ def _choco_circuit(case: str) -> QuantumCircuit:
 
 def _cyclic_circuit(case: str) -> QuantumCircuit:
     problem = make_benchmark(case)
-    spec = CyclicQAOASolver(num_layers=2).build_spec(problem)
+    spec = CyclicQAOASolver(config=CyclicQAOAConfig(num_layers=2)).build_spec(problem)
     return spec.build_circuit(spec.initial_parameters)
 
 

@@ -37,10 +37,10 @@ from repro.qcircuit.noise import NoiseModel
 from repro.run import ExperimentPlan, RunRecord, RunSpec, run_plan
 from repro.solvers.base import QuantumSolver, SolverResult
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
-from repro.solvers.cyclic_qaoa import CyclicQAOASolver
-from repro.solvers.hea import HEASolver
+from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
+from repro.solvers.hea import HEAConfig, HEASolver
 from repro.solvers.optimizer import CobylaOptimizer
-from repro.solvers.penalty_qaoa import PenaltyQAOASolver
+from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 from repro.solvers.variational import EngineOptions
 
 SHOTS = int(os.environ.get("REPRO_BENCH_SHOTS", "2048"))
@@ -86,13 +86,19 @@ def solver_lineup(
     options = engine_options(noise_model, shots)
     return {
         "penalty": PenaltyQAOASolver(
-            num_layers=baseline_layers, optimizer=optimizer(max_iterations), options=options
+            config=PenaltyQAOAConfig(num_layers=baseline_layers),
+            optimizer=optimizer(max_iterations),
+            options=options,
         ),
         "cyclic": CyclicQAOASolver(
-            num_layers=baseline_layers, optimizer=optimizer(max_iterations), options=options
+            config=CyclicQAOAConfig(num_layers=baseline_layers),
+            optimizer=optimizer(max_iterations),
+            options=options,
         ),
         "hea": HEASolver(
-            num_layers=2, optimizer=optimizer(max_iterations), options=options
+            config=HEAConfig(num_layers=2),
+            optimizer=optimizer(max_iterations),
+            options=options,
         ),
         "choco-q": ChocoQSolver(
             config=ChocoQConfig(num_layers=choco_layers, num_eliminated_variables=choco_eliminated),

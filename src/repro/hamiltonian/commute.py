@@ -15,21 +15,23 @@ This module implements the paper's central contribution:
   CX/X/H converting circuit and ``P`` a multi-controlled phase gate — linear
   time and linear circuit depth in the support size.
 
-Four execution paths are provided for each term:
+Each term has three representations:
 
-1. ``apply_evolution`` — fast dense-statevector application of the exact
-   2x2 rotation on the paired basis states (used by the simulator-backed
-   solver; no decomposition needed);
-2. ``subspace_pairing`` / :class:`RestrictedCommuteDriver` — the same
-   rotation restricted to the feasible subspace of a
-   :class:`~repro.core.subspace.SubspaceMap`: each term becomes a pairing
-   permutation plus a 2x2 rotation over ``O(|F|)`` amplitudes instead of
-   ``O(2^n)``.  Valid because every ``H_c(u)`` maps feasible basis states to
-   feasible basis states (``C(x ± u) = C x`` for ``u`` in the nullspace), so
-   the full operator is block-diagonal over ``F`` and its complement;
-3. ``decomposed_circuit`` — the Lemma-2 gate sequence (used for depth
+1. its hop pairing — the ``(a, b)`` index arrays of the basis states the
+   exact 2x2 rotation ``e^{-i beta H_c(u)}`` mixes, applied by
+   :func:`rotate_pairs_cs`.  :func:`dense_term_pairing` indexes the full
+   ``2^n`` basis; ``subspace_pairing`` / :class:`RestrictedCommuteDriver`
+   index the coordinates of a feasible
+   :class:`~repro.core.subspace.SubspaceMap`, so the rotation runs over
+   ``O(|F|)`` amplitudes instead of ``O(2^n)``.  Valid because every
+   ``H_c(u)`` maps feasible basis states to feasible basis states
+   (``C(x ± u) = C x`` for ``u`` in the nullspace), so the full operator is
+   block-diagonal over ``F`` and its complement.  A
+   :class:`~repro.hamiltonian.compiled.EvolutionProgram` resolves the
+   pairings once per solver prepare; it is the only simulation path;
+2. ``decomposed_circuit`` — the Lemma-2 gate sequence (used for depth
    accounting, noisy execution and deployment);
-4. ``to_matrix`` / ``to_pauli_sum`` — dense and Pauli forms (used by the
+3. ``to_matrix`` / ``to_pauli_sum`` — dense and Pauli forms (used by the
    verification tests and the Trotter baseline).
 """
 
@@ -175,27 +177,6 @@ class CommuteHamiltonianTerm:
         return state
 
     # ------------------------------------------------------------------
-    # Fast exact evolution (simulation path)
-    # ------------------------------------------------------------------
-
-    def apply_evolution(self, state: np.ndarray, beta) -> np.ndarray:
-        """Apply ``e^{-i beta H_c(u)}`` to a dense statevector.
-
-        The unitary acts as the 2x2 rotation
-        ``[[cos beta, -i sin beta], [-i sin beta, cos beta]]`` on every pair
-        of basis states whose support bits read ``v`` / ``v̄`` and whose
-        remaining bits agree; it is the identity elsewhere.
-
-        ``state`` may carry leading batch axes (shape ``(..., 2^n)``) with a
-        matching array of angles — see :func:`_rotate_pairs`.
-        """
-        num_qubits = int(round(math.log2(state.shape[-1])))
-        if num_qubits != self.num_qubits:
-            raise HamiltonianError("statevector size does not match the term register")
-        a_indices, b_indices = dense_term_pairing(self)
-        return _rotate_pairs(state, beta, a_indices, b_indices)
-
-    # ------------------------------------------------------------------
     # Subspace-restricted evolution (feasible-subspace backend)
     # ------------------------------------------------------------------
 
@@ -246,17 +227,6 @@ class CommuteHamiltonianTerm:
                 "the map's constraint system"
             )
         return a_coordinates, b_coordinates
-
-    def apply_evolution_subspace(
-        self, state: np.ndarray, beta, subspace_map
-    ) -> np.ndarray:
-        """Apply ``e^{-i beta H_c(u)}`` to a feasible-subspace statevector.
-
-        Equivalent to :meth:`apply_evolution` on the lifted dense state, but
-        in ``O(|F|)`` instead of ``O(2^n)``.
-        """
-        a_coordinates, b_coordinates = self.subspace_pairing(subspace_map)
-        return _rotate_pairs(state, beta, a_coordinates, b_coordinates)
 
     # ------------------------------------------------------------------
     # Lemma 2 decomposition (deployment path)
@@ -317,8 +287,7 @@ def dense_term_pairing(term: CommuteHamiltonianTerm) -> tuple[np.ndarray, np.nda
 
     ``a`` enumerates the basis indices whose support bits read ``v`` and
     ``b = a XOR support_mask`` their ``v̄`` partners.  The single source of
-    the dense pairing convention: :meth:`CommuteHamiltonianTerm
-    .apply_evolution` rebuilds it per call, while a compiled
+    the dense pairing convention: a compiled
     :class:`~repro.hamiltonian.compiled.EvolutionProgram` resolves it once
     per solver prepare.
     """
@@ -367,21 +336,6 @@ def subspace_pairing_loop(
     return a_coordinates, b_coordinates
 
 
-def _rotate_pairs(
-    state: np.ndarray, beta, a_coordinates: np.ndarray, b_coordinates: np.ndarray
-) -> np.ndarray:
-    """The 2x2 rotation ``[[cos, -i sin], [-i sin, cos]]`` on index pairs.
-
-    Indexing runs over the last axis, so ``state`` may be a single vector
-    ``(dim,)`` or a batch ``(k, dim)`` of states.  In the batched case
-    ``beta`` may itself be an array of ``k`` angles (one rotation angle per
-    batch row), which is what vectorises a parameter sweep: every batch row
-    sees exactly the elementwise operations the sequential path applies, so
-    the results are bit-identical to evolving each row on its own.
-    """
-    return rotate_pairs_cs(state, np.cos(beta), np.sin(beta), a_coordinates, b_coordinates)
-
-
 def rotate_pairs_cs(
     state: np.ndarray,
     cos_b,
@@ -389,12 +343,15 @@ def rotate_pairs_cs(
     a_coordinates: np.ndarray,
     b_coordinates: np.ndarray,
 ) -> np.ndarray:
-    """The pair rotation of :func:`_rotate_pairs` with precomputed cos/sin.
+    """The 2x2 rotation ``[[cos, -i sin], [-i sin, cos]]`` on index pairs.
 
-    A compiled :class:`~repro.hamiltonian.compiled.EvolutionProgram`
-    evaluates the layer angle's cosine and sine once and reuses them across
-    every term of the layer; the arithmetic applied to the state is
-    unchanged, so results stay bit-identical to the per-term path.
+    ``cos_b`` / ``sin_b`` are the precomputed cosine and sine of the angle:
+    a compiled :class:`~repro.hamiltonian.compiled.EvolutionProgram`
+    evaluates them once per layer and reuses them across every term.
+    Indexing runs over the last axis, so ``state`` may be a single vector
+    ``(dim,)`` or a batch ``(k, dim)`` of states; in the batched case the
+    cosine and sine may be arrays of ``k`` per-row values, and every row
+    sees exactly the elementwise operations the sequential path applies.
     """
     if np.ndim(cos_b):
         cos_b = cos_b[..., np.newaxis]
@@ -416,9 +373,10 @@ class CommuteDriver:
     """The serialized commute driver ``prod_u e^{-i beta H_c(u)}``.
 
     Built from the set Delta of solution vectors of ``C u = 0`` (see
-    :mod:`repro.core.nullspace`), it provides the two execution paths used by
-    the Choco-Q solver: exact statevector application, and the decomposed
-    circuit for depth accounting and deployment.
+    :mod:`repro.core.nullspace`).  Its terms compile into an
+    :class:`~repro.hamiltonian.compiled.EvolutionProgram` for exact
+    statevector simulation; it also emits the decomposed circuit for depth
+    accounting and deployment.
     """
 
     def __init__(self, terms: Sequence[CommuteHamiltonianTerm]):
@@ -463,16 +421,6 @@ class CommuteDriver:
         return total.simplify()
 
     # ------------------------------------------------------------------
-
-    def apply_serialized(self, state: np.ndarray, beta) -> np.ndarray:
-        """Apply the serialized driver (Lemma 1) to a dense state.
-
-        Accepts a batch of states ``(k, 2^n)`` with per-row angles ``(k,)``
-        exactly like :meth:`CommuteHamiltonianTerm.apply_evolution`.
-        """
-        for term in self.terms:
-            state = term.apply_evolution(state, beta)
-        return state
 
     def restrict(self, subspace_map) -> "RestrictedCommuteDriver":
         """Restrict the driver to a feasible subspace (pairings precomputed)."""
@@ -549,19 +497,6 @@ class RestrictedCommuteDriver:
     @property
     def num_terms(self) -> int:
         return len(self.driver.terms)
-
-    def apply_serialized(self, state: np.ndarray, beta) -> np.ndarray:
-        """Apply ``prod_u e^{-i beta H_c(u)}`` to a subspace statevector.
-
-        ``state`` is one subspace vector ``(|F|,)`` or a batch ``(k, |F|)``;
-        in the batched case ``beta`` may be an array of ``k`` per-row angles
-        (the vectorised parameter-sweep path).
-        """
-        if state.shape[-1] != self.size:
-            raise HamiltonianError("subspace statevector length must equal |F|")
-        for a_coordinates, b_coordinates in self.pairings:
-            state = _rotate_pairs(state, beta, a_coordinates, b_coordinates)
-        return state
 
     def hamiltonian_matrix(self) -> np.ndarray:
         """The ``|F| x |F|`` block of ``H_d = sum_u H_c(u)`` on the subspace.

@@ -1,13 +1,13 @@
-"""Compile-once evolution programs for the commute-Hamiltonian ansatz.
+"""Compile-once evolution programs for the QAOA-style ansätze.
 
 The paper's headline claim is *latency*: the commute ansatz wins because each
 optimizer iteration is cheap.  The structure of one iteration never changes
 during a run — the cost diagonal, the layer count and every term's pair of
 hop index arrays are fixed once the driver and the state layout are chosen —
-yet the naive evolution path re-derives that structure on every cost
-evaluation (``np.arange(2^n)`` plus two boolean masks per dense term, or the
-full subspace pairing per restricted term).  An :class:`EvolutionProgram`
-factors the split explicitly:
+so re-deriving it on every cost evaluation (``np.arange(2^n)`` plus two
+boolean masks per dense term, or the full subspace pairing per restricted
+term) is pure overhead.  An :class:`EvolutionProgram` factors the split
+explicitly:
 
 * **compile** (once per solver prepare): resolve each driver term to
   immutable ``(a, b)`` pair-index arrays — dense from the support mask,
@@ -19,7 +19,11 @@ factors the split explicitly:
   <repro.hamiltonian.commute.rotate_pairs_cs>` calls over the cached
   indices, with one cosine/sine evaluation per layer shared by every term.
 
-Execution is *bit-identical* to the uncompiled path (asserted in
+The program is the one simulation path of three solvers: Choco-Q's
+serialized driver, the cyclic baseline's ring hops (``angle_scale=2``), and
+the penalty baseline's transverse-field mixer, whose ``e^{-i beta X_j}`` is
+the commute term of the single-bit flip ``u = -e_j``.  Execution is
+*bit-identical* to rebuilding the pairings on every call (asserted in
 ``tests/test_compiled_evolution.py``): both run exactly the same elementwise
 NumPy operations in the same order — compilation only removes the
 per-iteration index recomputation, never changes an arithmetic step.
@@ -75,13 +79,20 @@ def apply_diagonal_phase(state: np.ndarray, gamma, diagonal: np.ndarray) -> np.n
     The one phase-separation primitive shared by the dense and subspace
     layouts: ``diagonal`` has the backend's dimension, ``state`` is one
     vector ``(dim,)`` or a batch ``(k, dim)``, and ``gamma`` is a scalar or
-    ``k`` per-row angles.  Each batch row sees exactly the elementwise
-    multiply the sequential path performs, so batching is bit-identical.
+    ``k`` per-row angles.
+
+    A batch is phased row by row with the sequential expression, so it is
+    bit-identical to evolving each row alone.  One whole-batch product would
+    not be: once its temporary reaches 256 KiB numpy reuses it in place and
+    evaluates the multiply with its operands swapped, and the complex
+    multiply kernel is not bitwise commutative.
     """
     gamma = np.asarray(gamma)
-    if gamma.ndim:
-        gamma = gamma[..., np.newaxis]
-    return state * np.exp(-1j * gamma * diagonal)
+    if gamma.ndim == 0:
+        return state * np.exp(-1j * gamma * diagonal)
+    return np.stack(
+        [row * np.exp(-1j * row_gamma * diagonal) for row, row_gamma in zip(state, gamma)]
+    )
 
 
 class EvolutionProgram:

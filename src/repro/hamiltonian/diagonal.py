@@ -5,8 +5,9 @@ diagonal in the computational basis: the eigenvalue of basis state ``|x>`` is
 ``f(x)``.  This module provides two representations of the same operator:
 
 * :class:`DiagonalHamiltonian` — a dense diagonal vector of length ``2**n``,
-  used by the simulator for exact phase application ``e^{-i gamma H_o}`` and
-  expectation values (the exact equivalent of substituting
+  the cost diagonal the simulator's phase separation
+  (:func:`~repro.hamiltonian.compiled.apply_diagonal_phase`) and
+  expectation values run on (the exact equivalent of substituting
   ``x_j = (I - Z_j)/2`` in the paper's Step 2);
 * a quadratic *polynomial* form (linear + quadratic coefficient maps), used
   to emit the RZ / RZZ phase-separation circuit whose depth Table II reports.
@@ -72,21 +73,13 @@ class DiagonalHamiltonian:
     def expectation(self, probabilities: np.ndarray) -> float:
         return float(np.dot(probabilities, self.diagonal))
 
-    def evolution_phases(self, gamma: float) -> np.ndarray:
-        """The diagonal of ``e^{-i gamma H_o}`` as a complex vector."""
-        return np.exp(-1j * gamma * self.diagonal)
-
-    def apply_evolution(self, state: np.ndarray, gamma: float) -> np.ndarray:
-        """Apply ``e^{-i gamma H_o}`` to a dense statevector."""
-        return state * self.evolution_phases(gamma)
-
     def restrict(self, subspace_map) -> np.ndarray:
         """The diagonal gathered onto the coordinates of a feasible subspace.
 
         Because the operator is diagonal, its restriction to the span of the
         feasible basis states is exactly this sub-vector; applying
         ``exp(-i gamma * restrict(...))`` elementwise to a subspace
-        statevector reproduces :meth:`apply_evolution` on the lifted state.
+        statevector reproduces ``e^{-i gamma H_o}`` on the lifted state.
         For large registers prefer building the restricted diagonal directly
         with :meth:`SubspaceMap.evaluate_polynomial
         <repro.core.subspace.SubspaceMap.evaluate_polynomial>`, which never

@@ -48,7 +48,7 @@ from repro.solvers.variational import EngineOptions
 
 #: Spec fields that identify the computation (everything except ``label``,
 #: which is presentation-only and excluded from the content hash).
-_HASHED_FIELDS = (
+HASHED_FIELDS = (
     "solver",
     "benchmark",
     "case_index",
@@ -116,7 +116,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunSpec":
-        known = {f for f in data if f in {*_HASHED_FIELDS, "label"}}
+        known = {f for f in data if f in {*HASHED_FIELDS, "label"}}
         unknown = sorted(set(data) - known)
         if unknown:
             raise SolverError(f"unknown RunSpec field(s) {unknown}")
@@ -131,7 +131,7 @@ class RunSpec:
         same convention covers ``optimization_level``: ``None`` (package
         default) is dropped, an explicit level is hashed.
         """
-        payload = {key: value for key, value in self.to_dict().items() if key in _HASHED_FIELDS}
+        payload = {key: value for key, value in self.to_dict().items() if key in HASHED_FIELDS}
         if payload.get("noise") is None:
             payload.pop("noise", None)
         if payload.get("optimization_level") is None:

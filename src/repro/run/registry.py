@@ -49,7 +49,8 @@ def register_solver(
     """Register a solver class under a string name.
 
     ``solver_cls`` must accept ``(config=..., optimizer=..., options=...)``
-    — the uniform constructor contract every built-in solver follows.
+    — the constructor every built-in solver inherits from
+    :class:`~repro.solvers.base.QuantumSolver`.
     Re-registering an existing name raises unless ``replace=True``.
     """
     key = name.lower()

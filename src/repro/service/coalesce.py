@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import ServiceError
-from repro.run.plan import RunRecord, RunSpec, execute_spec
+from repro.run.plan import HASHED_FIELDS, RunRecord, RunSpec, execute_spec
 from repro.run.problems import resolve_benchmark
 from repro.run.registry import make_solver
 from repro.serialization import json_sanitize
@@ -45,28 +45,19 @@ __all__ = [
 ]
 
 
-#: RunSpec fields that define solve-group compatibility: everything the
-#: content hash covers except the seed (label never identifies work).
-_GROUP_FIELDS = (
-    "solver",
-    "benchmark",
-    "case_index",
-    "config",
-    "shots",
-    "optimizer",
-    "max_iterations",
-    "multistart",
-    "noise",
-)
-
-
 def solve_group_key(spec: RunSpec) -> str:
     """Compatibility key of a solve request: its spec minus the seed.
 
-    Specs sharing a key differ only in sampling seed, so they resolve the
+    The key covers every content-hashed :class:`RunSpec` field except
+    ``seed`` (``label`` never identifies work).  Specs sharing a key
+    differ only in sampling seed, so they resolve the
     same benchmark, build the same solver, and can ride one worker dispatch.
     """
-    payload = {key: value for key, value in spec.to_dict().items() if key in _GROUP_FIELDS}
+    payload = {
+        key: value
+        for key, value in spec.to_dict().items()
+        if key in HASHED_FIELDS and key != "seed"
+    }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -183,11 +174,12 @@ class SpecCompiler:
             raise ServiceError(
                 f"solver {request.solver!r} does not expose build_spec(); "
                 "expectation sweeps need a compilable ansatz "
-                "(available on choco-q and cyclic-qaoa)"
+                "(every built-in solver has one)"
             )
         built = build_spec(problem)
-        # ChocoQSolver.build_spec returns (spec, driver); cyclic returns the
-        # spec alone.  Either way the first AnsatzSpec is the compiled ansatz.
+        # ChocoQSolver.build_spec returns (spec, driver); the other solvers
+        # return the spec alone.  Either way the first AnsatzSpec is the
+        # compiled ansatz.
         spec = built[0] if isinstance(built, tuple) else built
         if not isinstance(spec, AnsatzSpec):
             raise ServiceError(
@@ -207,7 +199,7 @@ def execute_sweep(
     :func:`~repro.solvers.variational.batched_expectations` call; the result
     is split back per request, each slice bit-identical to evaluating that
     request alone (batched evolution rows match sequential evolution bit for
-    bit — pinned by the PR-2 test suite).
+    bit — pinned in ``tests/test_compiled_evolution.py``).
     """
     if not requests:
         return []

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.metrics import MetricsReport, evaluate_outcomes
 from repro.core.problem import ConstrainedBinaryProblem
+from repro.exceptions import SolverError
 from repro.qcircuit.sampling import SampleResult
 from repro.serialization import json_sanitize
 
@@ -196,9 +197,36 @@ class SolverResult:
 
 
 class QuantumSolver(abc.ABC):
-    """Abstract base class of every variational solver in the package."""
+    """Abstract base class of every variational solver in the package.
+
+    Subclasses name their frozen config dataclass in ``config_cls`` and the
+    COBYLA iteration budget used when no optimizer is given in
+    ``default_max_iterations``; the constructor is shared.
+    """
 
     name: str = "solver"
+    config_cls: type
+    default_max_iterations: int = 100
+
+    def __init__(self, config=None, optimizer=None, options=None) -> None:
+        # Imported here: both modules import this one.
+        from repro.solvers.optimizer import CobylaOptimizer
+        from repro.solvers.variational import EngineOptions
+
+        if config is None:
+            config = self.config_cls()
+        elif not isinstance(config, self.config_cls):
+            # An int or dict sliding into the first positional slot fails
+            # here instead of deep inside solve().
+            raise SolverError(
+                f"config must be a {self.config_cls.__name__} (or None), "
+                f"got {type(config).__name__}"
+            )
+        self.config = config
+        self.optimizer = optimizer or CobylaOptimizer(
+            max_iterations=self.default_max_iterations
+        )
+        self.options = options or EngineOptions()
 
     @abc.abstractmethod
     def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,11 +64,9 @@ from repro.hamiltonian.diagonal import DiagonalHamiltonian, phase_separation_cir
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import SampleResult, merge_results, split_shots
 from repro.solvers.base import LatencyBreakdown, OptimizationTrace, QuantumSolver, SolverResult
-from repro.solvers.config import NoiseConfig, SolverConfig, resolve_config_argument
-from repro.solvers.optimizer import CobylaOptimizer, Optimizer
+from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.variational import (
     AnsatzSpec,
-    EngineOptions,
     SubspaceStateBackend,
     VariationalEngine,
     apply_diagonal_phase,
@@ -185,16 +183,8 @@ class ChocoQSolver(QuantumSolver):
 
     name = "choco-q"
 
-    def __init__(
-        self,
-        config: ChocoQConfig | None = None,
-        optimizer: Optimizer | None = None,
-        options: EngineOptions | None = None,
-        **config_kwargs,
-    ) -> None:
-        self.config = resolve_config_argument(config, config_kwargs, ChocoQConfig)
-        self.optimizer = optimizer or CobylaOptimizer(max_iterations=100)
-        self.options = options or EngineOptions()
+    config_cls = ChocoQConfig
+    default_max_iterations = 100
 
     # ------------------------------------------------------------------
     # Driver construction
@@ -446,16 +436,8 @@ class ChocoQSolver(QuantumSolver):
 
         for index, instance in enumerate(plan.instances):
             instance_shots = shot_allocation[index]
-            sub_options = EngineOptions(
-                shots=instance_shots,
-                seed=instance_seeds[index],
-                noise_model=self.options.noise_model,
-                noise=self.options.noise,
-                latency_model=self.options.latency_model,
-                transpile_for_depth=self.options.transpile_for_depth,
-                noisy_trajectories=self.options.noisy_trajectories,
-                multistart=self.options.multistart,
-                optimization_level=self.options.optimization_level,
+            sub_options = replace(
+                self.options, shots=instance_shots, seed=instance_seeds[index]
             )
             sub_solver = ChocoQSolver(config=sub_config, optimizer=self.optimizer, options=sub_options)
             try:

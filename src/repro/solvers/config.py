@@ -255,24 +255,3 @@ def as_noise_config(value: Any) -> NoiseConfig | None:
         f"got {type(value).__name__}"
     )
 
-
-def resolve_config_argument(
-    config: Any, config_kwargs: Mapping[str, Any], config_cls: type[ConfigT]
-) -> ConfigT:
-    """The shared ``__init__(config=None, ..., **kwargs)`` shim of every solver.
-
-    Exactly one of ``config`` / ``config_kwargs`` may be given; ``config``
-    must be an instance of ``config_cls`` (an int or dict sliding into the
-    first positional slot fails fast here instead of deep inside ``solve``).
-    """
-    if config_kwargs:
-        if config is not None:
-            raise SolverError("pass either a config or config keywords, not both")
-        return config_cls.from_dict(config_kwargs)
-    if config is None:
-        return config_cls()
-    if not isinstance(config, config_cls):
-        raise SolverError(
-            f"config must be a {config_cls.__name__} (or None), got {type(config).__name__}"
-        )
-    return config

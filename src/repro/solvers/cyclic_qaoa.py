@@ -48,11 +48,9 @@ from repro.hamiltonian.compiled import EvolutionProgram, dense_term_pairing
 from repro.hamiltonian.diagonal import DiagonalHamiltonian, phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
-from repro.solvers.config import NoiseConfig, SolverConfig, resolve_config_argument
-from repro.solvers.optimizer import CobylaOptimizer, Optimizer
+from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.variational import (
     AnsatzSpec,
-    EngineOptions,
     SubspaceStateBackend,
     VariationalEngine,
     basis_state,
@@ -130,32 +128,8 @@ class CyclicQAOASolver(QuantumSolver):
 
     name = "cyclic-qaoa"
 
-    def __init__(
-        self,
-        config: CyclicQAOAConfig | None = None,
-        optimizer: Optimizer | None = None,
-        options: EngineOptions | None = None,
-        **config_kwargs,
-    ) -> None:
-        self.config = resolve_config_argument(config, config_kwargs, CyclicQAOAConfig)
-        self.optimizer = optimizer or CobylaOptimizer(max_iterations=150)
-        self.options = options or EngineOptions()
-
-    @property
-    def num_layers(self) -> int:
-        return self.config.num_layers
-
-    @property
-    def penalty_weight(self) -> float | None:
-        return self.config.penalty_weight
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
-
-    @property
-    def subspace_limit(self) -> int | None:
-        return self.config.subspace_limit
+    config_cls = CyclicQAOAConfig
+    default_max_iterations = 150
 
     # ------------------------------------------------------------------
 
@@ -171,9 +145,10 @@ class CyclicQAOASolver(QuantumSolver):
     # ------------------------------------------------------------------
 
     def _initial_parameters(self) -> np.ndarray:
-        layers = np.arange(1, self.num_layers + 1)
-        gammas = 0.7 * layers / self.num_layers
-        betas = 0.7 * (1.0 - layers / self.num_layers) + 0.1
+        num_layers = self.config.num_layers
+        layers = np.arange(1, num_layers + 1)
+        gammas = 0.7 * layers / num_layers
+        betas = 0.7 * (1.0 - layers / num_layers) + 0.1
         return np.ravel(np.column_stack([gammas, betas]))
 
     def _resolve_subspace_map(
@@ -187,10 +162,11 @@ class CyclicQAOASolver(QuantumSolver):
         layout) when the config says so, when no constraint is encodable,
         or when ``auto`` finds the encoded feasible set past the limit.
         """
-        if self.backend == "dense":
+        backend = self.config.backend
+        if backend == "dense":
             return None
         if not chains:
-            if self.backend == "subspace":
+            if backend == "subspace":
                 warnings.warn(
                     "no constraint is encodable by the cyclic driver; the "
                     "subspace backend has no invariant subspace to restrict "
@@ -206,10 +182,10 @@ class CyclicQAOASolver(QuantumSolver):
         ]
         matrix = np.array([list(c.coefficients) for c in encoded], dtype=float)
         rhs = np.array([c.rhs for c in encoded], dtype=float)
-        if self.backend == "subspace":
-            return SubspaceMap.from_constraints(matrix, rhs, limit=self.subspace_limit)
+        if backend == "subspace":
+            return SubspaceMap.from_constraints(matrix, rhs, limit=self.config.subspace_limit)
         return SubspaceMap.try_from_constraints(
-            matrix, rhs, limit=resolve_auto_subspace_limit(self.subspace_limit)
+            matrix, rhs, limit=resolve_auto_subspace_limit(self.config.subspace_limit)
         )
 
     def build_spec(self, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
@@ -220,15 +196,15 @@ class CyclicQAOASolver(QuantumSolver):
         :meth:`solve` executes.
         """
         num_qubits = problem.num_variables
-        num_layers = self.num_layers
+        num_layers = self.config.num_layers
         chains, unencoded = summation_chains(problem)
 
         # The objective Hamiltonian carries a penalty for whatever the driver
         # cannot encode (matching how the baseline handles general systems).
         if unencoded:
             weight = (
-                self.penalty_weight
-                if self.penalty_weight is not None
+                self.config.penalty_weight
+                if self.config.penalty_weight is not None
                 else default_penalty_weight(problem)
             )
             residual = ConstrainedBinaryProblem(
@@ -310,7 +286,7 @@ class CyclicQAOASolver(QuantumSolver):
             "encoded_chains": chains,
             "unencoded_constraints": unencoded,
             "penalty_weight": weight,
-            "backend_requested": self.backend,
+            "backend_requested": self.config.backend,
         }
         if subspace_map is not None:
             metadata["subspace_size"] = subspace_map.size

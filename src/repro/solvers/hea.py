@@ -8,6 +8,13 @@ as possible".  The ansatz is problem-agnostic — which is precisely why, as
 the paper notes, it struggles to converge to constrained optima — but its
 shallow depth makes it fast on hardware (visible in the Fig. 11 latency
 comparison).
+
+The per-qubit RY angles are not (gamma, beta) layers, so the ansatz keeps
+its own evolve closure rather than an
+:class:`~repro.hamiltonian.compiled.EvolutionProgram`; like the compiled
+path it resolves its pair indices and the CZ-chain phase vector once in
+:meth:`HEASolver.build_spec`, not on every cost evaluation.  It offers no
+batched evolution, so parameter sweeps loop over ``evolve``.
 """
 
 from __future__ import annotations
@@ -18,18 +25,12 @@ import numpy as np
 
 from repro.core.encoding import default_penalty_weight, penalty_objective
 from repro.core.problem import ConstrainedBinaryProblem
+from repro.hamiltonian.commute import CommuteDriver, dense_term_pairing
 from repro.hamiltonian.diagonal import DiagonalHamiltonian
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
-from repro.solvers.config import NoiseConfig, SolverConfig, resolve_config_argument
-from repro.solvers.optimizer import CobylaOptimizer, Optimizer
-from repro.solvers.variational import (
-    AnsatzSpec,
-    EngineOptions,
-    VariationalEngine,
-    apply_cz_chain,
-    apply_ry,
-)
+from repro.solvers.config import NoiseConfig, SolverConfig
+from repro.solvers.variational import AnsatzSpec, VariationalEngine
 
 
 @dataclass(frozen=True)
@@ -55,52 +56,66 @@ class HEASolver(QuantumSolver):
     """Hardware-efficient ansatz with RY layers and CZ-chain entanglers."""
 
     name = "hea"
-
-    def __init__(
-        self,
-        config: HEAConfig | None = None,
-        optimizer: Optimizer | None = None,
-        options: EngineOptions | None = None,
-        **config_kwargs,
-    ) -> None:
-        self.config = resolve_config_argument(config, config_kwargs, HEAConfig)
-        self.optimizer = optimizer or CobylaOptimizer(max_iterations=200)
-        self.options = options or EngineOptions()
-
-    @property
-    def num_layers(self) -> int:
-        return self.config.num_layers
-
-    @property
-    def penalty_weight(self) -> float | None:
-        return self.config.penalty_weight
-
-    # ------------------------------------------------------------------
+    config_cls = HEAConfig
+    default_max_iterations = 200
 
     def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
+        engine = VariationalEngine(
+            self.optimizer, self.options.with_noise(self.config.noise)
+        )
+        # The engine folds spec.metadata (penalty weight) into the result's
+        # metadata.
+        return engine.run(self.build_spec(problem), problem)
+
+    def build_spec(self, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
+        """The :class:`AnsatzSpec` for one problem, its index arrays built once.
+
+        Public so benchmarks and the service's expectation sweeps can time
+        or evaluate the prepared evolution without running the optimizer —
+        the same spec :meth:`solve` executes.
+        """
         num_qubits = problem.num_variables
+        num_layers = self.config.num_layers
         weight = (
-            self.penalty_weight
-            if self.penalty_weight is not None
+            self.config.penalty_weight
+            if self.config.penalty_weight is not None
             else default_penalty_weight(problem)
         )
         qubo = penalty_objective(problem, weight)
         hamiltonian = DiagonalHamiltonian.from_polynomial(qubo.terms, num_qubits)
-
-        num_layers = self.num_layers
         # One initial RY layer plus one RY layer per entangling block.
         num_parameters = num_qubits * (num_layers + 1)
 
+        # RY_j rotates the basis pairs that differ in bit j: the hop pairs of
+        # the single-bit flip u = -e_j, resolved once here.
+        flips = CommuteDriver.from_solutions(-np.eye(num_qubits, dtype=int))
+        pairings = [dense_term_pairing(term) for term in flips.terms]
+        # The CZ chain is diagonal: -1 once per adjacent pair of set bits.
+        indices = np.arange(2**num_qubits)
+        cz_chain_phase = np.ones(2**num_qubits, dtype=complex)
+        for qubit in range(num_qubits - 1):
+            both_one = (((indices >> qubit) & 1) == 1) & (((indices >> (qubit + 1)) & 1) == 1)
+            cz_chain_phase[both_one] *= -1.0
+        initial_state = np.eye(1, 2**num_qubits, 0, dtype=complex).ravel()
+
+        def apply_ry_layer(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
+            for (zero_indices, one_indices), theta in zip(pairings, angles):
+                cos_t = np.cos(theta / 2.0)
+                sin_t = np.sin(theta / 2.0)
+                new_state = state.copy()
+                amplitude_zero = state[zero_indices]
+                amplitude_one = state[one_indices]
+                new_state[zero_indices] = cos_t * amplitude_zero - sin_t * amplitude_one
+                new_state[one_indices] = sin_t * amplitude_zero + cos_t * amplitude_one
+                state = new_state
+            return state
+
         def evolve(parameters: np.ndarray) -> np.ndarray:
-            state = np.zeros(2**num_qubits, dtype=complex)
-            state[0] = 1.0
             angles = parameters.reshape(num_layers + 1, num_qubits)
-            for qubit in range(num_qubits):
-                state = apply_ry(state, qubit, angles[0, qubit])
+            state = apply_ry_layer(initial_state.copy(), angles[0])
             for layer in range(num_layers):
-                state = apply_cz_chain(state, num_qubits)
-                for qubit in range(num_qubits):
-                    state = apply_ry(state, qubit, angles[layer + 1, qubit])
+                state = state * cz_chain_phase
+                state = apply_ry_layer(state, angles[layer + 1])
             return state
 
         def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
@@ -116,21 +131,13 @@ class HEASolver(QuantumSolver):
             return circuit
 
         rng = np.random.default_rng(self.options.seed)
-        initial_parameters = rng.uniform(0.0, np.pi, size=num_parameters)
-
-        spec = AnsatzSpec(
+        return AnsatzSpec(
             name=self.name,
             num_qubits=num_qubits,
-            initial_state=np.eye(1, 2**num_qubits, 0, dtype=complex).ravel(),
+            initial_state=initial_state,
             cost_diagonal=hamiltonian.diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
-            initial_parameters=initial_parameters,
+            initial_parameters=rng.uniform(0.0, np.pi, size=num_parameters),
             metadata={"num_layers": num_layers, "penalty_weight": weight},
         )
-        engine = VariationalEngine(
-            self.optimizer, self.options.with_noise(self.config.noise)
-        )
-        result = engine.run(spec, problem)
-        result.metadata["penalty_weight"] = weight
-        return result

@@ -8,6 +8,12 @@ objective Hamiltonian, and the standard transverse-field mixer
 
     |+>^n  ->  [ e^{-i gamma_l H_o+p}  ·  prod_j RX_j(2 beta_l) ] x L layers.
 
+``RX_j(2 beta) = e^{-i beta X_j}`` and ``X_j`` is the commute term
+``H_c(u)`` of the single-bit flip ``u = -e_j``, so the mixer is a
+serialized commute driver and the simulation runs as the same compiled
+:class:`~repro.hamiltonian.compiled.EvolutionProgram` Choco-Q uses — which
+also gives the baseline the batched parameter-sweep path.
+
 Two optional enhancements from the paper's comparison setup are included:
 
 * **FrozenQubits** [4] — freeze the highest-degree (hotspot) variables of the
@@ -27,18 +33,13 @@ import numpy as np
 from repro.core.encoding import default_penalty_weight, frozen_variables, penalty_objective
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.exceptions import SolverError
+from repro.hamiltonian.commute import CommuteDriver
+from repro.hamiltonian.compiled import EvolutionProgram
 from repro.hamiltonian.diagonal import DiagonalHamiltonian, phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
-from repro.solvers.config import NoiseConfig, SolverConfig, resolve_config_argument
-from repro.solvers.optimizer import CobylaOptimizer, Optimizer
-from repro.solvers.variational import (
-    AnsatzSpec,
-    EngineOptions,
-    VariationalEngine,
-    apply_rx_layer,
-    uniform_state,
-)
+from repro.solvers.config import NoiseConfig, SolverConfig
+from repro.solvers.variational import AnsatzSpec, VariationalEngine, uniform_state
 
 
 @dataclass(frozen=True)
@@ -72,96 +73,64 @@ class PenaltyQAOASolver(QuantumSolver):
     """Soft-constraint QAOA with the transverse-field mixer."""
 
     name = "penalty-qaoa"
-
-    def __init__(
-        self,
-        config: PenaltyQAOAConfig | None = None,
-        optimizer: Optimizer | None = None,
-        options: EngineOptions | None = None,
-        **config_kwargs,
-    ) -> None:
-        self.config = resolve_config_argument(config, config_kwargs, PenaltyQAOAConfig)
-        self.optimizer = optimizer or CobylaOptimizer(max_iterations=150)
-        self.options = options or EngineOptions()
-
-    @property
-    def num_layers(self) -> int:
-        return self.config.num_layers
-
-    @property
-    def penalty_weight(self) -> float | None:
-        return self.config.penalty_weight
-
-    @property
-    def freeze_hotspots(self) -> int:
-        return self.config.freeze_hotspots
-
-    @property
-    def linear_ramp_init(self) -> bool:
-        return self.config.linear_ramp_init
-
-    # ------------------------------------------------------------------
+    config_cls = PenaltyQAOAConfig
+    default_max_iterations = 150
 
     def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        working_problem = problem
-        frozen: list[tuple[int, int]] = []
-        if self.freeze_hotspots > 0:
-            frozen = frozen_variables(problem, self.freeze_hotspots)
-            for variable, value in frozen:
-                working_problem = working_problem.fix_variable(variable, value)
-
-        weight = (
-            self.penalty_weight
-            if self.penalty_weight is not None
-            else default_penalty_weight(problem)
-        )
-        qubo = penalty_objective(working_problem, weight)
-        num_qubits = problem.num_variables
-        hamiltonian = DiagonalHamiltonian.from_polynomial(qubo.terms, num_qubits)
-        spec = self._build_spec(problem, hamiltonian, qubo.terms, num_qubits, weight, frozen)
         engine = VariationalEngine(
             self.optimizer, self.options.with_noise(self.config.noise)
         )
-        result = engine.run(spec, problem)
-        result.metadata["penalty_weight"] = weight
-        result.metadata["frozen_variables"] = frozen
-        return result
+        # The engine folds spec.metadata (penalty weight, frozen variables)
+        # into the result's metadata.
+        return engine.run(self.build_spec(problem), problem)
 
     # ------------------------------------------------------------------
 
     def _initial_parameters(self) -> np.ndarray:
         """(gamma_1, beta_1, ..., gamma_L, beta_L)."""
-        if self.linear_ramp_init:
+        num_layers = self.config.num_layers
+        if self.config.linear_ramp_init:
             # Red-QAOA-style annealing-inspired ramp: gamma grows, beta shrinks.
-            layers = np.arange(1, self.num_layers + 1)
-            gammas = 0.7 * layers / self.num_layers
-            betas = 0.7 * (1.0 - layers / self.num_layers) + 0.1
+            layers = np.arange(1, num_layers + 1)
+            gammas = 0.7 * layers / num_layers
+            betas = 0.7 * (1.0 - layers / num_layers) + 0.1
         else:
             rng = np.random.default_rng(self.options.seed)
-            gammas = rng.uniform(0, np.pi, size=self.num_layers)
-            betas = rng.uniform(0, np.pi / 2, size=self.num_layers)
+            gammas = rng.uniform(0, np.pi, size=num_layers)
+            betas = rng.uniform(0, np.pi / 2, size=num_layers)
         return np.ravel(np.column_stack([gammas, betas]))
 
-    def _build_spec(
-        self,
-        problem: ConstrainedBinaryProblem,
-        hamiltonian: DiagonalHamiltonian,
-        qubo_terms,
-        num_qubits: int,
-        weight: float,
-        frozen: list[tuple[int, int]],
-    ) -> AnsatzSpec:
-        initial_state = uniform_state(num_qubits)
-        num_layers = self.num_layers
+    def build_spec(self, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
+        """The compiled :class:`AnsatzSpec` for one problem.
 
-        def evolve(parameters: np.ndarray) -> np.ndarray:
-            state = initial_state.copy()
-            for layer in range(num_layers):
-                gamma = parameters[2 * layer]
-                beta = parameters[2 * layer + 1]
-                state = hamiltonian.apply_evolution(state, gamma)
-                state = apply_rx_layer(state, beta, num_qubits)
-            return state
+        Public so benchmarks and the service's expectation sweeps can time
+        or evaluate the prepared evolution without running the optimizer —
+        the same spec :meth:`solve` executes.
+        """
+        config = self.config
+        working_problem = problem
+        frozen: list[tuple[int, int]] = []
+        if config.freeze_hotspots > 0:
+            frozen = frozen_variables(problem, config.freeze_hotspots)
+            for variable, value in frozen:
+                working_problem = working_problem.fix_variable(variable, value)
+
+        weight = (
+            config.penalty_weight
+            if config.penalty_weight is not None
+            else default_penalty_weight(problem)
+        )
+        qubo = penalty_objective(working_problem, weight)
+        num_qubits = problem.num_variables
+        num_layers = config.num_layers
+        cost_diagonal = DiagonalHamiltonian.from_polynomial(qubo.terms, num_qubits).diagonal
+        # H_c(-e_j) = X_j, so the transverse-field mixer prod_j e^{-i beta X_j}
+        # is the serialized commute driver over the single-bit flips.
+        mixer = CommuteDriver.from_solutions(-np.eye(num_qubits, dtype=int))
+        initial_state = uniform_state(num_qubits)
+        evolve = EvolutionProgram.for_driver(mixer, cost_diagonal, num_layers).bind(
+            initial_state
+        )
 
         def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
             circuit = QuantumCircuit(num_qubits, name="penalty_qaoa")
@@ -170,7 +139,7 @@ class PenaltyQAOASolver(QuantumSolver):
             for layer in range(num_layers):
                 gamma = float(parameters[2 * layer])
                 beta = float(parameters[2 * layer + 1])
-                phase_circuit = phase_separation_circuit(qubo_terms, num_qubits, gamma)
+                phase_circuit = phase_separation_circuit(qubo.terms, num_qubits, gamma)
                 circuit.compose(phase_circuit, qubits=range(num_qubits))
                 for qubit in range(num_qubits):
                     circuit.rx(2.0 * beta, qubit)
@@ -180,7 +149,7 @@ class PenaltyQAOASolver(QuantumSolver):
             name=self.name,
             num_qubits=num_qubits,
             initial_state=initial_state,
-            cost_diagonal=hamiltonian.diagonal,
+            cost_diagonal=cost_diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
             initial_parameters=self._initial_parameters(),
@@ -189,4 +158,5 @@ class PenaltyQAOASolver(QuantumSolver):
                 "penalty_weight": weight,
                 "frozen_variables": frozen,
             },
+            evolve_batch=evolve,
         )

@@ -6,10 +6,15 @@ cost observable, a classical optimizer, and a final sampling step.  To keep
 the individual solver modules focused on *what the ansatz is*, this module
 implements the shared *how it runs*:
 
-* :class:`AnsatzSpec` — the contract a solver provides: how to evolve a
-  statevector for given parameters (fast simulation path), how to build the
-  gate-level circuit for the same parameters (depth accounting, noisy
-  execution), the cost diagonal, the initial state, and parameter metadata.
+* :class:`AnsatzSpec` — the contract a solver provides through its
+  ``build_spec(problem)``: how to evolve a statevector for given parameters
+  (fast simulation path), how to build the gate-level circuit for the same
+  parameters (depth accounting, noisy execution), the cost diagonal, the
+  initial state, and parameter metadata.  Choco-Q, cyclic and penalty QAOA
+  evolve through a compiled
+  :class:`~repro.hamiltonian.compiled.EvolutionProgram` (which also serves
+  the batched ``evolve_batch`` sweep path); HEA keeps its own RY/CZ closure
+  over index arrays built once per spec.
 * :class:`StateBackend` — the pluggable state layout the ansatz evolves
   over.  :class:`DenseStateBackend` indexes amplitudes by the full ``2^n``
   computational basis; :class:`SubspaceStateBackend` indexes them by the
@@ -527,53 +532,3 @@ def uniform_state(num_qubits: int) -> np.ndarray:
     """Dense uniform superposition (|+>^n)."""
     return Statevector.uniform_superposition(num_qubits).data
 
-
-def apply_rx_layer(state: np.ndarray, beta: float, num_qubits: int) -> np.ndarray:
-    """Apply ``e^{-i beta X_j}`` on every qubit (the standard QAOA mixer)."""
-    cos_b = np.cos(beta)
-    sin_b = np.sin(beta)
-    for qubit in range(num_qubits):
-        state = _apply_single_qubit_mix(state, qubit, cos_b, -1j * sin_b)
-    return state
-
-
-def _apply_single_qubit_mix(
-    state: np.ndarray, qubit: int, diagonal: complex, off_diagonal: complex
-) -> np.ndarray:
-    """Apply ``[[d, o], [o, d]]`` on one qubit of a dense state (vectorised)."""
-    indices = np.arange(len(state))
-    zero_mask = (indices >> qubit) & 1 == 0
-    zero_indices = indices[zero_mask]
-    one_indices = zero_indices | (1 << qubit)
-    new_state = state.copy()
-    amplitude_zero = state[zero_indices]
-    amplitude_one = state[one_indices]
-    new_state[zero_indices] = diagonal * amplitude_zero + off_diagonal * amplitude_one
-    new_state[one_indices] = diagonal * amplitude_one + off_diagonal * amplitude_zero
-    return new_state
-
-
-def apply_ry(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
-    """Apply an RY rotation on one qubit of a dense state."""
-    cos_t = np.cos(theta / 2.0)
-    sin_t = np.sin(theta / 2.0)
-    indices = np.arange(len(state))
-    zero_mask = (indices >> qubit) & 1 == 0
-    zero_indices = indices[zero_mask]
-    one_indices = zero_indices | (1 << qubit)
-    new_state = state.copy()
-    amplitude_zero = state[zero_indices]
-    amplitude_one = state[one_indices]
-    new_state[zero_indices] = cos_t * amplitude_zero - sin_t * amplitude_one
-    new_state[one_indices] = sin_t * amplitude_zero + cos_t * amplitude_one
-    return new_state
-
-
-def apply_cz_chain(state: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Apply CZ between consecutive qubits (the HEA entangling layer)."""
-    indices = np.arange(len(state))
-    phase = np.ones(len(state), dtype=complex)
-    for qubit in range(num_qubits - 1):
-        both_one = (((indices >> qubit) & 1) == 1) & (((indices >> (qubit + 1)) & 1) == 1)
-        phase[both_one] *= -1.0
-    return state * phase

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
-from repro.solvers.cyclic_qaoa import CyclicQAOASolver
+from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
 from repro.solvers.optimizer import CobylaOptimizer
 from repro.solvers.variational import EngineOptions
 
@@ -62,13 +62,11 @@ def make_cyclic_solver(
     shots: int = 1024,
     max_iterations: int = 40,
     num_layers: int = 2,
-    **solver_kwargs,
+    **config_kwargs,
 ) -> CyclicQAOASolver:
     """A seeded, fast-optimizer CyclicQAOASolver for one test run."""
     return CyclicQAOASolver(
-        num_layers=num_layers,
+        config=CyclicQAOAConfig(num_layers=num_layers, backend=backend, **config_kwargs),
         optimizer=CobylaOptimizer(max_iterations=max_iterations),
         options=EngineOptions(shots=shots, seed=seed),
-        backend=backend,
-        **solver_kwargs,
     )

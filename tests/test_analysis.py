@@ -17,7 +17,7 @@ from repro.analysis.report import (
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
 from repro.solvers.optimizer import CobylaOptimizer
-from repro.solvers.penalty_qaoa import PenaltyQAOASolver
+from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 from repro.solvers.variational import EngineOptions
 
 FAST = EngineOptions(shots=512, seed=5)
@@ -30,7 +30,9 @@ class TestConvergence:
             config=ChocoQConfig(num_layers=2), optimizer=FAST_OPTIMIZER, options=FAST
         ).solve(paper_example_problem)
         penalty = PenaltyQAOASolver(
-            num_layers=2, optimizer=FAST_OPTIMIZER, options=FAST
+            config=PenaltyQAOAConfig(num_layers=2),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
         ).solve(paper_example_problem)
         rows = compare_convergence(paper_example_problem, [choco, penalty])
         by_name = {row["solver"]: row for row in rows}

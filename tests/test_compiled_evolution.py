@@ -3,10 +3,14 @@
 The compiled path must be a pure restructuring: identical arithmetic over
 precomputed pair indices.  These tests pin
 
-* the vectorised ``subspace_pairing`` against the pre-PR per-row loop
+* the vectorised ``subspace_pairing`` against the per-row loop reference
   (element for element, including the rejection paths);
-* compiled-vs-uncompiled final states as *bit-identical* (``np.array_equal``,
-  not a tolerance) on dense and subspace layouts, scalar and batched;
+* compiled final states as *bit-identical* (``np.array_equal``, not a
+  tolerance) to rebuilding every pairing per call, on dense and subspace
+  layouts, scalar and batched — and the penalty and HEA specs to reference
+  copies of the per-call index-mask closures they replaced;
+* batched evolution and batched expectations bit-identical to the
+  sequential path;
 * the compile-once guarantee — a call-count spy shows ``subspace_pairing``
   runs exactly once per (term, map) across a full ``VariationalEngine.run``,
   including one compilation per Opt3 sub-instance;
@@ -33,6 +37,7 @@ from repro.exceptions import (
 from repro.hamiltonian.commute import (
     CommuteDriver,
     CommuteHamiltonianTerm,
+    rotate_pairs_cs,
     subspace_pairing_loop,
 )
 from repro.hamiltonian.compiled import (
@@ -52,6 +57,9 @@ from repro.solvers.chocoq import (
     BoundedUnitaryCache,
 )
 from repro.solvers.cyclic_qaoa import chain_hop_edges, summation_chains
+from repro.solvers.hea import HEAConfig, HEASolver
+from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
+from repro.solvers.variational import batched_expectations, evolve_parameter_sets
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
 
@@ -147,7 +155,11 @@ class TestCoordinatesOfRows:
 
 
 def _legacy_chocoq_evolve(spec, driver, num_layers, subspace_map=None):
-    """The pre-PR recompute-every-call inner loop for a Choco-Q spec."""
+    """The recompute-every-call inner loop for a Choco-Q spec.
+
+    Rebuilds every term's pairing and the angle's cosine and sine per term
+    and per call.
+    """
 
     def evolve(parameters):
         parameters, state = prepare_ansatz_state(spec.initial_state, parameters)
@@ -156,10 +168,79 @@ def _legacy_chocoq_evolve(spec, driver, num_layers, subspace_map=None):
             beta = parameters[..., 2 * layer + 1]
             state = apply_diagonal_phase(state, gamma, spec.cost_diagonal)
             for term in driver.terms:
-                if subspace_map is None:
-                    state = term.apply_evolution(state, beta)
-                else:
-                    state = term.apply_evolution_subspace(state, beta, subspace_map)
+                pairing = (
+                    dense_term_pairing(term)
+                    if subspace_map is None
+                    else term.subspace_pairing(subspace_map)
+                )
+                state = rotate_pairs_cs(state, np.cos(beta), np.sin(beta), *pairing)
+        return state
+
+    return evolve
+
+
+def _mask_pairs(num_states: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices with bit ``qubit`` clear, and their partners with it set."""
+    indices = np.arange(num_states)
+    zero_indices = indices[(indices >> qubit) & 1 == 0]
+    return zero_indices, zero_indices | (1 << qubit)
+
+
+def _legacy_penalty_evolve(spec, num_layers):
+    """Reference copy of the penalty mixer that rebuilt its masks per call."""
+    num_qubits = spec.num_qubits
+
+    def evolve(parameters):
+        state = spec.initial_state.copy()
+        for layer in range(num_layers):
+            gamma = parameters[2 * layer]
+            beta = parameters[2 * layer + 1]
+            state = state * np.exp(-1j * gamma * spec.cost_diagonal)
+            cos_b, off_diagonal = np.cos(beta), -1j * np.sin(beta)
+            for qubit in range(num_qubits):
+                zero_indices, one_indices = _mask_pairs(len(state), qubit)
+                new_state = state.copy()
+                amplitude_zero = state[zero_indices]
+                amplitude_one = state[one_indices]
+                new_state[zero_indices] = cos_b * amplitude_zero + off_diagonal * amplitude_one
+                new_state[one_indices] = cos_b * amplitude_one + off_diagonal * amplitude_zero
+                state = new_state
+        return state
+
+    return evolve
+
+
+def _legacy_hea_evolve(spec, num_layers):
+    """Reference copy of the HEA closure that rebuilt its masks per call."""
+    num_qubits = spec.num_qubits
+
+    def apply_ry(state, qubit, theta):
+        zero_indices, one_indices = _mask_pairs(len(state), qubit)
+        cos_t, sin_t = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        new_state = state.copy()
+        amplitude_zero = state[zero_indices]
+        amplitude_one = state[one_indices]
+        new_state[zero_indices] = cos_t * amplitude_zero - sin_t * amplitude_one
+        new_state[one_indices] = sin_t * amplitude_zero + cos_t * amplitude_one
+        return new_state
+
+    def apply_cz_chain(state):
+        indices = np.arange(len(state))
+        phase = np.ones(len(state), dtype=complex)
+        for qubit in range(num_qubits - 1):
+            both_one = (((indices >> qubit) & 1) == 1) & (((indices >> (qubit + 1)) & 1) == 1)
+            phase[both_one] *= -1.0
+        return state * phase
+
+    def evolve(parameters):
+        state = spec.initial_state.copy()
+        angles = parameters.reshape(num_layers + 1, num_qubits)
+        for qubit in range(num_qubits):
+            state = apply_ry(state, qubit, angles[0, qubit])
+        for layer in range(num_layers):
+            state = apply_cz_chain(state)
+            for qubit in range(num_qubits):
+                state = apply_ry(state, qubit, angles[layer + 1, qubit])
         return state
 
     return evolve
@@ -199,10 +280,9 @@ class TestCompiledEquivalence:
         if backend == "subspace":
             matrix, rhs = problem.constraint_matrix()
             subspace_map = SubspaceMap.from_constraints(matrix, rhs)
-            restricted = driver.restrict(subspace_map)
-            apply_hops = restricted.apply_serialized
+            pairings = driver.restrict(subspace_map).pairings
         else:
-            apply_hops = driver.apply_serialized
+            pairings = [dense_term_pairing(term) for term in driver.terms]
 
         def legacy(parameters):
             parameters, state = prepare_ansatz_state(spec.initial_state, parameters)
@@ -210,13 +290,37 @@ class TestCompiledEquivalence:
                 gamma = parameters[..., 2 * layer]
                 beta = parameters[..., 2 * layer + 1]
                 state = apply_diagonal_phase(state, gamma, spec.cost_diagonal)
-                state = apply_hops(state, 2.0 * beta)
+                for a_indices, b_indices in pairings:
+                    state = rotate_pairs_cs(
+                        state, np.cos(2.0 * beta), np.sin(2.0 * beta), a_indices, b_indices
+                    )
             return state
 
         rng = np.random.default_rng(23)
         for _ in range(4):
             parameters = rng.uniform(-np.pi, np.pi, size=4)
             assert np.array_equal(spec.evolve(parameters), legacy(parameters))
+
+    @pytest.mark.parametrize("case", ("F1", "K1", "K2", "G2"))
+    @pytest.mark.parametrize("freeze_hotspots", [0, 1])
+    def test_penalty_states_bit_identical(self, case, freeze_hotspots):
+        config = PenaltyQAOAConfig(num_layers=3, freeze_hotspots=freeze_hotspots)
+        spec = PenaltyQAOASolver(config=config).build_spec(make_benchmark(case))
+        legacy = _legacy_penalty_evolve(spec, 3)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            parameters = rng.uniform(-np.pi, np.pi, size=6)
+            assert spec.evolve(parameters).tobytes() == legacy(parameters).tobytes()
+
+    @pytest.mark.parametrize("case", ("F1", "K1", "K2", "G2"))
+    def test_hea_states_bit_identical(self, case):
+        problem = make_benchmark(case)
+        spec = HEASolver(config=HEAConfig(num_layers=2)).build_spec(problem)
+        legacy = _legacy_hea_evolve(spec, 2)
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            parameters = rng.uniform(-np.pi, np.pi, size=3 * problem.num_variables)
+            assert spec.evolve(parameters).tobytes() == legacy(parameters).tobytes()
 
     def test_full_solve_unchanged_by_compilation(self):
         """End-to-end pin: compiled runs reproduce the recorded pre-PR answer.
@@ -254,19 +358,63 @@ class TestEvolutionProgramValidation:
         with pytest.raises(HamiltonianError):
             EvolutionProgram(1, np.zeros(4), [(np.array([0]), np.array([7]))])
 
-    def test_dense_term_pairing_matches_apply_evolution(self):
+    def test_dense_term_pairing_program_matches_direct_rotation(self):
+        from scipy.linalg import expm
+
         term = CommuteHamiltonianTerm((1, 0, -1))
         a_indices, b_indices = dense_term_pairing(term)
         state = np.arange(8, dtype=complex) / np.linalg.norm(np.arange(8))
         program = EvolutionProgram(1, np.zeros(8), [(a_indices, b_indices)])
         compiled = program.execute(state, np.array([0.0, 0.4]))
-        assert np.array_equal(compiled, term.apply_evolution(state, 0.4))
+        direct = rotate_pairs_cs(state, np.cos(0.4), np.sin(0.4), a_indices, b_indices)
+        assert np.array_equal(compiled, direct)
+        np.testing.assert_allclose(
+            compiled, expm(-0.4j * term.to_matrix()) @ state, atol=1e-12
+        )
 
     def test_program_reports_shape(self):
         program = EvolutionProgram(2, np.zeros(8), [dense_term_pairing(CommuteHamiltonianTerm((1, -1, 0)))])
         assert program.dimension == 8
         assert program.num_terms == 1
         assert program.num_layers == 2
+
+
+# ---------------------------------------------------------------------------
+# Batched evolution == sequential evolution, bit for bit
+# ---------------------------------------------------------------------------
+
+
+class TestBatchedBitIdentity:
+    """A service sweep's scores must not depend on what it was batched with.
+
+    K2 dense with k = 5 is the case that matters: five rows of 4096
+    amplitudes make a batch temporary past numpy's 256 KiB in-place reuse
+    threshold, while one row stays under it.
+    """
+
+    @pytest.mark.parametrize(
+        "make_solver",
+        [
+            lambda: make_chocoq_solver("dense", num_layers=2),
+            lambda: make_cyclic_solver("dense", num_layers=2),
+            lambda: PenaltyQAOASolver(config=PenaltyQAOAConfig(num_layers=2)),
+        ],
+        ids=["choco-q", "cyclic-qaoa", "penalty-qaoa"],
+    )
+    def test_k2_dense_batch_matches_sequential(self, make_solver):
+        built = make_solver().build_spec(make_benchmark("K2"))
+        spec = built[0] if isinstance(built, tuple) else built
+        assert spec.evolve_batch is not None
+        batch = np.random.default_rng(41).uniform(-np.pi, np.pi, size=(5, 4))
+        states = evolve_parameter_sets(spec, batch)
+        assert states.shape == (5, 4096)
+        sequential = np.stack([spec.evolve(parameters) for parameters in batch])
+        assert states.tobytes() == sequential.tobytes()
+        costs = [
+            float(np.dot(np.abs(spec.evolve(parameters)) ** 2, spec.cost_diagonal))
+            for parameters in batch
+        ]
+        assert batched_expectations(spec, batch).tolist() == costs
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,13 @@ from repro.exceptions import (
     ProblemError,
     SubspaceOverflowError,
 )
-from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
+from repro.hamiltonian.commute import (
+    CommuteDriver,
+    CommuteHamiltonianTerm,
+    dense_term_pairing,
+    rotate_pairs_cs,
+)
+from repro.hamiltonian.compiled import EvolutionProgram
 from repro.hamiltonian.diagonal import DiagonalHamiltonian
 
 
@@ -161,8 +167,13 @@ class TestSubspaceEvolution:
         sub_state /= np.linalg.norm(sub_state)
         for term in driver.terms:
             for beta in (0.3, -1.1):
-                evolved_sub = term.apply_evolution_subspace(sub_state, beta, paper_map)
-                evolved_dense = term.apply_evolution(paper_map.lift_vector(sub_state), beta)
+                cos_b, sin_b = np.cos(beta), np.sin(beta)
+                evolved_sub = rotate_pairs_cs(
+                    sub_state, cos_b, sin_b, *term.subspace_pairing(paper_map)
+                )
+                evolved_dense = rotate_pairs_cs(
+                    paper_map.lift_vector(sub_state), cos_b, sin_b, *dense_term_pairing(term)
+                )
                 np.testing.assert_allclose(
                     paper_map.lift_vector(evolved_sub), evolved_dense, atol=1e-12
                 )
@@ -176,8 +187,14 @@ class TestSubspaceEvolution:
         assert restricted.num_terms == len(driver.terms)
         sub_state = rng.normal(size=paper_map.size) + 1j * rng.normal(size=paper_map.size)
         sub_state /= np.linalg.norm(sub_state)
-        evolved_sub = restricted.apply_serialized(sub_state, 0.7)
-        evolved_dense = driver.apply_serialized(paper_map.lift_vector(sub_state), 0.7)
+        # gamma = 0 over a zero cost diagonal isolates the serialized driver.
+        parameters = np.array([0.0, 0.7])
+        evolved_sub = EvolutionProgram.for_restricted_driver(
+            restricted, np.zeros(paper_map.size), num_layers=1
+        ).execute(sub_state, parameters)
+        evolved_dense = EvolutionProgram.for_driver(
+            driver, np.zeros(2**driver.num_qubits), num_layers=1
+        ).execute(paper_map.lift_vector(sub_state), parameters)
         np.testing.assert_allclose(
             paper_map.lift_vector(evolved_sub), evolved_dense, atol=1e-12
         )

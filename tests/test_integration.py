@@ -15,9 +15,12 @@ import pytest
 from repro import (
     ChocoQConfig,
     ChocoQSolver,
+    CyclicQAOAConfig,
     CyclicQAOASolver,
     EngineOptions,
+    HEAConfig,
     HEASolver,
+    PenaltyQAOAConfig,
     PenaltyQAOASolver,
     make_benchmark,
 )
@@ -52,10 +55,18 @@ class TestTableTwoRelationships:
         choco = ChocoQSolver(
             config=ChocoQConfig(num_layers=2), optimizer=OPTIMIZER, options=OPTIONS
         ).solve(problem)
-        penalty = PenaltyQAOASolver(num_layers=3, optimizer=OPTIMIZER, options=OPTIONS).solve(
+        penalty = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=3),
+            optimizer=OPTIMIZER,
+            options=OPTIONS,
+        ).solve(
             problem
         )
-        hea = HEASolver(num_layers=2, optimizer=OPTIMIZER, options=OPTIONS).solve(problem)
+        hea = HEASolver(
+            config=HEAConfig(num_layers=2),
+            optimizer=OPTIMIZER,
+            options=OPTIONS,
+        ).solve(problem)
 
         choco_metrics = choco.metrics(problem, optimal_value)
         penalty_metrics = penalty.metrics(problem, optimal_value)
@@ -79,10 +90,18 @@ class TestTableTwoRelationships:
     def test_cyclic_shines_on_summation_format(self, k1_problem):
         """Fig./Table II: the cyclic baseline does relatively well on KPP."""
         _, optimal_value = k1_problem.brute_force_optimum()
-        cyclic = CyclicQAOASolver(num_layers=4, optimizer=OPTIMIZER, options=OPTIONS).solve(
+        cyclic = CyclicQAOASolver(
+            config=CyclicQAOAConfig(num_layers=4),
+            optimizer=OPTIMIZER,
+            options=OPTIONS,
+        ).solve(
             k1_problem
         )
-        penalty = PenaltyQAOASolver(num_layers=4, optimizer=OPTIMIZER, options=OPTIONS).solve(
+        penalty = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=4),
+            optimizer=OPTIMIZER,
+            options=OPTIONS,
+        ).solve(
             k1_problem
         )
         cyclic_metrics = cyclic.metrics(k1_problem, optimal_value)
@@ -93,8 +112,16 @@ class TestTableTwoRelationships:
         """Larger instances are harder for the penalty baseline (Table II trend)."""
         small = make_benchmark("F1")
         large = make_benchmark("F3")
-        penalty_small = PenaltyQAOASolver(num_layers=2, optimizer=OPTIMIZER, options=OPTIONS).solve(small)
-        penalty_large = PenaltyQAOASolver(num_layers=2, optimizer=OPTIMIZER, options=OPTIONS).solve(large)
+        penalty_small = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=2),
+            optimizer=OPTIMIZER,
+            options=OPTIONS,
+        ).solve(small)
+        penalty_large = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=2),
+            optimizer=OPTIMIZER,
+            options=OPTIONS,
+        ).solve(large)
         small_metrics = penalty_small.metrics(small)
         large_metrics = penalty_large.metrics(large)
         assert large_metrics.success_rate <= small_metrics.success_rate + 0.05
@@ -113,7 +140,9 @@ class TestNoisyExecution:
             options=noise_options,
         ).solve(g1_problem)
         hea = HEASolver(
-            num_layers=1, optimizer=CobylaOptimizer(max_iterations=25), options=noise_options
+            config=HEAConfig(num_layers=1),
+            optimizer=CobylaOptimizer(max_iterations=25),
+            options=noise_options,
         ).solve(g1_problem)
         choco_metrics = choco.metrics(g1_problem, optimal_value)
         hea_metrics = hea.metrics(g1_problem, optimal_value)

@@ -278,7 +278,7 @@ class TestNoisyRunSpecs:
         payload = {
             key: value
             for key, value in spec.to_dict().items()
-            if key in plan_module._HASHED_FIELDS
+            if key in plan_module.HASHED_FIELDS
             and key not in ("noise", "optimization_level")
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -247,17 +247,6 @@ class TestConfigRoundTrip:
         with pytest.raises(SolverError, match="subspace_limit"):
             ChocoQConfig(backend="subspace", subspace_limit=0)
 
-    @pytest.mark.parametrize("name", LINEUP)
-    def test_kwargs_shim_matches_config(self, name):
-        entry = get_solver_entry(name)
-        via_kwargs = entry.solver_cls(num_layers=2)
-        via_config = entry.solver_cls(config=entry.config_cls(num_layers=2))
-        assert via_kwargs.config == via_config.config
-
-    def test_kwargs_and_config_conflict(self):
-        with pytest.raises(SolverError, match="not both"):
-            ChocoQSolver(config=ChocoQConfig(), num_layers=2)
-
     @pytest.mark.parametrize("bad", [3, {"num_layers": 3}])
     def test_positional_non_config_fails_fast(self, bad):
         # The pre-redesign signature took num_layers positionally; an int or

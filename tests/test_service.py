@@ -24,7 +24,9 @@ from repro.run import (
     RunRecord,
     RunSpec,
     register_benchmark,
+    register_solver,
     unregister_benchmark,
+    unregister_solver,
 )
 from repro.service import (
     ResultStore,
@@ -37,6 +39,8 @@ from repro.service import (
     solve_group_key,
 )
 from repro.service.coalesce import execute_group, execute_sweep
+from repro.solvers.base import QuantumSolver
+from repro.solvers.hea import HEAConfig
 from repro.solvers.variational import batched_expectations
 from test_run_api import tiny_problem
 
@@ -59,6 +63,23 @@ def tiny_benchmark():
     register_benchmark(BENCH, tiny_problem, replace=True)
     yield BENCH
     unregister_benchmark(BENCH)
+
+
+class NoSpecSolver(QuantumSolver):
+    """A registered solver without ``build_spec()``: it cannot be swept."""
+
+    name = "service-no-spec"
+    config_cls = HEAConfig
+
+    def solve(self, problem):
+        raise AssertionError("sweep tests never solve")
+
+
+@pytest.fixture
+def no_spec_solver():
+    register_solver(NoSpecSolver.name, NoSpecSolver, HEAConfig, replace=True)
+    yield NoSpecSolver.name
+    unregister_solver(NoSpecSolver.name)
 
 
 def make_spec(seed: int = 0, **overrides) -> RunSpec:
@@ -184,6 +205,12 @@ class TestSolvePath:
         assert solve_group_key(base) != solve_group_key(
             make_spec(seed=0, config={"num_layers": 2})
         )
+
+    def test_group_key_separates_optimization_levels(self):
+        level_two = solve_group_key(make_spec(seed=0, optimization_level=2))
+        assert level_two == solve_group_key(make_spec(seed=1, optimization_level=2))
+        assert level_two != solve_group_key(make_spec(seed=1, optimization_level=0))
+        assert level_two != solve_group_key(make_spec(seed=1))
 
     def test_per_spec_failure_is_isolated_within_a_group(self):
         spy = SpyExecutor(poison_seeds=(1,))
@@ -372,12 +399,38 @@ class TestSweeps:
         with pytest.raises(ServiceError, match="coalesce key"):
             execute_sweep(compiler, [a, b])
 
-    def test_solver_without_build_spec_rejected(self, tiny_benchmark):
+    def test_solver_without_build_spec_rejected(self, tiny_benchmark, no_spec_solver):
         compiler = SpecCompiler()
-        request = SweepRequest(solver="hea", benchmark=tiny_benchmark,
+        request = SweepRequest(solver=no_spec_solver, benchmark=tiny_benchmark,
                                parameter_sets=[[0.0]])
         with pytest.raises(ServiceError, match="build_spec"):
             compiler.spec_for(request)
+
+    @pytest.mark.parametrize(
+        "solver, num_parameters", [("penalty-qaoa", 4), ("hea", 9)]
+    )
+    def test_baseline_sweeps_equal_sequential_costs(
+        self, tiny_benchmark, solver, num_parameters
+    ):
+        compiler = SpecCompiler()
+        rng = np.random.default_rng(5)
+        requests = [
+            SweepRequest(
+                solver=solver, benchmark=tiny_benchmark,
+                config={"num_layers": 2},
+                parameter_sets=rng.uniform(-np.pi, np.pi, size=(2, num_parameters)),
+            )
+            for _ in range(3)
+        ]
+        coalesced = execute_sweep(compiler, requests)
+        assert compiler.compilations == 1
+        spec = compiler.spec_for(requests[0])
+        for request, batch in zip(requests, coalesced):
+            sequential = [
+                float(np.dot(np.abs(spec.evolve(parameters)) ** 2, spec.cost_diagonal))
+                for parameters in request.parameter_sets
+            ]
+            assert batch == sequential
 
     def test_sweep_request_roundtrip_promotes_single_vector(self, tiny_benchmark):
         request = SweepRequest(solver="choco-q", benchmark=tiny_benchmark,

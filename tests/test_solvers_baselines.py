@@ -10,13 +10,14 @@ from solver_factories import make_cyclic_solver, make_one_hot_problem
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.exceptions import SolverError
 from repro.solvers.cyclic_qaoa import (
+    CyclicQAOAConfig,
     CyclicQAOASolver,
     chain_hop_edges,
     summation_chains,
 )
-from repro.solvers.hea import HEASolver
+from repro.solvers.hea import HEAConfig, HEASolver
 from repro.solvers.optimizer import CobylaOptimizer
-from repro.solvers.penalty_qaoa import PenaltyQAOASolver
+from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 from repro.solvers.variational import EngineOptions
 
 FAST = EngineOptions(shots=1024, seed=7)
@@ -25,7 +26,11 @@ FAST_OPTIMIZER = CobylaOptimizer(max_iterations=60)
 
 class TestPenaltyQAOA:
     def test_solves_small_problem(self, small_min_problem):
-        solver = PenaltyQAOASolver(num_layers=3, optimizer=FAST_OPTIMIZER, options=FAST)
+        solver = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=3),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        )
         result = solver.solve(small_min_problem)
         metrics = result.metrics(small_min_problem)
         # The soft-constraint encoding should put non-trivial mass on the
@@ -34,14 +39,22 @@ class TestPenaltyQAOA:
         assert 0.0 <= metrics.in_constraints_rate <= 1.0
 
     def test_in_constraints_below_one_in_general(self, paper_example_problem):
-        solver = PenaltyQAOASolver(num_layers=2, optimizer=FAST_OPTIMIZER, options=FAST)
+        solver = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=2),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        )
         result = solver.solve(paper_example_problem)
         metrics = result.metrics(paper_example_problem)
         # Soft constraints leak probability outside the feasible space.
         assert metrics.in_constraints_rate < 1.0
 
     def test_result_bookkeeping(self, small_min_problem):
-        solver = PenaltyQAOASolver(num_layers=2, optimizer=FAST_OPTIMIZER, options=FAST)
+        solver = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=2),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        )
         result = solver.solve(small_min_problem)
         assert result.solver_name == "penalty-qaoa"
         assert result.num_qubits == 3
@@ -51,24 +64,32 @@ class TestPenaltyQAOA:
 
     def test_invalid_layers(self):
         with pytest.raises(SolverError):
-            PenaltyQAOASolver(num_layers=0)
+            PenaltyQAOASolver(config=PenaltyQAOAConfig(num_layers=0))
 
     def test_frozen_hotspots_reduce_search(self, paper_example_problem):
         solver = PenaltyQAOASolver(
-            num_layers=2, freeze_hotspots=1, optimizer=FAST_OPTIMIZER, options=FAST
+            config=PenaltyQAOAConfig(num_layers=2, freeze_hotspots=1),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
         )
         result = solver.solve(paper_example_problem)
         assert len(result.metadata["frozen_variables"]) == 1
 
     def test_penalty_weight_override(self, small_min_problem):
         solver = PenaltyQAOASolver(
-            num_layers=2, penalty_weight=3.0, optimizer=FAST_OPTIMIZER, options=FAST
+            config=PenaltyQAOAConfig(num_layers=2, penalty_weight=3.0),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
         )
         result = solver.solve(small_min_problem)
         assert result.metadata["penalty_weight"] == pytest.approx(3.0)
 
     def test_circuit_uses_rx_mixer(self, small_min_problem):
-        solver = PenaltyQAOASolver(num_layers=2, optimizer=FAST_OPTIMIZER, options=FAST)
+        solver = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=2),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        )
         result = solver.solve(small_min_problem)
         assert result.num_two_qubit_gates > 0
 
@@ -96,7 +117,11 @@ class TestCyclicQAOA:
     def test_preserves_encoded_constraint(self):
         """With a single summation constraint the driver conserves it exactly."""
         problem = make_one_hot_problem()
-        solver = CyclicQAOASolver(num_layers=3, optimizer=FAST_OPTIMIZER, options=FAST)
+        solver = CyclicQAOASolver(
+            config=CyclicQAOAConfig(num_layers=3),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        )
         result = solver.solve(problem)
         metrics = result.metrics(problem)
         assert metrics.in_constraints_rate == pytest.approx(1.0)
@@ -119,7 +144,11 @@ class TestCyclicQAOA:
         its wrap-around twin edge, squaring the hop unitary per layer.
         """
         problem = make_one_hot_problem(weights=(1.0, 2.0), name="pair")
-        spec = CyclicQAOASolver(num_layers=1, optimizer=FAST_OPTIMIZER, options=FAST).build_spec(
+        spec = CyclicQAOASolver(
+            config=CyclicQAOAConfig(num_layers=1),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        ).build_spec(
             problem
         )
         x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -178,27 +207,39 @@ class TestCyclicQAOA:
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(SolverError):
-            CyclicQAOASolver(backend="sparse")
+            CyclicQAOASolver(config=CyclicQAOAConfig(backend="sparse"))
 
     def test_metadata_reports_encoding(self, paper_example_problem):
-        solver = CyclicQAOASolver(num_layers=2, optimizer=FAST_OPTIMIZER, options=FAST)
+        solver = CyclicQAOASolver(
+            config=CyclicQAOAConfig(num_layers=2),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        )
         result = solver.solve(paper_example_problem)
         assert result.metadata["encoded_chains"] == [[0, 1, 3]]
         assert result.metadata["unencoded_constraints"] == [0]
 
     def test_circuit_contains_xy_terms(self, paper_example_problem):
-        solver = CyclicQAOASolver(num_layers=1, optimizer=FAST_OPTIMIZER, options=FAST)
+        solver = CyclicQAOASolver(
+            config=CyclicQAOAConfig(num_layers=1),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        )
         result = solver.solve(paper_example_problem)
         assert result.circuit_depth > 0
 
     def test_invalid_layers(self):
         with pytest.raises(SolverError):
-            CyclicQAOASolver(num_layers=0)
+            CyclicQAOASolver(config=CyclicQAOAConfig(num_layers=0))
 
 
 class TestHEA:
     def test_solves_tiny_problem(self, small_min_problem):
-        solver = HEASolver(num_layers=2, optimizer=CobylaOptimizer(max_iterations=150), options=FAST)
+        solver = HEASolver(
+            config=HEAConfig(num_layers=2),
+            optimizer=CobylaOptimizer(max_iterations=150),
+            options=FAST,
+        )
         result = solver.solve(small_min_problem)
         metrics = result.metrics(small_min_problem)
         assert metrics.success_rate >= 0.0
@@ -206,20 +247,78 @@ class TestHEA:
         assert result.num_qubits == 3
 
     def test_parameter_count(self, small_min_problem):
-        solver = HEASolver(num_layers=3, optimizer=FAST_OPTIMIZER, options=FAST)
+        solver = HEASolver(
+            config=HEAConfig(num_layers=3),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        )
         result = solver.solve(small_min_problem)
         assert result.optimal_parameters is not None
         assert len(result.optimal_parameters) == 3 * (3 + 1)
 
     def test_shallow_depth_compared_to_qaoa(self, paper_example_problem):
-        hea = HEASolver(num_layers=2, optimizer=FAST_OPTIMIZER, options=FAST).solve(
+        hea = HEASolver(
+            config=HEAConfig(num_layers=2),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        ).solve(
             paper_example_problem
         )
-        qaoa = PenaltyQAOASolver(num_layers=7, optimizer=FAST_OPTIMIZER, options=FAST).solve(
+        qaoa = PenaltyQAOASolver(
+            config=PenaltyQAOAConfig(num_layers=7),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        ).solve(
             paper_example_problem
         )
         assert hea.transpiled_depth < qaoa.transpiled_depth
 
     def test_invalid_layers(self):
         with pytest.raises(SolverError):
-            HEASolver(num_layers=0)
+            HEASolver(config=HEAConfig(num_layers=0))
+
+
+class TestGoldenSolves:
+    """Fixed-seed K1 penalty-QAOA and HEA solves, pinned bit for bit.
+
+    ``tests/data/golden_baseline_solves.json`` holds the trace costs, the
+    optimal parameters (as ``repr`` strings, exact) and the sampled counts
+    recorded with the per-call index-mask evolution these solvers used
+    before they compiled their index arrays once per spec.
+    """
+
+    @staticmethod
+    def _payload(result) -> dict:
+        return {
+            "trace_costs": [repr(float(cost)) for cost in result.trace.costs],
+            "optimal_parameters": [repr(float(p)) for p in result.optimal_parameters],
+            "counts": dict(sorted(result.outcomes.counts.items())),
+        }
+
+    @pytest.fixture(scope="class")
+    def golden(self) -> dict:
+        import json
+        import os
+
+        fixture = os.path.join(
+            os.path.dirname(__file__), "data", "golden_baseline_solves.json"
+        )
+        with open(fixture) as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize(
+        "name, solver_cls, config",
+        [
+            ("penalty-qaoa", PenaltyQAOASolver, PenaltyQAOAConfig(num_layers=3)),
+            ("hea", HEASolver, HEAConfig(num_layers=2)),
+        ],
+    )
+    def test_k1_solve_matches_golden(self, golden, name, solver_cls, config):
+        from repro.problems import make_benchmark
+
+        result = solver_cls(
+            config=config,
+            optimizer=CobylaOptimizer(max_iterations=60),
+            options=EngineOptions(shots=1024, seed=7),
+        ).solve(make_benchmark("K1"))
+        assert self._payload(result) == golden[name]

@@ -78,11 +78,13 @@ class TestHeadlineClaims:
         assert metrics.approximation_ratio_gap < 0.6
 
     def test_outperforms_penalty_qaoa(self, paper_example_problem):
-        from repro.solvers.penalty_qaoa import PenaltyQAOASolver
+        from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 
         choco = make_solver(num_layers=2).solve(paper_example_problem)
         penalty = PenaltyQAOASolver(
-            num_layers=2, optimizer=FAST_OPTIMIZER, options=FAST
+            config=PenaltyQAOAConfig(num_layers=2),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
         ).solve(paper_example_problem)
         choco_metrics = choco.metrics(paper_example_problem)
         penalty_metrics = penalty.metrics(paper_example_problem)

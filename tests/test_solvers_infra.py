@@ -11,13 +11,13 @@ from repro.qcircuit.noise import IBM_FEZ, IBM_OSAKA, NoiseModel
 from repro.solvers.base import LatencyBreakdown, OptimizationTrace, SolverResult
 from repro.solvers.latency import LatencyModel
 from repro.solvers.optimizer import CobylaOptimizer
+from repro.hamiltonian.commute import CommuteDriver
+from repro.hamiltonian.compiled import EvolutionProgram
+from repro.solvers.hea import HEAConfig, HEASolver
 from repro.solvers.variational import (
     AnsatzSpec,
     EngineOptions,
     VariationalEngine,
-    apply_cz_chain,
-    apply_rx_layer,
-    apply_ry,
     basis_state,
     uniform_state,
 )
@@ -33,26 +33,25 @@ class TestStateHelpers:
         state = uniform_state(2)
         assert np.allclose(np.abs(state) ** 2, 0.25)
 
-    def test_apply_rx_layer_matches_circuit(self, simulator):
+    def test_single_flip_driver_is_rx_layer(self, simulator):
+        # The penalty-QAOA mixer: H_c(-e_j) = X_j, so one layer of the
+        # single-bit-flip driver at gamma = 0 is RX(2 beta) on every qubit.
         beta = 0.7
-        state = apply_rx_layer(uniform_state(2), beta, 2)
+        mixer = CommuteDriver.from_solutions(-np.eye(2, dtype=int))
+        program = EvolutionProgram.for_driver(mixer, np.zeros(4), num_layers=1)
+        state = program.execute(uniform_state(2), np.array([0.0, beta]))
         circuit = QuantumCircuit(2)
         circuit.h(0).h(1).rx(2 * beta, 0).rx(2 * beta, 1)
         expected = simulator.statevector(circuit).data
         assert np.allclose(state, expected, atol=1e-10)
 
-    def test_apply_ry_matches_circuit(self, simulator):
-        theta = 1.1
-        state = apply_ry(basis_state(2, [0, 0]), 1, theta)
-        circuit = QuantumCircuit(2)
-        circuit.ry(theta, 1)
-        assert np.allclose(state, simulator.statevector(circuit).data, atol=1e-10)
-
-    def test_apply_cz_chain_matches_circuit(self, simulator):
-        state = apply_cz_chain(uniform_state(3), 3)
-        circuit = QuantumCircuit(3)
-        circuit.h(0).h(1).h(2).cz(0, 1).cz(1, 2)
-        assert np.allclose(state, simulator.statevector(circuit).data, atol=1e-10)
+    def test_hea_evolve_matches_its_circuit(self, simulator, small_min_problem):
+        # RY layers and the CZ chain against the gate-level simulator.
+        assert small_min_problem.num_variables == 3
+        spec = HEASolver(config=HEAConfig(num_layers=2)).build_spec(small_min_problem)
+        parameters = np.random.default_rng(4).uniform(-np.pi, np.pi, size=9)
+        expected = simulator.statevector(spec.build_circuit(parameters)).data
+        assert np.allclose(spec.evolve(parameters), expected, atol=1e-10)
 
 
 def _toy_spec() -> AnsatzSpec:
@@ -60,7 +59,8 @@ def _toy_spec() -> AnsatzSpec:
     cost = np.array([1.0, 0.0])
 
     def evolve(parameters: np.ndarray) -> np.ndarray:
-        return apply_ry(basis_state(1, [0]), 0, float(parameters[0]))
+        half = float(parameters[0]) / 2.0
+        return np.array([np.cos(half), np.sin(half)], dtype=complex)
 
     def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
         circuit = QuantumCircuit(1)
