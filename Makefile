@@ -30,10 +30,12 @@
 #                    stack per paper circuit family; refreshes
 #                    BENCH_transpile_optimization.json (speedup-gated).
 #   bench-smoke    - run each whole-solve benchmark workload (BENCHMARK.json,
-#                    perfbench/run.py) for 3 s and fail unless every run
-#                    reports correct with no failed operations.  Checks that
-#                    the benchmark runs and verifies its answers; the timings
-#                    are not gated.  Runs in the CI test job.
+#                    perfbench/run.py) for 3 s, plus traced (--trace 1) runs
+#                    of seeds-subspace and service-mixed, and fail unless
+#                    every run reports correct with no failed operations.
+#                    Checks that the benchmark and its span wrappers run and
+#                    verify their answers; the timings are not gated.  Runs
+#                    in the CI test job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
 #                    refreshes BENCH_service_throughput.json.  Wall-clock
@@ -87,10 +89,16 @@ bench-service:
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 
+# Every workload untraced, plus traced runs of one batch and the service
+# workload, which install the solve and the server span wrappers: a refactor
+# that unbinds a wrapped seam fails here, not in the first traced benchmark.
+BENCH_SMOKE_RUNS = $(foreach workload,$(BENCH_WORKLOADS),$(workload):0) seeds-subspace:1 service-mixed:1
+
 bench-smoke:
-	@for workload in $(BENCH_WORKLOADS); do \
-		echo "== $$workload"; \
-		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace 0 | tail -n 1 \
+	@for run in $(BENCH_SMOKE_RUNS); do \
+		workload=$${run%:*}; trace=$${run#*:}; \
+		echo "== $$workload --trace $$trace"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 --trace $$trace | tail -n 1 \
 			| $(PYTHON) -c 'import json, sys; r = json.load(sys.stdin); print({k: r[k] for k in ("correct", "attempted", "failed")}); sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
 			|| exit 1; \
 	done

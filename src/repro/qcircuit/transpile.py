@@ -33,16 +33,54 @@ changed.
 
 Transpiled circuits are equivalent to their sources **up to global phase**,
 which is irrelevant for all sampling-based metrics.
+
+Structure memo
+--------------
+A fixed-structure ansatz yields the same circuit for every seed of a
+problem, so :func:`transpile_with_report` keeps the last
+:data:`MEMO_CAPACITY` results in a process-wide LRU and answers a repeated
+circuit without lowering or optimizing it again.  Lowering and the pass
+stack are deterministic, so a hit is bit-identical to a miss.
+
+* **Key.** A blake2b digest of the circuit's content — its name (copied
+  into the report), ``num_qubits``, and per instruction the gate name,
+  qubit count, ``num_controls``, ``label``, qubits, params and the bytes of
+  ``gate.matrix`` — plus the full :class:`TranspileOptions`.  The matrix is
+  hashed explicitly because ``Gate`` equality ignores it; float params by
+  their exact hex form (so ``-0.0`` and ``0.0`` differ); a symbolic
+  :class:`~repro.qcircuit.parameters.Parameter` by ``(name, uid)``, so two
+  distinct parameters sharing a name never share an entry.
+* **Bound.** Four entries, enough for every structure a seed sweep cycles
+  through (the whole-solve benchmark's widest sweep cycles three); a
+  retained K4 circuit costs about 1 MB.  Circuits that never repeat — HEA's
+  seed-drawn initial angles, or a noisy run's final circuit, which carries
+  the optimized parameters — simply miss and are evicted first; they cost
+  no more than without the memo.
+* **Copy on return.** The memo owns its circuit and every call returns a
+  fresh :meth:`~repro.qcircuit.circuit.QuantumCircuit.copy`, so a caller
+  appending to the result never changes a later hit.  Instructions and the
+  report are frozen and shared.
+* **Threads.** A lock guards lookup and insert; two threads missing on the
+  same circuit both transpile and store the same result.
+
+:func:`transpile_cache_info` reports the process-wide hit and miss counts.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.exceptions import TranspileError
 from repro.qcircuit.circuit import Instruction, QuantumCircuit
 from repro.qcircuit.gates import BASIS_GATES, Gate
+from repro.qcircuit.parameters import Parameter, ParameterExpression, ParameterValue
 from repro.qcircuit.passes.manager import (
     DEFAULT_OPTIMIZATION_LEVEL,
     MAX_OPTIMIZATION_LEVEL,
@@ -344,6 +382,113 @@ class Transpiler:
         self._mcp_recursive(output, theta / 2, head[:-1] + [last])
 
 
+# ---------------------------------------------------------------------------
+# Structure memo (see the module docstring)
+# ---------------------------------------------------------------------------
+
+MEMO_CAPACITY = 4
+
+
+class TranspileCacheInfo(NamedTuple):
+    """Process-wide hit and miss counts of the transpile structure memo."""
+
+    hits: int
+    misses: int
+
+
+def _param_token(value: ParameterValue) -> tuple:
+    # The type name keeps e.g. a numpy scalar from sharing an entry with the
+    # equal Python number: a hit hands back the first caller's objects.
+    if isinstance(value, (float, np.floating)):
+        return (type(value).__name__, float(value).hex())
+    if isinstance(value, (int, np.integer)):
+        return (type(value).__name__, int(value))
+    if isinstance(value, Parameter):
+        return ("parameter", value.name, value.uid)
+    if isinstance(value, ParameterExpression):
+        return (
+            "expression",
+            _param_token(value.parameter),
+            _param_token(value.coefficient),
+            _param_token(value.offset),
+        )
+    raise TranspileError(
+        f"cannot fingerprint a gate parameter of type {type(value).__name__}"
+    )
+
+
+def _circuit_digest(circuit: QuantumCircuit) -> bytes:
+    """Canonical digest of everything in ``circuit`` the transpile output reads."""
+    digest = hashlib.blake2b(digest_size=20)
+    tokens: list = [circuit.name, circuit.num_qubits]
+    for instruction in circuit:
+        gate = instruction.gate
+        tokens.append(
+            (
+                gate.name,
+                gate.num_qubits,
+                gate.num_controls,
+                gate.label,
+                instruction.qubits,
+                tuple(map(_param_token, gate.params)),
+            )
+        )
+        if gate.matrix is not None:
+            matrix = np.ascontiguousarray(gate.matrix)
+            tokens.append((matrix.dtype.str, matrix.shape))
+            digest.update(matrix.tobytes())
+    digest.update(repr(tokens).encode())
+    return digest.digest()
+
+
+class _StructureMemo:
+    """LRU of the last :data:`MEMO_CAPACITY` transpile results, keyed by
+    circuit digest and options."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[
+            tuple[bytes, TranspileOptions], tuple[QuantumCircuit, TranspileReport]
+        ] = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+
+    def get(
+        self, key: tuple[bytes, TranspileOptions]
+    ) -> tuple[QuantumCircuit, TranspileReport] | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry
+
+    def put(
+        self,
+        key: tuple[bytes, TranspileOptions],
+        entry: tuple[QuantumCircuit, TranspileReport],
+    ) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > MEMO_CAPACITY:
+                self._entries.popitem(last=False)
+
+    def info(self) -> TranspileCacheInfo:
+        with self._lock:
+            return TranspileCacheInfo(hits=self._hits, misses=self._misses)
+
+
+_MEMO = _StructureMemo()
+
+
+def transpile_cache_info() -> TranspileCacheInfo:
+    """Process-wide hit and miss counts of :func:`transpile_with_report`'s memo."""
+    return _MEMO.info()
+
+
 def transpile(circuit: QuantumCircuit, options: TranspileOptions | None = None) -> QuantumCircuit:
     """Lower to the basis, then optimize per ``options.optimization_level``.
 
@@ -356,8 +501,25 @@ def transpile(circuit: QuantumCircuit, options: TranspileOptions | None = None) 
 def transpile_with_report(
     circuit: QuantumCircuit, options: TranspileOptions | None = None
 ) -> tuple[QuantumCircuit, TranspileReport]:
-    """Transpile and report what lowering and every optimization pass did."""
+    """Transpile and report what lowering and every optimization pass did.
+
+    A circuit whose content and options match a recent call is answered
+    from the structure memo (see the module docstring) with a fresh copy of
+    the same optimized circuit and the same report.
+    """
     options = options or TranspileOptions()
+    key = (_circuit_digest(circuit), options)
+    entry = _MEMO.get(key)
+    if entry is None:
+        entry = _transpile_uncached(circuit, options)
+        _MEMO.put(key, entry)
+    optimized, report = entry
+    return optimized.copy(), report
+
+
+def _transpile_uncached(
+    circuit: QuantumCircuit, options: TranspileOptions
+) -> tuple[QuantumCircuit, TranspileReport]:
     source_stats = CircuitStats.from_circuit(circuit)
     lowered = Transpiler(options).run(circuit)
     lowered_stats = CircuitStats.from_circuit(lowered)

@@ -23,6 +23,11 @@ from repro.service.server import SolveService, surface_task_exception
 
 __all__ = ["ServiceClient", "TCPServiceClient"]
 
+# Longest response line the TCP client reads.  asyncio's default 64 KiB
+# limit is below one penalty-QAOA K2 record (~192 KB); exceeding it kills
+# the read loop and fails every request pipelined on the connection.
+RESPONSE_LIMIT_BYTES = 64 * 1024 * 1024
+
 
 class ServiceClient:
     """In-process client: same API shape as the TCP client, zero transport."""
@@ -66,7 +71,9 @@ class TCPServiceClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "TCPServiceClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=RESPONSE_LIMIT_BYTES
+        )
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:

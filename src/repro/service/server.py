@@ -45,6 +45,7 @@ from repro.exceptions import (
     ServiceError,
     ServiceTimeoutError,
 )
+from repro.qcircuit.transpile import transpile_cache_info
 from repro.run.plan import RunRecord, RunSpec, execute_spec
 from repro.serialization import json_sanitize
 from repro.service.coalesce import (
@@ -244,10 +245,18 @@ class SolveService:
     # -- observability -------------------------------------------------
 
     def stats(self) -> dict:
-        """Current counters plus store/queue gauges."""
+        """Current counters plus store/queue gauges.
+
+        ``transpile_cache_hits`` / ``transpile_cache_misses`` are the
+        process-wide counts of the transpile structure memo, which seed-only
+        solve groups hit after their first solve.
+        """
         snapshot = self._stats.snapshot()
         snapshot["store_records"] = len(self.store)
         snapshot["inflight"] = len(self._inflight)
+        transpile_cache = transpile_cache_info()
+        snapshot["transpile_cache_hits"] = transpile_cache.hits
+        snapshot["transpile_cache_misses"] = transpile_cache.misses
         return snapshot
 
     # -- solve path ----------------------------------------------------

@@ -15,6 +15,13 @@ the device profiles of :mod:`repro.qcircuit.noise`:
 * **end-to-end latency** — measured compilation time + iterations x
   (quantum execution + classical update time).
 
+The compilation term is the *measured* host time of the run's own compile
+step, not a model.  Transpiling reuses a process-wide structure memo
+(:mod:`repro.qcircuit.transpile`), so a run whose circuit was transpiled
+recently — another seed of the same problem and config — reports a few
+milliseconds where a cold run reports the full lowering time.  Everything
+else in the estimate is unaffected.
+
 The absolute numbers depend on our calibration constants, but the *ratios*
 between solvers are driven by exactly what drives them in the paper:
 iteration count and circuit depth.
@@ -103,15 +110,18 @@ class LatencyModel:
 
         ``num_circuits`` accounts for the variable-elimination overhead: each
         iteration must execute one circuit per eliminated-variable assignment.
+        ``compilation_seconds`` is passed through as measured by the caller;
+        see the module docstring for what it covers.
         """
-        per_iteration = self.execution_time(circuit, shots) * num_circuits
+        circuit_duration = self.circuit_duration(circuit)
+        per_iteration = (self.per_job_overhead + shots * circuit_duration) * num_circuits
         quantum = iterations * per_iteration
         classical = iterations * self.classical_update_time
         return LatencyEstimate(
             compilation=compilation_seconds,
             quantum_execution=quantum,
             classical_processing=classical,
-            circuit_duration=self.circuit_duration(circuit),
+            circuit_duration=circuit_duration,
             iterations=iterations,
             shots=shots,
         )

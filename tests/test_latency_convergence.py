@@ -16,7 +16,10 @@ from repro.core.problem import ConstrainedBinaryProblem, Objective
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.noise import IBM_FEZ, IBM_OSAKA
 from repro.qcircuit.sampling import SampleResult
+from repro.qcircuit.transpile import transpile
+from repro.run.problems import resolve_benchmark
 from repro.solvers.base import OptimizationTrace, SolverResult
+from repro.solvers.chocoq import ChocoQSolver
 from repro.solvers.latency import LatencyEstimate, LatencyModel
 from repro.analysis.convergence import (
     ConvergenceCurve,
@@ -121,6 +124,27 @@ class TestLatencyModel:
             shots=10,
         )
         assert estimate.total == pytest.approx(6.0)
+
+    def test_estimate_pinned_on_a_transpiled_k1_circuit(self):
+        """Exact values for the K1 choco-q reference circuit (1280 gates).
+
+        Pins the arithmetic bit for bit, so computing the critical path once
+        per estimate cannot shift a latency figure.
+        """
+        problem = resolve_benchmark("K1", 0)
+        spec, _driver = ChocoQSolver().build_spec(problem)
+        circuit = transpile(spec.build_circuit(spec.initial_parameters))
+        estimate = LatencyModel().estimate(
+            circuit, iterations=37, shots=1024, compilation_seconds=0.125, num_circuits=3
+        )
+        assert estimate == LatencyEstimate(
+            compilation=0.125,
+            quantum_execution=5.682383040000039,
+            classical_processing=0.074,
+            circuit_duration=4.511000000000034e-05,
+            iterations=37,
+            shots=1024,
+        )
 
 
 class TestConvergenceCurve:

@@ -20,6 +20,7 @@ from repro.exceptions import (
     ServiceError,
     ServiceTimeoutError,
 )
+from repro.qcircuit.transpile import transpile_cache_info
 from repro.run import (
     RunRecord,
     RunSpec,
@@ -478,8 +479,14 @@ class TestClients:
                 repeat = await client.solve(spec)
                 return burst, repeat, await client.stats()
 
+        transpiles_before = sum(transpile_cache_info())
         burst, repeat, stats = asyncio.run(scenario())
         assert stats["executed"] == 1
+        # the one execution transpiled once, through the process-wide memo
+        assert (
+            stats["transpile_cache_hits"] + stats["transpile_cache_misses"]
+            == transpiles_before + 1
+        )
         assert stats["deduped"] == 3
         assert stats["store_hits"] == 1
         assert repeat.cached
@@ -538,3 +545,33 @@ class TestClients:
                 await service.stop()
 
         asyncio.run(scenario())
+
+    def test_tcp_response_over_64_kib_and_its_pipelined_sibling_succeed(self):
+        """A record larger than asyncio's default 64 KiB line limit (a
+        penalty-QAOA K2 record is ~192 KB) must not kill the client's read
+        loop, which would fail every request pipelined beside it."""
+        blob = "x" * (200 * 1024)
+
+        def execute(spec: RunSpec) -> RunRecord:
+            return RunRecord(
+                spec=spec,
+                spec_hash=spec.content_hash(),
+                result={"blob": blob if spec.seed == 1 else ""},
+                metrics={"seed": spec.seed},
+            )
+
+        async def scenario():
+            service = await SolveService(execute_fn=execute, max_workers=2).start()
+            server = await serve_tcp(service)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                async with await TCPServiceClient.connect(host, port) as client:
+                    return await client.solve_many([make_spec(seed=1), make_spec(seed=2)])
+            finally:
+                server.close()
+                await server.wait_closed()
+                await service.stop()
+
+        large, sibling = asyncio.run(scenario())
+        assert large.result["blob"] == blob
+        assert sibling.metrics == {"seed": 2}
