@@ -12,6 +12,7 @@ from repro.hamiltonian.commute import (
 from repro.hamiltonian.compiled import (
     EvolutionProgram,
     apply_diagonal_phase,
+    diagonal_levels,
     prepare_ansatz_state,
 )
 from repro.hamiltonian.constraint_operator import (
@@ -55,6 +56,7 @@ __all__ = [
     "apply_dense_operator",
     "apply_diagonal_phase",
     "dense_term_pairing",
+    "diagonal_levels",
     "prepare_ansatz_state",
     "rotate_pairs_cs",
     "subspace_pairing_loop",

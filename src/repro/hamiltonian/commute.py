@@ -342,8 +342,17 @@ def rotate_pairs_cs(
     sin_b,
     a_coordinates: np.ndarray,
     b_coordinates: np.ndarray,
-) -> np.ndarray:
-    """The 2x2 rotation ``[[cos, -i sin], [-i sin, cos]]`` on index pairs.
+) -> None:
+    """Rotate index pairs of ``state`` in place by ``[[cos, -i sin], [-i sin, cos]]``.
+
+    **In-place contract:** the rotated amplitudes are written back into
+    ``state`` and the function returns ``None``; a caller that must keep
+    its input passes ``state.copy()``.  Only the ``2 * len(a_coordinates)``
+    paired amplitudes are touched, so one term costs ``O(pairs)``, not a
+    copy of the whole state.  Both sides are gathered before either is
+    written and the two index sets are disjoint (a hop pairs ``v`` with
+    ``v̄ != v``), so the result is bit-identical to reading from an untouched
+    copy.
 
     ``cos_b`` / ``sin_b`` are the precomputed cosine and sine of the angle:
     a compiled :class:`~repro.hamiltonian.compiled.EvolutionProgram`
@@ -356,12 +365,10 @@ def rotate_pairs_cs(
     if np.ndim(cos_b):
         cos_b = cos_b[..., np.newaxis]
         sin_b = sin_b[..., np.newaxis]
-    new_state = state.copy()
     a_amplitudes = state[..., a_coordinates]
     b_amplitudes = state[..., b_coordinates]
-    new_state[..., a_coordinates] = cos_b * a_amplitudes - 1j * sin_b * b_amplitudes
-    new_state[..., b_coordinates] = cos_b * b_amplitudes - 1j * sin_b * a_amplitudes
-    return new_state
+    state[..., a_coordinates] = cos_b * a_amplitudes - 1j * sin_b * b_amplitudes
+    state[..., b_coordinates] = cos_b * b_amplitudes - 1j * sin_b * a_amplitudes
 
 
 # ---------------------------------------------------------------------------

@@ -12,30 +12,48 @@ explicitly:
 * **compile** (once per solver prepare): resolve each driver term to
   immutable ``(a, b)`` pair-index arrays — dense from the support mask,
   subspace from the vectorised pairing of a
-  :class:`~repro.core.subspace.SubspaceMap` — and pin the contiguous cost
-  diagonal;
+  :class:`~repro.core.subspace.SubspaceMap` — and factor the cost diagonal
+  into its level table (:func:`diagonal_levels`): the distinct values
+  ``levels`` and the ``level_index`` that maps every basis state to its
+  level.  A K4 dense diagonal has 2^16 entries but only 90 distinct values
+  (G4: 13);
 * **execute** (per cost evaluation): a flat sequence of
   :func:`apply_diagonal_phase` and :func:`rotate_pairs_cs
   <repro.hamiltonian.commute.rotate_pairs_cs>` calls over the cached
   indices, with one cosine/sine evaluation per layer shared by every term.
+  The phase evaluates the complex ``exp`` once per level and gathers it to
+  the state's layout; each rotation gathers its two amplitude sides and
+  scatters the rotated pairs back into the state the program owns, so a
+  term costs ``O(pairs)`` rather than a copy of the whole state.
 
 The program is the one simulation path of three solvers: Choco-Q's
 serialized driver, the cyclic baseline's ring hops (``angle_scale=2``), and
 the penalty baseline's transverse-field mixer, whose ``e^{-i beta X_j}`` is
 the commute term of the single-bit flip ``u = -e_j``.  Execution is
-*bit-identical* to rebuilding the pairings on every call (asserted in
-``tests/test_compiled_evolution.py``): both run exactly the same elementwise
-NumPy operations in the same order — compilation only removes the
-per-iteration index recomputation, never changes an arithmetic step.
-``benchmarks/bench_iteration_throughput.py`` measures the resulting
-per-iteration speedup and records it in ``BENCH_iteration_throughput.json``.
+*bit-identical* to rebuilding the pairings on every call, to an ``exp`` over
+every diagonal entry and to rotating into a fresh copy per term (asserted in
+``tests/test_compiled_evolution.py`` and ``tests/test_phase_gather.py``):
+
+* the level table is keyed on the float64 *bit pattern*, so every basis
+  state's ``exp`` input is the very product ``-1j * gamma * value`` the
+  full-length expression forms, and elementwise ``exp`` maps equal inputs
+  to equal outputs;
+* a rotation reads both sides into temporaries before it writes either, and
+  the two sides of a hop pairing are disjoint, so writing in place reads
+  exactly the amplitudes a copy would have kept.
+
+Compilation only removes per-iteration recomputation, never changes an
+arithmetic step.  ``benchmarks/bench_iteration_throughput.py`` measures the
+resulting per-iteration speedup and records it in
+``BENCH_iteration_throughput.json``.
 
 The broadcastable state primitives (:func:`prepare_ansatz_state`,
-:func:`apply_diagonal_phase`) live here — the lowest layer that needs them —
-and are re-exported by :mod:`repro.solvers.variational` for the solver
-front-ends; both accept a single state ``(dim,)`` or a batch ``(k, dim)``
-with per-row angles, so one program serves the optimizer loop and the
-vectorised parameter-sweep path alike.
+:func:`diagonal_levels`, :func:`apply_diagonal_phase`) live here — the lowest
+layer that needs them — and are re-exported by
+:mod:`repro.solvers.variational` for the solver front-ends; the state
+primitives accept a single state ``(dim,)`` or a batch ``(k, dim)`` with
+per-row angles, so one program serves the optimizer loop and the vectorised
+parameter-sweep path alike.
 """
 
 from __future__ import annotations
@@ -73,13 +91,34 @@ def prepare_ansatz_state(
     ).copy()
 
 
-def apply_diagonal_phase(state: np.ndarray, gamma, diagonal: np.ndarray) -> np.ndarray:
-    """Apply ``e^{-i gamma H}`` for a diagonal ``H`` given as a vector.
+def diagonal_levels(diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor a diagonal into ``(levels, level_index)`` with ``levels[level_index] == diagonal``.
+
+    ``levels`` holds the distinct float64 values and ``level_index`` maps
+    every entry to its level.  The factorisation is keyed on the float64
+    *bit pattern*, not on numeric equality, so the gather reproduces the
+    diagonal bit for bit: ``-0.0`` and ``0.0`` stay separate levels, and
+    every NaN payload keeps its own.
+    """
+    diagonal = np.ascontiguousarray(diagonal, dtype=np.float64)
+    keys, level_index = np.unique(diagonal.view(np.uint64), return_inverse=True)
+    return keys.view(np.float64), level_index
+
+
+def apply_diagonal_phase(
+    state: np.ndarray, gamma, levels: np.ndarray, level_index: np.ndarray
+) -> np.ndarray:
+    """Apply ``e^{-i gamma H}`` for a diagonal ``H`` given as its level table.
 
     The one phase-separation primitive shared by the dense and subspace
-    layouts: ``diagonal`` has the backend's dimension, ``state`` is one
-    vector ``(dim,)`` or a batch ``(k, dim)``, and ``gamma`` is a scalar or
-    ``k`` per-row angles.
+    layouts: ``levels, level_index`` come from :func:`diagonal_levels` of
+    the backend-dimension diagonal, ``state`` is one vector ``(dim,)`` or a
+    batch ``(k, dim)``, and ``gamma`` is a scalar or ``k`` per-row angles.
+    The complex ``exp`` runs once per distinct level and is gathered to the
+    state's layout; since the levels are keyed on bit patterns, each
+    gathered factor is bitwise the ``exp`` of the same product the
+    full-length ``np.exp(-1j * gamma * diagonal)`` would have formed.  Returns
+    a new array; ``state`` is not modified.
 
     A batch is phased row by row with the sequential expression, so it is
     bit-identical to evolving each row alone.  One whole-batch product would
@@ -89,9 +128,12 @@ def apply_diagonal_phase(state: np.ndarray, gamma, diagonal: np.ndarray) -> np.n
     """
     gamma = np.asarray(gamma)
     if gamma.ndim == 0:
-        return state * np.exp(-1j * gamma * diagonal)
+        return state * np.exp(-1j * gamma * levels)[level_index]
     return np.stack(
-        [row * np.exp(-1j * row_gamma * diagonal) for row, row_gamma in zip(state, gamma)]
+        [
+            row * np.exp(-1j * row_gamma * levels)[level_index]
+            for row, row_gamma in zip(state, gamma)
+        ]
     )
 
 
@@ -140,6 +182,7 @@ class EvolutionProgram:
             frozen.append((a_indices, b_indices))
         self.num_layers = int(num_layers)
         self.cost_diagonal = cost_diagonal
+        self.levels, self.level_index = diagonal_levels(cost_diagonal)
         self.pairings: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(frozen)
         self.angle_scale = float(angle_scale)
 
@@ -212,12 +255,20 @@ class EvolutionProgram:
         the per-layer ``(gamma, beta)`` interleaving every solver uses; the
         batched case broadcasts to ``(k, dim)`` states bit-identically to
         evolving each row alone.
+
+        Each layer phases through the compiled level table (one ``exp`` per
+        distinct cost value, gathered to the layout) and then rotates every
+        term's pairs in place.  The rotations write only into the state this
+        call owns — a fresh copy of ``initial_state``, replaced by each
+        layer's phase — never into ``initial_state``, the cost diagonal or
+        an array an earlier call returned.  Both steps are bit-identical to
+        a full-length ``exp`` and a copy per term: see the module docstring.
         """
         parameters, state = prepare_ansatz_state(initial_state, parameters)
         for layer in range(self.num_layers):
             gamma = parameters[..., 2 * layer]
             beta = parameters[..., 2 * layer + 1]
-            state = apply_diagonal_phase(state, gamma, self.cost_diagonal)
+            state = apply_diagonal_phase(state, gamma, self.levels, self.level_index)
             # The exact angle expression of the uncompiled paths: Choco-Q
             # passes beta through untouched, the cyclic driver passes
             # 2.0 * beta — the identity-scale branch keeps the former free of
@@ -226,7 +277,7 @@ class EvolutionProgram:
             cos_b = np.cos(angle)
             sin_b = np.sin(angle)
             for a_indices, b_indices in self.pairings:
-                state = rotate_pairs_cs(state, cos_b, sin_b, a_indices, b_indices)
+                rotate_pairs_cs(state, cos_b, sin_b, a_indices, b_indices)
         return state
 
     def bind(self, initial_state: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

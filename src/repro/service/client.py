@@ -19,14 +19,9 @@ from repro.exceptions import ServiceError
 from repro.run.plan import RunRecord, RunSpec
 from repro.serialization import json_sanitize
 from repro.service.coalesce import SweepRequest
-from repro.service.server import SolveService, surface_task_exception
+from repro.service.server import FRAME_LIMIT_BYTES, SolveService, surface_task_exception
 
 __all__ = ["ServiceClient", "TCPServiceClient"]
-
-# Longest response line the TCP client reads.  asyncio's default 64 KiB
-# limit is below one penalty-QAOA K2 record (~192 KB); exceeding it kills
-# the read loop and fails every request pipelined on the connection.
-RESPONSE_LIMIT_BYTES = 64 * 1024 * 1024
 
 
 class ServiceClient:
@@ -71,8 +66,10 @@ class TCPServiceClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "TCPServiceClient":
+        # Responses get the server's request limit: a longer line would kill
+        # the read loop and fail every request pipelined on the connection.
         reader, writer = await asyncio.open_connection(
-            host, port, limit=RESPONSE_LIMIT_BYTES
+            host, port, limit=FRAME_LIMIT_BYTES
         )
         return cls(reader, writer)
 

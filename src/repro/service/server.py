@@ -57,7 +57,18 @@ from repro.service.coalesce import (
 )
 from repro.service.store import ResultStore
 
-__all__ = ["ServiceStats", "SolveService", "serve_tcp", "surface_task_exception"]
+__all__ = [
+    "FRAME_LIMIT_BYTES",
+    "ServiceStats",
+    "SolveService",
+    "serve_tcp",
+    "surface_task_exception",
+]
+
+# Longest line either end of the TCP protocol reads: the server's requests
+# and the client's responses.  asyncio's default 64 KiB is below one
+# penalty-QAOA K2 record (~192 KB) and one 4000x2 sweep request.
+FRAME_LIMIT_BYTES = 64 * 1024 * 1024
 
 
 def surface_task_exception(task: asyncio.Task) -> None:
@@ -433,7 +444,9 @@ class SolveService:
 #
 # Each request is handled as its own task, so one connection can pipeline
 # concurrent requests — which is what lets a remote client's burst of
-# identical specs dedupe onto one execution.
+# identical specs dedupe onto one execution.  A request line longer than
+# FRAME_LIMIT_BYTES is discarded through its newline and answered with
+# {"id": null, "ok": false, "error": ...}; the connection keeps reading.
 
 
 async def _dispatch(service: SolveService, message: dict) -> dict:
@@ -451,6 +464,14 @@ async def _dispatch(service: SolveService, message: dict) -> dict:
     raise ServiceError(f"unknown op {operation!r}")
 
 
+def _error_response(request_id, error: Exception) -> dict:
+    return {
+        "id": request_id,
+        "ok": False,
+        "error": {"type": type(error).__name__, "message": str(error)},
+    }
+
+
 async def _handle_message(
     service: SolveService,
     line: bytes,
@@ -464,11 +485,13 @@ async def _handle_message(
         payload = await _dispatch(service, message)
         response = {"id": request_id, "ok": True, **payload}
     except Exception as error:
-        response = {
-            "id": request_id,
-            "ok": False,
-            "error": {"type": type(error).__name__, "message": str(error)},
-        }
+        response = _error_response(request_id, error)
+    await _send(writer, write_lock, response)
+
+
+async def _send(
+    writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: dict
+) -> None:
     data = (json.dumps(json_sanitize(response)) + "\n").encode("utf-8")
     async with write_lock:
         if not writer.is_closing():
@@ -480,6 +503,25 @@ async def _handle_message(
                 writer.close()
 
 
+async def _read_frame(reader: asyncio.StreamReader) -> "bytes | None":
+    """The next request line: ``b""`` at EOF, ``None`` for an oversize line.
+
+    A line longer than the reader's limit is consumed through its newline
+    (or to EOF), so the frame after it starts clean.
+    """
+    oversize = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as error:
+            line = error.partial
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
+            oversize = True
+            continue
+        return None if oversize else line
+
+
 async def _handle_connection(
     service: SolveService,
     reader: asyncio.StreamReader,
@@ -489,7 +531,13 @@ async def _handle_connection(
     tasks: set[asyncio.Task] = set()
     try:
         while True:
-            line = await reader.readline()
+            line = await _read_frame(reader)
+            if line is None:
+                error = ServiceError(
+                    f"request line exceeds {FRAME_LIMIT_BYTES} bytes; discarded"
+                )
+                await _send(writer, write_lock, _error_response(None, error))
+                continue
             if not line:
                 break
             if not line.strip():
@@ -528,5 +576,8 @@ async def serve_tcp(
     ``await server.wait_closed()`` and then stop the service itself.
     """
     return await asyncio.start_server(
-        functools.partial(_handle_connection, service), host=host, port=port
+        functools.partial(_handle_connection, service),
+        host=host,
+        port=port,
+        limit=FRAME_LIMIT_BYTES,
     )

@@ -59,7 +59,7 @@ from repro.core.variable_elimination import (
 )
 from repro.exceptions import SolverError
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
-from repro.hamiltonian.compiled import EvolutionProgram
+from repro.hamiltonian.compiled import EvolutionProgram, diagonal_levels
 from repro.hamiltonian.diagonal import DiagonalHamiltonian, phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import SampleResult, merge_results, split_shots
@@ -305,13 +305,14 @@ class ChocoQSolver(QuantumSolver):
             # per distinct beta, LRU-bounded so a long optimization cannot
             # accumulate unboundedly many 2^n x 2^n (or |F| x |F|) unitaries.
             monolithic_unitary_cache = BoundedUnitaryCache()
+            levels, level_index = diagonal_levels(cost_diagonal)
 
             def evolve(parameters: np.ndarray) -> np.ndarray:
                 parameters, state = prepare_ansatz_state(initial_state, parameters)
                 for layer in range(num_layers):
                     gamma = parameters[..., 2 * layer]
                     beta = parameters[..., 2 * layer + 1]
-                    state = apply_diagonal_phase(state, gamma, cost_diagonal)
+                    state = apply_diagonal_phase(state, gamma, levels, level_index)
                     key = round(float(beta), 12)
                     unitary = monolithic_unitary_cache.get(key)
                     if unitary is None:

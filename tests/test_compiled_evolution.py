@@ -44,6 +44,7 @@ from repro.hamiltonian.compiled import (
     EvolutionProgram,
     apply_diagonal_phase,
     dense_term_pairing,
+    diagonal_levels,
     prepare_ansatz_state,
 )
 from repro.problems import make_benchmark
@@ -157,8 +158,8 @@ class TestCoordinatesOfRows:
 def _legacy_chocoq_evolve(spec, driver, num_layers, subspace_map=None):
     """The recompute-every-call inner loop for a Choco-Q spec.
 
-    Rebuilds every term's pairing and the angle's cosine and sine per term
-    and per call.
+    Rebuilds the diagonal's level table, every term's pairing and the
+    angle's cosine and sine per term and per call.
     """
 
     def evolve(parameters):
@@ -166,14 +167,14 @@ def _legacy_chocoq_evolve(spec, driver, num_layers, subspace_map=None):
         for layer in range(num_layers):
             gamma = parameters[..., 2 * layer]
             beta = parameters[..., 2 * layer + 1]
-            state = apply_diagonal_phase(state, gamma, spec.cost_diagonal)
+            state = apply_diagonal_phase(state, gamma, *diagonal_levels(spec.cost_diagonal))
             for term in driver.terms:
                 pairing = (
                     dense_term_pairing(term)
                     if subspace_map is None
                     else term.subspace_pairing(subspace_map)
                 )
-                state = rotate_pairs_cs(state, np.cos(beta), np.sin(beta), *pairing)
+                rotate_pairs_cs(state, np.cos(beta), np.sin(beta), *pairing)
         return state
 
     return evolve
@@ -289,9 +290,11 @@ class TestCompiledEquivalence:
             for layer in range(2):
                 gamma = parameters[..., 2 * layer]
                 beta = parameters[..., 2 * layer + 1]
-                state = apply_diagonal_phase(state, gamma, spec.cost_diagonal)
+                state = apply_diagonal_phase(
+                    state, gamma, *diagonal_levels(spec.cost_diagonal)
+                )
                 for a_indices, b_indices in pairings:
-                    state = rotate_pairs_cs(
+                    rotate_pairs_cs(
                         state, np.cos(2.0 * beta), np.sin(2.0 * beta), a_indices, b_indices
                     )
             return state
@@ -366,7 +369,8 @@ class TestEvolutionProgramValidation:
         state = np.arange(8, dtype=complex) / np.linalg.norm(np.arange(8))
         program = EvolutionProgram(1, np.zeros(8), [(a_indices, b_indices)])
         compiled = program.execute(state, np.array([0.0, 0.4]))
-        direct = rotate_pairs_cs(state, np.cos(0.4), np.sin(0.4), a_indices, b_indices)
+        direct = state.copy()
+        rotate_pairs_cs(direct, np.cos(0.4), np.sin(0.4), a_indices, b_indices)
         assert np.array_equal(compiled, direct)
         np.testing.assert_allclose(
             compiled, expm(-0.4j * term.to_matrix()) @ state, atol=1e-12

@@ -168,12 +168,10 @@ class TestSubspaceEvolution:
         for term in driver.terms:
             for beta in (0.3, -1.1):
                 cos_b, sin_b = np.cos(beta), np.sin(beta)
-                evolved_sub = rotate_pairs_cs(
-                    sub_state, cos_b, sin_b, *term.subspace_pairing(paper_map)
-                )
-                evolved_dense = rotate_pairs_cs(
-                    paper_map.lift_vector(sub_state), cos_b, sin_b, *dense_term_pairing(term)
-                )
+                evolved_sub = sub_state.copy()
+                rotate_pairs_cs(evolved_sub, cos_b, sin_b, *term.subspace_pairing(paper_map))
+                evolved_dense = paper_map.lift_vector(sub_state)
+                rotate_pairs_cs(evolved_dense, cos_b, sin_b, *dense_term_pairing(term))
                 np.testing.assert_allclose(
                     paper_map.lift_vector(evolved_sub), evolved_dense, atol=1e-12
                 )

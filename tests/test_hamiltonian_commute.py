@@ -34,7 +34,9 @@ from repro.testing import global_phase_equal, random_statevector
 
 def evolve_term(term: CommuteHamiltonianTerm, state: np.ndarray, beta: float) -> np.ndarray:
     """``e^{-i beta H_c(u)}`` on a dense state through the term's hop pairing."""
-    return rotate_pairs_cs(state, np.cos(beta), np.sin(beta), *dense_term_pairing(term))
+    state = state.copy()
+    rotate_pairs_cs(state, np.cos(beta), np.sin(beta), *dense_term_pairing(term))
+    return state
 
 
 def evolve_serialized(driver: CommuteDriver, state: np.ndarray, beta: float) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import HamiltonianError
-from repro.hamiltonian.compiled import apply_diagonal_phase
+from repro.hamiltonian.compiled import apply_diagonal_phase, diagonal_levels
 from repro.hamiltonian.diagonal import (
     DiagonalHamiltonian,
     phase_separation_circuit,
@@ -37,7 +37,7 @@ class TestDiagonalHamiltonian:
     def test_diagonal_phase_only_phases(self):
         hamiltonian = DiagonalHamiltonian.from_polynomial({(0,): 2.0}, 1)
         state = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        evolved = apply_diagonal_phase(state, 0.5, hamiltonian.diagonal)
+        evolved = apply_diagonal_phase(state, 0.5, *diagonal_levels(hamiltonian.diagonal))
         assert np.allclose(np.abs(evolved), np.abs(state))
         assert np.angle(evolved[1]) == pytest.approx(-1.0)
 
@@ -86,7 +86,7 @@ class TestPhaseSeparationCircuit:
         rng = np.random.default_rng(4)
         state = rng.normal(size=8) + 1j * rng.normal(size=8)
         state /= np.linalg.norm(state)
-        exact = apply_diagonal_phase(state.copy(), gamma, hamiltonian.diagonal)
+        exact = apply_diagonal_phase(state, gamma, *diagonal_levels(hamiltonian.diagonal))
         circuit = phase_separation_circuit(terms, num_qubits, gamma)
         circuit_state = simulator.statevector(
             circuit, initial_state=Statevector(data=state.copy(), num_qubits=num_qubits)

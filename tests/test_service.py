@@ -10,6 +10,7 @@ environment, so each test drives its own loop via ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.service import (
     serve_tcp,
     solve_group_key,
 )
+import repro.service.server as service_server
 from repro.service.coalesce import execute_group, execute_sweep
 from repro.solvers.base import QuantumSolver
 from repro.solvers.hea import HEAConfig
@@ -575,3 +577,47 @@ class TestClients:
         large, sibling = asyncio.run(scenario())
         assert large.result["blob"] == blob
         assert sibling.metrics == {"seed": 2}
+
+    def test_tcp_request_over_the_frame_limit_spares_its_pipelined_siblings(
+        self, monkeypatch
+    ):
+        """A request line over the server's frame limit gets a structured
+        error and the connection keeps reading: the requests pipelined after
+        it on the same connection are still answered.  A request over
+        asyncio's default 64 KiB line limit but under the frame limit (a
+        4000x2 sweep is ~160 KB) is served normally.  The frame limit is
+        lowered here so the oversize line stays small."""
+        monkeypatch.setattr(
+            service_server, "FRAME_LIMIT_BYTES", 1024 * 1024, raising=False
+        )
+        lines = [
+            {"id": 1, "op": "ping", "pad": "x" * (2 * 1024 * 1024)},
+            {"id": 2, "op": "ping", "pad": "x" * (200 * 1024)},
+            {"id": 3, "op": "ping"},
+        ]
+        payload = "".join(json.dumps(line) + "\n" for line in lines).encode("utf-8")
+
+        async def scenario():
+            service = await SolveService(execute_fn=SpyExecutor()).start()
+            server = await serve_tcp(service)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(payload)
+                await writer.drain()
+                return [json.loads(await reader.readline()) for _ in lines]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                await service.stop()
+
+        responses = asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+        by_id = {response["id"]: response for response in responses}
+        assert set(by_id) == {None, 2, 3}
+        assert by_id[None]["ok"] is False
+        assert by_id[None]["error"]["type"] == "ServiceError"
+        assert "exceeds" in by_id[None]["error"]["message"]
+        assert by_id[2] == {"id": 2, "ok": True, "pong": True}
+        assert by_id[3] == {"id": 3, "ok": True, "pong": True}
