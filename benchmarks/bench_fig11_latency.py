@@ -8,8 +8,9 @@ iterative execution dominates (~70%) and compilation stays well under a
 second.
 
 Our latency numbers come from the analytical device-calibrated model of
-``repro.solvers.latency`` (see DESIGN.md); the relative factors are the
-reproduction target, not the absolute seconds.
+``repro.solvers.latency`` (see DESIGN.md), calibrated to its default
+IBM Fez profile; the relative factors are the reproduction target, not the
+absolute seconds.
 """
 
 from __future__ import annotations
@@ -20,18 +21,15 @@ from harness import engine_options, optimizer
 
 from repro.analysis.report import print_table
 from repro.problems import make_benchmark
-from repro.qcircuit.noise import IBM_FEZ
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
 from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
 from repro.solvers.hea import HEAConfig, HEASolver
-from repro.solvers.latency import LatencyModel
 from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 
 CASES = ("F1", "G1", "K1")
 
 
 def _fig11_data() -> tuple[list[dict], list[dict]]:
-    latency_model = LatencyModel(IBM_FEZ)
     rows = []
     breakdown_rows = []
     for case in CASES:
@@ -61,7 +59,6 @@ def _fig11_data() -> tuple[list[dict], list[dict]]:
         }
         row: dict = {"case": case}
         for name, solver in solvers.items():
-            solver.options.latency_model = latency_model
             result = solver.solve(problem)
             row[f"latency_s[{name}]"] = round(result.latency.total, 3)
             if name == "choco-q":

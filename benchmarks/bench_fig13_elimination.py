@@ -11,11 +11,10 @@ non-zeros have been eliminated (the paper's diminishing-returns observation).
 
 from __future__ import annotations
 
-from harness import engine_options, optimizer, percentage
+from harness import FEZ_NOISE, engine_options, optimizer, percentage
 
 from repro.analysis.report import print_table
 from repro.problems import make_benchmark
-from repro.qcircuit.noise import IBM_FEZ, NoiseModel
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
 
 CASES = ("F2", "G2", "K2")
@@ -41,9 +40,9 @@ def _fig13_rows() -> list[dict]:
             depth_row[f"depth[elim={eliminated}]"] = ideal_result.transpiled_depth
 
             noisy_solver = ChocoQSolver(
-                config=config,
+                config=config.replace(noise=FEZ_NOISE),
                 optimizer=optimizer(NOISY_ITERATIONS),
-                options=engine_options(NoiseModel(IBM_FEZ, seed=5), shots=NOISY_SHOTS),
+                options=engine_options(shots=NOISY_SHOTS),
             )
             noisy_result = noisy_solver.solve(problem)
             metrics = noisy_result.metrics(problem, optimal_value)

@@ -20,7 +20,7 @@ from harness import percentage
 from repro.analysis.ablation import run_ablation
 from repro.analysis.report import print_table
 from repro.problems import make_benchmark
-from repro.qcircuit.noise import IBM_FEZ, NoiseModel
+from repro.solvers.config import NoiseConfig
 
 CASES = ("F1", "G1", "K1")
 
@@ -34,7 +34,7 @@ def _fig14_rows() -> list[dict]:
             num_layers=1,
             shots=512,
             seed=9,
-            noise_model=NoiseModel(IBM_FEZ, seed=9),
+            noise=NoiseConfig(device="fez"),
             max_iterations=20,
         )
         for row in rows:

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import ConstrainedBinaryProblem
-from repro.qcircuit.noise import NoiseModel
 from repro.run import ExperimentPlan, RunRecord, RunSpec, run_plan
 from repro.solvers.base import QuantumSolver, SolverResult
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
+from repro.solvers.config import NoiseConfig
 from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
 from repro.solvers.hea import HEAConfig, HEASolver
 from repro.solvers.optimizer import CobylaOptimizer
@@ -61,13 +61,13 @@ LINEUP_NAMES = {
 }
 
 
-def engine_options(noise_model: NoiseModel | None = None, shots: int | None = None) -> EngineOptions:
-    return EngineOptions(
-        shots=shots if shots is not None else SHOTS,
-        seed=SEED,
-        noise_model=noise_model,
-        noisy_trajectories=8,
-    )
+#: The benchmarks' device-noise scenario (a config field; the engine seeds
+#: its model from each run's seed).
+FEZ_NOISE = NoiseConfig(device="fez", trajectories=8)
+
+
+def engine_options(shots: int | None = None) -> EngineOptions:
+    return EngineOptions(shots=shots if shots is not None else SHOTS, seed=SEED)
 
 
 def optimizer(max_iterations: int | None = None) -> CobylaOptimizer:
@@ -75,7 +75,6 @@ def optimizer(max_iterations: int | None = None) -> CobylaOptimizer:
 
 
 def solver_lineup(
-    noise_model: NoiseModel | None = None,
     baseline_layers: int = BASELINE_LAYERS,
     choco_layers: int = CHOCO_LAYERS,
     choco_eliminated: int = 0,
@@ -83,7 +82,7 @@ def solver_lineup(
     shots: int | None = None,
 ) -> dict[str, QuantumSolver]:
     """The four designs compared throughout the evaluation section."""
-    options = engine_options(noise_model, shots)
+    options = engine_options(shots)
     return {
         "penalty": PenaltyQAOASolver(
             config=PenaltyQAOAConfig(num_layers=baseline_layers),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 
 import repro
-from repro import ChocoQConfig, EngineOptions
+from repro import ChocoQConfig, EngineOptions, NoiseConfig
 from repro.analysis import print_table
 from repro.core.metrics import best_measured
 from repro.problems.graph_coloring import (
@@ -23,7 +23,6 @@ from repro.problems.graph_coloring import (
     is_proper_coloring,
     random_graph_coloring,
 )
-from repro.qcircuit.noise import IBM_FEZ, NoiseModel
 from repro.solvers import CobylaOptimizer
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
@@ -42,14 +41,10 @@ def main() -> None:
 
     rows = []
     decoded = {}
-    for label, noise_model in (("ideal", None), ("fez-noise", NoiseModel(IBM_FEZ, seed=3))):
-        options = EngineOptions(
-            shots=128 if SMOKE else 2048,
-            seed=2,
-            noise_model=noise_model,
-            noisy_trajectories=2 if SMOKE else 8,
-        )
-        result = repro.solve(problem, solver="choco-q", config=config,
+    fez = NoiseConfig(device="fez", trajectories=2 if SMOKE else 8)
+    for label, noise in (("ideal", None), ("fez-noise", fez)):
+        options = EngineOptions(shots=128 if SMOKE else 2048, seed=2)
+        result = repro.solve(problem, solver="choco-q", config=config.replace(noise=noise),
                              optimizer=optimizer, options=options)
         metrics = result.metrics(problem, optimal_value)
         rows.append(

@@ -15,11 +15,10 @@ from __future__ import annotations
 import os
 
 import repro
-from repro import EngineOptions
+from repro import EngineOptions, NoiseConfig
 from repro.analysis import print_table
 from repro.core import choose_elimination_variables, ternary_nullspace_basis
 from repro.problems import make_benchmark
-from repro.qcircuit.noise import IBM_FEZ, NoiseModel
 from repro.solvers import CobylaOptimizer
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
@@ -48,11 +47,8 @@ def main() -> None:
 
         noisy = repro.solve(
             problem, solver="choco-q", config=config, optimizer=optimizer,
-            options=EngineOptions(
-                shots=64 if SMOKE else 512, seed=3,
-                noise_model=NoiseModel(IBM_FEZ, seed=3),
-                noisy_trajectories=2 if SMOKE else 8,
-            ),
+            options=EngineOptions(shots=64 if SMOKE else 512, seed=3),
+            noise=NoiseConfig(device="fez", trajectories=2 if SMOKE else 8),
         )
         noisy_metrics = noisy.metrics(problem, optimal_value)
 

@@ -10,8 +10,8 @@ serialization pass (Opt1):
 * **Opt1+2+3**   — everything.
 
 For each configuration the harness reports the transpiled circuit depth and
-the success rate under a device noise model, mirroring the two panels of
-Fig. 14.  The noise model is optional: without one, the ideal success rate is
+the success rate under a device noise scenario, mirroring the two panels of
+Fig. 14.  The scenario is optional: without one, the ideal success rate is
 reported (the depth comparison is unaffected).
 """
 
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.problem import ConstrainedBinaryProblem
-from repro.qcircuit.noise import NoiseModel
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
+from repro.solvers.config import NoiseConfig
 from repro.solvers.optimizer import CobylaOptimizer
 from repro.solvers.variational import EngineOptions
 
@@ -60,15 +60,17 @@ def run_ablation(
     num_layers: int = 2,
     shots: int = 2048,
     seed: int | None = 7,
-    noise_model: NoiseModel | None = None,
+    noise: NoiseConfig | str | dict | None = None,
     max_iterations: int = 60,
     eliminated_variables: int | None = None,
 ) -> list[AblationRow]:
     """Run every ablation arm on ``problem`` and collect depth + success rate.
 
-    ``eliminated_variables`` overrides the per-arm elimination count (the
-    paper's Fig. 14 eliminates two variables); ``None`` keeps the arm
-    defaults.
+    ``noise`` is every arm's device-noise scenario (a
+    :class:`~repro.solvers.config.NoiseConfig`, device name or dict; ``None``
+    samples ideally), seeded from ``seed``.  ``eliminated_variables``
+    overrides the per-arm elimination count (the paper's Fig. 14 eliminates
+    two variables); ``None`` keeps the arm defaults.
     """
     _, optimal_value = problem.brute_force_optimum()
     rows: list[AblationRow] = []
@@ -82,12 +84,12 @@ def run_ablation(
             num_layers=num_layers,
             use_equivalent_decomposition=arm.use_equivalent_decomposition,
             num_eliminated_variables=eliminate,
+            noise=noise,
         )
-        options = EngineOptions(shots=shots, seed=seed, noise_model=noise_model)
         solver = ChocoQSolver(
             config=config,
             optimizer=CobylaOptimizer(max_iterations=max_iterations),
-            options=options,
+            options=EngineOptions(shots=shots, seed=seed),
         )
         result = solver.solve(problem)
         metrics = result.metrics(problem, optimal_value)

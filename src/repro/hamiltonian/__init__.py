@@ -27,7 +27,6 @@ from repro.hamiltonian.diagonal import (
     split_polynomial,
 )
 from repro.hamiltonian.evolution import (
-    apply_dense_operator,
     dense_evolution_operator,
     driver_evolution_operator,
     pauli_sum_evolution,
@@ -53,7 +52,6 @@ __all__ = [
     "PauliSum",
     "TrotterDecomposer",
     "TrotterReport",
-    "apply_dense_operator",
     "apply_diagonal_phase",
     "dense_term_pairing",
     "diagonal_levels",

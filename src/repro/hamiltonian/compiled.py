@@ -66,7 +66,6 @@ from repro.exceptions import HamiltonianError
 from repro.hamiltonian.commute import (  # noqa: F401  (dense_term_pairing re-exported: it is the compiled layer's dense compile step)
     CommuteDriver,
     CommuteHamiltonianTerm,
-    RestrictedCommuteDriver,
     dense_term_pairing,
     rotate_pairs_cs,
 )
@@ -150,9 +149,10 @@ class EvolutionProgram:
     ``angle_scale`` absorbs constant driver prefactors such as the cyclic
     ring hop's ``XX + YY = 2 H_c(u)``.
 
-    Build it once per solver prepare with :meth:`for_driver` /
-    :meth:`for_restricted_driver`, then call :meth:`execute` (or the
-    :meth:`bind`-ed closure) per cost evaluation.
+    Build it once per solver prepare — from the pairings of a
+    :class:`~repro.solvers.variational.StateLayout`, or with
+    :meth:`for_driver` for a dense driver — then call :meth:`execute` (or
+    the :meth:`bind`-ed closure) per cost evaluation.
     """
 
     def __init__(
@@ -212,27 +212,6 @@ class EvolutionProgram:
             cost_diagonal,
             [dense_term_pairing(term) for term in driver.terms],
             angle_scale=angle_scale,
-        )
-
-    @classmethod
-    def for_restricted_driver(
-        cls,
-        restricted: RestrictedCommuteDriver,
-        cost_diagonal: np.ndarray,
-        num_layers: int,
-        angle_scale: float = 1.0,
-    ) -> "EvolutionProgram":
-        """Compile a subspace-layout program from precomputed pairings.
-
-        The :class:`~repro.hamiltonian.commute.RestrictedCommuteDriver`
-        already resolved every term's pairing at construction (exactly once
-        per (term, map) — asserted by the caching tests), so compilation
-        here is free.
-        """
-        if len(cost_diagonal) != restricted.size:
-            raise HamiltonianError("cost diagonal length must equal |F|")
-        return cls(
-            num_layers, cost_diagonal, restricted.pairings, angle_scale=angle_scale
         )
 
     # ------------------------------------------------------------------

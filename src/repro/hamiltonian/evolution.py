@@ -61,10 +61,3 @@ def driver_evolution_operator(driver: CommuteDriver, beta: float) -> np.ndarray:
             f"got {driver.num_qubits}"
         )
     return dense_evolution_operator(driver.hamiltonian_matrix(), beta)
-
-
-def apply_dense_operator(state: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    """Apply a dense operator to a dense statevector."""
-    if operator.shape[1] != state.shape[0]:
-        raise SimulationError("operator and state dimensions do not match")
-    return operator @ state

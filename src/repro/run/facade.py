@@ -25,7 +25,6 @@ def solve(
     *,
     optimizer: Optimizer | str | None = None,
     options: EngineOptions | None = None,
-    noise=None,
     **overrides,
 ) -> SolverResult:
     """Solve ``problem`` with a registered solver.
@@ -42,15 +41,14 @@ def solve(
         optimizer: an :class:`~repro.solvers.optimizer.Optimizer` or an
             optimizer name (``"cobyla"``, ``"nelder-mead"``, ``"spsa"``).
         options: shared :class:`~repro.solvers.variational.EngineOptions`
-            (shots, seed, noise model, multistart...).
-        noise: serializable device-noise scenario — a
-            :class:`~repro.solvers.config.NoiseConfig`, a device-profile
-            name (``"fez"``, ``"osaka"``, ``"sherbrooke"``) or its dict
-            form.  Sugar for the ``noise`` field every solver config
-            carries; the engine seeds the materialised model from the run
-            seed, so ``repro.solve(..., seed via options, noise="fez")`` is
-            reproducible.
-        **overrides: config-field overrides, e.g. ``num_layers=2``.
+            (shots, seed, multistart, optimization level); they carry no
+            noise.
+        **overrides: config-field overrides, e.g. ``num_layers=2``.  Noise
+            is one of them: every solver config has a ``noise`` field, so
+            ``noise="fez"`` (a :class:`~repro.solvers.config.NoiseConfig`,
+            a device-profile name such as ``"fez"``, ``"osaka"`` or
+            ``"sherbrooke"``, or its dict form) samples through that device
+            model, seeded from the run seed and so reproducible.
 
     Returns:
         The solver's :class:`~repro.solvers.base.SolverResult`.
@@ -58,26 +56,11 @@ def solve(
     if isinstance(problem, str):
         problem = resolve_benchmark(problem)
     if isinstance(solver, QuantumSolver):
-        if (
-            config is not None
-            or overrides
-            or optimizer is not None
-            or options is not None
-            or noise is not None
-        ):
+        if config is not None or overrides or optimizer is not None or options is not None:
             raise SolverError(
                 "when passing a solver instance, configure it directly instead of "
-                "passing config/optimizer/options/noise/overrides to solve()"
+                "passing config/optimizer/options/overrides to solve()"
             )
         return solver.solve(problem)
-    if noise is not None:
-        if options is not None and (options.noise is not None or options.noise_model is not None):
-            # Config-level noise always yields to options-level noise (see
-            # EngineOptions.with_noise), so accepting this call would
-            # silently ignore the explicit argument.
-            raise SolverError(
-                "pass noise either to solve() or inside options, not both"
-            )
-        overrides["noise"] = noise
     instance = make_solver(solver, config, optimizer=optimizer, options=options, **overrides)
     return instance.solve(problem)

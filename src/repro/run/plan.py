@@ -74,6 +74,7 @@ class RunSpec:
     construction, so equivalent spellings (partial dict, mixed-case device
     name, config instance) are one spec with one content hash — and cached
     noisy and noiseless runs of otherwise identical specs never collide.
+    It is the one spelling: a ``noise`` key inside ``config`` is rejected.
     """
 
     solver: str
@@ -90,6 +91,12 @@ class RunSpec:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        if self.config and "noise" in self.config:
+            # Two spellings of one run would get two content hashes (and two
+            # store entries), and the override below would silently win.
+            raise SolverError(
+                "put the noise scenario in the RunSpec 'noise' field, not inside 'config'"
+            )
         if self.noise is not None:
             from repro.solvers.config import as_noise_config
 

@@ -52,7 +52,6 @@ from repro.core.nullspace import (
     total_nonzeros,
 )
 from repro.core.problem import ConstrainedBinaryProblem
-from repro.core.subspace import SubspaceMap
 from repro.core.variable_elimination import (
     build_elimination_plan,
     choose_elimination_variables,
@@ -60,20 +59,18 @@ from repro.core.variable_elimination import (
 from repro.exceptions import SolverError
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
 from repro.hamiltonian.compiled import EvolutionProgram, diagonal_levels
-from repro.hamiltonian.diagonal import DiagonalHamiltonian, phase_separation_circuit
+from repro.hamiltonian.diagonal import phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import SampleResult, merge_results, split_shots
 from repro.solvers.base import LatencyBreakdown, OptimizationTrace, QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.variational import (
     AnsatzSpec,
-    SubspaceStateBackend,
     VariationalEngine,
     apply_diagonal_phase,
-    basis_state,
     child_seed_sequence,
     prepare_ansatz_state,
-    resolve_auto_subspace_limit,
+    resolve_state_layout,
 )
 
 
@@ -221,28 +218,11 @@ class ChocoQSolver(QuantumSolver):
 
     def _solve_single(self, problem: ConstrainedBinaryProblem) -> SolverResult:
         spec, driver = self.build_spec(problem)
-        engine = VariationalEngine(
-            self.optimizer, self.options.with_noise(self.config.noise)
-        )
+        engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
         result = engine.run(spec, problem)
         result.metadata["num_driver_terms"] = len(driver.terms)
         result.metadata["total_nonzeros"] = driver.total_nonzeros
         return result
-
-    def _resolve_subspace_map(self, problem: ConstrainedBinaryProblem) -> SubspaceMap | None:
-        """The feasible-subspace map the configured backend calls for.
-
-        ``None`` means "run dense": either the config says so, or ``auto``
-        found the feasible set larger than the fallback threshold while
-        streaming the enumeration.
-        """
-        if self.config.backend == "dense":
-            return None
-        if self.config.backend == "subspace":
-            return SubspaceMap.from_problem(problem, limit=self.config.subspace_limit)
-        return SubspaceMap.try_from_problem(
-            problem, limit=resolve_auto_subspace_limit(self.config.subspace_limit)
-        )
 
     def build_spec(self, problem: ConstrainedBinaryProblem) -> tuple[AnsatzSpec, CommuteDriver]:
         """The compiled ``(AnsatzSpec, CommuteDriver)`` for one problem.
@@ -258,48 +238,26 @@ class ChocoQSolver(QuantumSolver):
         num_layers = self.config.num_layers
         serialize = self.config.serialize_driver
         use_decomposition = self.config.use_equivalent_decomposition
-        subspace_map = self._resolve_subspace_map(problem)
-
-        # The two backends share one ansatz loop; they differ only in the
-        # state layout and the pair indices / unitaries compiled here.
-        if subspace_map is not None:
-            # Feasible-subspace layout: every per-iteration object has length
-            # |F|; nothing of size 2^n is ever materialised.  The restricted
-            # driver resolves each term's subspace pairing exactly once.
-            restricted_driver = driver.restrict(subspace_map)
-            cost_diagonal = subspace_map.evaluate_polynomial(objective.terms)
-            initial_state = subspace_map.basis_state(initial_bits)
-            state_backend = SubspaceStateBackend(subspace_map)
-
-            def compile_program() -> EvolutionProgram:
-                return EvolutionProgram.for_restricted_driver(
-                    restricted_driver, cost_diagonal, num_layers
-                )
-
-            def build_monolithic(beta: float) -> np.ndarray:
-                from repro.hamiltonian.evolution import dense_evolution_operator
-
-                return dense_evolution_operator(restricted_driver.hamiltonian_matrix(), beta)
-
-        else:
-            hamiltonian = DiagonalHamiltonian.from_polynomial(objective.terms, num_qubits)
-            cost_diagonal = hamiltonian.diagonal
-            initial_state = basis_state(num_qubits, initial_bits)
-            state_backend = None
-
-            def compile_program() -> EvolutionProgram:
-                return EvolutionProgram.for_driver(driver, cost_diagonal, num_layers)
-
-            def build_monolithic(beta: float) -> np.ndarray:
-                from repro.hamiltonian.evolution import driver_evolution_operator
-
-                return driver_evolution_operator(driver, beta)
+        # The backends share one ansatz loop; they differ only in the state
+        # layout and the pair indices / unitaries it compiles.
+        layout = resolve_state_layout(
+            problem,
+            self.config.backend,
+            self.config.subspace_limit,
+            cost_terms=objective.terms,
+            initial_bits=initial_bits,
+            driver=driver,
+        )
+        initial_state = layout.initial_state
+        cost_diagonal = layout.cost_diagonal
 
         if serialize:
             # Compile once per prepare: every cost evaluation afterwards runs
             # over cached pair indices with zero structural recomputation,
             # broadcasting unchanged over the batched (k, 2L) sweep path.
-            evolve = compile_program().bind(initial_state)
+            evolve = EvolutionProgram(num_layers, cost_diagonal, layout.pairings).bind(
+                initial_state
+            )
         else:
             # Monolithic ablation (Opt1 off): one dense matrix exponential
             # per distinct beta, LRU-bounded so a long optimization cannot
@@ -316,7 +274,7 @@ class ChocoQSolver(QuantumSolver):
                     key = round(float(beta), 12)
                     unitary = monolithic_unitary_cache.get(key)
                     if unitary is None:
-                        unitary = build_monolithic(float(beta))
+                        unitary = layout.driver_unitary(float(beta))
                         monolithic_unitary_cache.put(key, unitary)
                     state = unitary @ state
                 return state
@@ -354,8 +312,8 @@ class ChocoQSolver(QuantumSolver):
             # monolithic ablation keeps the per-beta unitary cache instead.
             "compiled_evolution": serialize,
         }
-        if subspace_map is not None:
-            metadata["subspace_size"] = subspace_map.size
+        if layout.subspace_map is not None:
+            metadata["subspace_size"] = layout.subspace_map.size
         spec = AnsatzSpec(
             name=self.name,
             num_qubits=num_qubits,
@@ -365,7 +323,7 @@ class ChocoQSolver(QuantumSolver):
             build_circuit=build_circuit,
             initial_parameters=self._initial_parameters(),
             metadata=metadata,
-            backend=state_backend,
+            backend=layout.backend,
             # The monolithic ablation caches one dense unitary per scalar
             # beta, which does not broadcast; only the serialized product
             # supports the (k, 2L) sweep path.
@@ -496,13 +454,10 @@ class ChocoQSolver(QuantumSolver):
 
         elapsed = time.perf_counter() - start
         outcomes = merge_results(merged_counts)
-        # The merged result must carry the same noise annotation every
-        # single-instance noisy run does (options-level noise wins, matching
-        # with_noise's precedence inside the sub-solvers).
-        effective_noise = self.options.with_noise(self.config.noise).noise
-        noise_metadata = (
-            {"noise": effective_noise.to_dict()} if effective_noise is not None else {}
-        )
+        # The merged result carries the same noise annotation every
+        # single-instance noisy run does.
+        noise = self.config.noise
+        noise_metadata = {"noise": noise.to_dict()} if noise is not None else {}
         report_metadata = (
             {"transpile_report": deepest_transpile_report}
             if deepest_transpile_report is not None

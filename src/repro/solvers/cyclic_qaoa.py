@@ -42,20 +42,13 @@ import numpy as np
 from repro.core.encoding import default_penalty_weight, penalty_objective
 from repro.core.feasibility import problem_initial_assignment
 from repro.core.problem import ConstrainedBinaryProblem
-from repro.core.subspace import SubspaceMap
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
-from repro.hamiltonian.compiled import EvolutionProgram, dense_term_pairing
-from repro.hamiltonian.diagonal import DiagonalHamiltonian, phase_separation_circuit
+from repro.hamiltonian.compiled import EvolutionProgram
+from repro.hamiltonian.diagonal import phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
-from repro.solvers.variational import (
-    AnsatzSpec,
-    SubspaceStateBackend,
-    VariationalEngine,
-    basis_state,
-    resolve_auto_subspace_limit,
-)
+from repro.solvers.variational import AnsatzSpec, VariationalEngine, resolve_state_layout
 
 
 def summation_chains(problem: ConstrainedBinaryProblem) -> tuple[list[list[int]], list[int]]:
@@ -109,7 +102,7 @@ class CyclicQAOAConfig(SolverConfig):
         penalty_weight: penalty multiplier for the constraints the cyclic
             driver cannot encode; ``None`` derives the default weight.
         backend: ``"dense"``, ``"subspace"`` (encoded-chain sector) or
-            ``"auto"`` — see the backend matrix in ROADMAP.md.
+            ``"auto"`` — see the "Solver / backend matrix" in README.md.
         subspace_limit: feasible-set size guard for the subspace backends.
         noise: serializable device-noise scenario
             (:class:`~repro.solvers.config.NoiseConfig`, a device name, or
@@ -135,9 +128,7 @@ class CyclicQAOASolver(QuantumSolver):
 
     def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
         spec = self.build_spec(problem)
-        engine = VariationalEngine(
-            self.optimizer, self.options.with_noise(self.config.noise)
-        )
+        engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
         # The engine folds spec.metadata (chains, penalty weight, subspace
         # size) into the result's metadata.
         return engine.run(spec, problem)
@@ -150,43 +141,6 @@ class CyclicQAOASolver(QuantumSolver):
         gammas = 0.7 * layers / num_layers
         betas = 0.7 * (1.0 - layers / num_layers) + 0.1
         return np.ravel(np.column_stack([gammas, betas]))
-
-    def _resolve_subspace_map(
-        self, problem: ConstrainedBinaryProblem, chains: list[list[int]], unencoded: list[int]
-    ) -> SubspaceMap | None:
-        """The feasible subspace of the *encoded* constraint rows, or None.
-
-        The ring hops conserve exactly the encoded rows, so the invariant
-        subspace is ``{x : C_enc x = c_enc}`` — the unencoded rows stay soft
-        (penalty) just as on the dense path.  Returns ``None`` (dense
-        layout) when the config says so, when no constraint is encodable,
-        or when ``auto`` finds the encoded feasible set past the limit.
-        """
-        backend = self.config.backend
-        if backend == "dense":
-            return None
-        if not chains:
-            if backend == "subspace":
-                warnings.warn(
-                    "no constraint is encodable by the cyclic driver; the "
-                    "subspace backend has no invariant subspace to restrict "
-                    "to and falls back to dense",
-                    stacklevel=3,
-                )
-            return None
-        unencoded_set = set(unencoded)
-        encoded = [
-            constraint
-            for index, constraint in enumerate(problem.constraints)
-            if index not in unencoded_set
-        ]
-        matrix = np.array([list(c.coefficients) for c in encoded], dtype=float)
-        rhs = np.array([c.rhs for c in encoded], dtype=float)
-        if backend == "subspace":
-            return SubspaceMap.from_constraints(matrix, rhs, limit=self.config.subspace_limit)
-        return SubspaceMap.try_from_constraints(
-            matrix, rhs, limit=resolve_auto_subspace_limit(self.config.subspace_limit)
-        )
 
     def build_spec(self, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
         """The compiled :class:`AnsatzSpec` for one problem.
@@ -233,27 +187,40 @@ class CyclicQAOASolver(QuantumSolver):
                 pair_terms.append(CommuteHamiltonianTerm(tuple(u)))
         driver = CommuteDriver(pair_terms) if pair_terms else None
 
-        subspace_map = self._resolve_subspace_map(problem, chains, unencoded)
-        if subspace_map is not None:
-            # Encoded-subspace layout: per-iteration objects have length
-            # |F_enc|, and each hop is a precomputed pairing permutation.
-            restricted_driver = driver.restrict(subspace_map)
-            cost_diagonal = subspace_map.evaluate_polynomial(cost_objective.terms)
-            initial_state = subspace_map.basis_state(initial_bits)
-            state_backend = SubspaceStateBackend(subspace_map)
-            pairings = restricted_driver.pairings
-        else:
-            hamiltonian = DiagonalHamiltonian.from_polynomial(cost_objective.terms, num_qubits)
-            cost_diagonal = hamiltonian.diagonal
-            initial_state = basis_state(num_qubits, initial_bits)
-            state_backend = None
-            # A problem with no encodable chain has no hop terms: the program
-            # degenerates to the pure phase-separation sequence.
-            pairings = (
-                tuple(dense_term_pairing(term) for term in driver.terms)
-                if driver is not None
-                else ()
-            )
+        # The ring hops conserve exactly the encoded rows, so the invariant
+        # subspace is F_enc = {x : C_enc x = c_enc}; the unencoded rows stay
+        # soft (penalty) on either layout.  With no encodable chain there is
+        # no invariant subspace and no hop term: the program degenerates to
+        # the pure phase-separation sequence on the dense layout.
+        backend = self.config.backend
+        if not chains:
+            if backend == "subspace":
+                warnings.warn(
+                    "no constraint is encodable by the cyclic driver; the "
+                    "subspace backend has no invariant subspace to restrict "
+                    "to and falls back to dense",
+                    stacklevel=2,
+                )
+            backend = "dense"
+        unencoded_set = set(unencoded)
+        encoded_problem = ConstrainedBinaryProblem(
+            num_variables=num_qubits,
+            objective=problem.objective,
+            constraints=[
+                constraint
+                for index, constraint in enumerate(problem.constraints)
+                if index not in unencoded_set
+            ],
+            name=f"{problem.name}-encoded",
+        )
+        layout = resolve_state_layout(
+            encoded_problem,
+            backend,
+            self.config.subspace_limit,
+            cost_terms=cost_objective.terms,
+            initial_bits=initial_bits,
+            driver=driver,
+        )
 
         # Compile once per prepare: XX + YY = 2 H_c(u), so every ring hop
         # evolves with angle 2*beta (angle_scale).  One vector (2L,) or a
@@ -261,9 +228,9 @@ class CyclicQAOASolver(QuantumSolver):
         # same closure serves the optimizer loop and the vectorised
         # parameter-sweep path.
         program = EvolutionProgram(
-            num_layers, cost_diagonal, pairings, angle_scale=2.0
+            num_layers, layout.cost_diagonal, layout.pairings, angle_scale=2.0
         )
-        evolve = program.bind(initial_state)
+        evolve = program.bind(layout.initial_state)
 
         def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
             circuit = QuantumCircuit(num_qubits, name="cyclic_qaoa")
@@ -288,17 +255,17 @@ class CyclicQAOASolver(QuantumSolver):
             "penalty_weight": weight,
             "backend_requested": self.config.backend,
         }
-        if subspace_map is not None:
-            metadata["subspace_size"] = subspace_map.size
+        if layout.subspace_map is not None:
+            metadata["subspace_size"] = layout.subspace_map.size
         return AnsatzSpec(
             name=self.name,
             num_qubits=num_qubits,
-            initial_state=initial_state,
-            cost_diagonal=cost_diagonal,
+            initial_state=layout.initial_state,
+            cost_diagonal=layout.cost_diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
             initial_parameters=self._initial_parameters(),
             metadata=metadata,
-            backend=state_backend,
+            backend=layout.backend,
             evolve_batch=evolve,
         )

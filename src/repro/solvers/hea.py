@@ -60,9 +60,7 @@ class HEASolver(QuantumSolver):
     default_max_iterations = 200
 
     def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        engine = VariationalEngine(
-            self.optimizer, self.options.with_noise(self.config.noise)
-        )
+        engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
         # The engine folds spec.metadata (penalty weight) into the result's
         # metadata.
         return engine.run(self.build_spec(problem), problem)

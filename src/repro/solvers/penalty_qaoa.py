@@ -77,9 +77,7 @@ class PenaltyQAOASolver(QuantumSolver):
     default_max_iterations = 150
 
     def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        engine = VariationalEngine(
-            self.optimizer, self.options.with_noise(self.config.noise)
-        )
+        engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
         # The engine folds spec.metadata (penalty weight, frozen variables)
         # into the result's metadata.
         return engine.run(self.build_spec(problem), problem)

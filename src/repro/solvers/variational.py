@@ -24,28 +24,40 @@ implements the shared *how it runs*:
   ``initial_state`` and ``cost_diagonal`` must all live in the backend's
   layout; the backend converts final states to bitstring distributions and
   shot histograms.
+* :func:`resolve_state_layout` — the one dense-vs-subspace decision for the
+  commute-driver solvers (Choco-Q and cyclic QAOA): which map a ``dense``,
+  ``subspace`` or ``auto`` backend uses, and the :class:`StateLayout` built
+  on it — cost diagonal, initial state, state backend and per-term pairings.
 * :class:`VariationalEngine` — the run loop: measure compilation cost, drive
   the classical optimizer against the exact expectation value, then sample
-  the optimal state (ideally or through a noise model), and assemble a
-  :class:`~repro.solvers.base.SolverResult` with depth and latency accounting.
+  the optimal state (ideally or through the solver config's
+  :class:`~repro.solvers.config.NoiseConfig`), and assemble a
+  :class:`~repro.solvers.base.SolverResult` with depth and latency
+  accounting.  :class:`EngineOptions` carries run settings only (shots,
+  seed, multistart, optimization level); noise is a config field, so a
+  noisy run is defined by its config and seed alone.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.problem import ConstrainedBinaryProblem
+from repro.core.subspace import SubspaceMap
 from repro.exceptions import SolverError
+from repro.hamiltonian.commute import CommuteDriver, dense_term_pairing
 from repro.hamiltonian.compiled import (  # noqa: F401  (re-exported: solver front-ends import them from here)
     apply_diagonal_phase,
     prepare_ansatz_state,
 )
+from repro.hamiltonian.diagonal import DiagonalHamiltonian
+from repro.hamiltonian.evolution import dense_evolution_operator, driver_evolution_operator
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.noise import NoiseModel
 from repro.qcircuit.sampling import (
     SampleResult,
     exact_distribution,
@@ -60,7 +72,7 @@ from repro.qcircuit.transpile import (
     unitary_synthesis_penalty,
 )
 from repro.solvers.base import LatencyBreakdown, SolverResult
-from repro.solvers.config import NoiseConfig, as_noise_config
+from repro.solvers.config import NoiseConfig
 from repro.solvers.latency import LatencyModel
 from repro.solvers.optimizer import Optimizer
 
@@ -83,11 +95,6 @@ def validate_backend_choice(backend: str, subspace_limit: int | None) -> None:
         raise SolverError("backend must be 'dense', 'subspace' or 'auto'")
     if subspace_limit is not None and subspace_limit < 1:
         raise SolverError("subspace_limit must be positive")
-
-
-def resolve_auto_subspace_limit(subspace_limit: int | None) -> int:
-    """The dense-fallback threshold an ``auto`` backend actually uses."""
-    return subspace_limit if subspace_limit is not None else DEFAULT_SUBSPACE_AUTO_LIMIT
 
 
 class StateBackend:
@@ -168,6 +175,97 @@ class SubspaceStateBackend(StateBackend):
         )
 
 
+@dataclass(frozen=True)
+class StateLayout:
+    """Where a commute-driver ansatz evolves: the ``2^n`` basis or a subspace.
+
+    Built by :func:`resolve_state_layout`.  ``initial_state``,
+    ``cost_diagonal`` and the ``(a, b)`` index arrays of ``pairings`` (one
+    per driver term) all index the same vectors; ``backend`` measures them
+    (``None`` means dense, the engine's default).  ``driver_unitary(beta)``
+    is the monolithic ``e^{-i beta H_d}`` over the same layout, which only
+    the Opt1-off ablation needs.
+    """
+
+    initial_state: np.ndarray
+    cost_diagonal: np.ndarray
+    pairings: tuple[tuple[np.ndarray, np.ndarray], ...]
+    driver_unitary: Callable[[float], np.ndarray] | None
+    backend: SubspaceStateBackend | None = None
+
+    @property
+    def subspace_map(self) -> SubspaceMap | None:
+        return None if self.backend is None else self.backend.subspace_map
+
+
+def _choose_subspace_map(
+    problem: ConstrainedBinaryProblem, backend: str, subspace_limit: int | None
+) -> SubspaceMap | None:
+    """The feasible-subspace map a ``backend`` choice calls for, or None.
+
+    ``None`` means "run dense": either the choice says so, or ``auto``
+    found the feasible set past its fallback threshold while streaming the
+    enumeration (``subspace_limit``, or :data:`DEFAULT_SUBSPACE_AUTO_LIMIT`
+    when unset).
+    """
+    if backend == "dense":
+        return None
+    if backend == "subspace":
+        return SubspaceMap.from_problem(problem, limit=subspace_limit)
+    if subspace_limit is None:
+        subspace_limit = DEFAULT_SUBSPACE_AUTO_LIMIT
+    return SubspaceMap.try_from_problem(problem, limit=subspace_limit)
+
+
+def resolve_state_layout(
+    problem: ConstrainedBinaryProblem,
+    backend: str,
+    subspace_limit: int | None,
+    *,
+    cost_terms: Mapping[tuple[int, ...], float],
+    initial_bits: Sequence[int],
+    driver: CommuteDriver | None,
+) -> StateLayout:
+    """The dense-or-subspace :class:`StateLayout` of one commute-driver ansatz.
+
+    ``problem``'s constraints define the invariant subspace: every row the
+    driver conserves, and no other (cyclic QAOA passes only its encoded
+    rows).  ``cost_terms`` is the objective polynomial the phase separator
+    applies, ``initial_bits`` the feasible starting assignment, and
+    ``driver`` the hop terms (``None``: no hops, a pure phase sequence).
+    """
+    num_qubits = problem.num_variables
+    subspace_map = _choose_subspace_map(problem, backend, subspace_limit)
+    if subspace_map is None:
+        return StateLayout(
+            initial_state=basis_state(num_qubits, initial_bits),
+            cost_diagonal=DiagonalHamiltonian.from_polynomial(cost_terms, num_qubits).diagonal,
+            pairings=(
+                tuple(dense_term_pairing(term) for term in driver.terms)
+                if driver is not None
+                else ()
+            ),
+            driver_unitary=(
+                partial(driver_evolution_operator, driver) if driver is not None else None
+            ),
+        )
+    # Every per-iteration object has length |F|; nothing of size 2^n is
+    # materialised.  The restricted driver resolves each term's subspace
+    # pairing exactly once.
+    restricted = driver.restrict(subspace_map)
+
+    def driver_unitary(beta: float) -> np.ndarray:
+        return dense_evolution_operator(restricted.hamiltonian_matrix(), beta)
+
+    return StateLayout(
+        initial_state=subspace_map.basis_state(initial_bits),
+        cost_diagonal=subspace_map.evaluate_polynomial(cost_terms),
+        pairings=restricted.pairings,
+        driver_unitary=driver_unitary,
+        backend=SubspaceStateBackend(subspace_map),
+    )
+
+
 @dataclass
 class AnsatzSpec:
     """Everything the engine needs to run one variational ansatz.
@@ -202,21 +300,14 @@ class EngineOptions:
     particular a :class:`np.random.SeedSequence`, which the elimination
     pipeline uses to hand each sub-instance its own independent stream.
 
+    ``shots`` is a non-negative integer; ``0`` is valid (an elimination
+    sub-instance whose share of the budget rounded to nothing).
+
     ``multistart`` enables the batched initial-parameter picker: the engine
     scores that many candidate initial parameter vectors (the ansatz default
     plus ``multistart - 1`` random draws from a dedicated seed stream) in one
     :func:`batched_expectations` sweep and hands the best basin to the
     optimizer.  ``1`` (the default) keeps the ansatz default untouched.
-
-    Noise comes in two spellings.  ``noise`` is the *serializable* one — a
-    :class:`~repro.solvers.config.NoiseConfig` (or a device name / dict,
-    normalised on construction) the engine materialises at run time with a
-    deterministic SeedSequence child of ``seed``, so noisy runs reproduce
-    bit-identically across process boundaries.  ``noise_model`` injects a
-    prebuilt :class:`~repro.qcircuit.noise.NoiseModel` directly (its RNG
-    state is whatever the caller made it); the two are mutually exclusive.
-    ``noisy_trajectories`` applies to the ``noise_model`` path — a ``noise``
-    config carries its own trajectory count.
 
     ``optimization_level`` selects the transpiler's optimization pipeline
     for both depth accounting and noisy execution (``None`` means the
@@ -227,15 +318,16 @@ class EngineOptions:
 
     shots: int = 4096
     seed: int | np.random.SeedSequence | None = None
-    noise_model: NoiseModel | None = None
-    latency_model: LatencyModel | None = None
-    transpile_for_depth: bool = True
-    noisy_trajectories: int = 16
     multistart: int = 1
-    noise: NoiseConfig | str | dict | None = None
     optimization_level: int | None = None
 
     def __post_init__(self) -> None:
+        if (
+            not isinstance(self.shots, (int, np.integer))
+            or isinstance(self.shots, bool)
+            or self.shots < 0
+        ):
+            raise SolverError(f"shots must be a non-negative integer, got {self.shots!r}")
         if self.multistart < 1:
             raise SolverError("multistart must be at least 1")
         if self.optimization_level is not None and not (
@@ -245,23 +337,6 @@ class EngineOptions:
                 "optimization_level must be None or between 0 and "
                 f"{MAX_OPTIMIZATION_LEVEL}"
             )
-        self.noise = as_noise_config(self.noise)
-        if self.noise is not None and self.noise_model is not None:
-            raise SolverError(
-                "pass either a serializable noise config or a prebuilt "
-                "noise_model, not both"
-            )
-
-    def with_noise(self, noise: "NoiseConfig | None") -> "EngineOptions":
-        """These options with a solver config's ``noise`` folded in.
-
-        Options-level noise settings win: the config's scenario applies only
-        when neither ``noise`` nor ``noise_model`` is already set, so a
-        caller-constructed model is never silently replaced.
-        """
-        if noise is None or self.noise is not None or self.noise_model is not None:
-            return self
-        return replace(self, noise=noise)
 
     def transpile_options(self) -> TranspileOptions:
         """The transpiler options these engine options select."""
@@ -276,8 +351,9 @@ class EngineOptions:
 _MULTISTART_SPAWN_KEY = 0x6D73  # "ms"
 
 #: Spawn-key component reserving an independent SeedSequence stream for the
-#: noise model built from ``EngineOptions.noise``, so noisy trajectories and
-#: readout flips are reproducible without perturbing the sampling RNG.
+#: noise model built from the solver config's ``noise``, so noisy
+#: trajectories and readout flips are reproducible without perturbing the
+#: sampling RNG.
 _NOISE_SPAWN_KEY = 0x6E7A  # "nz"
 
 
@@ -309,11 +385,23 @@ def noise_seed_sequence(
 
 
 class VariationalEngine:
-    """Runs the optimize-then-sample loop for one :class:`AnsatzSpec`."""
+    """Runs the optimize-then-sample loop for one :class:`AnsatzSpec`.
 
-    def __init__(self, optimizer: Optimizer, options: EngineOptions | None = None) -> None:
+    ``noise`` is the solver config's :class:`~repro.solvers.config.NoiseConfig`
+    (``None`` samples ideally).  The engine builds its model at run time,
+    seeded from a SeedSequence child of ``options.seed``, so a noisy run
+    reproduces bit for bit in any process.
+    """
+
+    def __init__(
+        self,
+        optimizer: Optimizer,
+        options: EngineOptions | None = None,
+        noise: NoiseConfig | None = None,
+    ) -> None:
         self.optimizer = optimizer
         self.options = options or EngineOptions()
+        self.noise = noise
 
     def _pick_multistart_basin(self, spec: AnsatzSpec) -> tuple[np.ndarray, dict]:
         """Score k candidate initial vectors in one batched sweep; keep the best.
@@ -359,17 +447,10 @@ class VariationalEngine:
         compile_start = time.perf_counter()
         reference_circuit = spec.build_circuit(spec.initial_parameters)
         transpile_options = self.options.transpile_options()
-        transpile_report = None
-        if self.options.transpile_for_depth:
-            transpiled, transpile_report = transpile_with_report(
-                reference_circuit, transpile_options
-            )
-            transpiled_depth = transpiled.depth() + unitary_synthesis_penalty(
-                transpiled
-            )
-        else:
-            transpiled = reference_circuit
-            transpiled_depth = reference_circuit.depth()
+        transpiled, transpile_report = transpile_with_report(
+            reference_circuit, transpile_options
+        )
+        transpiled_depth = transpiled.depth() + unitary_synthesis_penalty(transpiled)
         compilation_seconds = time.perf_counter() - compile_start
 
         # ---- classical optimization against the exact expectation -------
@@ -394,39 +475,32 @@ class VariationalEngine:
         classical_seconds = time.perf_counter() - classical_start
 
         # ---- final state and sampling -----------------------------------
-        noise_model = self.options.noise_model
-        noise_config = self.options.noise
-        noise_mode = "trajectory"
-        noise_trajectories = self.options.noisy_trajectories
-        if noise_config is not None:
-            # Materialise the serializable scenario here, seeded from a
-            # dedicated SeedSequence child of the run seed: a plan worker
-            # executing this spec reproduces the sequential run bit for bit.
-            noise_model = noise_config.build_model(
-                seed=noise_seed_sequence(self.options.seed)
-            )
-            noise_mode = noise_config.mode
-            noise_trajectories = noise_config.trajectories
-
-        if noise_model is not None:
+        noise = self.noise
+        if noise is not None:
             # A zero-shot run (e.g. an elimination sub-instance whose share of
             # the budget rounded to nothing) has an empty histogram; the noise
             # model rejects shots=0, so short-circuit it.
             if self.options.shots > 0:
+                # Materialise the scenario here, seeded from a dedicated
+                # SeedSequence child of the run seed: a plan worker executing
+                # this spec reproduces the sequential run bit for bit.
+                model = noise.build_model(
+                    seed=noise_seed_sequence(self.options.seed)
+                )
                 final_circuit = spec.build_circuit(optimizer_result.parameters)
                 # Simulate the circuit a device would actually run: the same
                 # optimization pipeline the depth accounting used, so the
                 # noise cost tracks the *optimized* gate counts.
                 noisy_target = transpile(final_circuit, transpile_options)
-                if noise_mode == "analytical":
-                    outcomes = noise_model.sample_analytical(
+                if noise.mode == "analytical":
+                    outcomes = model.sample_analytical(
                         noisy_target, shots=self.options.shots
                     )
                 else:
-                    outcomes = noise_model.sample(
+                    outcomes = model.sample(
                         noisy_target,
                         shots=self.options.shots,
-                        trajectories=noise_trajectories,
+                        trajectories=noise.trajectories,
                     )
             else:
                 outcomes = SampleResult()
@@ -440,8 +514,7 @@ class VariationalEngine:
             reported_distribution = backend.exact_distribution(final_state_vector)
 
         # ---- latency accounting -----------------------------------------
-        latency_model = self.options.latency_model or LatencyModel()
-        estimate = latency_model.estimate(
+        estimate = LatencyModel().estimate(
             transpiled,
             iterations=max(optimizer_result.num_iterations, 1),
             shots=self.options.shots,
@@ -464,10 +537,9 @@ class VariationalEngine:
                 "state_backend": backend.name,
             }
         )
-        if transpile_report is not None:
-            metadata["transpile_report"] = transpile_report.to_dict()
-        if noise_config is not None:
-            metadata["noise"] = noise_config.to_dict()
+        metadata["transpile_report"] = transpile_report.to_dict()
+        if noise is not None:
+            metadata["noise"] = noise.to_dict()
         return SolverResult(
             solver_name=spec.name,
             problem_name=problem.name,

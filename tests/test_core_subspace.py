@@ -187,8 +187,8 @@ class TestSubspaceEvolution:
         sub_state /= np.linalg.norm(sub_state)
         # gamma = 0 over a zero cost diagonal isolates the serialized driver.
         parameters = np.array([0.0, 0.7])
-        evolved_sub = EvolutionProgram.for_restricted_driver(
-            restricted, np.zeros(paper_map.size), num_layers=1
+        evolved_sub = EvolutionProgram(
+            1, np.zeros(paper_map.size), restricted.pairings
         ).execute(sub_state, parameters)
         evolved_dense = EvolutionProgram.for_driver(
             driver, np.zeros(2**driver.num_qubits), num_layers=1

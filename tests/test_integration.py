@@ -20,11 +20,11 @@ from repro import (
     EngineOptions,
     HEAConfig,
     HEASolver,
+    NoiseConfig,
     PenaltyQAOAConfig,
     PenaltyQAOASolver,
     make_benchmark,
 )
-from repro.qcircuit.noise import IBM_FEZ, NoiseModel
 from repro.solvers.classical import BranchAndBoundSolver
 from repro.solvers.optimizer import CobylaOptimizer
 
@@ -130,19 +130,18 @@ class TestTableTwoRelationships:
 class TestNoisyExecution:
     def test_fez_noise_keeps_chocoq_ahead(self, g1_problem):
         """Fig. 10: under the Fez noise model Choco-Q still leads in-constraints rate."""
-        noise_options = EngineOptions(
-            shots=512, seed=3, noise_model=NoiseModel(IBM_FEZ, seed=3), noisy_trajectories=8
-        )
+        fez = NoiseConfig(device="fez", trajectories=8)
+        options = EngineOptions(shots=512, seed=3)
         _, optimal_value = g1_problem.brute_force_optimum()
         choco = ChocoQSolver(
-            config=ChocoQConfig(num_layers=1),
+            config=ChocoQConfig(num_layers=1, noise=fez),
             optimizer=CobylaOptimizer(max_iterations=25),
-            options=noise_options,
+            options=options,
         ).solve(g1_problem)
         hea = HEASolver(
-            config=HEAConfig(num_layers=1),
+            config=HEAConfig(num_layers=1, noise=fez),
             optimizer=CobylaOptimizer(max_iterations=25),
-            options=noise_options,
+            options=options,
         ).solve(g1_problem)
         choco_metrics = choco.metrics(g1_problem, optimal_value)
         hea_metrics = hea.metrics(g1_problem, optimal_value)

@@ -132,26 +132,12 @@ class TestNoiseThreading:
         assert HEAConfig(noise={"device": "osaka"}).noise == NoiseConfig(device="osaka")
         assert ChocoQConfig().noise is None
 
-    def test_solver_config_round_trip_with_noise(self):
+    def test_solver_config_round_trip_keeps_noise(self):
         config = ChocoQConfig(num_layers=2, noise=NoiseConfig(device="fez", trajectories=4))
         data = config.to_dict()
         json.dumps(data)
         assert data["noise"]["device"] == "fez"
         assert ChocoQConfig.from_dict(data) == config
-
-    def test_engine_options_normalise_and_reject_conflicts(self):
-        options = EngineOptions(noise="fez")
-        assert options.noise == NoiseConfig(device="fez")
-        with pytest.raises(SolverError, match="not both"):
-            EngineOptions(noise="fez", noise_model=NoiseModel(IBM_FEZ))
-
-    def test_with_noise_never_overrides_caller_settings(self):
-        config_noise = NoiseConfig(device="osaka")
-        plain = EngineOptions(shots=32)
-        assert plain.with_noise(config_noise).noise == config_noise
-        assert plain.with_noise(None) is plain
-        prebuilt = EngineOptions(noise_model=NoiseModel(IBM_FEZ))
-        assert prebuilt.with_noise(config_noise) is prebuilt
 
     def test_facade_noise_runs_and_annotates_metadata(self, paper_example_problem):
         result = repro.solve(
@@ -161,20 +147,6 @@ class TestNoiseThreading:
         assert result.outcomes.shots == 64
         assert result.exact_distribution is None
         assert result.metadata["noise"]["device"] == "fez"
-
-    def test_facade_noise_conflicts_with_options_noise(self, paper_example_problem):
-        # An explicit noise= must never be silently out-prioritised by an
-        # options-level model.
-        with pytest.raises(SolverError, match="not both"):
-            repro.solve(
-                paper_example_problem, solver="hea", noise="osaka",
-                options=EngineOptions(noise_model=NoiseModel(IBM_FEZ)),
-            )
-        with pytest.raises(SolverError, match="not both"):
-            repro.solve(
-                paper_example_problem, solver="hea", noise="osaka",
-                options=EngineOptions(noise="fez"),
-            )
 
     def test_facade_noise_rejected_with_solver_instance(self, paper_example_problem):
         from repro.solvers import ChocoQSolver
@@ -296,6 +268,20 @@ class TestNoisyRunSpecs:
         )
         assert partial == named == full
         assert partial.content_hash() == named.content_hash() == full.content_hash()
+
+    def test_noise_inside_config_is_rejected(self):
+        # A config-level noise key would run the same computation as the
+        # noise field under a different content hash (the store caches it
+        # twice), and beside the field it would be silently overridden.
+        with pytest.raises(SolverError, match="'noise' field"):
+            RunSpec(solver="hea", benchmark="F1", seed=1, config={"noise": "fez"})
+        with pytest.raises(SolverError, match="'noise' field"):
+            RunSpec(
+                solver="hea", benchmark="F1", seed=1,
+                config={"num_layers": 1, "noise": "osaka"}, noise="fez",
+            )
+        with pytest.raises(SolverError, match="'noise' field"):
+            RunSpec.from_dict({"solver": "hea", "benchmark": "F1", "config": {"noise": None}})
 
     def test_noisy_spec_round_trips(self):
         spec = RunSpec(

@@ -520,3 +520,25 @@ class TestMultistart:
         )
         record = run_plan(plan)[0]
         assert record.solver_result().metadata["multistart"] == 3
+
+
+class TestShotsValidation:
+    @pytest.mark.parametrize("shots", [-3, 2.5, 64.0, True, "64", None])
+    def test_engine_options_reject_bad_shots(self, shots):
+        with pytest.raises(SolverError, match="shots"):
+            EngineOptions(shots=shots)
+
+    @pytest.mark.parametrize("shots", [0, 1, np.int64(64)])
+    def test_engine_options_accept_non_negative_integers(self, shots):
+        # 0 stays valid: elimination sub-instances whose share of the shot
+        # budget rounds to nothing run with it.
+        assert EngineOptions(shots=shots).shots == shots
+
+    @pytest.mark.parametrize("shots", [-3, 2.5])
+    def test_execute_spec_rejects_bad_shots(self, tiny_benchmark, shots):
+        spec = RunSpec(
+            solver="choco-q", benchmark=tiny_benchmark, config={"num_layers": 1},
+            seed=0, shots=shots, max_iterations=2,
+        )
+        with pytest.raises(SolverError, match="shots"):
+            plan_module.execute_spec(spec)

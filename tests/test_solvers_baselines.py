@@ -9,6 +9,8 @@ from scipy.linalg import expm
 from solver_factories import make_cyclic_solver, make_one_hot_problem
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.exceptions import SolverError
+from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
+from repro.solvers.config import NoiseConfig
 from repro.solvers.cyclic_qaoa import (
     CyclicQAOAConfig,
     CyclicQAOASolver,
@@ -279,21 +281,31 @@ class TestHEA:
 
 
 class TestGoldenSolves:
-    """Fixed-seed K1 penalty-QAOA and HEA solves, pinned bit for bit.
+    """Fixed-seed K1 solves of every solver, pinned bit for bit.
 
     ``tests/data/golden_baseline_solves.json`` holds the trace costs, the
-    optimal parameters (as ``repr`` strings, exact) and the sampled counts
-    recorded with the per-call index-mask evolution these solvers used
-    before they compiled their index arrays once per spec.
+    optimal parameters (as ``repr`` strings, exact) and the sampled counts.
+    The penalty-QAOA and HEA entries were recorded with the per-call
+    index-mask evolution these solvers used before they compiled their
+    index arrays once per spec.  The choco-q entries cover the ``dense``,
+    ``subspace`` and ``auto`` layouts and Opt3 elimination, the cyclic ones
+    ``dense`` and ``subspace``, and the noisy entries sample through a
+    config ``NoiseConfig``.
+    Elimination results carry no optimal parameters, so those entries pin
+    trace costs and counts only.
     """
 
     @staticmethod
     def _payload(result) -> dict:
-        return {
+        payload = {
             "trace_costs": [repr(float(cost)) for cost in result.trace.costs],
-            "optimal_parameters": [repr(float(p)) for p in result.optimal_parameters],
             "counts": dict(sorted(result.outcomes.counts.items())),
         }
+        if result.optimal_parameters is not None:
+            payload["optimal_parameters"] = [
+                repr(float(p)) for p in result.optimal_parameters
+            ]
+        return payload
 
     @pytest.fixture(scope="class")
     def golden(self) -> dict:
@@ -311,6 +323,51 @@ class TestGoldenSolves:
         [
             ("penalty-qaoa", PenaltyQAOASolver, PenaltyQAOAConfig(num_layers=3)),
             ("hea", HEASolver, HEAConfig(num_layers=2)),
+            ("choco-q[dense]", ChocoQSolver, ChocoQConfig(backend="dense")),
+            ("choco-q[subspace]", ChocoQSolver, ChocoQConfig(backend="subspace")),
+            ("choco-q[auto]", ChocoQSolver, ChocoQConfig(backend="auto")),
+            (
+                "choco-q[eliminate=1]",
+                ChocoQSolver,
+                ChocoQConfig(num_eliminated_variables=1),
+            ),
+            (
+                "cyclic-qaoa[dense]",
+                CyclicQAOASolver,
+                CyclicQAOAConfig(num_layers=3, backend="dense"),
+            ),
+            (
+                "cyclic-qaoa[subspace]",
+                CyclicQAOASolver,
+                CyclicQAOAConfig(num_layers=3, backend="subspace"),
+            ),
+            (
+                "choco-q[fez]",
+                ChocoQSolver,
+                ChocoQConfig(noise=NoiseConfig(device="fez", trajectories=2)),
+            ),
+            (
+                "choco-q[eliminate=1,fez]",
+                ChocoQSolver,
+                ChocoQConfig(
+                    num_eliminated_variables=1,
+                    noise=NoiseConfig(device="fez", trajectories=2),
+                ),
+            ),
+            (
+                "hea[osaka,analytical]",
+                HEASolver,
+                HEAConfig(
+                    num_layers=2, noise=NoiseConfig(device="osaka", mode="analytical")
+                ),
+            ),
+            (
+                "penalty-qaoa[fez]",
+                PenaltyQAOASolver,
+                PenaltyQAOAConfig(
+                    num_layers=3, noise=NoiseConfig(device="fez", trajectories=2)
+                ),
+            ),
         ],
     )
     def test_k1_solve_matches_golden(self, golden, name, solver_cls, config):

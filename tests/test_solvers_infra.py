@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.metrics import MetricsReport
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.noise import IBM_FEZ, IBM_OSAKA, NoiseModel
+from repro.qcircuit.noise import IBM_FEZ, IBM_OSAKA
 from repro.solvers.base import LatencyBreakdown, OptimizationTrace, SolverResult
+from repro.solvers.config import NoiseConfig
 from repro.solvers.latency import LatencyModel
 from repro.solvers.optimizer import CobylaOptimizer
 from repro.hamiltonian.commute import CommuteDriver
@@ -87,10 +88,10 @@ class TestVariationalEngine:
         assert result.distribution().get("1", 0.0) > 0.9
 
     def test_noisy_execution_path(self, small_min_problem):
-        noise = NoiseModel(IBM_OSAKA, seed=2)
         engine = VariationalEngine(
             CobylaOptimizer(max_iterations=20),
-            EngineOptions(shots=128, seed=1, noise_model=noise, noisy_trajectories=4),
+            EngineOptions(shots=128, seed=1),
+            NoiseConfig(device="osaka", trajectories=4),
         )
         result = engine.run(_toy_spec(), small_min_problem)
         assert result.exact_distribution is None

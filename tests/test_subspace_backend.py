@@ -137,19 +137,18 @@ class TestEliminationSampling:
         assert result.outcomes.shots == 777
         assert sum(result.outcomes.counts.values()) == 777
 
-    def test_zero_shot_sub_instance_with_noise_model(self, paper_example_problem):
+    def test_zero_shot_sub_instance_under_noise(self, paper_example_problem):
         """A sub-instance allotted 0 shots must not crash the noisy path."""
-        from repro.qcircuit.noise import IBM_FEZ, NoiseModel
+        from repro.solvers.config import NoiseConfig
 
         solver = ChocoQSolver(
-            config=ChocoQConfig(num_layers=1, num_eliminated_variables=1),
-            optimizer=CobylaOptimizer(max_iterations=5),
-            options=EngineOptions(
-                shots=1,
-                seed=2,
-                noise_model=NoiseModel(IBM_FEZ, seed=3),
-                noisy_trajectories=2,
+            config=ChocoQConfig(
+                num_layers=1,
+                num_eliminated_variables=1,
+                noise=NoiseConfig(device="fez", trajectories=2),
             ),
+            optimizer=CobylaOptimizer(max_iterations=5),
+            options=EngineOptions(shots=1, seed=2),
         )
         result = solver.solve(paper_example_problem)
         assert result.metadata["num_circuits"] == 2
