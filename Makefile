@@ -37,6 +37,12 @@
 #                    Checks that the benchmark and its span wrappers run and
 #                    verify their answers; the timings are not gated.  Runs
 #                    in the CI test job.
+#   bench-ablation - the paper-figure benches behind the Choco-Q
+#                    optimizations under pytest (pytest-benchmark's
+#                    `benchmark` fixture): fig12 (Trotter vs equivalent
+#                    decomposition), fig13 (variable elimination) and fig14
+#                    (Opt2/Opt3 ablation).  Each asserts its figure's
+#                    expected shape; ~10 s.  Runs in the CI test job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
 #                    refreshes BENCH_service_throughput.json.  Wall-clock
@@ -46,7 +52,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-fig10 bench-transpile bench-service bench-smoke
+.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-fig10 bench-transpile bench-service bench-smoke bench-ablation
 
 test-fast:
 	$(PYTEST) -q -m "not slow"
@@ -87,6 +93,9 @@ bench-transpile:
 
 bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
+
+bench-ablation:
+	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py -o python_files='bench_*.py' -o python_functions='bench_*'
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 

@@ -32,15 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.problem import ConstrainedBinaryProblem
 from repro.run import ExperimentPlan, RunRecord, RunSpec, run_plan
-from repro.solvers.base import QuantumSolver, SolverResult
-from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
+from repro.solvers.base import SolverResult
 from repro.solvers.config import NoiseConfig
-from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
-from repro.solvers.hea import HEAConfig, HEASolver
 from repro.solvers.optimizer import CobylaOptimizer
-from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 from repro.solvers.variational import EngineOptions
 
 SHOTS = int(os.environ.get("REPRO_BENCH_SHOTS", "2048"))
@@ -74,39 +69,6 @@ def optimizer(max_iterations: int | None = None) -> CobylaOptimizer:
     return CobylaOptimizer(max_iterations=max_iterations or MAX_ITERATIONS)
 
 
-def solver_lineup(
-    baseline_layers: int = BASELINE_LAYERS,
-    choco_layers: int = CHOCO_LAYERS,
-    choco_eliminated: int = 0,
-    max_iterations: int | None = None,
-    shots: int | None = None,
-) -> dict[str, QuantumSolver]:
-    """The four designs compared throughout the evaluation section."""
-    options = engine_options(shots)
-    return {
-        "penalty": PenaltyQAOASolver(
-            config=PenaltyQAOAConfig(num_layers=baseline_layers),
-            optimizer=optimizer(max_iterations),
-            options=options,
-        ),
-        "cyclic": CyclicQAOASolver(
-            config=CyclicQAOAConfig(num_layers=baseline_layers),
-            optimizer=optimizer(max_iterations),
-            options=options,
-        ),
-        "hea": HEASolver(
-            config=HEAConfig(num_layers=2),
-            optimizer=optimizer(max_iterations),
-            options=options,
-        ),
-        "choco-q": ChocoQSolver(
-            config=ChocoQConfig(num_layers=choco_layers, num_eliminated_variables=choco_eliminated),
-            optimizer=optimizer(max_iterations),
-            options=options,
-        ),
-    }
-
-
 @dataclass
 class SolverRun:
     """One (solver, problem) execution with its Table-II metrics attached."""
@@ -121,41 +83,6 @@ class SolverRun:
     iterations: int
 
 
-def run_solver(
-    name: str,
-    solver: QuantumSolver,
-    problem: ConstrainedBinaryProblem,
-    optimal_value: float | None = None,
-) -> SolverRun:
-    if optimal_value is None:
-        _, optimal_value = problem.brute_force_optimum()
-    result = solver.solve(problem)
-    metrics = result.metrics(problem, optimal_value)
-    return SolverRun(
-        solver_name=name,
-        result=result,
-        success_rate=metrics.success_rate,
-        in_constraints_rate=metrics.in_constraints_rate,
-        arg=metrics.approximation_ratio_gap,
-        depth=metrics.circuit_depth,
-        latency_s=result.latency.total,
-        iterations=int(result.metadata.get("iterations", 0)),
-    )
-
-
-def run_lineup(
-    problem: ConstrainedBinaryProblem,
-    solvers: dict[str, QuantumSolver] | None = None,
-) -> dict[str, SolverRun]:
-    """Run every solver of the line-up on one problem."""
-    solvers = solvers if solvers is not None else solver_lineup()
-    _, optimal_value = problem.brute_force_optimum()
-    return {
-        name: run_solver(name, solver, problem, optimal_value)
-        for name, solver in solvers.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Batch-runner line-up (Table I/II, Fig. 8)
 # ---------------------------------------------------------------------------
@@ -166,7 +93,8 @@ def lineup_configs(
     choco_layers: int = CHOCO_LAYERS,
     choco_eliminated: int = 0,
 ) -> dict[str, dict]:
-    """Per-label config overrides matching :func:`solver_lineup` exactly."""
+    """Per-label config overrides of the four designs compared throughout
+    the evaluation section (Penalty, Cyclic, HEA, Choco-Q)."""
     return {
         "penalty": {"num_layers": baseline_layers},
         "cyclic": {"num_layers": baseline_layers},
@@ -242,12 +170,6 @@ def percentage(value: float) -> float:
     strings (gates cannot compare them).
     """
     return round(100.0 * value, 2)
-
-
-# ---------------------------------------------------------------------------
-# Dense-vs-subspace roofline helpers
-# (shared by bench_subspace_speedup.py and bench_cyclic_subspace.py)
-# ---------------------------------------------------------------------------
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,13 @@ class SubspaceMap:
         return values
 
     def restrict_diagonal(self, diagonal: np.ndarray) -> np.ndarray:
-        """Gather a dense ``2^n`` diagonal onto the feasible coordinates."""
+        """Gather a dense ``2^n`` diagonal onto the feasible coordinates.
+
+        A diagonal operator's restriction to the span of the feasible basis
+        states is exactly this sub-vector.  For large registers prefer
+        :meth:`evaluate_polynomial`, which never materialises the ``2^n``
+        vector.
+        """
         diagonal = np.asarray(diagonal)
         if diagonal.shape != (2**self.num_variables,):
             raise ProblemError("diagonal length must be 2^num_variables")

@@ -4,7 +4,6 @@ commute Hamiltonians (the paper's contribution), and the Trotter baseline."""
 from repro.hamiltonian.commute import (
     CommuteDriver,
     CommuteHamiltonianTerm,
-    RestrictedCommuteDriver,
     dense_term_pairing,
     rotate_pairs_cs,
     subspace_pairing_loop,
@@ -48,7 +47,6 @@ __all__ = [
     "DiagonalHamiltonian",
     "EvolutionProgram",
     "PauliString",
-    "RestrictedCommuteDriver",
     "PauliSum",
     "TrotterDecomposer",
     "TrotterReport",

@@ -20,19 +20,21 @@ Each term has three representations:
 1. its hop pairing — the ``(a, b)`` index arrays of the basis states the
    exact 2x2 rotation ``e^{-i beta H_c(u)}`` mixes, applied by
    :func:`rotate_pairs_cs`.  :func:`dense_term_pairing` indexes the full
-   ``2^n`` basis; ``subspace_pairing`` / :class:`RestrictedCommuteDriver`
-   index the coordinates of a feasible
-   :class:`~repro.core.subspace.SubspaceMap`, so the rotation runs over
-   ``O(|F|)`` amplitudes instead of ``O(2^n)``.  Valid because every
+   ``2^n`` basis; ``subspace_pairing`` indexes the coordinates of a
+   feasible :class:`~repro.core.subspace.SubspaceMap`, so the rotation runs
+   over ``O(|F|)`` amplitudes instead of ``O(2^n)``.  Valid because every
    ``H_c(u)`` maps feasible basis states to feasible basis states
    (``C(x ± u) = C x`` for ``u`` in the nullspace), so the full operator is
-   block-diagonal over ``F`` and its complement.  A
-   :class:`~repro.hamiltonian.compiled.EvolutionProgram` resolves the
-   pairings once per solver prepare; it is the only simulation path;
+   block-diagonal over ``F`` and its complement.
+   :meth:`CommuteDriver.pairings` is the one entry point for a whole
+   driver, on either layout; a
+   :class:`~repro.hamiltonian.compiled.EvolutionProgram` compiles those
+   pairings once per solver prepare and is the only simulation path;
 2. ``decomposed_circuit`` — the Lemma-2 gate sequence (used for depth
    accounting, noisy execution and deployment);
-3. ``to_matrix`` / ``to_pauli_sum`` — dense and Pauli forms (used by the
-   verification tests and the Trotter baseline).
+3. ``to_matrix`` / ``local_matrix`` / ``to_pauli_sum`` — dense and Pauli
+   forms (used by the verification tests, the Opt2-off ablation circuit
+   and the Trotter baseline).
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ _SIGMA = {
     0: np.eye(2, dtype=complex),
     -1: np.array([[0, 1], [0, 0]], dtype=complex),  # lowers |1> -> |0>
 }
+
+
+def _hop_matrix(entries: Iterable[int]) -> np.ndarray:
+    """``|v><v̄| + |v̄><v|`` over one qubit per ``u`` entry (little-endian)."""
+    matrix = np.array([[1.0]], dtype=complex)
+    for entry in reversed(tuple(entries)):
+        matrix = np.kron(matrix, _SIGMA[entry])
+    return matrix + matrix.conj().T
 
 
 @dataclass(frozen=True)
@@ -124,10 +134,17 @@ class CommuteHamiltonianTerm:
 
     def to_matrix(self) -> np.ndarray:
         """Dense ``2^n x 2^n`` matrix of ``H_c(u)`` (little-endian)."""
-        matrix = np.array([[1.0]], dtype=complex)
-        for entry in reversed(self.u):
-            matrix = np.kron(matrix, _SIGMA[entry])
-        return matrix + matrix.conj().T
+        return _hop_matrix(self.u)
+
+    def local_matrix(self) -> np.ndarray:
+        """``H_c(u)`` on its support qubits alone: a ``2^m x 2^m`` matrix.
+
+        The qubits are ordered as in :attr:`support` (little-endian), so
+        the matrix is the factor a ``unitary`` gate on ``support`` takes —
+        the Opt2-off ablation circuit and the Trotter baseline both build
+        their opaque local unitaries from it.
+        """
+        return _hop_matrix(self.u[qubit] for qubit in self.support)
 
     def to_pauli_sum(self) -> PauliSum:
         """Expand ``H_c(u)`` into Pauli strings.
@@ -429,9 +446,22 @@ class CommuteDriver:
 
     # ------------------------------------------------------------------
 
-    def restrict(self, subspace_map) -> "RestrictedCommuteDriver":
-        """Restrict the driver to a feasible subspace (pairings precomputed)."""
-        return RestrictedCommuteDriver(self, subspace_map)
+    def pairings(self, subspace_map=None) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Every term's ``(a, b)`` hop index pair, in term order.
+
+        Without a map the pairs index the dense ``2^n`` basis
+        (:func:`dense_term_pairing`); with a feasible
+        :class:`~repro.core.subspace.SubspaceMap` they index its ``|F|``
+        coordinates (:meth:`CommuteHamiltonianTerm.subspace_pairing`).  A
+        compiled :class:`~repro.hamiltonian.compiled.EvolutionProgram`
+        takes them as they are, so this is resolved once per solver
+        prepare.
+        """
+        if subspace_map is None:
+            return tuple(dense_term_pairing(term) for term in self.terms)
+        if self.num_qubits != subspace_map.num_variables:
+            raise HamiltonianError("the driver register size does not match the subspace map")
+        return tuple(term.subspace_pairing(subspace_map) for term in self.terms)
 
     def serialized_circuit(self, beta: ParameterValue) -> QuantumCircuit:
         """The decomposed circuit of the whole serialized driver."""
@@ -469,51 +499,3 @@ class CommuteDriver:
                 return False
         return True
 
-
-# ---------------------------------------------------------------------------
-# The subspace-restricted driver
-# ---------------------------------------------------------------------------
-
-
-class RestrictedCommuteDriver:
-    """A :class:`CommuteDriver` compiled onto a feasible subspace.
-
-    Every term's pairing permutation over the subspace coordinates is
-    precomputed at construction, so each COBYLA iteration costs
-    ``O(num_terms * |F|)`` vector work — independent of the Hilbert-space
-    dimension ``2^n``.  This is the engine of the ``subspace`` simulation
-    backend (see :mod:`repro.solvers.variational`).
-    """
-
-    def __init__(self, driver: CommuteDriver, subspace_map) -> None:
-        if driver.num_qubits != subspace_map.num_variables:
-            raise HamiltonianError(
-                "the driver register size does not match the subspace map"
-            )
-        self.driver = driver
-        self.subspace_map = subspace_map
-        self.pairings: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(
-            term.subspace_pairing(subspace_map) for term in driver.terms
-        )
-
-    @property
-    def size(self) -> int:
-        """The subspace dimension ``|F|``."""
-        return self.subspace_map.size
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.driver.terms)
-
-    def hamiltonian_matrix(self) -> np.ndarray:
-        """The ``|F| x |F|`` block of ``H_d = sum_u H_c(u)`` on the subspace.
-
-        Exact because ``H_d`` is block-diagonal over the feasible subspace
-        and its complement; used by the monolithic (non-serialized)
-        verification path.
-        """
-        matrix = np.zeros((self.size, self.size), dtype=complex)
-        for a_coordinates, b_coordinates in self.pairings:
-            matrix[a_coordinates, b_coordinates] += 1.0
-            matrix[b_coordinates, a_coordinates] += 1.0
-        return matrix

@@ -9,9 +9,10 @@ boolean masks per dense term, or the full subspace pairing per restricted
 term) is pure overhead.  An :class:`EvolutionProgram` factors the split
 explicitly:
 
-* **compile** (once per solver prepare): resolve each driver term to
-  immutable ``(a, b)`` pair-index arrays — dense from the support mask,
-  subspace from the vectorised pairing of a
+* **compile** (once per solver prepare): take each driver term's immutable
+  ``(a, b)`` pair-index arrays from
+  :meth:`~repro.hamiltonian.commute.CommuteDriver.pairings` — dense from
+  the support mask, subspace from the vectorised pairing of a
   :class:`~repro.core.subspace.SubspaceMap` — and factor the cost diagonal
   into its level table (:func:`diagonal_levels`): the distinct values
   ``levels`` and the ``level_index`` that maps every basis state to its
@@ -48,12 +49,10 @@ resulting per-iteration speedup and records it in
 ``BENCH_iteration_throughput.json``.
 
 The broadcastable state primitives (:func:`prepare_ansatz_state`,
-:func:`diagonal_levels`, :func:`apply_diagonal_phase`) live here — the lowest
-layer that needs them — and are re-exported by
-:mod:`repro.solvers.variational` for the solver front-ends; the state
-primitives accept a single state ``(dim,)`` or a batch ``(k, dim)`` with
-per-row angles, so one program serves the optimizer loop and the vectorised
-parameter-sweep path alike.
+:func:`diagonal_levels`, :func:`apply_diagonal_phase`) live here, the lowest
+layer that needs them; the state primitives accept a single state
+``(dim,)`` or a batch ``(k, dim)`` with per-row angles, so one program
+serves the optimizer loop and the vectorised parameter-sweep path alike.
 """
 
 from __future__ import annotations
@@ -63,12 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import HamiltonianError
-from repro.hamiltonian.commute import (  # noqa: F401  (dense_term_pairing re-exported: it is the compiled layer's dense compile step)
-    CommuteDriver,
-    CommuteHamiltonianTerm,
-    dense_term_pairing,
-    rotate_pairs_cs,
-)
+from repro.hamiltonian.commute import rotate_pairs_cs
 
 
 def prepare_ansatz_state(
@@ -149,10 +143,14 @@ class EvolutionProgram:
     ``angle_scale`` absorbs constant driver prefactors such as the cyclic
     ring hop's ``XX + YY = 2 H_c(u)``.
 
-    Build it once per solver prepare — from the pairings of a
-    :class:`~repro.solvers.variational.StateLayout`, or with
-    :meth:`for_driver` for a dense driver — then call :meth:`execute` (or
-    the :meth:`bind`-ed closure) per cost evaluation.
+    Build it once per solver prepare from a driver's
+    :meth:`~repro.hamiltonian.commute.CommuteDriver.pairings` — dense, or
+    over a subspace map — then call :meth:`execute` (or the
+    :meth:`bind`-ed closure) per cost evaluation.  A dense pairing keeps
+    two int64 arrays of length ``2^(n - |support|)`` per term resident for
+    the program's lifetime: negligible at the dense simulator's practical
+    scales (~16 qubits), and past them the subspace layout is the intended
+    path anyway.
     """
 
     def __init__(
@@ -185,34 +183,6 @@ class EvolutionProgram:
         self.levels, self.level_index = diagonal_levels(cost_diagonal)
         self.pairings: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(frozen)
         self.angle_scale = float(angle_scale)
-
-    # ------------------------------------------------------------------
-    # Compilation entry points
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def for_driver(
-        cls,
-        driver: CommuteDriver,
-        cost_diagonal: np.ndarray,
-        num_layers: int,
-        angle_scale: float = 1.0,
-    ) -> "EvolutionProgram":
-        """Compile a dense-layout program: one support-mask pairing per term.
-
-        The resolved index arrays stay resident for the program's lifetime —
-        per term that is two int64 arrays of length ``2^(n - |support|)``,
-        trading the per-call ``arange``/mask rebuild for memory that is
-        negligible at the dense simulator's practical scales (~16 qubits)
-        but grows toward its 24-qubit cap; past that point the subspace
-        backend is the intended path anyway.
-        """
-        return cls(
-            num_layers,
-            cost_diagonal,
-            [dense_term_pairing(term) for term in driver.terms],
-            angle_scale=angle_scale,
-        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -260,7 +230,11 @@ class EvolutionProgram:
         return state
 
     def bind(self, initial_state: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The ``evolve(parameters)`` closure an :class:`AnsatzSpec` carries."""
+        """The ``evolve(parameters)`` closure an :class:`AnsatzSpec` carries.
+
+        Like :meth:`execute` it takes one ``(2L,)`` vector or a ``(k, 2L)``
+        batch, which is the one evolution contract every ansatz offers.
+        """
 
         def evolve(parameters: np.ndarray) -> np.ndarray:
             return self.execute(initial_state, parameters)

@@ -73,20 +73,6 @@ class DiagonalHamiltonian:
     def expectation(self, probabilities: np.ndarray) -> float:
         return float(np.dot(probabilities, self.diagonal))
 
-    def restrict(self, subspace_map) -> np.ndarray:
-        """The diagonal gathered onto the coordinates of a feasible subspace.
-
-        Because the operator is diagonal, its restriction to the span of the
-        feasible basis states is exactly this sub-vector; applying
-        ``exp(-i gamma * restrict(...))`` elementwise to a subspace
-        statevector reproduces ``e^{-i gamma H_o}`` on the lifted state.
-        For large registers prefer building the restricted diagonal directly
-        with :meth:`SubspaceMap.evaluate_polynomial
-        <repro.core.subspace.SubspaceMap.evaluate_polynomial>`, which never
-        materialises the ``2^n`` vector.
-        """
-        return subspace_map.restrict_diagonal(self.diagonal)
-
     def __add__(self, other: "DiagonalHamiltonian") -> "DiagonalHamiltonian":
         if other.num_qubits != self.num_qubits:
             raise HamiltonianError("cannot add Hamiltonians of different sizes")

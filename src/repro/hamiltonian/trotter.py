@@ -93,7 +93,7 @@ class TrotterDecomposer:
         circuit = QuantumCircuit(driver.num_qubits, name="trotter_driver")
         local_unitaries: list[tuple[tuple[int, ...], np.ndarray]] = []
         for term in driver.terms:
-            local_hamiltonian = _local_matrix(term.u, term.support)
+            local_hamiltonian = term.local_matrix()
             memory_bytes += local_hamiltonian.nbytes
             local_unitary = expm(-1j * beta * local_hamiltonian / self.repetitions)
             memory_bytes += local_unitary.nbytes
@@ -128,18 +128,6 @@ class TrotterDecomposer:
         for _ in range(self.repetitions):
             approx = step @ approx
         return float(np.linalg.norm(exact - approx, ord=2))
-
-
-def _local_matrix(u: tuple[int, ...], support: tuple[int, ...]) -> np.ndarray:
-    """The local Hamiltonian restricted to the support qubits."""
-    sigma = {
-        +1: np.array([[0, 0], [1, 0]], dtype=complex),
-        -1: np.array([[0, 1], [0, 0]], dtype=complex),
-    }
-    matrix = np.array([[1.0]], dtype=complex)
-    for qubit in reversed(support):
-        matrix = np.kron(matrix, sigma[u[qubit]])
-    return matrix + matrix.conj().T
 
 
 def _estimated_depth(circuit: QuantumCircuit) -> int:

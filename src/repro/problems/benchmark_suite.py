@@ -43,6 +43,7 @@ from repro.problems.facility_location import (
 )
 from repro.problems.graph_coloring import graph_coloring_problem, random_graph_coloring
 from repro.problems.k_partition import k_partition_problem, random_k_partition
+from repro.serialization import is_integer
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,11 @@ def make_benchmark(name: str, case_index: int = 0) -> ConstrainedBinaryProblem:
     """Instantiate one reproducible case of a benchmark scale.
 
     ``case_index`` selects which of the (arbitrarily many) seeded cases to
-    build, mirroring the paper's per-scale case collections.
+    build, mirroring the paper's per-scale case collections; it must be a
+    non-negative integer.
     """
+    if not is_integer(case_index) or case_index < 0:
+        raise ProblemError(f"case_index must be a non-negative integer, got {case_index!r}")
     spec = get_spec(name)
     seed = _case_seed(spec, case_index)
     return _build(spec, seed)

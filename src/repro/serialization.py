@@ -20,6 +20,12 @@ from typing import Any
 import numpy as np
 
 
+def is_integer(value: Any) -> bool:
+    """A Python or numpy integer, not a ``bool``: what an integer run field
+    (seed, shots, case index...) read from JSON must hold before use."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def json_sanitize(value: Any) -> Any:
     """Recursively convert ``value`` into plain JSON-serializable types."""
     if value is None or isinstance(value, (bool, int, float, str)):

@@ -11,10 +11,17 @@ workflow of Fig. 3 with the three optimisations of Section IV:
 2. **Serialization** (Opt1, Lemma 1).  The driver unitary is replaced by the
    product of local unitaries ``prod_u e^{-i beta H_c(u)}``, which still
    conserves every constraint expectation and collapses the circuit depth.
+   As in the paper's Fig. 14 ablation, Opt1 is always on: the serialized
+   product, compiled once per prepare into an
+   :class:`~repro.hamiltonian.compiled.EvolutionProgram`, is the only
+   evolution.  Lemma 1 itself is checked against the monolithic
+   ``e^{-i beta H_d}`` of
+   :func:`~repro.hamiltonian.evolution.driver_evolution_operator` in the
+   tests.
 3. **Equivalent decomposition** (Opt2, Lemma 2 / Algorithm 1).  Each local
    unitary is compiled to ``G† P(beta) X1 P(-beta) X1 G`` — exact, linear
    time, linear depth.  The solver exposes both the decomposed circuit (for
-   depth accounting and noisy runs) and a fast dense simulation path.
+   depth accounting and noisy runs) and a fast simulation path.
 4. **Variable elimination** (Opt3, Section IV-C).  Optionally eliminate the
    variables with the most non-zeros across ``Delta``, running one (smaller)
    circuit per assignment of the eliminated variables and merging the lifted
@@ -33,14 +40,15 @@ Simulation runs on one of two interchangeable state backends (see
 evolves the full ``2^n`` statevector, while ``subspace`` exploits the
 feasible-subspace invariance to evolve only the ``|F|`` feasible amplitudes
 via a :class:`~repro.core.subspace.SubspaceMap` — bitwise-identical result
-format, and per-iteration cost proportional to the feasible-set size.
+format, and per-iteration cost proportional to the feasible-set size.  The
+spec's ``evolve`` takes one parameter vector or a ``(k, 2L)`` batch, so the
+same closure serves the optimizer and parameter sweeps.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,8 +65,8 @@ from repro.core.variable_elimination import (
     choose_elimination_variables,
 )
 from repro.exceptions import SolverError
-from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
-from repro.hamiltonian.compiled import EvolutionProgram, diagonal_levels
+from repro.hamiltonian.commute import CommuteDriver
+from repro.hamiltonian.compiled import EvolutionProgram
 from repro.hamiltonian.diagonal import phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import SampleResult, merge_results, split_shots
@@ -67,9 +75,7 @@ from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.variational import (
     AnsatzSpec,
     VariationalEngine,
-    apply_diagonal_phase,
     child_seed_sequence,
-    prepare_ansatz_state,
     resolve_state_layout,
 )
 
@@ -77,6 +83,12 @@ from repro.solvers.variational import (
 @dataclass(frozen=True)
 class ChocoQConfig(SolverConfig):
     """Algorithmic knobs of the Choco-Q solver.
+
+    Serialization (Opt1) has no knob: the driver always runs as the
+    serialized product of local unitaries, the baseline every arm of the
+    paper's Fig. 14 ablation builds on.  ``use_equivalent_decomposition``
+    (Opt2) and ``num_eliminated_variables`` (Opt3) toggle the other two
+    optimizations.
 
     Attributes:
         num_layers: the number L of repeated (objective, driver) blocks.  The
@@ -90,8 +102,6 @@ class ChocoQConfig(SolverConfig):
             ``"full"`` enumerates every ternary nullspace vector.
         max_support: optional cap on the support size of the u vectors.
         num_eliminated_variables: how many variables the Opt3 pass removes.
-        serialize_driver: Opt1; when False the driver is applied as the
-            monolithic matrix exponential (slow, verification only).
         use_equivalent_decomposition: Opt2; when False the reported circuit
             uses opaque unitaries per local Hamiltonian, reproducing the
             "direct decomposition" ablation arm of Fig. 14.
@@ -123,7 +133,6 @@ class ChocoQConfig(SolverConfig):
     nullspace_mode: str = "basis"
     max_support: int | None = None
     num_eliminated_variables: int = 0
-    serialize_driver: bool = True
     use_equivalent_decomposition: bool = True
     backend: str = "dense"
     subspace_limit: int | None = None
@@ -135,44 +144,6 @@ class ChocoQConfig(SolverConfig):
             raise SolverError("nullspace_mode must be 'basis' or 'full'")
         if self.num_eliminated_variables < 0:
             raise SolverError("num_eliminated_variables must be non-negative")
-
-
-#: Entry cap of the monolithic-ablation unitary cache.  Each entry is a dense
-#: ``2^n x 2^n`` (or ``|F| x |F|``) matrix — one per distinct rounded beta the
-#: optimizer visits — so an unbounded dict grows with the iteration count;
-#: COBYLA revisits recent angles far more often than old ones, so a small LRU
-#: window keeps the hit rate without the memory creep.
-MONOLITHIC_UNITARY_CACHE_SIZE = 16
-
-
-class BoundedUnitaryCache:
-    """A small LRU cache of monolithic driver unitaries keyed by angle.
-
-    Used only on the ``serialize_driver=False`` ablation path, where each
-    distinct beta costs a matrix exponential worth caching but holding every
-    one ever seen would grow without limit over a long optimization.
-    """
-
-    def __init__(self, max_entries: int = MONOLITHIC_UNITARY_CACHE_SIZE) -> None:
-        if max_entries < 1:
-            raise SolverError("the unitary cache needs at least one entry")
-        self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[float, np.ndarray]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: float) -> "np.ndarray | None":
-        unitary = self._entries.get(key)
-        if unitary is not None:
-            self._entries.move_to_end(key)
-        return unitary
-
-    def put(self, key: float, unitary: np.ndarray) -> None:
-        self._entries[key] = unitary
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
 
 
 class ChocoQSolver(QuantumSolver):
@@ -236,10 +207,9 @@ class ChocoQSolver(QuantumSolver):
         objective = problem.minimization_objective()
         initial_bits = problem_initial_assignment(problem)
         num_layers = self.config.num_layers
-        serialize = self.config.serialize_driver
         use_decomposition = self.config.use_equivalent_decomposition
         # The backends share one ansatz loop; they differ only in the state
-        # layout and the pair indices / unitaries it compiles.
+        # layout and the pair indices it compiles.
         layout = resolve_state_layout(
             problem,
             self.config.backend,
@@ -248,36 +218,12 @@ class ChocoQSolver(QuantumSolver):
             initial_bits=initial_bits,
             driver=driver,
         )
-        initial_state = layout.initial_state
-        cost_diagonal = layout.cost_diagonal
-
-        if serialize:
-            # Compile once per prepare: every cost evaluation afterwards runs
-            # over cached pair indices with zero structural recomputation,
-            # broadcasting unchanged over the batched (k, 2L) sweep path.
-            evolve = EvolutionProgram(num_layers, cost_diagonal, layout.pairings).bind(
-                initial_state
-            )
-        else:
-            # Monolithic ablation (Opt1 off): one dense matrix exponential
-            # per distinct beta, LRU-bounded so a long optimization cannot
-            # accumulate unboundedly many 2^n x 2^n (or |F| x |F|) unitaries.
-            monolithic_unitary_cache = BoundedUnitaryCache()
-            levels, level_index = diagonal_levels(cost_diagonal)
-
-            def evolve(parameters: np.ndarray) -> np.ndarray:
-                parameters, state = prepare_ansatz_state(initial_state, parameters)
-                for layer in range(num_layers):
-                    gamma = parameters[..., 2 * layer]
-                    beta = parameters[..., 2 * layer + 1]
-                    state = apply_diagonal_phase(state, gamma, levels, level_index)
-                    key = round(float(beta), 12)
-                    unitary = monolithic_unitary_cache.get(key)
-                    if unitary is None:
-                        unitary = layout.driver_unitary(float(beta))
-                        monolithic_unitary_cache.put(key, unitary)
-                    state = unitary @ state
-                return state
+        # Compile once per prepare: every cost evaluation afterwards runs
+        # over cached pair indices with zero structural recomputation,
+        # broadcasting unchanged over the batched (k, 2L) sweep path.
+        evolve = EvolutionProgram(num_layers, layout.cost_diagonal, layout.pairings).bind(
+            layout.initial_state
+        )
 
         def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
             circuit = QuantumCircuit(num_qubits, name="choco_q")
@@ -296,9 +242,10 @@ class ChocoQSolver(QuantumSolver):
                     from scipy.linalg import expm
 
                     for term in driver.terms:
-                        local = _local_hamiltonian_matrix(term)
                         circuit.unitary(
-                            expm(-1j * beta * local), term.support, label="local_hc"
+                            expm(-1j * beta * term.local_matrix()),
+                            term.support,
+                            label="local_hc",
                         )
             return circuit
 
@@ -308,26 +255,19 @@ class ChocoQSolver(QuantumSolver):
             "num_driver_terms": len(driver.terms),
             "nullspace_mode": self.config.nullspace_mode,
             "backend_requested": self.config.backend,
-            # The serialized path runs as a compiled EvolutionProgram; the
-            # monolithic ablation keeps the per-beta unitary cache instead.
-            "compiled_evolution": serialize,
         }
         if layout.subspace_map is not None:
             metadata["subspace_size"] = layout.subspace_map.size
         spec = AnsatzSpec(
             name=self.name,
             num_qubits=num_qubits,
-            initial_state=initial_state,
-            cost_diagonal=cost_diagonal,
+            initial_state=layout.initial_state,
+            cost_diagonal=layout.cost_diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
             initial_parameters=self._initial_parameters(),
             metadata=metadata,
             backend=layout.backend,
-            # The monolithic ablation caches one dense unitary per scalar
-            # beta, which does not broadcast; only the serialized product
-            # supports the (k, 2L) sweep path.
-            evolve_batch=evolve if serialize else None,
         )
         return spec, driver
 
@@ -458,6 +398,13 @@ class ChocoQSolver(QuantumSolver):
         # single-instance noisy run does.
         noise = self.config.noise
         noise_metadata = {"noise": noise.to_dict()} if noise is not None else {}
+        # Report the layouts the sub-instances ran, as a single solve does:
+        # "dense+subspace" when an auto run splits across its limit, and no
+        # entry when every sub-instance was a trivial point.
+        ran = sorted(
+            {sub.metadata["state_backend"] for sub in sub_results if "state_backend" in sub.metadata}
+        )
+        backend_metadata = {"state_backend": "+".join(ran)} if ran else {}
         report_metadata = (
             {"transpile_report": deepest_transpile_report}
             if deepest_transpile_report is not None
@@ -481,24 +428,13 @@ class ChocoQSolver(QuantumSolver):
                 "iterations": total_iterations,
                 "wall_clock_s": elapsed,
                 "sub_problem_qubits": problem.num_variables - len(variables),
-                "state_backend": self.config.backend,
+                "backend_requested": self.config.backend,
+                **backend_metadata,
                 "shot_allocation": shot_allocation,
                 **noise_metadata,
                 **report_metadata,
             },
         )
-
-
-def _local_hamiltonian_matrix(term: CommuteHamiltonianTerm) -> np.ndarray:
-    """The local H_c(u) restricted to its support qubits (for the Opt2 ablation)."""
-    sigma = {
-        +1: np.array([[0, 0], [1, 0]], dtype=complex),
-        -1: np.array([[0, 1], [0, 0]], dtype=complex),
-    }
-    matrix = np.array([[1.0]], dtype=complex)
-    for qubit in reversed(term.support):
-        matrix = np.kron(matrix, sigma[term.u[qubit]])
-    return matrix + matrix.conj().T
 
 
 def _trivial_result(problem: ConstrainedBinaryProblem, shots: int) -> SolverResult:

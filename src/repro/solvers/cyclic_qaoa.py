@@ -267,5 +267,4 @@ class CyclicQAOASolver(QuantumSolver):
             initial_parameters=self._initial_parameters(),
             metadata=metadata,
             backend=layout.backend,
-            evolve_batch=evolve,
         )

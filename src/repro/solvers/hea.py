@@ -13,8 +13,10 @@ The per-qubit RY angles are not (gamma, beta) layers, so the ansatz keeps
 its own evolve closure rather than an
 :class:`~repro.hamiltonian.compiled.EvolutionProgram`; like the compiled
 path it resolves its pair indices and the CZ-chain phase vector once in
-:meth:`HEASolver.build_spec`, not on every cost evaluation.  It offers no
-batched evolution, so parameter sweeps loop over ``evolve``.
+:meth:`HEASolver.build_spec`, not on every cost evaluation.  Its ``evolve``
+takes one parameter vector or a ``(k, P)`` batch like every other ansatz,
+so HEA supports parameter sweeps; a batch runs the per-vector kernel row by
+row, bit-identical to evolving each vector alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.core.encoding import default_penalty_weight, penalty_objective
 from repro.core.problem import ConstrainedBinaryProblem
-from repro.hamiltonian.commute import CommuteDriver, dense_term_pairing
+from repro.hamiltonian.commute import CommuteDriver
 from repro.hamiltonian.diagonal import DiagonalHamiltonian
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
@@ -86,8 +88,7 @@ class HEASolver(QuantumSolver):
 
         # RY_j rotates the basis pairs that differ in bit j: the hop pairs of
         # the single-bit flip u = -e_j, resolved once here.
-        flips = CommuteDriver.from_solutions(-np.eye(num_qubits, dtype=int))
-        pairings = [dense_term_pairing(term) for term in flips.terms]
+        pairings = CommuteDriver.from_solutions(-np.eye(num_qubits, dtype=int)).pairings()
         # The CZ chain is diagonal: -1 once per adjacent pair of set bits.
         indices = np.arange(2**num_qubits)
         cz_chain_phase = np.ones(2**num_qubits, dtype=complex)
@@ -108,13 +109,23 @@ class HEASolver(QuantumSolver):
                 state = new_state
             return state
 
-        def evolve(parameters: np.ndarray) -> np.ndarray:
+        def evolve_vector(parameters: np.ndarray) -> np.ndarray:
             angles = parameters.reshape(num_layers + 1, num_qubits)
             state = apply_ry_layer(initial_state.copy(), angles[0])
             for layer in range(num_layers):
                 state = state * cz_chain_phase
                 state = apply_ry_layer(state, angles[layer + 1])
             return state
+
+        def evolve(parameters: np.ndarray) -> np.ndarray:
+            # Row by row on purpose: broadcasting the kernel over a batch is
+            # bit-identical but slower per evaluation, because the gather
+            # state[..., idx] it needs costs more than state[idx] on the
+            # 1-D state of the optimizer loop.
+            parameters = np.asarray(parameters, dtype=float)
+            if parameters.ndim == 1:
+                return evolve_vector(parameters)
+            return np.stack([evolve_vector(row) for row in parameters])
 
         def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
             circuit = QuantumCircuit(num_qubits, name="hea")

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import optimize as scipy_optimize
 
 from repro.exceptions import SolverError
+from repro.serialization import is_integer
 from repro.solvers.base import OptimizationTrace
 
 CostFunction = Callable[[np.ndarray], float]
@@ -42,8 +43,10 @@ class Optimizer:
     name = "optimizer"
 
     def __init__(self, max_iterations: int = 100, tolerance: float = 1e-4) -> None:
-        if max_iterations < 1:
-            raise SolverError("max_iterations must be positive")
+        if not is_integer(max_iterations) or max_iterations < 1:
+            raise SolverError(
+                f"max_iterations must be a positive integer, got {max_iterations!r}"
+            )
         self.max_iterations = max_iterations
         self.tolerance = tolerance
 

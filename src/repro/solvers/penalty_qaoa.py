@@ -126,7 +126,7 @@ class PenaltyQAOASolver(QuantumSolver):
         # is the serialized commute driver over the single-bit flips.
         mixer = CommuteDriver.from_solutions(-np.eye(num_qubits, dtype=int))
         initial_state = uniform_state(num_qubits)
-        evolve = EvolutionProgram.for_driver(mixer, cost_diagonal, num_layers).bind(
+        evolve = EvolutionProgram(num_layers, cost_diagonal, mixer.pairings()).bind(
             initial_state
         )
 
@@ -156,5 +156,4 @@ class PenaltyQAOASolver(QuantumSolver):
                 "penalty_weight": weight,
                 "frozen_variables": frozen,
             },
-            evolve_batch=evolve,
         )

@@ -10,11 +10,14 @@ implements the shared *how it runs*:
   ``build_spec(problem)``: how to evolve a statevector for given parameters
   (fast simulation path), how to build the gate-level circuit for the same
   parameters (depth accounting, noisy execution), the cost diagonal, the
-  initial state, and parameter metadata.  Choco-Q, cyclic and penalty QAOA
-  evolve through a compiled
-  :class:`~repro.hamiltonian.compiled.EvolutionProgram` (which also serves
-  the batched ``evolve_batch`` sweep path); HEA keeps its own RY/CZ closure
-  over index arrays built once per spec.
+  initial state, and parameter metadata.  Every ``evolve`` takes one
+  ``(P,)`` parameter vector or a ``(k, P)`` batch, so the optimizer loop and
+  the parameter-sweep path (:func:`batched_expectations`, multistart, the
+  service's coalesced sweeps) share one closure for every solver.  Choco-Q,
+  cyclic and penalty QAOA evolve through a compiled
+  :class:`~repro.hamiltonian.compiled.EvolutionProgram`, which broadcasts
+  over a batch; HEA keeps its own RY/CZ kernel over index arrays built once
+  per spec and evolves a batch row by row.
 * :class:`StateBackend` — the pluggable state layout the ansatz evolves
   over.  :class:`DenseStateBackend` indexes amplitudes by the full ``2^n``
   computational basis; :class:`SubspaceStateBackend` indexes them by the
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -50,13 +52,8 @@ import numpy as np
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.core.subspace import SubspaceMap
 from repro.exceptions import SolverError
-from repro.hamiltonian.commute import CommuteDriver, dense_term_pairing
-from repro.hamiltonian.compiled import (  # noqa: F401  (re-exported: solver front-ends import them from here)
-    apply_diagonal_phase,
-    prepare_ansatz_state,
-)
+from repro.hamiltonian.commute import CommuteDriver
 from repro.hamiltonian.diagonal import DiagonalHamiltonian
-from repro.hamiltonian.evolution import dense_evolution_operator, driver_evolution_operator
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import (
     SampleResult,
@@ -71,6 +68,7 @@ from repro.qcircuit.transpile import (
     transpile_with_report,
     unitary_synthesis_penalty,
 )
+from repro.serialization import is_integer
 from repro.solvers.base import LatencyBreakdown, SolverResult
 from repro.solvers.config import NoiseConfig
 from repro.solvers.latency import LatencyModel
@@ -182,15 +180,12 @@ class StateLayout:
     Built by :func:`resolve_state_layout`.  ``initial_state``,
     ``cost_diagonal`` and the ``(a, b)`` index arrays of ``pairings`` (one
     per driver term) all index the same vectors; ``backend`` measures them
-    (``None`` means dense, the engine's default).  ``driver_unitary(beta)``
-    is the monolithic ``e^{-i beta H_d}`` over the same layout, which only
-    the Opt1-off ablation needs.
+    (``None`` means dense, the engine's default).
     """
 
     initial_state: np.ndarray
     cost_diagonal: np.ndarray
     pairings: tuple[tuple[np.ndarray, np.ndarray], ...]
-    driver_unitary: Callable[[float], np.ndarray] | None
     backend: SubspaceStateBackend | None = None
 
     @property
@@ -236,32 +231,19 @@ def resolve_state_layout(
     """
     num_qubits = problem.num_variables
     subspace_map = _choose_subspace_map(problem, backend, subspace_limit)
+    pairings = () if driver is None else driver.pairings(subspace_map)
     if subspace_map is None:
         return StateLayout(
             initial_state=basis_state(num_qubits, initial_bits),
             cost_diagonal=DiagonalHamiltonian.from_polynomial(cost_terms, num_qubits).diagonal,
-            pairings=(
-                tuple(dense_term_pairing(term) for term in driver.terms)
-                if driver is not None
-                else ()
-            ),
-            driver_unitary=(
-                partial(driver_evolution_operator, driver) if driver is not None else None
-            ),
+            pairings=pairings,
         )
     # Every per-iteration object has length |F|; nothing of size 2^n is
-    # materialised.  The restricted driver resolves each term's subspace
-    # pairing exactly once.
-    restricted = driver.restrict(subspace_map)
-
-    def driver_unitary(beta: float) -> np.ndarray:
-        return dense_evolution_operator(restricted.hamiltonian_matrix(), beta)
-
+    # materialised.
     return StateLayout(
         initial_state=subspace_map.basis_state(initial_bits),
         cost_diagonal=subspace_map.evaluate_polynomial(cost_terms),
-        pairings=restricted.pairings,
-        driver_unitary=driver_unitary,
+        pairings=pairings,
         backend=SubspaceStateBackend(subspace_map),
     )
 
@@ -272,8 +254,11 @@ class AnsatzSpec:
 
     ``initial_state``, ``cost_diagonal`` and the vectors ``evolve`` maps
     between all live in the layout of ``backend`` (dense ``2^n`` when
-    ``backend`` is None).  ``build_circuit`` always targets the full
-    gate-level register regardless of backend.
+    ``backend`` is None).  ``evolve`` maps one ``(P,)`` parameter vector to
+    one ``(dimension,)`` state, or a ``(k, P)`` batch to the ``(k,
+    dimension)`` batch whose rows are bit-identical to evolving each vector
+    alone.  ``build_circuit`` always targets the full gate-level register
+    regardless of backend.
     """
 
     name: str
@@ -285,11 +270,6 @@ class AnsatzSpec:
     initial_parameters: np.ndarray
     metadata: dict | None = None
     backend: StateBackend | None = None
-    #: Optional vectorised evolution: maps a ``(k, num_parameters)`` batch of
-    #: parameter vectors to the ``(k, dimension)`` batch of evolved states in
-    #: one pass.  ``None`` means the ansatz only supports one vector at a
-    #: time and batch helpers fall back to a Python loop over ``evolve``.
-    evolve_batch: EvolveFunction | None = None
 
 
 @dataclass
@@ -301,7 +281,10 @@ class EngineOptions:
     pipeline uses to hand each sub-instance its own independent stream.
 
     ``shots`` is a non-negative integer; ``0`` is valid (an elimination
-    sub-instance whose share of the budget rounded to nothing).
+    sub-instance whose share of the budget rounded to nothing).  ``seed``,
+    ``multistart`` and ``optimization_level`` are integers too: a float, a
+    bool or a negative value is rejected here, where a run spec's fields
+    (which may come from a TCP client's JSON) are consumed.
 
     ``multistart`` enables the batched initial-parameter picker: the engine
     scores that many candidate initial parameter vectors (the ansatz default
@@ -322,20 +305,28 @@ class EngineOptions:
     optimization_level: int | None = None
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.shots, (int, np.integer))
-            or isinstance(self.shots, bool)
-            or self.shots < 0
-        ):
+        if not is_integer(self.shots) or self.shots < 0:
             raise SolverError(f"shots must be a non-negative integer, got {self.shots!r}")
-        if self.multistart < 1:
-            raise SolverError("multistart must be at least 1")
-        if self.optimization_level is not None and not (
-            0 <= self.optimization_level <= MAX_OPTIMIZATION_LEVEL
+        if not (
+            self.seed is None
+            or isinstance(self.seed, np.random.SeedSequence)
+            or (is_integer(self.seed) and self.seed >= 0)
         ):
             raise SolverError(
-                "optimization_level must be None or between 0 and "
-                f"{MAX_OPTIMIZATION_LEVEL}"
+                "seed must be None, a SeedSequence or a non-negative integer, "
+                f"got {self.seed!r}"
+            )
+        if not is_integer(self.multistart) or self.multistart < 1:
+            raise SolverError(
+                f"multistart must be an integer of at least 1, got {self.multistart!r}"
+            )
+        if self.optimization_level is not None and not (
+            is_integer(self.optimization_level)
+            and 0 <= self.optimization_level <= MAX_OPTIMIZATION_LEVEL
+        ):
+            raise SolverError(
+                "optimization_level must be None or an integer between 0 and "
+                f"{MAX_OPTIMIZATION_LEVEL}, got {self.optimization_level!r}"
             )
 
     def transpile_options(self) -> TranspileOptions:
@@ -565,19 +556,17 @@ def evolve_parameter_sets(spec: AnsatzSpec, parameter_sets: np.ndarray) -> np.nd
     """Evolve several parameter vectors at once into a ``(k, dim)`` batch.
 
     ``parameter_sets`` is ``(k, num_parameters)`` (a single vector is
-    promoted to ``k = 1``).  When the spec provides ``evolve_batch`` the
-    whole sweep runs as one stack of array operations over the backend
-    layout — for the subspace backend that is ``(k, |F|)`` work per term, so
-    vectorising COBYLA restarts or a parameter grid costs one evolution's
-    worth of Python overhead instead of ``k``.  Rows of the result are
-    bit-identical to calling ``spec.evolve`` on each vector.
+    promoted to ``k = 1``) and goes to ``spec.evolve`` whole.  A compiled
+    program runs the sweep as one stack of array operations over the
+    backend layout — for the subspace backend that is ``(k, |F|)`` work per
+    term, so vectorising COBYLA restarts or a parameter grid costs one
+    evolution's worth of Python overhead instead of ``k``.  Rows of the
+    result are bit-identical to calling ``spec.evolve`` on each vector.
     """
     parameter_sets = np.atleast_2d(np.asarray(parameter_sets, dtype=float))
     if parameter_sets.ndim != 2:
         raise SolverError("parameter_sets must be a (k, num_parameters) array")
-    if spec.evolve_batch is not None:
-        return np.asarray(spec.evolve_batch(parameter_sets))
-    return np.stack([spec.evolve(parameters) for parameters in parameter_sets])
+    return np.asarray(spec.evolve(parameter_sets))
 
 
 def batched_expectations(spec: AnsatzSpec, parameter_sets: np.ndarray) -> np.ndarray:

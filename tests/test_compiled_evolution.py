@@ -14,8 +14,7 @@ precomputed pair indices.  These tests pin
 * the compile-once guarantee — a call-count spy shows ``subspace_pairing``
   runs exactly once per (term, map) across a full ``VariationalEngine.run``,
   including one compilation per Opt3 sub-instance;
-* the bounded monolithic-unitary cache and the ``abs_squared`` hot-path
-  helper.
+* the ``abs_squared`` hot-path helper.
 """
 
 from __future__ import annotations
@@ -32,18 +31,17 @@ from repro.exceptions import (
     HamiltonianError,
     InfeasibleError,
     ProblemError,
-    SolverError,
 )
 from repro.hamiltonian.commute import (
     CommuteDriver,
     CommuteHamiltonianTerm,
+    dense_term_pairing,
     rotate_pairs_cs,
     subspace_pairing_loop,
 )
 from repro.hamiltonian.compiled import (
     EvolutionProgram,
     apply_diagonal_phase,
-    dense_term_pairing,
     diagonal_levels,
     prepare_ansatz_state,
 )
@@ -52,10 +50,6 @@ from repro.qcircuit.statevector import (
     Statevector,
     abs_squared,
     state_support_size,
-)
-from repro.solvers.chocoq import (
-    MONOLITHIC_UNITARY_CACHE_SIZE,
-    BoundedUnitaryCache,
 )
 from repro.solvers.cyclic_qaoa import chain_hop_edges, summation_chains
 from repro.solvers.hea import HEAConfig, HEASolver
@@ -281,7 +275,7 @@ class TestCompiledEquivalence:
         if backend == "subspace":
             matrix, rhs = problem.constraint_matrix()
             subspace_map = SubspaceMap.from_constraints(matrix, rhs)
-            pairings = driver.restrict(subspace_map).pairings
+            pairings = driver.pairings(subspace_map)
         else:
             pairings = [dense_term_pairing(term) for term in driver.terms]
 
@@ -340,8 +334,6 @@ class TestCompiledEquivalence:
             assert dense.exact_distribution.get(key, 0.0) == pytest.approx(
                 subspace.exact_distribution.get(key, 0.0), abs=1e-9
             )
-        assert dense.metadata["compiled_evolution"] is True
-        assert subspace.metadata["compiled_evolution"] is True
 
 
 class TestEvolutionProgramValidation:
@@ -402,14 +394,16 @@ class TestBatchedBitIdentity:
             lambda: make_chocoq_solver("dense", num_layers=2),
             lambda: make_cyclic_solver("dense", num_layers=2),
             lambda: PenaltyQAOASolver(config=PenaltyQAOAConfig(num_layers=2)),
+            lambda: HEASolver(config=HEAConfig(num_layers=2)),
         ],
-        ids=["choco-q", "cyclic-qaoa", "penalty-qaoa"],
+        ids=["choco-q", "cyclic-qaoa", "penalty-qaoa", "hea"],
     )
     def test_k2_dense_batch_matches_sequential(self, make_solver):
         built = make_solver().build_spec(make_benchmark("K2"))
         spec = built[0] if isinstance(built, tuple) else built
-        assert spec.evolve_batch is not None
-        batch = np.random.default_rng(41).uniform(-np.pi, np.pi, size=(5, 4))
+        batch = np.random.default_rng(41).uniform(
+            -np.pi, np.pi, size=(5, spec.initial_parameters.size)
+        )
         states = evolve_parameter_sets(spec, batch)
         assert states.shape == (5, 4096)
         sequential = np.stack([spec.evolve(parameters) for parameters in batch])
@@ -463,48 +457,6 @@ class TestPairingComputedOnce:
         # Each Opt3 sub-instance compiled its own program over its own map.
         num_maps = len({key[1] for key in calls})
         assert num_maps == result.metadata["num_circuits"]
-
-
-# ---------------------------------------------------------------------------
-# Bounded monolithic-unitary cache
-# ---------------------------------------------------------------------------
-
-
-class TestBoundedUnitaryCache:
-    def test_evicts_oldest_beyond_cap(self):
-        cache = BoundedUnitaryCache(max_entries=3)
-        for key in (0.1, 0.2, 0.3, 0.4):
-            cache.put(key, np.full((2, 2), key))
-        assert len(cache) == 3
-        assert cache.get(0.1) is None
-        assert cache.get(0.4) is not None
-
-    def test_get_refreshes_recency(self):
-        cache = BoundedUnitaryCache(max_entries=2)
-        cache.put(0.1, np.eye(2))
-        cache.put(0.2, np.eye(2))
-        assert cache.get(0.1) is not None  # 0.2 is now the LRU entry
-        cache.put(0.3, np.eye(2))
-        assert cache.get(0.2) is None
-        assert cache.get(0.1) is not None
-
-    def test_default_cap_is_small(self):
-        cache = BoundedUnitaryCache()
-        for index in range(MONOLITHIC_UNITARY_CACHE_SIZE + 10):
-            cache.put(float(index), np.eye(1))
-        assert len(cache) == MONOLITHIC_UNITARY_CACHE_SIZE
-
-    def test_rejects_empty_cache(self):
-        with pytest.raises(SolverError):
-            BoundedUnitaryCache(max_entries=0)
-
-    def test_monolithic_solve_still_matches_serialized_format(self):
-        """The ablation path still runs end to end with the bounded cache."""
-        result = make_chocoq_solver(
-            "dense", num_layers=1, max_iterations=20, serialize_driver=False
-        ).solve(make_one_hot_problem())
-        assert result.metadata["compiled_evolution"] is False
-        assert result.outcomes.shots == 1024
 
 
 # ---------------------------------------------------------------------------

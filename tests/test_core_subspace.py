@@ -134,7 +134,7 @@ class TestStreamingConstruction:
         terms = paper_example_problem.minimization_objective().terms
         dense = DiagonalHamiltonian.from_polynomial(terms, 4)
         np.testing.assert_allclose(
-            paper_map.evaluate_polynomial(terms), dense.restrict(paper_map)
+            paper_map.evaluate_polynomial(terms), paper_map.restrict_diagonal(dense.diagonal)
         )
 
     def test_evaluate_polynomial_rejects_out_of_range(self, paper_map):
@@ -180,33 +180,26 @@ class TestSubspaceEvolution:
         self, paper_example_problem, paper_map, rng
     ):
         driver = self._driver(paper_example_problem)
-        restricted = driver.restrict(paper_map)
-        assert restricted.size == paper_map.size
-        assert restricted.num_terms == len(driver.terms)
+        sub_pairings = driver.pairings(paper_map)
+        assert len(sub_pairings) == len(driver.terms)
         sub_state = rng.normal(size=paper_map.size) + 1j * rng.normal(size=paper_map.size)
         sub_state /= np.linalg.norm(sub_state)
         # gamma = 0 over a zero cost diagonal isolates the serialized driver.
         parameters = np.array([0.0, 0.7])
         evolved_sub = EvolutionProgram(
-            1, np.zeros(paper_map.size), restricted.pairings
+            1, np.zeros(paper_map.size), sub_pairings
         ).execute(sub_state, parameters)
-        evolved_dense = EvolutionProgram.for_driver(
-            driver, np.zeros(2**driver.num_qubits), num_layers=1
+        evolved_dense = EvolutionProgram(
+            1, np.zeros(2**driver.num_qubits), driver.pairings()
         ).execute(paper_map.lift_vector(sub_state), parameters)
         np.testing.assert_allclose(
             paper_map.lift_vector(evolved_sub), evolved_dense, atol=1e-12
         )
 
-    def test_restricted_hamiltonian_is_the_feasible_block(
-        self, paper_example_problem, paper_map
-    ):
-        driver = self._driver(paper_example_problem)
-        restricted = driver.restrict(paper_map)
-        full = driver.hamiltonian_matrix()
-        indices = paper_map.full_indices()
-        np.testing.assert_allclose(
-            restricted.hamiltonian_matrix(), full[np.ix_(indices, indices)]
-        )
+    def test_pairings_reject_a_map_of_another_register(self, paper_map):
+        driver = CommuteDriver.from_solutions([(1, -1, 0)])
+        with pytest.raises(HamiltonianError, match="register size"):
+            driver.pairings(paper_map)
 
     def test_non_nullspace_term_rejected(self, paper_map):
         # u = e_0 is not a nullspace solution of the paper constraints: the

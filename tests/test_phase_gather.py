@@ -21,11 +21,14 @@ import numpy as np
 import pytest
 
 from solver_factories import make_chocoq_solver, make_cyclic_solver
-from repro.hamiltonian.commute import CommuteHamiltonianTerm, rotate_pairs_cs
+from repro.hamiltonian.commute import (
+    CommuteHamiltonianTerm,
+    dense_term_pairing,
+    rotate_pairs_cs,
+)
 from repro.hamiltonian.compiled import (
     EvolutionProgram,
     apply_diagonal_phase,
-    dense_term_pairing,
     diagonal_levels,
     prepare_ansatz_state,
 )

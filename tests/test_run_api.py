@@ -542,3 +542,55 @@ class TestShotsValidation:
         )
         with pytest.raises(SolverError, match="shots"):
             plan_module.execute_spec(spec)
+
+
+class TestIntegerRunFieldValidation:
+    """Integer run fields reject non-integers, bools and negatives where consumed."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.5), ("seed", -3), ("seed", True), ("seed", "3"),
+            ("multistart", 2.5), ("multistart", True),
+            ("optimization_level", 1.5), ("optimization_level", -1),
+            ("optimization_level", True),
+        ],
+    )
+    def test_engine_options_reject_bad_values(self, field, value):
+        with pytest.raises(SolverError, match=field):
+            EngineOptions(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", None), ("seed", 0), ("seed", np.int64(7)),
+            ("seed", np.random.SeedSequence(3)), ("multistart", np.int64(2)),
+            ("optimization_level", None), ("optimization_level", np.int64(0)),
+        ],
+    )
+    def test_engine_options_accept_integers(self, field, value):
+        assert getattr(EngineOptions(**{field: value}), field) is value
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_optimizer_rejects_bad_max_iterations(self, value):
+        with pytest.raises(SolverError, match="max_iterations"):
+            CobylaOptimizer(max_iterations=value)
+
+    @pytest.mark.parametrize("value", [1.5, -1, True])
+    def test_make_benchmark_rejects_bad_case_index(self, value):
+        with pytest.raises(ProblemError, match="case_index"):
+            repro.make_benchmark("K1", value)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("seed", 1.5, SolverError), ("seed", -3, SolverError),
+            ("multistart", 2.5, SolverError), ("optimization_level", 1.5, SolverError),
+            ("max_iterations", 2.5, SolverError), ("case_index", 1.5, ProblemError),
+        ],
+    )
+    def test_execute_spec_rejects_bad_values(self, field, value, error):
+        fields = {"seed": 0, "shots": 64, "max_iterations": 2, field: value}
+        spec = RunSpec(solver="choco-q", benchmark="K1", config={"num_layers": 1}, **fields)
+        with pytest.raises(error, match=field):
+            plan_module.execute_spec(spec)

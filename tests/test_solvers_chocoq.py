@@ -132,11 +132,6 @@ class TestBookkeeping:
         # larger depth (Fig. 14's Opt1 vs Opt1+2 comparison).
         assert without.transpiled_depth > with_decomposition.transpiled_depth
 
-    def test_serialize_toggle_still_feasible(self, paper_example_problem):
-        result = make_solver(num_layers=1, serialize_driver=False).solve(paper_example_problem)
-        metrics = result.metrics(paper_example_problem)
-        assert metrics.in_constraints_rate == pytest.approx(1.0)
-
 
 class TestVariableElimination:
     def test_elimination_reduces_qubits(self, paper_example_problem):

@@ -39,7 +39,7 @@ class TestStateHelpers:
         # single-bit-flip driver at gamma = 0 is RX(2 beta) on every qubit.
         beta = 0.7
         mixer = CommuteDriver.from_solutions(-np.eye(2, dtype=int))
-        program = EvolutionProgram.for_driver(mixer, np.zeros(4), num_layers=1)
+        program = EvolutionProgram(1, np.zeros(4), mixer.pairings())
         state = program.execute(uniform_state(2), np.array([0.0, beta]))
         circuit = QuantumCircuit(2)
         circuit.h(0).h(1).rx(2 * beta, 0).rx(2 * beta, 1)

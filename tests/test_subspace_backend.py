@@ -60,19 +60,6 @@ class TestBackendEquivalence:
         assert subspace.metadata["state_backend"] == "subspace"
         assert subspace.metadata["subspace_size"] == SubspaceMap.from_problem(problem).size
 
-    def test_monolithic_driver_matches_dense(self, paper_example_problem):
-        dense = make_solver("dense", num_layers=1, serialize_driver=False).solve(
-            paper_example_problem
-        )
-        subspace = make_solver("subspace", num_layers=1, serialize_driver=False).solve(
-            paper_example_problem
-        )
-        keys = set(dense.exact_distribution) | set(subspace.exact_distribution)
-        for key in keys:
-            assert dense.exact_distribution.get(key, 0.0) == pytest.approx(
-                subspace.exact_distribution.get(key, 0.0), abs=1e-9
-            )
-
     def test_subspace_samples_are_feasible(self, paper_example_problem):
         result = make_solver("subspace", num_layers=2).solve(paper_example_problem)
         metrics = result.metrics(paper_example_problem)
@@ -99,6 +86,31 @@ class TestBackendEquivalence:
             paper_example_problem
         )
         assert result.metadata["state_backend"] == "dense"
+
+    @pytest.mark.parametrize(
+        "backend, ran", [("auto", "subspace"), ("dense", "dense"), ("subspace", "subspace")]
+    )
+    def test_elimination_reports_the_backend_that_ran(
+        self, paper_example_problem, backend, ran
+    ):
+        # Like a single solve: the backend the sub-instances ran, never
+        # "auto", next to the requested one.
+        result = make_solver(backend, num_layers=1, num_eliminated_variables=1).solve(
+            paper_example_problem
+        )
+        assert result.metadata["num_circuits"] == 2
+        assert result.metadata["state_backend"] == ran
+        assert result.metadata["backend_requested"] == backend
+
+    def test_elimination_reports_an_auto_run_split_across_the_limit(self):
+        # K2 minus two variables leaves sub-instances with |F| = 4, 6, 6, 4:
+        # a limit of 5 runs two of them on the subspace map and two dense.
+        result = make_solver(
+            "auto", num_layers=1, num_eliminated_variables=2, subspace_limit=5
+        ).solve(make_benchmark("K2"))
+        assert result.metadata["num_circuits"] == 4
+        assert result.metadata["state_backend"] == "dense+subspace"
+        assert result.metadata["backend_requested"] == "auto"
 
     def test_explicit_subspace_with_limit_raises(self, paper_example_problem):
         from repro.exceptions import SubspaceOverflowError
