@@ -31,9 +31,9 @@
 #                    BENCH_transpile_optimization.json (speedup-gated).
 #   bench-smoke    - run each whole-solve benchmark workload (BENCHMARK.json,
 #                    perfbench/run.py) for 3 s, plus traced (--trace 1) runs
-#                    of seeds-subspace, seeds-dense and service-mixed, and
-#                    fail unless every run reports correct with no failed
-#                    operations.
+#                    of seeds-subspace, seeds-dense, lineup-dense and
+#                    service-mixed, and fail unless every run reports
+#                    correct with no failed operations.
 #                    Checks that the benchmark and its span wrappers run and
 #                    verify their answers; the timings are not gated.  Runs
 #                    in the CI test job.
@@ -101,10 +101,11 @@ BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in 
 
 # Every workload untraced, plus traced runs of both choco-q seed batches
 # (subspace and dense: the cost-callable span wraps a different evolution
-# layout in each) and the service workload, which install the solve and the
-# server span wrappers: a refactor that unbinds a wrapped seam fails here,
-# not in the first traced benchmark.
-BENCH_SMOKE_RUNS = $(foreach workload,$(BENCH_WORKLOADS),$(workload):0) seeds-subspace:1 seeds-dense:1 service-mixed:1
+# layout in each), the solver line-up (whose result scoring is the traced
+# SolverResult.metrics seam's largest load) and the service workload, which
+# install the solve and the server span wrappers: a refactor that unbinds a
+# wrapped seam fails here, not in the first traced benchmark.
+BENCH_SMOKE_RUNS = $(foreach workload,$(BENCH_WORKLOADS),$(workload):0) seeds-subspace:1 seeds-dense:1 lineup-dense:1 service-mixed:1
 
 bench-smoke:
 	@for run in $(BENCH_SMOKE_RUNS); do \

@@ -12,8 +12,10 @@ outcomes of a solver:
 
 All three are implemented over either a shot histogram
 (:class:`~repro.qcircuit.sampling.SampleResult`) or an exact probability
-dictionary keyed by bitstring.  A convenience :class:`MetricsReport`
-aggregates the three values plus the circuit depth reported by a solver.
+dictionary keyed by bitstring, as views over one array pass (:class:`_Scores`)
+that scores every key once.  Each metric sums its per-key terms left to right
+in the distribution's order from ``0.0`` (``np.add.accumulate``; ``np.sum`` is
+pairwise), so it equals a per-key scalar loop bit for bit.
 """
 
 from __future__ import annotations
@@ -21,16 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.exceptions import ProblemError
 from repro.qcircuit.sampling import SampleResult
 
 DEFAULT_ARG_PENALTY = 10.0
+Outcomes = SampleResult | Mapping[str, float]
 
 
-def _normalised_distribution(
-    outcomes: "SampleResult | Mapping[str, float]",
-) -> dict[str, float]:
+def _normalised_distribution(outcomes: Outcomes) -> dict[str, float]:
     """Convert a histogram or probability mapping into relative frequencies."""
     if isinstance(outcomes, SampleResult):
         return outcomes.frequencies()
@@ -40,31 +43,62 @@ def _normalised_distribution(
     return {key: value / total for key, value in outcomes.items()}
 
 
-def _bits_from_key(key: str, num_variables: int) -> tuple[int, ...]:
-    if len(key) < num_variables:
-        raise ProblemError(
-            f"bitstring {key!r} is shorter than the problem's {num_variables} variables"
-        )
-    return tuple(int(ch) for ch in key[:num_variables])
+def _assignment_codes(keys: list[str], n: int) -> np.ndarray:
+    """Codes of the keys' first ``n`` characters, variable ``j`` at bit ``n - 1 - j``.
+
+    Longer keys are truncated (ancilla bits); the rest must be ``0``/``1``.
+    """
+    if n > 62:
+        raise ProblemError("outcome scoring packs at most 62 variables into a code")
+    # One code point per character, NUL-padded when a key is short; unsigned
+    # wrap-around puts every character but '0' and '1' above 1.
+    bits = np.array(keys, dtype=f"U{n}").view(np.uint32).reshape(len(keys), n) - np.uint32(ord("0"))
+    bad = np.flatnonzero((bits > 1).any(axis=1))
+    if bad.size:
+        raise ProblemError(f"bitstring {keys[bad[0]]!r} does not start with {n} binary digits")
+    return bits.astype(np.int64) @ (np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
-def in_constraints_rate(
-    problem: ConstrainedBinaryProblem,
-    outcomes: "SampleResult | Mapping[str, float]",
-) -> float:
+def _sequential_sum(terms: np.ndarray) -> float:
+    """``total = 0.0; for term in terms: total += term``, vectorized."""
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
+class _Scores:
+    """Probability, objective, L1 violation and feasibility of every key."""
+
+    def __init__(self, problem: ConstrainedBinaryProblem, outcomes: Outcomes) -> None:
+        distribution = _normalised_distribution(outcomes)
+        self.keys = list(distribution)
+        self.probabilities = np.fromiter(distribution.values(), float, len(self.keys))
+        codes = _assignment_codes(self.keys, problem.num_variables)
+        self.objective, self.violation, self.feasible = problem.evaluate_codes(codes)
+
+    def in_constraints_rate(self) -> float:
+        return _sequential_sum(self.probabilities[self.feasible])
+
+    def success_rate(self, optimal_value: float, tolerance: float = 1e-9) -> float:
+        optimal = self.feasible & (np.abs(self.objective - optimal_value) <= tolerance)
+        return _sequential_sum(self.probabilities[optimal])
+
+    def expectation(self, penalty: float, shift: float = 0.0) -> float:
+        values = self.objective + penalty * self.violation
+        return _sequential_sum(self.probabilities * (values + shift))
+
+    def arg(self, optimal_value: float, penalty: float) -> float:
+        # Shift both sides by 1 when the optimum is 0, keeping the ratio defined.
+        shift = 1.0 if optimal_value == 0 else 0.0
+        return abs(self.expectation(penalty, shift) / (optimal_value + shift) - 1.0)
+
+
+def in_constraints_rate(problem: ConstrainedBinaryProblem, outcomes: Outcomes) -> float:
     """Probability mass on assignments satisfying every constraint."""
-    distribution = _normalised_distribution(outcomes)
-    rate = 0.0
-    for key, probability in distribution.items():
-        bits = _bits_from_key(key, problem.num_variables)
-        if problem.is_feasible(bits):
-            rate += probability
-    return rate
+    return _Scores(problem, outcomes).in_constraints_rate()
 
 
 def success_rate(
     problem: ConstrainedBinaryProblem,
-    outcomes: "SampleResult | Mapping[str, float]",
+    outcomes: Outcomes,
     optimal_value: float | None = None,
     tolerance: float = 1e-9,
 ) -> float:
@@ -75,20 +109,12 @@ def success_rate(
     """
     if optimal_value is None:
         _, optimal_value = problem.brute_force_optimum()
-    distribution = _normalised_distribution(outcomes)
-    rate = 0.0
-    for key, probability in distribution.items():
-        bits = _bits_from_key(key, problem.num_variables)
-        if not problem.is_feasible(bits):
-            continue
-        if abs(problem.evaluate(bits) - optimal_value) <= tolerance:
-            rate += probability
-    return rate
+    return _Scores(problem, outcomes).success_rate(optimal_value, tolerance)
 
 
 def approximation_ratio_gap(
     problem: ConstrainedBinaryProblem,
-    outcomes: "SampleResult | Mapping[str, float]",
+    outcomes: Outcomes,
     optimal_value: float | None = None,
     penalty: float = DEFAULT_ARG_PENALTY,
 ) -> float:
@@ -99,54 +125,28 @@ def approximation_ratio_gap(
     """
     if optimal_value is None:
         _, optimal_value = problem.brute_force_optimum()
-    if optimal_value == 0:
-        # Shift both numerator and denominator to keep the ratio well-defined,
-        # the standard convention when the optimum is zero.
-        shift = 1.0
-    else:
-        shift = 0.0
-    distribution = _normalised_distribution(outcomes)
-    expectation = 0.0
-    for key, probability in distribution.items():
-        bits = _bits_from_key(key, problem.num_variables)
-        value = problem.evaluate(bits) + penalty * problem.total_violation(bits)
-        expectation += probability * (value + shift)
-    return abs(expectation / (optimal_value + shift) - 1.0)
+    return _Scores(problem, outcomes).arg(optimal_value, penalty)
 
 
 def expected_objective(
-    problem: ConstrainedBinaryProblem,
-    outcomes: "SampleResult | Mapping[str, float]",
-    penalty: float = 0.0,
+    problem: ConstrainedBinaryProblem, outcomes: Outcomes, penalty: float = 0.0
 ) -> float:
     """Expected (objective + penalty * violation) over the outcome distribution."""
-    distribution = _normalised_distribution(outcomes)
-    expectation = 0.0
-    for key, probability in distribution.items():
-        bits = _bits_from_key(key, problem.num_variables)
-        expectation += probability * (
-            problem.evaluate(bits) + penalty * problem.total_violation(bits)
-        )
-    return expectation
+    return _Scores(problem, outcomes).expectation(penalty)
 
 
 def best_measured(
-    problem: ConstrainedBinaryProblem,
-    outcomes: "SampleResult | Mapping[str, float]",
-    require_feasible: bool = True,
+    problem: ConstrainedBinaryProblem, outcomes: Outcomes, require_feasible: bool = True
 ) -> tuple[tuple[int, ...] | None, float | None]:
-    """The best (feasible) assignment observed in the outcome distribution."""
-    distribution = _normalised_distribution(outcomes)
-    best_bits: tuple[int, ...] | None = None
-    best_value: float | None = None
-    for key in distribution:
-        bits = _bits_from_key(key, problem.num_variables)
-        if require_feasible and not problem.is_feasible(bits):
-            continue
-        value = problem.evaluate(bits)
-        if best_value is None or problem.better(value, best_value):
-            best_bits, best_value = bits, value
-    return best_bits, best_value
+    """The best (feasible) assignment observed; ties go to the first key."""
+    scores = _Scores(problem, outcomes)
+    candidates = np.flatnonzero(scores.feasible | (not require_feasible))
+    if candidates.size == 0:
+        return None, None
+    pick = np.argmin if problem.sense == "min" else np.argmax
+    best = int(candidates[pick(scores.objective[candidates])])
+    bits = tuple(int(ch) for ch in scores.keys[best][: problem.num_variables])
+    return bits, float(scores.objective[best])
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class MetricsReport:
 
 def evaluate_outcomes(
     problem: ConstrainedBinaryProblem,
-    outcomes: "SampleResult | Mapping[str, float]",
+    outcomes: Outcomes,
     circuit_depth: int = 0,
     optimal_value: float | None = None,
     arg_penalty: float = DEFAULT_ARG_PENALTY,
@@ -177,11 +177,10 @@ def evaluate_outcomes(
     """Compute all Table-II metrics for one solver run."""
     if optimal_value is None:
         _, optimal_value = problem.brute_force_optimum()
+    scores = _Scores(problem, outcomes)
     return MetricsReport(
-        success_rate=success_rate(problem, outcomes, optimal_value),
-        in_constraints_rate=in_constraints_rate(problem, outcomes),
-        approximation_ratio_gap=approximation_ratio_gap(
-            problem, outcomes, optimal_value, penalty=arg_penalty
-        ),
+        success_rate=scores.success_rate(optimal_value),
+        in_constraints_rate=scores.in_constraints_rate(),
+        approximation_ratio_gap=scores.arg(optimal_value, arg_penalty),
         circuit_depth=circuit_depth,
     )

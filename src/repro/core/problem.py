@@ -168,9 +168,13 @@ class LinearConstraint:
         return all(c == 1 for c in nonzero) or all(c == -1 for c in nonzero)
 
     def evaluate(self, assignment: Sequence[int]) -> float:
-        return float(
-            sum(c * assignment[i] for i, c in enumerate(self.coefficients) if c != 0)
-        )
+        # An explicit left-to-right sum: the builtin ``sum`` is compensated
+        # from Python 3.12 on, which would part from the vectorized kernels.
+        total = 0.0
+        for i, c in enumerate(self.coefficients):
+            if c != 0:
+                total += c * assignment[i]
+        return float(total)
 
     def violation(self, assignment: Sequence[int]) -> float:
         return abs(self.evaluate(assignment) - self.rhs)
@@ -255,7 +259,10 @@ class ConstrainedBinaryProblem:
     def total_violation(self, assignment: Sequence[int]) -> float:
         """The L1 norm ``||C x - c||_1`` used by the ARG metric."""
         self._check_assignment(assignment)
-        return float(sum(con.violation(assignment) for con in self.constraints))
+        total = 0.0
+        for con in self.constraints:
+            total += con.violation(assignment)
+        return total
 
     def _check_assignment(self, assignment: Sequence[int]) -> None:
         if len(assignment) != self.num_variables:
@@ -315,40 +322,66 @@ class ConstrainedBinaryProblem:
         n = self.num_variables
         return tuple((code >> (n - 1 - j)) & 1 for j in range(n))
 
+    def evaluate_codes(
+        self, codes: np.ndarray, tolerance: float = 1e-9
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Objective, L1 violation and feasibility of each assignment code.
+
+        Code ``c`` encodes variable ``j`` in bit ``n - 1 - j``.  Entry ``i``
+        of the three arrays equals :meth:`evaluate`, :meth:`total_violation`
+        and :meth:`is_feasible` of the decoded assignment bit for bit.
+        """
+        violation = np.zeros(codes.size)
+        feasible = np.ones(codes.size, dtype=bool)
+        for constraint in self.constraints:
+            distance = self._constraint_violation(constraint, codes)
+            violation += distance
+            feasible &= distance <= tolerance
+        return self._objective_values(codes), violation, feasible
+
+    def _constraint_violation(
+        self, constraint: LinearConstraint, codes: np.ndarray
+    ) -> np.ndarray:
+        n = self.num_variables
+        total = np.zeros(codes.size)
+        for i, coefficient in enumerate(constraint.coefficients):
+            if coefficient != 0:
+                total += coefficient * ((codes >> (n - 1 - i)) & 1)
+        return np.abs(total - constraint.rhs)
+
+    def _objective_values(self, codes: np.ndarray) -> np.ndarray:
+        n = self.num_variables
+        values = np.zeros(codes.size)
+        for variables, coefficient in self.objective.terms.items():
+            product = np.full(codes.size, float(coefficient))
+            for variable in variables:
+                product *= (codes >> (n - 1 - variable)) & 1
+            values += product
+        return values
+
     def _feasible_chunks(
         self, tolerance: float = 1e-9
     ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(codes, objective values)`` for every feasible assignment.
 
-        Assignment ``code`` encodes variable ``j`` in bit ``n - 1 - j``, so
-        ascending codes reproduce the lexicographic order of
+        Ascending codes reproduce the lexicographic order of
         ``itertools.product((0, 1), repeat=n)``.  Constraint sums and the
         objective accumulate term by term in the same order as the scalar
-        :meth:`LinearConstraint.evaluate` / :meth:`Objective.evaluate`, so
-        the floating-point results are identical to the sequential scan.
+        :meth:`LinearConstraint.evaluate` / :meth:`Objective.evaluate` (the
+        kernels :meth:`evaluate_codes` shares), so the floating-point results
+        are identical to the sequential scan.  Each constraint prunes the
+        chunk before the next one runs.
         """
         n = self.num_variables
-        terms = list(self.objective.terms.items())
         chunk = 1 << min(n, 18)
         for start in range(0, 1 << n, chunk):
             codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
             for constraint in self.constraints:
-                total = np.zeros(codes.size)
-                for i, coefficient in enumerate(constraint.coefficients):
-                    if coefficient != 0:
-                        total += coefficient * ((codes >> (n - 1 - i)) & 1)
-                codes = codes[np.abs(total - constraint.rhs) <= tolerance]
+                codes = codes[self._constraint_violation(constraint, codes) <= tolerance]
                 if codes.size == 0:
                     break
-            if codes.size == 0:
-                continue
-            values = np.zeros(codes.size)
-            for variables, coefficient in terms:
-                product = np.full(codes.size, float(coefficient))
-                for variable in variables:
-                    product *= (codes >> (n - 1 - variable)) & 1
-                values += product
-            yield codes, values
+            if codes.size:
+                yield codes, self._objective_values(codes)
 
     # ------------------------------------------------------------------
 

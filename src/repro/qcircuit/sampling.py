@@ -240,11 +240,12 @@ def subspace_exact_distribution(
 def exact_distribution(statevector: Statevector) -> dict[str, float]:
     """The exact measurement distribution (no shot noise)."""
     probabilities = statevector.probabilities()
-    result: dict[str, float] = {}
-    for index, probability in enumerate(probabilities):
-        if probability > 1e-12:
-            result[index_to_bitstring(index, statevector.num_qubits)] = float(probability)
-    return result
+    indices = np.flatnonzero(probabilities > 1e-12)
+    # All keys in one batch: qubit q is character q, as in index_to_bitstring.
+    n = statevector.num_qubits
+    chars = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+    keys = chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()
+    return dict(zip(keys, probabilities[indices].tolist()))
 
 
 def counts_to_probability_vector(counts: Mapping[str, int], num_qubits: int) -> np.ndarray:

@@ -128,7 +128,7 @@ class SolverResult:
         """Evaluate the Table-II metrics against the originating problem."""
         return evaluate_outcomes(
             problem,
-            dict(self.distribution()),
+            self.distribution(),
             circuit_depth=self.transpiled_depth or self.circuit_depth,
             optimal_value=optimal_value,
         )

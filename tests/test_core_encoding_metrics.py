@@ -137,6 +137,19 @@ class TestMetrics:
         with pytest.raises(ProblemError):
             success_rate(paper_example_problem, {"10": 1.0})
 
+    @pytest.mark.parametrize(
+        "key",
+        ["1201", "0b10", "1_01", "+101", " 101", "101 ", "10\n1", "1é01", "\uff11010"],
+    )
+    def test_malformed_bitstring_rejected(self, paper_example_problem, key):
+        # int(ch) read "2" and the full-width "１" as digits; int(key, 2)
+        # would also take the "0b", "_", "+" and whitespace forms.
+        with pytest.raises(ProblemError, match="binary digits"):
+            in_constraints_rate(paper_example_problem, {"1010": 0.5, key: 0.5})
+
+    def test_characters_past_the_register_are_ignored(self, paper_example_problem):
+        assert in_constraints_rate(paper_example_problem, {"1010x?": 1.0}) == 1.0
+
     def test_empty_distribution_rejected(self, paper_example_problem):
         with pytest.raises(ProblemError):
             in_constraints_rate(paper_example_problem, {})

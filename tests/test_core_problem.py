@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,3 +158,24 @@ def test_property_linear_objective_evaluation(bits, weights):
     objective = Objective.from_linear(weights)
     expected = sum(w * b for w, b in zip(weights, bits))
     assert objective.evaluate(bits) == pytest.approx(expected)
+
+
+def test_scalar_sums_run_left_to_right_like_the_array_kernels():
+    # 1.0 + 1e16 rounds to 1e16, so a left-to-right sum of these
+    # coefficients is 0.0 where a compensated one (builtin ``sum`` from
+    # Python 3.12) or a right-to-left one gives 1.0.
+    problem = ConstrainedBinaryProblem(
+        num_variables=3,
+        objective=Objective({(0,): 1.0, (1,): 1e16, (2,): -1e16}),
+        constraints=[
+            LinearConstraint((1.0, 1e16, -1e16), 1.0),
+            LinearConstraint((0.1, 0.2, 0.3), 0.6),
+        ],
+    )
+    codes = np.arange(8, dtype=np.int64)
+    objective, violation, feasible = problem.evaluate_codes(codes)
+    assignments = [tuple((code >> (2 - j)) & 1 for j in range(3)) for code in range(8)]
+    assert problem.constraints[0].evaluate((1, 1, 1)) == 0.0
+    assert [problem.evaluate(bits) for bits in assignments] == objective.tolist()
+    assert [problem.total_violation(bits) for bits in assignments] == violation.tolist()
+    assert [problem.is_feasible(bits) for bits in assignments] == feasible.tolist()
