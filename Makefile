@@ -41,8 +41,10 @@
 #                    optimizations under pytest (pytest-benchmark's
 #                    `benchmark` fixture): fig12 (Trotter vs equivalent
 #                    decomposition), fig13 (variable elimination) and fig14
-#                    (Opt2/Opt3 ablation).  Each asserts its figure's
-#                    expected shape; ~10 s.  Runs in the CI test job.
+#                    (Opt2/Opt3 ablation), plus the pass stack's
+#                    gate-count gates (bench_transpile_optimization).  Each
+#                    asserts its expected shape; ~15 s.  Runs in the CI test
+#                    job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
 #                    refreshes BENCH_service_throughput.json.  Wall-clock
@@ -95,7 +97,7 @@ bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
 
 bench-ablation:
-	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py -o python_files='bench_*.py' -o python_functions='bench_*'
+	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py -o python_files='bench_*.py' -o python_functions='bench_*'
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 

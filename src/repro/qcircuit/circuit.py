@@ -97,34 +97,24 @@ class QuantumCircuit:
 
     def append(self, gate: Gate, qubits: Sequence[int]) -> "QuantumCircuit":
         """Append ``gate`` on ``qubits`` (validates the indices)."""
-        qubits = tuple(int(q) for q in qubits)
-        for qubit in qubits:
-            if not 0 <= qubit < self.num_qubits:
-                raise CircuitError(
-                    f"qubit index {qubit} out of range for a {self.num_qubits}-qubit circuit"
-                )
-        self._instructions.append(Instruction(gate, qubits))
-        return self
+        return self.append_instruction(Instruction(gate, tuple(int(q) for q in qubits)))
 
     def append_instruction(self, instruction: Instruction) -> "QuantumCircuit":
         """Append an existing :class:`Instruction`, directives included.
 
         The public path for cloning or rewriting circuits instruction by
         instruction (e.g. the noise model's trajectory sampling): qubit
-        indices are validated against this circuit's register, and
-        measure/barrier directives — whose qubit count does not match their
-        gate arity — are carried over as-is.
+        indices are validated against this circuit's register, then the
+        frozen instance itself is appended and shared with its source, not
+        rebuilt.
         """
-        if instruction.is_directive:
-            for qubit in instruction.qubits:
-                if not 0 <= qubit < self.num_qubits:
-                    raise CircuitError(
-                        f"qubit index {qubit} out of range for a "
-                        f"{self.num_qubits}-qubit circuit"
-                    )
-            self._instructions.append(instruction)
-            return self
-        return self.append(instruction.gate, instruction.qubits)
+        for qubit in instruction.qubits:
+            if not 0 <= qubit < self.num_qubits:
+                raise CircuitError(
+                    f"qubit index {qubit} out of range for a {self.num_qubits}-qubit circuit"
+                )
+        self._instructions.append(instruction)
+        return self
 
     def extend(self, instructions: Iterable[Instruction]) -> "QuantumCircuit":
         for instruction in instructions:
@@ -218,10 +208,8 @@ class QuantumCircuit:
         return self.append(unitary_gate(matrix, label=label), qubits)
 
     def barrier(self, qubits: Sequence[int] | None = None) -> "QuantumCircuit":
-        qubits = tuple(range(self.num_qubits)) if qubits is None else tuple(qubits)
-        gate = Gate("barrier", max(len(qubits), 1))
-        self._instructions.append(Instruction(gate, qubits))
-        return self
+        qubits = tuple(range(self.num_qubits)) if qubits is None else tuple(int(q) for q in qubits)
+        return self.append_instruction(Instruction(Gate("barrier", max(len(qubits), 1)), qubits))
 
     def measure_all(self) -> "QuantumCircuit":
         gate = Gate("measure", self.num_qubits)
@@ -277,11 +265,9 @@ class QuantumCircuit:
             if len(mapping) != other.num_qubits:
                 raise CircuitError("qubit mapping length must match the composed circuit")
         for instruction in other:
-            mapped = tuple(mapping[q] for q in instruction.qubits)
-            if instruction.is_directive:
-                self._instructions.append(Instruction(instruction.gate, mapped))
-            else:
-                self.append(instruction.gate, mapped)
+            self.append_instruction(
+                Instruction(instruction.gate, tuple(mapping[q] for q in instruction.qubits))
+            )
         return self
 
     def inverse(self) -> "QuantumCircuit":

@@ -4,7 +4,8 @@
 leaves the circuit unchanged (or ``max_rounds`` is hit — the passes only
 ever shrink or reorder, so in practice one or two rounds converge), and
 returns a :class:`~repro.qcircuit.passes.report.PassRecord` for every
-application that changed the circuit.
+application that changed the circuit.  Records chain: each ``before`` is the
+previous record's ``after``, so every circuit's stats are computed once.
 
 ``default_pipeline`` maps the ``TranspileOptions.optimization_level`` knob
 to a pipeline:
@@ -52,6 +53,7 @@ class PassManager:
     ) -> tuple[QuantumCircuit, tuple[PassRecord, ...]]:
         """Optimize ``circuit``; return it with the records of what changed."""
         current = circuit
+        stats: CircuitStats | None = None  # of ``current``; walked at the first change
         records: list[PassRecord] = []
         for round_index in range(1, self.max_rounds + 1):
             round_changed = False
@@ -61,15 +63,16 @@ class PassManager:
                 if rewritten.instructions == before:
                     continue
                 round_changed = True
+                after = CircuitStats.from_circuit(rewritten)
                 records.append(
                     PassRecord(
                         pass_name=circuit_pass.name,
                         round_index=round_index,
-                        before=CircuitStats.from_circuit(current),
-                        after=CircuitStats.from_circuit(rewritten),
+                        before=stats or CircuitStats.from_circuit(current),
+                        after=after,
                     )
                 )
-                current = rewritten
+                current, stats = rewritten, after
             if not round_changed:
                 break
         return current, tuple(records)

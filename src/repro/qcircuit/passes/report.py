@@ -9,9 +9,14 @@ quantified, cacheable measurement rather than an invisible side effect — the
 measurement-first reporting style of the per-circuit tables in
 qiskit-zx-transpiler's ``benchmarks_output.txt``.
 
-All metric values come from the one set of :class:`QuantumCircuit` helpers
-(``size`` / ``depth`` / ``num_two_qubit_gates`` / ``two_qubit_ratio``), so
-reports and circuit ``summary()`` lines can never disagree.
+:meth:`CircuitStats.from_circuit` walks a circuit three times, through the
+:class:`QuantumCircuit` helpers ``size``, ``depth`` and
+``num_two_qubit_gates``, and derives the ratio from the size and two-qubit
+count it already holds, by the same formula as ``two_qubit_ratio``.  The
+helpers stay the reference: ``tests/test_passes.py::TestStatsChain`` pins
+``from_circuit`` to all four on randomized circuits, so reports and circuit
+``summary()`` lines cannot disagree.  A transpile computes each circuit's
+stats once: a pass record's ``before`` is the previous record's ``after``.
 """
 
 from __future__ import annotations
@@ -32,11 +37,13 @@ class CircuitStats:
 
     @classmethod
     def from_circuit(cls, circuit: QuantumCircuit) -> "CircuitStats":
+        size = circuit.size()
+        two_qubit_gates = circuit.num_two_qubit_gates()
         return cls(
-            size=circuit.size(),
+            size=size,
             depth=circuit.depth(),
-            two_qubit_gates=circuit.num_two_qubit_gates(),
-            two_qubit_ratio=circuit.two_qubit_ratio(),
+            two_qubit_gates=two_qubit_gates,
+            two_qubit_ratio=two_qubit_gates / size if size else 0.0,
         )
 
     def to_dict(self) -> dict:

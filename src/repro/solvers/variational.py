@@ -426,10 +426,13 @@ class VariationalEngine:
 
         ``latency.compilation`` is the measured host time of *this* run's
         compile step: building the reference circuit and transpiling it for
-        depth accounting.  When the transpile structure memo already holds
-        the circuit (e.g. a second seed of the same problem and config),
-        that step is a lookup and the figure drops from the full lowering
-        time to a few milliseconds; every other result field is unchanged.
+        depth accounting.  The depths and the two-qubit count are read off
+        the transpile report's ``source`` and ``optimized`` stats, so the
+        step walks no circuit after the transpile.  When the transpile
+        structure memo already holds the circuit (e.g. a second seed of the
+        same problem and config), that step is a lookup and the figure drops
+        from the full lowering time to a few milliseconds; every other
+        result field is unchanged.
         """
         rng = np.random.default_rng(self.options.seed)
         backend = spec.backend or DenseStateBackend(spec.num_qubits)
@@ -441,7 +444,9 @@ class VariationalEngine:
         transpiled, transpile_report = transpile_with_report(
             reference_circuit, transpile_options
         )
-        transpiled_depth = transpiled.depth() + unitary_synthesis_penalty(transpiled)
+        transpiled_depth = transpile_report.optimized.depth + unitary_synthesis_penalty(
+            transpiled
+        )
         compilation_seconds = time.perf_counter() - compile_start
 
         # ---- classical optimization against the exact expectation -------
@@ -538,10 +543,10 @@ class VariationalEngine:
             exact_distribution=reported_distribution,
             optimal_parameters=optimizer_result.parameters,
             trace=optimizer_result.trace,
-            circuit_depth=reference_circuit.depth(),
+            circuit_depth=transpile_report.source.depth,
             transpiled_depth=transpiled_depth,
             num_qubits=spec.num_qubits,
-            num_two_qubit_gates=transpiled.num_two_qubit_gates(),
+            num_two_qubit_gates=transpile_report.optimized.two_qubit_gates,
             latency=latency,
             metadata=metadata,
         )

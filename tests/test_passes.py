@@ -8,6 +8,7 @@ Per-pass rewrite units, the timeline bookkeeping they share, the
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.qcircuit.passes import (
     TranspileReport,
     default_pipeline,
 )
+from repro.qcircuit.transpile import TranspileOptions, transpile, transpile_with_report
 
 
 def gate_names(circuit: QuantumCircuit) -> list[str]:
@@ -235,8 +237,6 @@ class TestLadderResynthesis:
     def test_lowered_cp_recovered(self):
         # The transpiler lowers cp to rz·cx·rz·cx·rz; with rzz and cp in the
         # basis the full level-2 pipeline recovers a controlled-phase form.
-        from repro.qcircuit.transpile import TranspileOptions, transpile
-
         circuit = QuantumCircuit(2)
         circuit.cp(0.8, 0, 1)
         options = TranspileOptions(
@@ -345,11 +345,95 @@ class TestTwoQubitRatio:
         assert QuantumCircuit(1).two_qubit_ratio() == 0.0
 
 
+def _random_circuit(seed: int) -> QuantumCircuit:
+    """A random mix of 1-4-qubit gates, full and partial barriers,
+    qubit-less barriers and final measurements."""
+    rng = random.Random(seed)
+    num_qubits = rng.randint(1, 6)
+    circuit = QuantumCircuit(num_qubits, name=f"random-{seed}")
+    for _ in range(rng.randint(0, 40)):
+        qubits = rng.sample(range(num_qubits), rng.randint(1, min(num_qubits, 4)))
+        kind = rng.randrange(6)
+        if kind == 0:
+            circuit.rz(rng.uniform(-3.0, 3.0), qubits[0])
+        elif kind == 1:
+            circuit.h(qubits[0])
+        elif kind == 2 and len(qubits) >= 2:
+            circuit.cp(rng.uniform(-3.0, 3.0), qubits[0], qubits[1])
+        elif kind == 3 and len(qubits) >= 3:
+            circuit.mcx(qubits[:-1], qubits[-1])
+        elif kind == 4:
+            circuit.barrier(rng.choice([None, [], qubits]))
+        else:
+            circuit.x(qubits[0])
+    if rng.random() < 0.5:
+        circuit.measure_all()
+    return circuit
+
+
+def _assert_record_chain(report: TranspileReport) -> None:
+    records = report.passes
+    if not records:
+        assert report.optimized == report.lowered
+        return
+    assert records[0].before == report.lowered
+    for record, following in zip(records, records[1:]):
+        assert record.after == following.before
+    assert report.optimized == records[-1].after
+
+
+class TestStatsChain:
+    """``CircuitStats.from_circuit`` against the four ``QuantumCircuit``
+    helpers it stands in for, and the before/after chain of a report."""
+
+    @staticmethod
+    def _assert_stats_match_helpers(circuit: QuantumCircuit) -> None:
+        assert CircuitStats.from_circuit(circuit) == CircuitStats(
+            size=circuit.size(),
+            depth=circuit.depth(),
+            two_qubit_gates=circuit.num_two_qubit_gates(),
+            two_qubit_ratio=circuit.two_qubit_ratio(),
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_from_circuit_matches_the_helpers(self, seed):
+        circuit = _random_circuit(seed)
+        self._assert_stats_match_helpers(circuit)
+        self._assert_stats_match_helpers(transpile(circuit))
+
+    def test_from_circuit_on_directive_only_and_empty_circuits(self):
+        self._assert_stats_match_helpers(QuantumCircuit(3))
+        self._assert_stats_match_helpers(QuantumCircuit(3).barrier().barrier([]))
+        self._assert_stats_match_helpers(QuantumCircuit(2).measure_all())
+        self._assert_stats_match_helpers(QuantumCircuit(3).cx(0, 1).h(2).rzz(0.2, 1, 2))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_report_records_chain(self, seed, level):
+        circuit = _random_circuit(seed)
+        for basis in (BASIS_GATES, frozenset(BASIS_GATES | {"rzz"})):
+            optimized, report = transpile_with_report(
+                circuit, TranspileOptions(basis_gates=basis, optimization_level=level)
+            )
+            _assert_record_chain(report)
+            assert report.source == CircuitStats.from_circuit(circuit)
+            assert report.optimized == CircuitStats.from_circuit(optimized)
+
+    def test_multi_record_chain(self):
+        circuit = QuantumCircuit(3, name="chain")
+        circuit.h(0).rz(0.4, 0).rz(-0.4, 0).h(0)
+        circuit.cp(0.3, 1, 2).cp(0.5, 1, 2).mcx([0, 1], 2)
+        _, report = transpile_with_report(
+            circuit, TranspileOptions(basis_gates=frozenset(BASIS_GATES | {"rzz"}))
+        )
+        assert len(report.passes) >= 2
+        _assert_record_chain(report)
+
+
 class TestTranspileReport:
     def _report(self) -> TranspileReport:
         circuit = QuantumCircuit(2, name="report")
         circuit.cp(0.8, 0, 1)
-        from repro.qcircuit.transpile import TranspileOptions, transpile_with_report
 
         _, report = transpile_with_report(
             circuit,

@@ -48,6 +48,52 @@ class TestConstruction:
         assert circuit.qubits_used() == frozenset({0, 1, 3})
 
 
+class TestDirectiveRegisterCheck:
+    """Barriers and composed directives pass the same register check as
+    gates, with their qubits normalised to ``int``."""
+
+    def test_barrier_out_of_range_rejected(self):
+        circuit = QuantumCircuit(2)
+        with pytest.raises(CircuitError, match="out of range"):
+            circuit.barrier([5])
+        assert len(circuit) == 0
+
+    def test_barrier_negative_index_rejected(self):
+        with pytest.raises(CircuitError, match="out of range"):
+            QuantumCircuit(2).barrier([-1])
+
+    def test_barrier_qubits_normalised_to_int(self):
+        from repro.qcircuit.transpile import _circuit_digest
+
+        numpy_indices = QuantumCircuit(2).h(0).barrier(np.array([0, 1]))
+        plain = QuantumCircuit(2).h(0).barrier([0, 1])
+        assert all(type(qubit) is int for qubit in numpy_indices[1].qubits)
+        assert _circuit_digest(numpy_indices) == _circuit_digest(plain)
+
+    def test_compose_maps_directives_through_the_register_check(self):
+        inner = QuantumCircuit(2)
+        inner.barrier()
+        with pytest.raises(CircuitError, match="out of range"):
+            QuantumCircuit(3).compose(inner, qubits=[0, 7])
+
+    def test_compose_keeps_in_range_directives(self):
+        inner = QuantumCircuit(2)
+        inner.h(0).barrier().measure_all()
+        outer = QuantumCircuit(3).compose(inner, qubits=[2, 0])
+        assert [(inst.name, inst.qubits) for inst in outer] == [
+            ("h", (2,)),
+            ("barrier", (2, 0)),
+            ("measure", (2, 0)),
+        ]
+
+    def test_append_instruction_shares_the_instance(self):
+        source = QuantumCircuit(2).cx(0, 1).barrier()
+        copy = QuantumCircuit(2).extend(source)
+        assert all(a is b for a, b in zip(copy, source))
+        with pytest.raises(CircuitError, match="out of range"):
+            QuantumCircuit(1).append_instruction(source[0])
+
+
 class TestDepth:
     def test_parallel_gates_share_a_layer(self):
         circuit = QuantumCircuit(3)

@@ -6,6 +6,9 @@ Transpiled circuits must equal their sources up to a global phase; the
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.qcircuit.transpile import (
     depth_after_transpile,
     gate_counts_after_transpile,
     transpile,
+    transpile_with_report,
 )
 
 from repro.testing import global_phase_equal
@@ -163,48 +167,88 @@ class TestDepthAccounting:
         assert counts.get("cx", 0) == 3
 
 
+def _golden_source() -> QuantumCircuit:
+    circuit = QuantumCircuit(5, name="golden")
+    circuit.h(0).y(1).s(2).t(3).sdg(4)
+    circuit.rx(0.7, 0).ry(-1.3, 1).p(0.4, 2)
+    circuit.swap(0, 1).cp(0.6, 1, 2).rzz(0.8, 2, 3)
+    circuit.rxx(0.5, 3, 4).ryy(0.9, 0, 4)
+    circuit.mcx([0, 1, 2], 3).mcp(0.7, [1, 2], 4)
+    circuit.barrier().measure_all()
+    return circuit
+
+
+def _load_golden(filename: str):
+    fixture = os.path.join(os.path.dirname(__file__), "data", filename)
+    with open(fixture) as handle:
+        return json.load(handle)
+
+
+def _instruction_rows(circuit: QuantumCircuit) -> list:
+    return [
+        [
+            instruction.gate.name,
+            list(instruction.qubits),
+            [repr(float(p)) for p in instruction.gate.params],
+        ]
+        for instruction in circuit
+    ]
+
+
 class TestLevelZeroGolden:
     """``optimization_level=0`` is pinned bit-identical to the pre-pass-stack
     transpiler via a golden fixture captured from the unmodified seed."""
 
-    def _golden_source(self) -> QuantumCircuit:
-        circuit = QuantumCircuit(5, name="golden")
-        circuit.h(0).y(1).s(2).t(3).sdg(4)
-        circuit.rx(0.7, 0).ry(-1.3, 1).p(0.4, 2)
-        circuit.swap(0, 1).cp(0.6, 1, 2).rzz(0.8, 2, 3)
-        circuit.rxx(0.5, 3, 4).ryy(0.9, 0, 4)
-        circuit.mcx([0, 1, 2], 3).mcp(0.7, [1, 2], 4)
-        circuit.barrier().measure_all()
-        return circuit
-
     def test_level_zero_bit_identical_to_golden(self):
-        import json
-        import os
-
-        fixture = os.path.join(
-            os.path.dirname(__file__), "data", "golden_transpile_level0.json"
-        )
-        with open(fixture) as handle:
-            golden = json.load(handle)
-        lowered = transpile(
-            self._golden_source(), TranspileOptions(optimization_level=0)
-        )
+        lowered = transpile(_golden_source(), TranspileOptions(optimization_level=0))
         payload = {
             "num_qubits": lowered.num_qubits,
-            "instructions": [
-                [
-                    instruction.gate.name,
-                    list(instruction.qubits),
-                    [repr(float(p)) for p in instruction.gate.params],
-                ]
-                for instruction in lowered
-            ],
+            "instructions": _instruction_rows(lowered),
         }
-        assert payload == golden
+        assert payload == _load_golden("golden_transpile_level0.json")
 
     def test_default_level_only_shrinks_the_golden_circuit(self):
-        source = self._golden_source()
+        source = _golden_source()
         level_zero = transpile(source, TranspileOptions(optimization_level=0))
         optimized = transpile(source)
         assert optimized.size() < level_zero.size()
         assert optimized.num_qubits == level_zero.num_qubits
+
+
+def _solver_reference_circuit(solver: str) -> QuantumCircuit:
+    """The reference circuit a default-config solve of K1 transpiles."""
+    from repro.run import make_solver
+    from repro.run.problems import resolve_benchmark
+    from repro.solvers.variational import EngineOptions
+
+    built = make_solver(solver, options=EngineOptions(seed=5)).build_spec(
+        resolve_benchmark("K1")
+    )
+    spec = built[0] if isinstance(built, tuple) else built
+    return spec.build_circuit(spec.initial_parameters)
+
+
+OPTIMIZED_GOLDEN_SOURCES = ("choco-q", "cyclic-qaoa", "penalty-qaoa", "hea", "golden")
+
+
+class TestOptimizedGolden:
+    """Levels 1 and 2 are pinned to a fixture captured before the cold
+    transpile stopped re-walking stats and rebuilding instructions: the
+    optimized instructions (exact param ``repr``) and the full report."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("source", OPTIMIZED_GOLDEN_SOURCES)
+    def test_optimized_transpile_matches_golden(self, source, level):
+        circuit = (
+            _golden_source() if source == "golden" else _solver_reference_circuit(source)
+        )
+        optimized, report = transpile_with_report(
+            circuit, TranspileOptions(optimization_level=level)
+        )
+        payload = {
+            "num_qubits": optimized.num_qubits,
+            "instructions": _instruction_rows(optimized),
+            "report": report.to_dict(),
+        }
+        golden = _load_golden("golden_transpile_optimized.json")
+        assert payload == golden[f"{source}/level{level}"]

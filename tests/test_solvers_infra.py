@@ -109,6 +109,31 @@ class TestVariationalEngine:
         )
 
 
+@pytest.mark.parametrize("solver", ["choco-q", "cyclic-qaoa", "penalty-qaoa", "hea"])
+def test_result_depths_match_walking_the_circuits(solver):
+    """The engine reads its depths and two-qubit count off the transpile
+    report; they must equal walking the reference and transpiled circuits."""
+    from repro.qcircuit.transpile import transpile, unitary_synthesis_penalty
+    from repro.run import make_solver
+    from repro.run.problems import resolve_benchmark
+
+    problem = resolve_benchmark("K1")
+    options = EngineOptions(shots=64, seed=3)
+    instance = make_solver(
+        solver, optimizer=CobylaOptimizer(max_iterations=40), options=options
+    )
+    built = instance.build_spec(problem)
+    spec = built[0] if isinstance(built, tuple) else built
+    reference = spec.build_circuit(spec.initial_parameters)
+    transpiled = transpile(reference, options.transpile_options())
+    result = instance.solve(problem)
+    assert result.circuit_depth == reference.depth()
+    assert result.transpiled_depth == transpiled.depth() + unitary_synthesis_penalty(
+        transpiled
+    )
+    assert result.num_two_qubit_gates == transpiled.num_two_qubit_gates()
+
+
 class TestLatencyModel:
     def test_two_qubit_gates_dominate(self):
         model = LatencyModel(IBM_FEZ)
