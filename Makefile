@@ -42,8 +42,12 @@
 #                    `benchmark` fixture): fig12 (Trotter vs equivalent
 #                    decomposition), fig13 (variable elimination) and fig14
 #                    (Opt2/Opt3 ablation), plus the pass stack's
-#                    gate-count gates (bench_transpile_optimization).  Each
-#                    asserts its expected shape; ~15 s.  Runs in the CI test
+#                    gate-count gates (bench_transpile_optimization) and the
+#                    hot-path bench's bit-identity and throughput gates
+#                    (bench_iteration_throughput: the compiled dense view
+#                    kernel and subspace program against the per-call
+#                    gather paths; writes no file under pytest).  Each
+#                    asserts its expected shape; ~20 s.  Runs in the CI test
 #                    job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
@@ -97,7 +101,7 @@ bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
 
 bench-ablation:
-	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py -o python_files='bench_*.py' -o python_functions='bench_*'
+	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py -o python_files='bench_*.py' -o python_functions='bench_*'
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 

@@ -17,10 +17,11 @@ This module implements the paper's central contribution:
 
 Each term has three representations:
 
-1. its hop pairing — the ``(a, b)`` index arrays of the basis states the
-   exact 2x2 rotation ``e^{-i beta H_c(u)}`` mixes, applied by
-   :func:`rotate_pairs_cs`.  :func:`dense_term_pairing` indexes the full
-   ``2^n`` basis; ``subspace_pairing`` indexes the coordinates of a
+1. its hop pairing — the ``(a, b)`` sides of the basis states the exact
+   2x2 rotation ``e^{-i beta H_c(u)}`` mixes, applied by
+   :func:`rotate_pairs_cs`.  ``dense_sides`` keys strided views of the
+   ``(2,)*n`` qubit tensor (:func:`dense_term_pairing` is their int64
+   reference); ``subspace_pairing`` indexes the coordinates of a
    feasible :class:`~repro.core.subspace.SubspaceMap`, so the rotation runs
    over ``O(|F|)`` amplitudes instead of ``O(2^n)``.  Valid because every
    ``H_c(u)`` maps feasible basis states to feasible basis states
@@ -113,7 +114,20 @@ class CommuteHamiltonianTerm:
         """The complementary pattern ``1 - v`` on the support."""
         return tuple(1 - bit for bit in self.v_bits)
 
-    # Masks over the full register used by the fast evolution path.
+    def dense_sides(self) -> tuple[tuple, tuple]:
+        """The ``v`` and ``v̄`` sides as basic-index keys into the ``(2,)*n`` state view.
+
+        ``Ellipsis`` (batch axes; a full-register support gives a 0-d view),
+        then per axis ``a`` — qubit ``n-1-a`` — the side's bit or a full slice.
+        """
+        bits = dict(zip(self.support, self.v_bits))
+        axes = range(self.num_qubits - 1, -1, -1)
+        return tuple(
+            (Ellipsis,) + tuple(int(bits[q]) ^ flip if q in bits else slice(None) for q in axes)
+            for flip in (0, 1)
+        )
+
+    # Masks over the full register used by the reference dense pairing.
     @cached_property
     def _support_mask(self) -> int:
         mask = 0
@@ -303,10 +317,9 @@ def dense_term_pairing(term: CommuteHamiltonianTerm) -> tuple[np.ndarray, np.nda
     """The dense ``(a, b)`` hop index pair of one commute term.
 
     ``a`` enumerates the basis indices whose support bits read ``v`` and
-    ``b = a XOR support_mask`` their ``v̄`` partners.  The single source of
-    the dense pairing convention: a compiled
-    :class:`~repro.hamiltonian.compiled.EvolutionProgram` resolves it once
-    per solver prepare.
+    ``b = a XOR support_mask`` their ``v̄`` partners.  The int64
+    gather/scatter reference for :meth:`CommuteHamiltonianTerm.dense_sides`,
+    which the tests and the iteration-throughput benchmark compare against.
     """
     indices = np.arange(2**term.num_qubits)
     in_v = (indices & term._support_mask) == term._v_pattern
@@ -353,39 +366,37 @@ def subspace_pairing_loop(
     return a_coordinates, b_coordinates
 
 
-def rotate_pairs_cs(
-    state: np.ndarray,
-    cos_b,
-    sin_b,
-    a_coordinates: np.ndarray,
-    b_coordinates: np.ndarray,
-) -> None:
-    """Rotate index pairs of ``state`` in place by ``[[cos, -i sin], [-i sin, cos]]``.
+def rotate_pairs_cs(state: np.ndarray, cos_b, sin_b, a_side, b_side) -> None:
+    """Rotate paired amplitudes of ``state`` in place by ``[[cos, -i sin], [-i sin, cos]]``.
 
     **In-place contract:** the rotated amplitudes are written back into
     ``state`` and the function returns ``None``; a caller that must keep
-    its input passes ``state.copy()``.  Only the ``2 * len(a_coordinates)``
-    paired amplitudes are touched, so one term costs ``O(pairs)``, not a
-    copy of the whole state.  Both sides are gathered before either is
-    written and the two index sets are disjoint (a hop pairs ``v`` with
-    ``v̄ != v``), so the result is bit-identical to reading from an untouched
-    copy.
+    its input passes ``state.copy()``.  A side is a coordinate array into
+    a ``(..., dim)`` state or a :meth:`~CommuteHamiltonianTerm.dense_sides`
+    key into a ``(..., 2, ..., 2)`` one, read as a view, not gathered.
+    Both sides are read (strided views copied contiguous) and both rotated
+    before either is written, and the sides are disjoint, so the result is
+    bit-identical to int64 gather/scatter into an untouched copy.
 
     ``cos_b`` / ``sin_b`` are the precomputed cosine and sine of the angle:
     a compiled :class:`~repro.hamiltonian.compiled.EvolutionProgram`
-    evaluates them once per layer and reuses them across every term.
-    Indexing runs over the last axis, so ``state`` may be a single vector
-    ``(dim,)`` or a batch ``(k, dim)`` of states; in the batched case the
-    cosine and sine may be arrays of ``k`` per-row values, and every row
+    evaluates them once per layer and reuses them across every term.  For a
+    batch of states they may be arrays of per-row values, and every row
     sees exactly the elementwise operations the sequential path applies.
     """
+    if not isinstance(a_side, tuple):
+        a_side, b_side = (Ellipsis, a_side), (Ellipsis, b_side)
+    a_amplitudes = state[a_side]
+    b_amplitudes = state[b_side]
+    if not a_amplitudes.flags.c_contiguous:
+        a_amplitudes, b_amplitudes = a_amplitudes.copy(), b_amplitudes.copy()
     if np.ndim(cos_b):
-        cos_b = cos_b[..., np.newaxis]
-        sin_b = sin_b[..., np.newaxis]
-    a_amplitudes = state[..., a_coordinates]
-    b_amplitudes = state[..., b_coordinates]
-    state[..., a_coordinates] = cos_b * a_amplitudes - 1j * sin_b * b_amplitudes
-    state[..., b_coordinates] = cos_b * b_amplitudes - 1j * sin_b * a_amplitudes
+        row_shape = np.shape(cos_b) + (1,) * (a_amplitudes.ndim - np.ndim(cos_b))
+        cos_b, sin_b = np.reshape(cos_b, row_shape), np.reshape(sin_b, row_shape)
+    new_a = cos_b * a_amplitudes - 1j * sin_b * b_amplitudes
+    new_b = cos_b * b_amplitudes - 1j * sin_b * a_amplitudes
+    state[a_side] = new_a
+    state[b_side] = new_b
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +457,11 @@ class CommuteDriver:
 
     # ------------------------------------------------------------------
 
-    def pairings(self, subspace_map=None) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Every term's ``(a, b)`` hop index pair, in term order.
+    def pairings(self, subspace_map=None) -> tuple[tuple, ...]:
+        """Every term's ``(a, b)`` hop sides, in term order.
 
-        Without a map the pairs index the dense ``2^n`` basis
-        (:func:`dense_term_pairing`); with a feasible
+        Without a map they key the dense ``(2,)*n`` qubit tensor
+        (:meth:`CommuteHamiltonianTerm.dense_sides`); with a feasible
         :class:`~repro.core.subspace.SubspaceMap` they index its ``|F|``
         coordinates (:meth:`CommuteHamiltonianTerm.subspace_pairing`).  A
         compiled :class:`~repro.hamiltonian.compiled.EvolutionProgram`
@@ -458,7 +469,7 @@ class CommuteDriver:
         prepare.
         """
         if subspace_map is None:
-            return tuple(dense_term_pairing(term) for term in self.terms)
+            return tuple(term.dense_sides() for term in self.terms)
         if self.num_qubits != subspace_map.num_variables:
             raise HamiltonianError("the driver register size does not match the subspace map")
         return tuple(term.subspace_pairing(subspace_map) for term in self.terms)

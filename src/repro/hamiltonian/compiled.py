@@ -3,16 +3,16 @@
 The paper's headline claim is *latency*: the commute ansatz wins because each
 optimizer iteration is cheap.  The structure of one iteration never changes
 during a run — the cost diagonal, the layer count and every term's pair of
-hop index arrays are fixed once the driver and the state layout are chosen —
+hop sides are fixed once the driver and the state layout are chosen —
 so re-deriving it on every cost evaluation (``np.arange(2^n)`` plus two
 boolean masks per dense term, or the full subspace pairing per restricted
 term) is pure overhead.  An :class:`EvolutionProgram` factors the split
 explicitly:
 
 * **compile** (once per solver prepare): take each driver term's immutable
-  ``(a, b)`` pair-index arrays from
-  :meth:`~repro.hamiltonian.commute.CommuteDriver.pairings` — dense from
-  the support mask, subspace from the vectorised pairing of a
+  ``(a, b)`` hop sides from
+  :meth:`~repro.hamiltonian.commute.CommuteDriver.pairings` — dense as keys
+  into the ``(2,)*n`` qubit tensor, subspace from the vectorised pairing of a
   :class:`~repro.core.subspace.SubspaceMap` — and factor the cost diagonal
   into its level table (:func:`diagonal_levels`): the distinct values
   ``levels`` and the ``level_index`` that maps every basis state to its
@@ -21,11 +21,12 @@ explicitly:
 * **execute** (per cost evaluation): a flat sequence of
   :func:`apply_diagonal_phase` and :func:`rotate_pairs_cs
   <repro.hamiltonian.commute.rotate_pairs_cs>` calls over the cached
-  indices, with one cosine/sine evaluation per layer shared by every term.
+  sides, with one cosine/sine evaluation per layer shared by every term.
   The phase evaluates the complex ``exp`` once per level and gathers it to
-  the state's layout; each rotation gathers its two amplitude sides and
-  scatters the rotated pairs back into the state the program owns, so a
-  term costs ``O(pairs)`` rather than a copy of the whole state.
+  the state's layout; each rotation reads its two sides (strided views of
+  the dense state — a K4 side is one contiguous block — or a subspace
+  coordinate gather) and writes the rotated pairs back into the state the
+  program owns, so a term costs ``O(pairs)``, not a copy of the state.
 
 The program is the one simulation path of three solvers: Choco-Q's
 serialized driver, the cyclic baseline's ring hops (``angle_scale=2``), and
@@ -39,9 +40,9 @@ every diagonal entry and to rotating into a fresh copy per term (asserted in
   state's ``exp`` input is the very product ``-1j * gamma * value`` the
   full-length expression forms, and elementwise ``exp`` maps equal inputs
   to equal outputs;
-* a rotation reads both sides into temporaries before it writes either, and
-  the two sides of a hop pairing are disjoint, so writing in place reads
-  exactly the amplitudes a copy would have kept.
+* a rotation computes both rotated sides before it writes either, and the
+  two sides of a hop pairing are disjoint (checked at construction), so
+  writing in place reads exactly the amplitudes a copy would have kept.
 
 Compilation only removes per-iteration recomputation, never changes an
 arithmetic step.  ``benchmarks/bench_iteration_throughput.py`` measures the
@@ -130,16 +131,46 @@ def apply_diagonal_phase(
     )
 
 
+def _key_bits(side, dimension: int) -> list:
+    """A dense side key's fixed bit per qubit axis (``None``: free); raises if malformed."""
+    if isinstance(side, tuple) and side[:1] == (Ellipsis,):
+        bits = [None if entry == slice(None) else entry for entry in side[1:]]
+        if 1 << len(bits) == dimension and all(
+            bit is None or (type(bit) is int and bit in (0, 1)) for bit in bits
+        ):
+            return bits
+    raise HamiltonianError("a dense hop side is Ellipsis, then a full slice or 0/1 per qubit axis")
+
+
+def _checked_pairing(a_side, b_side, dimension: int) -> tuple:
+    """One hop pairing, frozen; raises unless its two sides are disjoint and repeat no index."""
+    if isinstance(a_side, tuple) or isinstance(b_side, tuple):
+        a_bits, b_bits = _key_bits(a_side, dimension), _key_bits(b_side, dimension)
+        if [bit is None for bit in a_bits] != [bit is None for bit in b_bits] or a_bits == b_bits:
+            raise HamiltonianError("dense hop sides must fix the same axes, complementary on one")
+        return a_side, b_side
+    a_side, b_side = np.ascontiguousarray(a_side), np.ascontiguousarray(b_side)
+    if a_side.shape != b_side.shape or a_side.ndim != 1:
+        raise HamiltonianError("pair index arrays must be 1-D and equal-length")
+    if a_side.size:
+        both = np.concatenate((a_side, b_side))
+        if int(both.max()) >= dimension or int(both.min()) < 0:
+            raise HamiltonianError("pair indices exceed the program dimension")
+        if np.bincount(both).max() > 1:
+            raise HamiltonianError("hop pairing sides must be disjoint and repeat no index")
+    return a_side, b_side
+
+
 class EvolutionProgram:
-    """A layered (phase, hops) ansatz compiled to cached index arrays.
+    """A layered (phase, hops) ansatz compiled to cached hop sides.
 
     One program represents ``num_layers`` repetitions of
 
         ``e^{-i gamma_l H_o}  ·  prod_t  e^{-i (angle_scale * beta_l) H_t}``
 
     where ``H_o`` is the diagonal ``cost_diagonal`` and each hop term ``t``
-    is a frozen ``(a, b)`` pair-index array over the state layout (dense
-    basis indices or subspace coordinates — the program is agnostic).
+    is a frozen ``(a, b)`` pair of sides: dense keys into the state viewed
+    as ``(2,)*n``, or coordinate arrays into the ``(dim,)`` state.
     ``angle_scale`` absorbs constant driver prefactors such as the cyclic
     ring hop's ``XX + YY = 2 H_c(u)``.
 
@@ -147,10 +178,8 @@ class EvolutionProgram:
     :meth:`~repro.hamiltonian.commute.CommuteDriver.pairings` — dense, or
     over a subspace map — then call :meth:`execute` (or the
     :meth:`bind`-ed closure) per cost evaluation.  A dense pairing keeps
-    two int64 arrays of length ``2^(n - |support|)`` per term resident for
-    the program's lifetime: negligible at the dense simulator's practical
-    scales (~16 qubits), and past them the subspace layout is the intended
-    path anyway.
+    only two ``n + 1``-entry keys per term resident; a subspace pairing
+    keeps two int64 arrays of its ``O(|F|)`` pairs.
     """
 
     def __init__(
@@ -166,22 +195,14 @@ class EvolutionProgram:
         if cost_diagonal.ndim != 1:
             raise HamiltonianError("cost_diagonal must be a 1-D vector")
         dimension = cost_diagonal.shape[0]
-        frozen: list[tuple[np.ndarray, np.ndarray]] = []
-        for a_indices, b_indices in pairings:
-            a_indices = np.ascontiguousarray(a_indices)
-            b_indices = np.ascontiguousarray(b_indices)
-            if a_indices.shape != b_indices.shape or a_indices.ndim != 1:
-                raise HamiltonianError("pair index arrays must be 1-D and equal-length")
-            if a_indices.size and (
-                int(max(a_indices.max(), b_indices.max())) >= dimension
-                or int(min(a_indices.min(), b_indices.min())) < 0
-            ):
-                raise HamiltonianError("pair indices exceed the program dimension")
-            frozen.append((a_indices, b_indices))
+        self.pairings = tuple(_checked_pairing(a, b, dimension) for a, b in pairings)
+        dense = {isinstance(a_side, tuple) for a_side, _ in self.pairings}
+        if len(dense) > 1:
+            raise HamiltonianError("a program's hop sides are all dense keys or all arrays")
+        self._view_shape = (2,) * (dimension.bit_length() - 1) if True in dense else (dimension,)
         self.num_layers = int(num_layers)
         self.cost_diagonal = cost_diagonal
         self.levels, self.level_index = diagonal_levels(cost_diagonal)
-        self.pairings: tuple[tuple[np.ndarray, np.ndarray], ...] = tuple(frozen)
         self.angle_scale = float(angle_scale)
 
     # ------------------------------------------------------------------
@@ -207,10 +228,11 @@ class EvolutionProgram:
 
         Each layer phases through the compiled level table (one ``exp`` per
         distinct cost value, gathered to the layout) and then rotates every
-        term's pairs in place.  The rotations write only into the state this
-        call owns — a fresh copy of ``initial_state``, replaced by each
-        layer's phase — never into ``initial_state``, the cost diagonal or
-        an array an earlier call returned.  Both steps are bit-identical to
+        term's pairs in place through one reshaped view.  The rotations
+        write only into the state this call owns — a fresh copy of
+        ``initial_state``, replaced by each layer's phase — never into
+        ``initial_state``, the cost diagonal or an array an earlier call
+        returned.  Both steps are bit-identical to
         a full-length ``exp`` and a copy per term: see the module docstring.
         """
         parameters, state = prepare_ansatz_state(initial_state, parameters)
@@ -225,8 +247,9 @@ class EvolutionProgram:
             angle = beta if self.angle_scale == 1.0 else self.angle_scale * beta
             cos_b = np.cos(angle)
             sin_b = np.sin(angle)
-            for a_indices, b_indices in self.pairings:
-                rotate_pairs_cs(state, cos_b, sin_b, a_indices, b_indices)
+            shaped = state.reshape(state.shape[:-1] + self._view_shape)
+            for a_side, b_side in self.pairings:
+                rotate_pairs_cs(shaped, cos_b, sin_b, a_side, b_side)
         return state
 
     def bind(self, initial_state: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

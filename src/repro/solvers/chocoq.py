@@ -209,7 +209,7 @@ class ChocoQSolver(QuantumSolver):
         num_layers = self.config.num_layers
         use_decomposition = self.config.use_equivalent_decomposition
         # The backends share one ansatz loop; they differ only in the state
-        # layout and the pair indices it compiles.
+        # layout and the hop sides it compiles.
         layout = resolve_state_layout(
             problem,
             self.config.backend,
@@ -219,7 +219,7 @@ class ChocoQSolver(QuantumSolver):
             driver=driver,
         )
         # Compile once per prepare: every cost evaluation afterwards runs
-        # over cached pair indices with zero structural recomputation,
+        # over cached hop sides with zero structural recomputation,
         # broadcasting unchanged over the batched (k, 2L) sweep path.
         evolve = EvolutionProgram(num_layers, layout.cost_diagonal, layout.pairings).bind(
             layout.initial_state

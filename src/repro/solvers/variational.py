@@ -16,7 +16,7 @@ implements the shared *how it runs*:
   service's coalesced sweeps) share one closure for every solver.  Choco-Q,
   cyclic and penalty QAOA evolve through a compiled
   :class:`~repro.hamiltonian.compiled.EvolutionProgram`, which broadcasts
-  over a batch; HEA keeps its own RY/CZ kernel over index arrays built once
+  over a batch; HEA keeps its own RY/CZ kernel over hop sides built once
   per spec and evolves a batch row by row.
 * :class:`StateBackend` — the pluggable state layout the ansatz evolves
   over.  :class:`DenseStateBackend` indexes amplitudes by the full ``2^n``
@@ -178,14 +178,14 @@ class StateLayout:
     """Where a commute-driver ansatz evolves: the ``2^n`` basis or a subspace.
 
     Built by :func:`resolve_state_layout`.  ``initial_state``,
-    ``cost_diagonal`` and the ``(a, b)`` index arrays of ``pairings`` (one
-    per driver term) all index the same vectors; ``backend`` measures them
+    ``cost_diagonal`` and the ``(a, b)`` hop sides of ``pairings`` (one
+    per driver term) all address the same vectors; ``backend`` measures them
     (``None`` means dense, the engine's default).
     """
 
     initial_state: np.ndarray
     cost_diagonal: np.ndarray
-    pairings: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pairings: tuple[tuple, ...]
     backend: SubspaceStateBackend | None = None
 
     @property

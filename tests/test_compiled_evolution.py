@@ -353,6 +353,66 @@ class TestEvolutionProgramValidation:
         with pytest.raises(HamiltonianError):
             EvolutionProgram(1, np.zeros(4), [(np.array([0]), np.array([7]))])
 
+    @pytest.mark.parametrize(
+        "a_side, b_side",
+        [([0, 0], [1, 2]), ([0, 1], [1, 2]), ([0], [0])],
+        ids=["repeated-index", "overlapping-sides", "self-pair"],
+    )
+    def test_rejects_overlapping_or_repeated_coordinates(self, a_side, b_side):
+        # Rotating such sides is not unitary: ([0, 0], [1, 2]) took |0> to
+        # a state of norm^2 1.415.
+        with pytest.raises(HamiltonianError):
+            EvolutionProgram(1, np.zeros(4), [(np.array(a_side), np.array(b_side))])
+
+    @pytest.mark.parametrize(
+        "a_side, b_side, dimension",
+        [
+            ((Ellipsis, 0), (Ellipsis, 1), 4),
+            ((0, slice(None)), (1, slice(None)), 4),
+            ((Ellipsis, 2, slice(None)), (Ellipsis, 0, slice(None)), 4),
+            ((Ellipsis, -1, slice(None)), (Ellipsis, 0, slice(None)), 4),
+            ((Ellipsis, True, slice(None)), (Ellipsis, False, slice(None)), 4),
+            ((Ellipsis, slice(0, 1), 0), (Ellipsis, slice(0, 1), 1), 4),
+            ((Ellipsis, 0, slice(None)), (Ellipsis, 0, slice(None)), 4),
+            ((Ellipsis, 0, slice(None)), (Ellipsis, slice(None), 1), 4),
+            ((Ellipsis, 0, slice(None)), (Ellipsis, 1, 1), 4),
+            ((Ellipsis, 0, slice(None)), (Ellipsis, 1, slice(None)), 6),
+            ((Ellipsis, 0, slice(None)), np.array([2, 3]), 4),
+        ],
+        ids=[
+            "too-few-axes",
+            "no-ellipsis",
+            "bit-2",
+            "bit-minus-1",
+            "bool-bits",
+            "partial-slice",
+            "identical-sides",
+            "different-free-axes",
+            "different-shapes",
+            "not-a-qubit-register",
+            "key-with-array",
+        ],
+    )
+    def test_rejects_malformed_dense_keys(self, a_side, b_side, dimension):
+        with pytest.raises(HamiltonianError):
+            EvolutionProgram(1, np.zeros(dimension), [(a_side, b_side)])
+
+    def test_rejects_mixed_side_kinds(self):
+        keys = CommuteHamiltonianTerm((1, -1)).dense_sides()
+        arrays = (np.array([0]), np.array([3]))
+        with pytest.raises(HamiltonianError):
+            EvolutionProgram(1, np.zeros(4), [keys, arrays])
+
+    def test_accepts_controlled_dense_keys(self):
+        # Sides may share a fixed bit as long as they differ on another axis.
+        program = EvolutionProgram(
+            1, np.zeros(8), [((Ellipsis, 1, 0, slice(None)), (Ellipsis, 1, 1, slice(None)))]
+        )
+        state = np.arange(8, dtype=complex)
+        reference = state.copy()
+        rotate_pairs_cs(reference, np.cos(0.3), np.sin(0.3), np.array([4, 5]), np.array([6, 7]))
+        assert program.execute(state, np.array([0.0, 0.3])).tobytes() == reference.tobytes()
+
     def test_dense_term_pairing_program_matches_direct_rotation(self):
         from scipy.linalg import expm
 

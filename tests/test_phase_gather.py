@@ -65,6 +65,13 @@ def _copying_rotation(state, cos_b, sin_b, a_coordinates, b_coordinates):
     return new_state
 
 
+def _coordinates(side, dimension):
+    """The int64 basis indices a dense side key views; coordinate arrays pass through."""
+    if not isinstance(side, tuple):
+        return side
+    return np.arange(dimension).reshape((2,) * (len(side) - 1))[side].ravel()
+
+
 def _old_execute(program: EvolutionProgram, initial_state, parameters):
     parameters, state = prepare_ansatz_state(initial_state, parameters)
     for layer in range(program.num_layers):
@@ -74,7 +81,9 @@ def _old_execute(program: EvolutionProgram, initial_state, parameters):
         angle = beta if program.angle_scale == 1.0 else program.angle_scale * beta
         cos_b = np.cos(angle)
         sin_b = np.sin(angle)
-        for a_indices, b_indices in program.pairings:
+        for a_side, b_side in program.pairings:
+            a_indices = _coordinates(a_side, program.dimension)
+            b_indices = _coordinates(b_side, program.dimension)
             state = _copying_rotation(state, cos_b, sin_b, a_indices, b_indices)
     return state
 
