@@ -43,20 +43,26 @@ def _normalised_distribution(outcomes: Outcomes) -> dict[str, float]:
     return {key: value / total for key, value in outcomes.items()}
 
 
-def _assignment_codes(keys: list[str], n: int) -> np.ndarray:
-    """Codes of the keys' first ``n`` characters, variable ``j`` at bit ``n - 1 - j``.
+def key_bits(keys: list[str], n: int) -> np.ndarray:
+    """The keys' first ``n`` characters as a ``(len(keys), n)`` array of 0/1.
 
     Longer keys are truncated (ancilla bits); the rest must be ``0``/``1``.
     """
-    if n > 62:
-        raise ProblemError("outcome scoring packs at most 62 variables into a code")
     # One code point per character, NUL-padded when a key is short; unsigned
     # wrap-around puts every character but '0' and '1' above 1.
     bits = np.array(keys, dtype=f"U{n}").view(np.uint32).reshape(len(keys), n) - np.uint32(ord("0"))
     bad = np.flatnonzero((bits > 1).any(axis=1))
     if bad.size:
         raise ProblemError(f"bitstring {keys[bad[0]]!r} does not start with {n} binary digits")
-    return bits.astype(np.int64) @ (np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64))
+    return bits
+
+
+def _assignment_codes(keys: list[str], n: int) -> np.ndarray:
+    """Codes of the keys' first ``n`` characters, variable ``j`` at bit ``n - 1 - j``."""
+    if n > 62:
+        raise ProblemError("outcome scoring packs at most 62 variables into a code")
+    weights = np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64)
+    return key_bits(keys, n).astype(np.int64) @ weights
 
 
 def _sequential_sum(terms: np.ndarray) -> float:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.metrics import key_bits
 from repro.core.nullspace import ternary_nullspace_basis, variable_nonzero_counts
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.exceptions import ProblemError
@@ -107,12 +108,26 @@ class ReducedInstance:
 
     def lift(self, reduced_bits: Sequence[int]) -> tuple[int, ...]:
         """Map a reduced-register bit assignment back to the original register."""
-        original = [0] * (len(self.kept_variables) + len(self.assignment))
-        for reduced_index, original_index in enumerate(self.kept_variables):
-            original[original_index] = int(reduced_bits[reduced_index])
+        key = "".join(str(int(bit)) for bit in reduced_bits)
+        return tuple(int(ch) for ch in self.lift_keys([key])[0])
+
+    def lift_keys(self, keys: Iterable[str]) -> list[str]:
+        """Lift reduced-register bitstrings to the original register, in order.
+
+        Each key's first ``len(kept_variables)`` characters are the reduced
+        bits; anything after them (a noisy run's ancilla bits) is dropped.
+        The keys are parsed as one ``(k, width)`` bit array and scattered
+        into the kept columns of a ``(k, n)`` array whose eliminated columns
+        hold the fixed values.
+        """
+        keys = list(keys)
+        num_variables = len(self.kept_variables) + len(self.assignment)
+        lifted = np.empty((len(keys), num_variables), dtype=np.uint32)
+        lifted[:, list(self.kept_variables)] = key_bits(keys, len(self.kept_variables))
         for variable, value in self.assignment:
-            original[variable] = value
-        return tuple(original)
+            lifted[:, variable] = value
+        lifted += np.uint32(ord("0"))
+        return lifted.view(f"U{num_variables}").ravel().tolist()
 
 
 @dataclass

@@ -7,7 +7,6 @@ from repro.problems.benchmark_suite import (
     SCALE_NAMES,
     BenchmarkSpec,
     benchmark_specs,
-    full_suite,
     get_spec,
     iter_benchmark_cases,
     make_benchmark,
@@ -20,7 +19,6 @@ from repro.problems.facility_location import (
 from repro.problems.graph_coloring import (
     GraphColoringInstance,
     coloring_from_assignment,
-    coloring_graph,
     graph_coloring_problem,
     is_proper_coloring,
     random_graph_coloring,
@@ -43,10 +41,8 @@ __all__ = [
     "SCALE_NAMES",
     "benchmark_specs",
     "coloring_from_assignment",
-    "coloring_graph",
     "cut_weight",
     "facility_location_problem",
-    "full_suite",
     "get_spec",
     "graph_coloring_problem",
     "is_proper_coloring",

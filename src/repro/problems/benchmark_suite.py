@@ -164,14 +164,6 @@ def _case_seed(spec: BenchmarkSpec, case_index: int) -> int:
     return base + scale_offset + case_index
 
 
-def full_suite(num_cases_per_scale: int = 1) -> dict[str, list[ConstrainedBinaryProblem]]:
-    """The whole Table-II suite as a mapping ``scale name -> cases``."""
-    suite: dict[str, list[ConstrainedBinaryProblem]] = {}
-    for spec in benchmark_specs():
-        suite[spec.name] = list(iter_benchmark_cases(spec.name, num_cases_per_scale))
-    return suite
-
-
 SCALE_NAMES: tuple[str, ...] = tuple(spec.name for spec in benchmark_specs())
 
 DOMAIN_OF_SCALE: dict[str, str] = {spec.name: spec.domain for spec in benchmark_specs()}

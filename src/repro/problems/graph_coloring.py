@@ -114,14 +114,6 @@ def random_graph_coloring(
     )
 
 
-def coloring_graph(instance: GraphColoringInstance) -> nx.Graph:
-    """The instance as a NetworkX graph (used by examples and tests)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(instance.num_vertices))
-    graph.add_edges_from(instance.edges)
-    return graph
-
-
 def variable_layout(instance: GraphColoringInstance) -> dict[str, int]:
     """Map symbolic names (x{v}_{c}, s{e}_{c}) to register indices."""
     layout: dict[str, int] = {}

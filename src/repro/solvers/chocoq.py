@@ -25,7 +25,9 @@ workflow of Fig. 3 with the three optimisations of Section IV:
 4. **Variable elimination** (Opt3, Section IV-C).  Optionally eliminate the
    variables with the most non-zeros across ``Delta``, running one (smaller)
    circuit per assignment of the eliminated variables and merging the lifted
-   measurement histograms.
+   measurement histograms.  Every sub-instance has the same reduced
+   constraint matrix, so the driver is built once per elimination plan and
+   each sub-instance compiles its ansatz around it.
 
 The ansatz for each (sub-)problem is
 
@@ -50,15 +52,12 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.feasibility import problem_initial_assignment
-from repro.core.nullspace import (
-    enumerate_ternary_nullspace,
-    ternary_nullspace_basis,
-    total_nonzeros,
-)
+from repro.core.nullspace import enumerate_ternary_nullspace, ternary_nullspace_basis
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.core.variable_elimination import (
     build_elimination_plan,
@@ -160,6 +159,13 @@ class ChocoQSolver(QuantumSolver):
 
     def build_driver(self, problem: ConstrainedBinaryProblem) -> CommuteDriver:
         """Construct the commute driver for a problem's constraint matrix."""
+        solutions = self._moves(problem)
+        if not solutions:
+            raise SolverError("the constraint system admits no commute-Hamiltonian moves")
+        return CommuteDriver.from_solutions(solutions)
+
+    def _moves(self, problem: ConstrainedBinaryProblem) -> list[tuple[int, ...]]:
+        """The ``nullspace_mode`` solution vectors of ``C u = 0`` (may be empty)."""
         matrix, _ = problem.constraint_matrix()
         if matrix.size == 0:
             raise SolverError(
@@ -167,12 +173,8 @@ class ChocoQSolver(QuantumSolver):
                 "unconstrained problems"
             )
         if self.config.nullspace_mode == "full":
-            solutions = enumerate_ternary_nullspace(matrix, max_support=self.config.max_support)
-        else:
-            solutions = ternary_nullspace_basis(matrix, max_support=self.config.max_support)
-        if not solutions:
-            raise SolverError("the constraint system admits no commute-Hamiltonian moves")
-        return CommuteDriver.from_solutions(solutions)
+            return enumerate_ternary_nullspace(matrix, max_support=self.config.max_support)
+        return ternary_nullspace_basis(matrix, max_support=self.config.max_support)
 
     # ------------------------------------------------------------------
     # Public API
@@ -202,8 +204,14 @@ class ChocoQSolver(QuantumSolver):
         evolution (cost evaluations, backend agreement) without running the
         optimizer — the same spec :meth:`solve` executes.
         """
-        num_qubits = problem.num_variables
         driver = self.build_driver(problem)
+        return self._compile_spec(problem, driver), driver
+
+    def _compile_spec(
+        self, problem: ConstrainedBinaryProblem, driver: CommuteDriver
+    ) -> AnsatzSpec:
+        """Compile the ansatz of ``problem`` around a ready ``driver``."""
+        num_qubits = problem.num_variables
         objective = problem.minimization_objective()
         initial_bits = problem_initial_assignment(problem)
         num_layers = self.config.num_layers
@@ -258,7 +266,7 @@ class ChocoQSolver(QuantumSolver):
         }
         if layout.subspace_map is not None:
             metadata["subspace_size"] = layout.subspace_map.size
-        spec = AnsatzSpec(
+        return AnsatzSpec(
             name=self.name,
             num_qubits=num_qubits,
             initial_state=layout.initial_state,
@@ -269,7 +277,6 @@ class ChocoQSolver(QuantumSolver):
             metadata=metadata,
             backend=layout.backend,
         )
-        return spec, driver
 
     def _initial_parameters(self) -> np.ndarray:
         layers = np.arange(1, self.config.num_layers + 1)
@@ -283,22 +290,19 @@ class ChocoQSolver(QuantumSolver):
 
     def _solve_with_elimination(self, problem: ConstrainedBinaryProblem) -> SolverResult:
         start = time.perf_counter()
-        matrix, _ = problem.constraint_matrix()
-        if matrix.size == 0:
-            raise SolverError("variable elimination requires constraints")
-        base_solutions = (
-            enumerate_ternary_nullspace(matrix, max_support=self.config.max_support)
-            if self.config.nullspace_mode == "full"
-            else ternary_nullspace_basis(matrix, max_support=self.config.max_support)
-        )
         variables = choose_elimination_variables(
-            problem, self.config.num_eliminated_variables, solutions=base_solutions
+            problem, self.config.num_eliminated_variables, solutions=self._moves(problem)
         )
         if not variables:
             return self._solve_single(problem)
         plan = build_elimination_plan(problem, variables)
+        # Fixing variables only moves the right-hand sides: every sub-instance
+        # has the same reduced constraint matrix, so one driver serves the
+        # whole plan.  Without moves, every sub-instance is a single feasible
+        # point.
+        moves = self._moves(plan.instances[0].problem)
+        driver = CommuteDriver.from_solutions(moves) if moves else None
 
-        sub_config = self.config.replace(num_eliminated_variables=0)
         # Split the shot budget without losing the remainder: the first
         # (shots mod num_circuits) instances take one extra shot, so the
         # merged histogram carries exactly options.shots samples.  When the
@@ -313,128 +317,94 @@ class ChocoQSolver(QuantumSolver):
                 stacklevel=2,
             )
         shot_allocation = split_shots(self.options.shots, plan.num_circuits)
-        # Independent, reproducible RNG streams per sub-instance (explicit
-        # child derivation — a caller-owned SeedSequence is never mutated).
-        instance_seeds = [
-            child_seed_sequence(self.options.seed, index)
-            for index in range(plan.num_circuits)
-        ]
+        sub_results: list[SolverResult] = []
+        for index, instance in enumerate(plan.instances):
+            shots = shot_allocation[index]
+            if driver is None:
+                sub_results.append(_trivial_result(instance.problem, shots))
+                continue
+            # Independent, reproducible RNG streams per sub-instance (explicit
+            # child derivation — a caller-owned SeedSequence is never mutated).
+            options = replace(
+                self.options, shots=shots, seed=child_seed_sequence(self.options.seed, index)
+            )
+            engine = VariationalEngine(self.optimizer, options, self.config.noise)
+            spec = self._compile_spec(instance.problem, driver)
+            sub_results.append(engine.run(spec, instance.problem))
 
+        weight = 1.0 / plan.num_circuits
         merged_counts: list[SampleResult] = []
         merged_distribution: dict[str, float] = {}
         trace = OptimizationTrace()
         latency = LatencyBreakdown()
-        max_depth = 0
-        max_transpiled_depth = 0
-        max_two_qubit = 0
-        total_iterations = 0
-        sub_results: list[SolverResult] = []
-        # The merged result reports the *deepest* sub-circuit's depth, so it
-        # carries that sub-instance's transpile report too.
-        deepest_transpile_report: dict | None = None
-
-        for index, instance in enumerate(plan.instances):
-            instance_shots = shot_allocation[index]
-            sub_options = replace(
-                self.options, shots=instance_shots, seed=instance_seeds[index]
-            )
-            sub_solver = ChocoQSolver(config=sub_config, optimizer=self.optimizer, options=sub_options)
-            try:
-                sub_result = sub_solver._solve_single(instance.problem)
-            except SolverError:
-                # A sub-instance whose reduced constraints admit no moves is a
-                # single feasible point; report it directly.
-                sub_result = _trivial_result(instance.problem, instance_shots)
-            sub_results.append(sub_result)
-
-            lifted_counts: dict[str, int] = {}
-            for key, count in sub_result.outcomes.counts.items():
-                reduced_bits = [int(ch) for ch in key[: instance.problem.num_variables]]
-                lifted = instance.lift(reduced_bits)
-                lifted_key = "".join(str(b) for b in lifted)
-                lifted_counts[lifted_key] = lifted_counts.get(lifted_key, 0) + count
+        for instance, shots, sub_result in zip(plan.instances, shot_allocation, sub_results):
+            counts = sub_result.outcomes.counts
+            assignment = {"assignment": dict(instance.assignment), "shots": shots}
             merged_counts.append(
                 SampleResult.from_counts(
-                    lifted_counts,
-                    metadata={
-                        "eliminated_assignments": [
-                            {
-                                "assignment": dict(instance.assignment),
-                                "shots": instance_shots,
-                            }
-                        ]
-                    },
+                    _accumulate({}, instance.lift_keys(counts), counts.values()),
+                    metadata={"eliminated_assignments": [assignment]},
                 )
             )
-
-            if sub_result.exact_distribution is not None:
-                weight = 1.0 / plan.num_circuits
-                for key, probability in sub_result.exact_distribution.items():
-                    reduced_bits = [int(ch) for ch in key[: instance.problem.num_variables]]
-                    lifted = instance.lift(reduced_bits)
-                    lifted_key = "".join(str(b) for b in lifted)
-                    merged_distribution[lifted_key] = (
-                        merged_distribution.get(lifted_key, 0.0) + weight * probability
-                    )
-
+            distribution = sub_result.exact_distribution
+            if distribution is not None:
+                _accumulate(
+                    merged_distribution,
+                    instance.lift_keys(distribution),
+                    (weight * probability for probability in distribution.values()),
+                )
             for cost, parameters in zip(sub_result.trace.costs, sub_result.trace.parameters):
                 trace.record(cost, parameters)
             latency.compilation += sub_result.latency.compilation
             latency.quantum_execution += sub_result.latency.quantum_execution
             latency.classical_processing += sub_result.latency.classical_processing
-            max_depth = max(max_depth, sub_result.circuit_depth)
-            if (
-                sub_result.transpiled_depth >= max_transpiled_depth
-                and sub_result.metadata.get("transpile_report") is not None
-            ):
-                deepest_transpile_report = sub_result.metadata["transpile_report"]
-            max_transpiled_depth = max(max_transpiled_depth, sub_result.transpiled_depth)
-            max_two_qubit = max(max_two_qubit, sub_result.num_two_qubit_gates)
-            total_iterations += sub_result.metadata.get("iterations", 0)
 
-        elapsed = time.perf_counter() - start
-        outcomes = merge_results(merged_counts)
-        # The merged result carries the same noise annotation every
-        # single-instance noisy run does.
+        # Report the layouts the sub-instances ran, as a single solve does
+        # ("dense+subspace" when an auto run splits across its limit), and
+        # the deepest sub-circuit's transpile report (the last on a tie).  A
+        # plan of single points ran no circuit and reports neither.
+        ran = sub_results if driver is not None else []
+        backends = sorted({sub.metadata["state_backend"] for sub in ran})
+        deepest = max(reversed(ran), key=lambda sub: sub.transpiled_depth, default=None)
         noise = self.config.noise
-        noise_metadata = {"noise": noise.to_dict()} if noise is not None else {}
-        # Report the layouts the sub-instances ran, as a single solve does:
-        # "dense+subspace" when an auto run splits across its limit, and no
-        # entry when every sub-instance was a trivial point.
-        ran = sorted(
-            {sub.metadata["state_backend"] for sub in sub_results if "state_backend" in sub.metadata}
-        )
-        backend_metadata = {"state_backend": "+".join(ran)} if ran else {}
-        report_metadata = (
-            {"transpile_report": deepest_transpile_report}
-            if deepest_transpile_report is not None
-            else {}
-        )
+        elapsed = time.perf_counter() - start
         return SolverResult(
             solver_name=self.name,
             problem_name=problem.name,
-            outcomes=outcomes,
+            outcomes=merge_results(merged_counts),
             exact_distribution=merged_distribution or None,
             optimal_parameters=None,
             trace=trace,
-            circuit_depth=max_depth,
-            transpiled_depth=max_transpiled_depth,
+            circuit_depth=max(sub.circuit_depth for sub in sub_results),
+            transpiled_depth=max(sub.transpiled_depth for sub in sub_results),
             num_qubits=problem.num_variables - len(variables),
-            num_two_qubit_gates=max_two_qubit,
+            num_two_qubit_gates=max(sub.num_two_qubit_gates for sub in sub_results),
             latency=latency,
             metadata={
                 "eliminated_variables": variables,
                 "num_circuits": plan.num_circuits,
-                "iterations": total_iterations,
+                "iterations": sum(sub.metadata["iterations"] for sub in sub_results),
                 "wall_clock_s": elapsed,
                 "sub_problem_qubits": problem.num_variables - len(variables),
                 "backend_requested": self.config.backend,
-                **backend_metadata,
+                **({"state_backend": "+".join(backends)} if backends else {}),
                 "shot_allocation": shot_allocation,
-                **noise_metadata,
-                **report_metadata,
+                # The same noise annotation every single-instance noisy run carries.
+                **({"noise": noise.to_dict()} if noise is not None else {}),
+                **(
+                    {"transpile_report": deepest.metadata["transpile_report"]}
+                    if deepest is not None
+                    else {}
+                ),
             },
         )
+
+
+def _accumulate(totals: dict, keys: Iterable[str], values: Iterable) -> dict:
+    """Add each value into ``totals`` under its key; repeated keys sum."""
+    for key, value in zip(keys, values):
+        totals[key] = totals.get(key, 0) + value
+    return totals
 
 
 def _trivial_result(problem: ConstrainedBinaryProblem, shots: int) -> SolverResult:

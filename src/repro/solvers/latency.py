@@ -22,6 +22,11 @@ recently — another seed of the same problem and config — reports a few
 milliseconds where a cold run reports the full lowering time.  Everything
 else in the estimate is unaffected.
 
+A variable-elimination (Opt3) run is a set of independent sub-runs, one per
+assignment of the eliminated variables, each estimated as above with its own
+circuit, shot share and iteration count.  Its modeled latency is their sum:
+iterations, compilation, quantum execution and classical time all add up.
+
 The absolute numbers depend on our calibration constants, but the *ratios*
 between solvers are driven by exactly what drives them in the paper:
 iteration count and circuit depth.
@@ -104,18 +109,14 @@ class LatencyModel:
         iterations: int,
         shots: int,
         compilation_seconds: float,
-        num_circuits: int = 1,
     ) -> LatencyEstimate:
-        """End-to-end latency for a full variational run.
+        """End-to-end latency for a full variational run of one circuit.
 
-        ``num_circuits`` accounts for the variable-elimination overhead: each
-        iteration must execute one circuit per eliminated-variable assignment.
         ``compilation_seconds`` is passed through as measured by the caller;
         see the module docstring for what it covers.
         """
         circuit_duration = self.circuit_duration(circuit)
-        per_iteration = (self.per_job_overhead + shots * circuit_duration) * num_circuits
-        quantum = iterations * per_iteration
+        quantum = iterations * (self.per_job_overhead + shots * circuit_duration)
         classical = iterations * self.classical_update_time
         return LatencyEstimate(
             compilation=compilation_seconds,

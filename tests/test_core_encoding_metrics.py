@@ -202,6 +202,37 @@ class TestVariableElimination:
         with pytest.raises(ProblemError):
             build_elimination_plan(paper_example_problem, [9])
 
+    def test_lift_keys_matches_per_bit_lift_in_order(self, paper_example_problem):
+        plan = build_elimination_plan(paper_example_problem, [3, 0])
+        keys = ["".join(bits) for bits in itertools.product("01", repeat=2)][::-1]
+        for instance in plan.instances:
+            expected = []
+            for key in keys:
+                original = [0] * paper_example_problem.num_variables
+                for reduced_index, variable in enumerate(instance.kept_variables):
+                    original[variable] = int(key[reduced_index])
+                for variable, value in instance.assignment:
+                    original[variable] = value
+                expected.append("".join(map(str, original)))
+            assert instance.lift_keys(keys) == expected
+            assert [instance.lift(tuple(map(int, key))) for key in keys] == [
+                tuple(map(int, key)) for key in expected
+            ]
+
+    def test_lift_keys_drops_trailing_bits(self, paper_example_problem):
+        """Noisy keys carry ancilla bits past the register; keys that differ
+        only there lift to the same assignment."""
+        instance = build_elimination_plan(paper_example_problem, [1]).instances[0]
+        lifted = instance.lift_keys(["10100", "10111", "010"])
+        assert lifted[0] == lifted[1] != lifted[2]
+        assert instance.lift_keys([]) == []
+
+    @pytest.mark.parametrize("keys", [["10"], ["1x0"], ["102"]])
+    def test_lift_keys_rejects_malformed_keys(self, paper_example_problem, keys):
+        instance = build_elimination_plan(paper_example_problem, [1]).instances[0]
+        with pytest.raises(ProblemError):
+            instance.lift_keys(keys)
+
 
 @settings(max_examples=25, deadline=None)
 @given(

@@ -101,10 +101,8 @@ class TestLatencyModel:
         model = LatencyModel(profile=IBM_FEZ, per_job_overhead=1e-3, classical_update_time=2e-3)
         circuit = QuantumCircuit(1)
         circuit.h(0)
-        estimate = model.estimate(
-            circuit, iterations=10, shots=50, compilation_seconds=0.25, num_circuits=4
-        )
-        per_iteration = model.execution_time(circuit, 50) * 4
+        estimate = model.estimate(circuit, iterations=10, shots=50, compilation_seconds=0.25)
+        per_iteration = model.execution_time(circuit, 50)
         assert estimate.compilation == pytest.approx(0.25)
         assert estimate.quantum_execution == pytest.approx(10 * per_iteration)
         assert estimate.classical_processing == pytest.approx(10 * 2e-3)
@@ -135,11 +133,11 @@ class TestLatencyModel:
         spec, _driver = ChocoQSolver().build_spec(problem)
         circuit = transpile(spec.build_circuit(spec.initial_parameters))
         estimate = LatencyModel().estimate(
-            circuit, iterations=37, shots=1024, compilation_seconds=0.125, num_circuits=3
+            circuit, iterations=37, shots=1024, compilation_seconds=0.125
         )
         assert estimate == LatencyEstimate(
             compilation=0.125,
-            quantum_execution=5.682383040000039,
+            quantum_execution=1.8941276800000129,
             classical_processing=0.074,
             circuit_duration=4.511000000000034e-05,
             iterations=37,

@@ -171,6 +171,52 @@ class TestVariableElimination:
         with pytest.raises(SolverError):
             solver.solve(problem)
 
+    @pytest.mark.parametrize("eliminated", [0, 1])
+    def test_sub_solve_errors_propagate(self, eliminated):
+        """A sub-solve failure is raised, never replaced by a made-up answer."""
+        from repro.problems import make_benchmark
+
+        class FailingOptimizer(CobylaOptimizer):
+            def _run(self, cost, initial):
+                raise SolverError("optimizer failed")
+
+        solver = ChocoQSolver(
+            config=ChocoQConfig(num_eliminated_variables=eliminated),
+            optimizer=FailingOptimizer(),
+            options=FAST,
+        )
+        with pytest.raises(SolverError, match="optimizer failed"):
+            solver.solve(make_benchmark("K1"))
+
+    def test_one_driver_per_plan(self, monkeypatch):
+        """Every sub-instance shares the reduced matrix, so the plan derives
+        its moves and its driver once (warm K4, two eliminated variables)."""
+        from repro.hamiltonian.commute import CommuteDriver
+        from repro.problems import make_benchmark
+        from repro.solvers import chocoq
+
+        problem = make_benchmark("K4")
+        solver = make_solver(num_layers=1, num_eliminated_variables=2)
+        solver.solve(problem)
+        calls = {"nullspace": 0, "driver": 0}
+        basis = chocoq.ternary_nullspace_basis
+        from_solutions = CommuteDriver.from_solutions.__func__
+
+        def counted_basis(*args, **kwargs):
+            calls["nullspace"] += 1
+            return basis(*args, **kwargs)
+
+        def counted_driver(cls, solutions):
+            calls["driver"] += 1
+            return from_solutions(cls, solutions)
+
+        monkeypatch.setattr(chocoq, "ternary_nullspace_basis", counted_basis)
+        monkeypatch.setattr(CommuteDriver, "from_solutions", classmethod(counted_driver))
+        result = solver.solve(problem)
+        assert result.metadata["num_circuits"] == 4
+        # One nullspace of the original matrix, one of the reduced matrix.
+        assert calls == {"nullspace": 2, "driver": 1}
+
 
 class TestLargerInstance:
     def test_six_variable_flp_like_instance(self):
