@@ -26,6 +26,10 @@
 #   bench-hotpath  - run the iteration-throughput benchmark (compiled vs
 #                    recompute-every-call) and refresh its perf-trajectory
 #                    file BENCH_iteration_throughput.json.
+#   bench-structure - whole choco-q solves with the structure memo emptied
+#                    vs warm (K4/F4/G4 subspace, K4/G4 dense); refreshes
+#                    BENCH_structure_memo.json and fails unless every warm
+#                    record equals its cold one.
 #   bench-transpile - gate-count reductions of the circuit-optimization pass
 #                    stack per paper circuit family; refreshes
 #                    BENCH_transpile_optimization.json (speedup-gated).
@@ -46,9 +50,11 @@
 #                    hot-path bench's bit-identity and throughput gates
 #                    (bench_iteration_throughput: the compiled dense view
 #                    kernel and subspace program against the per-call
-#                    gather paths; writes no file under pytest).  Each
-#                    asserts its expected shape; ~20 s.  Runs in the CI test
-#                    job.
+#                    gather paths; writes no file under pytest) and the
+#                    structure memo's whole-solve row (bench_structure_memo:
+#                    cold vs warm choco-q solves, whose records must be
+#                    identical).  Each asserts its expected shape; ~25 s.
+#                    Runs in the CI test job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
 #                    refreshes BENCH_service_throughput.json.  Wall-clock
@@ -58,7 +64,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-fig10 bench-transpile bench-service bench-smoke bench-ablation
+.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-structure bench-fig10 bench-transpile bench-service bench-smoke bench-ablation
 
 test-fast:
 	$(PYTEST) -q -m "not slow"
@@ -91,6 +97,9 @@ bench-cyclic:
 bench-hotpath:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_iteration_throughput.py
 
+bench-structure:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_structure_memo.py
+
 bench-fig10:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fig10_hardware.py
 
@@ -101,7 +110,7 @@ bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
 
 bench-ablation:
-	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py -o python_files='bench_*.py' -o python_functions='bench_*'
+	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py -o python_files='bench_*.py' -o python_functions='bench_*'
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 

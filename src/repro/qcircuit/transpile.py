@@ -52,10 +52,18 @@ stack are deterministic, so a hit is bit-identical to a miss.
   distinct parameters sharing a name never share an entry.
 * **Bound.** Four entries, enough for every structure a seed sweep cycles
   through (the whole-solve benchmark's widest sweep cycles three); a
-  retained K4 circuit costs about 1 MB.  Circuits that never repeat — HEA's
-  seed-drawn initial angles, or a noisy run's final circuit, which carries
-  the optimized parameters — simply miss and are evicted first; they cost
-  no more than without the memo.
+  retained K4 circuit costs about 1 MB.  The solvers' structure memo
+  (:mod:`repro.solvers.structure`) keeps each compiled structure's
+  reference circuit, transpiled depth and modeled duration, but the engine
+  still transpiles that circuit on every solve, and this memo answers it:
+  a warm structure's transpile is a digest and a copy here (about 1 ms for
+  K4), and the report it returns is the one the result carries.  So this
+  memo serves the reference circuits of the last few structures of every
+  solver, and a structure the structure memo still holds but this one has
+  evicted is lowered again.  Circuits that never repeat — HEA's seed-drawn
+  initial angles, or a noisy run's final circuit, which carries the
+  optimized parameters — simply miss and are evicted first; they cost no
+  more than without the memo.
 * **Miss.** A miss lowers, runs the pass stack and computes each distinct
   circuit's stats once (pass records chain their before/after stats).
   Passes re-append the frozen instructions they keep instead of rebuilding
@@ -66,8 +74,9 @@ stack are deterministic, so a hit is bit-identical to a miss.
   fresh :meth:`~repro.qcircuit.circuit.QuantumCircuit.copy`, so a caller
   appending to the result never changes a later hit.  Instructions and the
   report are frozen and shared.
-* **Threads.** A lock guards lookup and insert; two threads missing on the
-  same circuit both transpile and store the same result.
+* **Threads.** A lock guards lookup and insert
+  (:class:`~repro.memo.LruMemo`); two threads missing on the same circuit
+  both transpile, and both return the result stored first.
 
 :func:`transpile_cache_info` reports the process-wide hit and miss counts.
 """
@@ -76,14 +85,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.exceptions import TranspileError
+from repro.memo import LruMemo
 from repro.qcircuit.circuit import Instruction, QuantumCircuit
 from repro.qcircuit.gates import BASIS_GATES, Gate
 from repro.qcircuit.parameters import Parameter, ParameterExpression, ParameterValue
@@ -447,52 +455,13 @@ def _circuit_digest(circuit: QuantumCircuit) -> bytes:
     return digest.digest()
 
 
-class _StructureMemo:
-    """LRU of the last :data:`MEMO_CAPACITY` transpile results, keyed by
-    circuit digest and options."""
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[
-            tuple[bytes, TranspileOptions], tuple[QuantumCircuit, TranspileReport]
-        ] = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def get(
-        self, key: tuple[bytes, TranspileOptions]
-    ) -> tuple[QuantumCircuit, TranspileReport] | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
-
-    def put(
-        self,
-        key: tuple[bytes, TranspileOptions],
-        entry: tuple[QuantumCircuit, TranspileReport],
-    ) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > MEMO_CAPACITY:
-                self._entries.popitem(last=False)
-
-    def info(self) -> TranspileCacheInfo:
-        with self._lock:
-            return TranspileCacheInfo(hits=self._hits, misses=self._misses)
-
-
-_MEMO = _StructureMemo()
+_MEMO = LruMemo(MEMO_CAPACITY)
 
 
 def transpile_cache_info() -> TranspileCacheInfo:
     """Process-wide hit and miss counts of :func:`transpile_with_report`'s memo."""
-    return _MEMO.info()
+    info = _MEMO.info()
+    return TranspileCacheInfo(hits=info.hits, misses=info.misses)
 
 
 def transpile(circuit: QuantumCircuit, options: TranspileOptions | None = None) -> QuantumCircuit:
@@ -514,12 +483,9 @@ def transpile_with_report(
     the same optimized circuit and the same report.
     """
     options = options or TranspileOptions()
-    key = (_circuit_digest(circuit), options)
-    entry = _MEMO.get(key)
-    if entry is None:
-        entry = _transpile_uncached(circuit, options)
-        _MEMO.put(key, entry)
-    optimized, report = entry
+    optimized, report = _MEMO.get_or_build(
+        (_circuit_digest(circuit), options), lambda: _transpile_uncached(circuit, options)
+    )
     return optimized.copy(), report
 
 

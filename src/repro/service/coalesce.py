@@ -6,10 +6,11 @@ Two coalescing layers back the solve service:
   (solver + benchmark + config) and carries a batch of parameter vectors.
   All pending sweeps on the same ansatz collapse into *one*
   :func:`~repro.solvers.variational.batched_expectations` call over the
-  stacked parameter sets: the ansatz is compiled once (and cached across
-  batches), the ``(k_total, |F|)`` evolution runs as a single broadcast
-  pass, and the scores fan back out per request — so N clients probing the
-  same landscape with different initial parameters cost one sweep.
+  stacked parameter sets: the ansatz is compiled once (and kept across
+  batches in the structure memo that solves share), the ``(k_total, |F|)``
+  evolution runs as a single broadcast pass, and the scores fan back out
+  per request — so N clients probing the same landscape with different
+  initial parameters cost one sweep.
 * **Solve grouping** — full-solve specs that are identical in every
   content-hashed field *except the seed* share one compatibility key
   (:func:`solve_group_key`).  The service dispatches a whole pending group
@@ -23,7 +24,6 @@ Two coalescing layers back the solve service:
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,6 +34,7 @@ from repro.run.plan import HASHED_FIELDS, RunRecord, RunSpec, execute_spec
 from repro.run.problems import resolve_benchmark
 from repro.run.registry import make_solver
 from repro.serialization import json_sanitize
+from repro.solvers.structure import structure_misses_in_thread
 from repro.solvers.variational import AnsatzSpec, batched_expectations
 
 __all__ = [
@@ -139,31 +140,24 @@ class SweepRequest:
 
 
 class SpecCompiler:
-    """Builds and LRU-caches the compiled :class:`AnsatzSpec` per sweep key.
+    """Resolves the compiled :class:`AnsatzSpec` of each sweep request.
 
     Compiling an ansatz (subspace map, pair indices, cost diagonal) is the
-    expensive part of a sweep; caching it means a hot key pays compilation
-    once across every batch the service coalesces.
+    expensive part of a sweep.  Every built-in solver's ``build_spec`` keeps
+    its compiled structures in the process-wide structure memo
+    (:mod:`repro.solvers.structure`), which solves share, so a hot key pays
+    compilation once across every batch the service coalesces and every
+    solve of the same structure.  ``compilations`` counts the memo misses
+    this compiler's lookups caused.
     """
 
-    def __init__(self, max_entries: int = 32) -> None:
-        if max_entries < 1:
-            raise ServiceError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._cache: "OrderedDict[str, AnsatzSpec]" = OrderedDict()
+    def __init__(self) -> None:
         self.compilations = 0
 
     def spec_for(self, request: SweepRequest) -> AnsatzSpec:
-        key = request.coalesce_key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
+        misses = structure_misses_in_thread()
         spec = self._compile(request)
-        self.compilations += 1
-        self._cache[key] = spec
-        while len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
+        self.compilations += structure_misses_in_thread() - misses
         return spec
 
     def _compile(self, request: SweepRequest) -> AnsatzSpec:

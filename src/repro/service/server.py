@@ -56,6 +56,7 @@ from repro.service.coalesce import (
     solve_group_key,
 )
 from repro.service.store import ResultStore
+from repro.solvers.structure import structure_cache_info
 
 __all__ = [
     "FRAME_LIMIT_BYTES",
@@ -259,8 +260,11 @@ class SolveService:
         """Current counters plus store/queue gauges.
 
         ``transpile_cache_hits`` / ``transpile_cache_misses`` are the
-        process-wide counts of the transpile structure memo, which seed-only
-        solve groups hit after their first solve.
+        process-wide counts of the transpile memo, and
+        ``structure_cache_hits`` / ``_misses`` / ``_entries`` those of the
+        compiled-structure memo that solves and sweeps share: seed-only
+        solve groups and hot sweep keys hit both after their first
+        compile.
         """
         snapshot = self._stats.snapshot()
         snapshot["store_records"] = len(self.store)
@@ -268,6 +272,10 @@ class SolveService:
         transpile_cache = transpile_cache_info()
         snapshot["transpile_cache_hits"] = transpile_cache.hits
         snapshot["transpile_cache_misses"] = transpile_cache.misses
+        structure_cache = structure_cache_info()
+        snapshot["structure_cache_hits"] = structure_cache.hits
+        snapshot["structure_cache_misses"] = structure_cache.misses
+        snapshot["structure_cache_entries"] = structure_cache.entries
         return snapshot
 
     # -- solve path ----------------------------------------------------

@@ -71,6 +71,7 @@ from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import SampleResult, merge_results, split_shots
 from repro.solvers.base import LatencyBreakdown, OptimizationTrace, QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
+from repro.solvers.structure import matrix_digest, memoized, memoized_spec
 from repro.solvers.variational import (
     AnsatzSpec,
     VariationalEngine,
@@ -159,22 +160,22 @@ class ChocoQSolver(QuantumSolver):
 
     def build_driver(self, problem: ConstrainedBinaryProblem) -> CommuteDriver:
         """Construct the commute driver for a problem's constraint matrix."""
-        solutions = self._moves(problem)
+        solutions = self._moves(self.config, problem.constraint_matrix()[0])
         if not solutions:
             raise SolverError("the constraint system admits no commute-Hamiltonian moves")
         return CommuteDriver.from_solutions(solutions)
 
-    def _moves(self, problem: ConstrainedBinaryProblem) -> list[tuple[int, ...]]:
+    @staticmethod
+    def _moves(config: ChocoQConfig, matrix: np.ndarray) -> list[tuple[int, ...]]:
         """The ``nullspace_mode`` solution vectors of ``C u = 0`` (may be empty)."""
-        matrix, _ = problem.constraint_matrix()
         if matrix.size == 0:
             raise SolverError(
                 "Choco-Q requires at least one constraint; use penalty QAOA for "
                 "unconstrained problems"
             )
-        if self.config.nullspace_mode == "full":
-            return enumerate_ternary_nullspace(matrix, max_support=self.config.max_support)
-        return ternary_nullspace_basis(matrix, max_support=self.config.max_support)
+        if config.nullspace_mode == "full":
+            return enumerate_ternary_nullspace(matrix, max_support=config.max_support)
+        return ternary_nullspace_basis(matrix, max_support=config.max_support)
 
     # ------------------------------------------------------------------
     # Public API
@@ -202,26 +203,34 @@ class ChocoQSolver(QuantumSolver):
 
         Public so benchmarks and analyses can time or inspect the prepared
         evolution (cost evaluations, backend agreement) without running the
-        optimizer — the same spec :meth:`solve` executes.
+        optimizer — the same spec :meth:`solve` executes.  Compiled once per
+        structure and config in the process (:mod:`repro.solvers.structure`);
+        every call gets its own spec copy.
         """
-        driver = self.build_driver(problem)
-        return self._compile_spec(problem, driver), driver
+        config = self.config
 
+        def build() -> tuple[AnsatzSpec, CommuteDriver]:
+            driver = self.build_driver(problem)
+            return self._compile_spec(config, problem, driver), driver
+
+        return memoized_spec(self, problem, build)
+
+    @classmethod
     def _compile_spec(
-        self, problem: ConstrainedBinaryProblem, driver: CommuteDriver
+        cls, config: ChocoQConfig, problem: ConstrainedBinaryProblem, driver: CommuteDriver
     ) -> AnsatzSpec:
         """Compile the ansatz of ``problem`` around a ready ``driver``."""
         num_qubits = problem.num_variables
         objective = problem.minimization_objective()
         initial_bits = problem_initial_assignment(problem)
-        num_layers = self.config.num_layers
-        use_decomposition = self.config.use_equivalent_decomposition
+        num_layers = config.num_layers
+        use_decomposition = config.use_equivalent_decomposition
         # The backends share one ansatz loop; they differ only in the state
         # layout and the hop sides it compiles.
         layout = resolve_state_layout(
             problem,
-            self.config.backend,
-            self.config.subspace_limit,
+            config.backend,
+            config.subspace_limit,
             cost_terms=objective.terms,
             initial_bits=initial_bits,
             driver=driver,
@@ -261,47 +270,73 @@ class ChocoQSolver(QuantumSolver):
             "num_layers": num_layers,
             "initial_assignment": initial_bits,
             "num_driver_terms": len(driver.terms),
-            "nullspace_mode": self.config.nullspace_mode,
-            "backend_requested": self.config.backend,
+            "nullspace_mode": config.nullspace_mode,
+            "backend_requested": config.backend,
         }
         if layout.subspace_map is not None:
             metadata["subspace_size"] = layout.subspace_map.size
         return AnsatzSpec(
-            name=self.name,
+            name=cls.name,
             num_qubits=num_qubits,
             initial_state=layout.initial_state,
             cost_diagonal=layout.cost_diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
-            initial_parameters=self._initial_parameters(),
+            initial_parameters=cls._initial_parameters(config),
             metadata=metadata,
             backend=layout.backend,
         )
 
-    def _initial_parameters(self) -> np.ndarray:
-        layers = np.arange(1, self.config.num_layers + 1)
-        gammas = 0.4 * layers / self.config.num_layers
-        betas = np.full(self.config.num_layers, np.pi / 4)
+    @staticmethod
+    def _initial_parameters(config: ChocoQConfig) -> np.ndarray:
+        layers = np.arange(1, config.num_layers + 1)
+        gammas = 0.4 * layers / config.num_layers
+        betas = np.full(config.num_layers, np.pi / 4)
         return np.ravel(np.column_stack([gammas, betas]))
 
     # ------------------------------------------------------------------
     # Variable-elimination pipeline (Opt3)
     # ------------------------------------------------------------------
 
-    def _solve_with_elimination(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        start = time.perf_counter()
+    @classmethod
+    def _elimination_plan(
+        cls, config: ChocoQConfig, problem: ConstrainedBinaryProblem
+    ) -> tuple[tuple[int, ...], CommuteDriver | None]:
+        """The variables Opt3 eliminates and the driver of the reduced matrix.
+
+        Both depend on the constraint matrix alone.  Fixing variables only
+        moves the right-hand sides, so every sub-instance shares the reduced
+        matrix (the kept columns) and one driver serves the whole plan.
+        Without moves the driver is ``None``: every sub-instance is then a
+        single feasible point.
+        """
+        matrix, _ = problem.constraint_matrix()
         variables = choose_elimination_variables(
-            problem, self.config.num_eliminated_variables, solutions=self._moves(problem)
+            problem, config.num_eliminated_variables, solutions=cls._moves(config, matrix)
         )
         if not variables:
+            return (), None
+        kept = [
+            variable for variable in range(problem.num_variables) if variable not in variables
+        ]
+        # "+ 0.0" turns a -0.0 coefficient into the 0.0 a reduced
+        # sub-instance stores, so the moves match its own matrix bit for bit.
+        moves = cls._moves(config, matrix[:, kept] + 0.0)
+        return tuple(variables), CommuteDriver.from_solutions(moves) if moves else None
+
+    def _solve_with_elimination(self, problem: ConstrainedBinaryProblem) -> SolverResult:
+        start = time.perf_counter()
+        config = self.config
+        planned, driver = memoized(
+            "elimination-plan",
+            self,
+            matrix_digest(problem.constraint_matrix()[0]),
+            lambda: self._elimination_plan(config, problem),
+        )
+        if not planned:
             return self._solve_single(problem)
+        variables = list(planned)
         plan = build_elimination_plan(problem, variables)
-        # Fixing variables only moves the right-hand sides: every sub-instance
-        # has the same reduced constraint matrix, so one driver serves the
-        # whole plan.  Without moves, every sub-instance is a single feasible
-        # point.
-        moves = self._moves(plan.instances[0].problem)
-        driver = CommuteDriver.from_solutions(moves) if moves else None
 
         # Split the shot budget without losing the remainder: the first
         # (shots mod num_circuits) instances take one extra shot, so the
@@ -329,7 +364,12 @@ class ChocoQSolver(QuantumSolver):
                 self.options, shots=shots, seed=child_seed_sequence(self.options.seed, index)
             )
             engine = VariationalEngine(self.optimizer, options, self.config.noise)
-            spec = self._compile_spec(instance.problem, driver)
+            sub_problem = instance.problem
+            spec, _ = memoized_spec(
+                self,
+                sub_problem,
+                lambda: (self._compile_spec(config, sub_problem, driver), driver),
+            )
             sub_results.append(engine.run(spec, instance.problem))
 
         weight = 1.0 / plan.num_circuits

@@ -48,6 +48,7 @@ from repro.hamiltonian.diagonal import phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
+from repro.solvers.structure import memoized_spec
 from repro.solvers.variational import AnsatzSpec, VariationalEngine, resolve_state_layout
 
 
@@ -135,8 +136,9 @@ class CyclicQAOASolver(QuantumSolver):
 
     # ------------------------------------------------------------------
 
-    def _initial_parameters(self) -> np.ndarray:
-        num_layers = self.config.num_layers
+    @staticmethod
+    def _initial_parameters(config: CyclicQAOAConfig) -> np.ndarray:
+        num_layers = config.num_layers
         layers = np.arange(1, num_layers + 1)
         gammas = 0.7 * layers / num_layers
         betas = 0.7 * (1.0 - layers / num_layers) + 0.1
@@ -147,18 +149,36 @@ class CyclicQAOASolver(QuantumSolver):
 
         Public so benchmarks and analyses can time or inspect the prepared
         evolution without running the optimizer — the same spec
-        :meth:`solve` executes.
+        :meth:`solve` executes.  Compiled once per structure and config in
+        the process (:mod:`repro.solvers.structure`); every call gets its
+        own spec copy.
         """
+        config = self.config
+        if config.backend == "subspace" and not summation_chains(problem)[0]:
+            warnings.warn(
+                "no constraint is encodable by the cyclic driver; the "
+                "subspace backend has no invariant subspace to restrict "
+                "to and falls back to dense",
+                stacklevel=2,
+            )
+        spec, _ = memoized_spec(self, problem, lambda: (self._compile_spec(config, problem), None))
+        return spec
+
+    @classmethod
+    def _compile_spec(
+        cls, config: CyclicQAOAConfig, problem: ConstrainedBinaryProblem
+    ) -> AnsatzSpec:
+        """Compile the ring-driver ansatz of ``problem``."""
         num_qubits = problem.num_variables
-        num_layers = self.config.num_layers
+        num_layers = config.num_layers
         chains, unencoded = summation_chains(problem)
 
         # The objective Hamiltonian carries a penalty for whatever the driver
         # cannot encode (matching how the baseline handles general systems).
         if unencoded:
             weight = (
-                self.config.penalty_weight
-                if self.config.penalty_weight is not None
+                config.penalty_weight
+                if config.penalty_weight is not None
                 else default_penalty_weight(problem)
             )
             residual = ConstrainedBinaryProblem(
@@ -191,17 +211,9 @@ class CyclicQAOASolver(QuantumSolver):
         # subspace is F_enc = {x : C_enc x = c_enc}; the unencoded rows stay
         # soft (penalty) on either layout.  With no encodable chain there is
         # no invariant subspace and no hop term: the program degenerates to
-        # the pure phase-separation sequence on the dense layout.
-        backend = self.config.backend
-        if not chains:
-            if backend == "subspace":
-                warnings.warn(
-                    "no constraint is encodable by the cyclic driver; the "
-                    "subspace backend has no invariant subspace to restrict "
-                    "to and falls back to dense",
-                    stacklevel=2,
-                )
-            backend = "dense"
+        # the pure phase-separation sequence on the dense layout (build_spec
+        # warns when that overrides a "subspace" request).
+        backend = config.backend if chains else "dense"
         unencoded_set = set(unencoded)
         encoded_problem = ConstrainedBinaryProblem(
             num_variables=num_qubits,
@@ -216,7 +228,7 @@ class CyclicQAOASolver(QuantumSolver):
         layout = resolve_state_layout(
             encoded_problem,
             backend,
-            self.config.subspace_limit,
+            config.subspace_limit,
             cost_terms=cost_objective.terms,
             initial_bits=initial_bits,
             driver=driver,
@@ -253,18 +265,18 @@ class CyclicQAOASolver(QuantumSolver):
             "encoded_chains": chains,
             "unencoded_constraints": unencoded,
             "penalty_weight": weight,
-            "backend_requested": self.config.backend,
+            "backend_requested": config.backend,
         }
         if layout.subspace_map is not None:
             metadata["subspace_size"] = layout.subspace_map.size
         return AnsatzSpec(
-            name=self.name,
+            name=cls.name,
             num_qubits=num_qubits,
             initial_state=layout.initial_state,
             cost_diagonal=layout.cost_diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
-            initial_parameters=self._initial_parameters(),
+            initial_parameters=cls._initial_parameters(config),
             metadata=metadata,
             backend=layout.backend,
         )

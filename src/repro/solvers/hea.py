@@ -32,6 +32,7 @@ from repro.hamiltonian.diagonal import DiagonalHamiltonian
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
+from repro.solvers.structure import memoized_spec, with_initial_parameters
 from repro.solvers.variational import AnsatzSpec, VariationalEngine
 
 
@@ -72,19 +73,30 @@ class HEASolver(QuantumSolver):
 
         Public so benchmarks and the service's expectation sweeps can time
         or evaluate the prepared evolution without running the optimizer —
-        the same spec :meth:`solve` executes.
+        the same spec :meth:`solve` executes.  Compiled once per structure
+        and config in the process (:mod:`repro.solvers.structure`); each
+        call draws its own initial parameters from the run seed.
         """
+        config = self.config
+        spec, _ = memoized_spec(self, problem, lambda: (self._compile_spec(config, problem), None))
+        rng = np.random.default_rng(self.options.seed)
+        # One initial RY layer plus one RY layer per entangling block.
+        num_parameters = problem.num_variables * (config.num_layers + 1)
+        return with_initial_parameters(spec, rng.uniform(0.0, np.pi, size=num_parameters))
+
+    @classmethod
+    def _compile_spec(cls, config: HEAConfig, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
+        """Compile the ansatz of ``problem``; it carries no initial parameters
+        (an empty array), since HEA draws them from the seed."""
         num_qubits = problem.num_variables
-        num_layers = self.config.num_layers
+        num_layers = config.num_layers
         weight = (
-            self.config.penalty_weight
-            if self.config.penalty_weight is not None
+            config.penalty_weight
+            if config.penalty_weight is not None
             else default_penalty_weight(problem)
         )
         qubo = penalty_objective(problem, weight)
         hamiltonian = DiagonalHamiltonian.from_polynomial(qubo.terms, num_qubits)
-        # One initial RY layer plus one RY layer per entangling block.
-        num_parameters = num_qubits * (num_layers + 1)
 
         # RY_j rotates the basis pairs that differ in bit j: the hop sides of
         # the single-bit flip u = -e_j, resolved once here.
@@ -142,14 +154,13 @@ class HEASolver(QuantumSolver):
                     circuit.ry(float(angles[layer + 1, qubit]), qubit)
             return circuit
 
-        rng = np.random.default_rng(self.options.seed)
         return AnsatzSpec(
-            name=self.name,
+            name=cls.name,
             num_qubits=num_qubits,
             initial_state=initial_state,
             cost_diagonal=hamiltonian.diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
-            initial_parameters=rng.uniform(0.0, np.pi, size=num_parameters),
+            initial_parameters=np.empty(0),
             metadata={"num_layers": num_layers, "penalty_weight": weight},
         )

@@ -16,11 +16,13 @@ the device profiles of :mod:`repro.qcircuit.noise`:
   (quantum execution + classical update time).
 
 The compilation term is the *measured* host time of the run's own compile
-step, not a model.  Transpiling reuses a process-wide structure memo
-(:mod:`repro.qcircuit.transpile`), so a run whose circuit was transpiled
-recently — another seed of the same problem and config — reports a few
-milliseconds where a cold run reports the full lowering time.  Everything
-else in the estimate is unaffected.
+step, not a model.  A run whose structure was compiled recently in the
+process — another seed of the same problem and config — reuses its
+reference circuit, depth and duration (:mod:`repro.solvers.structure`) and
+answers its transpile from the transpile memo
+(:mod:`repro.qcircuit.transpile`), so it reports about a millisecond where a
+cold run reports the full compile time.  Everything else in the estimate is
+unaffected.
 
 A variable-elimination (Opt3) run is a set of independent sub-runs, one per
 assignment of the eliminated variables, each estimated as above with its own
@@ -109,13 +111,18 @@ class LatencyModel:
         iterations: int,
         shots: int,
         compilation_seconds: float,
+        circuit_duration: float | None = None,
     ) -> LatencyEstimate:
         """End-to-end latency for a full variational run of one circuit.
 
         ``compilation_seconds`` is passed through as measured by the caller;
-        see the module docstring for what it covers.
+        see the module docstring for what it covers.  ``circuit_duration``
+        is this model's :meth:`circuit_duration` of ``circuit`` when the
+        caller already holds it (the engine keeps it once per compiled
+        structure); ``None`` walks the circuit.
         """
-        circuit_duration = self.circuit_duration(circuit)
+        if circuit_duration is None:
+            circuit_duration = self.circuit_duration(circuit)
         quantum = iterations * (self.per_job_overhead + shots * circuit_duration)
         classical = iterations * self.classical_update_time
         return LatencyEstimate(

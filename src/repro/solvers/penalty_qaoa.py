@@ -39,6 +39,7 @@ from repro.hamiltonian.diagonal import DiagonalHamiltonian, phase_separation_cir
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
+from repro.solvers.structure import memoized_spec, with_initial_parameters
 from repro.solvers.variational import AnsatzSpec, VariationalEngine, uniform_state
 
 
@@ -84,18 +85,14 @@ class PenaltyQAOASolver(QuantumSolver):
 
     # ------------------------------------------------------------------
 
-    def _initial_parameters(self) -> np.ndarray:
-        """(gamma_1, beta_1, ..., gamma_L, beta_L)."""
-        num_layers = self.config.num_layers
-        if self.config.linear_ramp_init:
-            # Red-QAOA-style annealing-inspired ramp: gamma grows, beta shrinks.
-            layers = np.arange(1, num_layers + 1)
-            gammas = 0.7 * layers / num_layers
-            betas = 0.7 * (1.0 - layers / num_layers) + 0.1
-        else:
-            rng = np.random.default_rng(self.options.seed)
-            gammas = rng.uniform(0, np.pi, size=num_layers)
-            betas = rng.uniform(0, np.pi / 2, size=num_layers)
+    @staticmethod
+    def _ramp_parameters(config: PenaltyQAOAConfig) -> np.ndarray:
+        """(gamma_1, beta_1, ..., gamma_L, beta_L) of the annealing-inspired ramp."""
+        # Red-QAOA-style annealing-inspired ramp: gamma grows, beta shrinks.
+        num_layers = config.num_layers
+        layers = np.arange(1, num_layers + 1)
+        gammas = 0.7 * layers / num_layers
+        betas = 0.7 * (1.0 - layers / num_layers) + 0.1
         return np.ravel(np.column_stack([gammas, betas]))
 
     def build_spec(self, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
@@ -103,9 +100,25 @@ class PenaltyQAOASolver(QuantumSolver):
 
         Public so benchmarks and the service's expectation sweeps can time
         or evaluate the prepared evolution without running the optimizer —
-        the same spec :meth:`solve` executes.
+        the same spec :meth:`solve` executes.  Compiled once per structure
+        and config in the process (:mod:`repro.solvers.structure`); without
+        ``linear_ramp_init`` each call draws its own initial parameters from
+        the run seed.
         """
         config = self.config
+        spec, _ = memoized_spec(self, problem, lambda: (self._compile_spec(config, problem), None))
+        if config.linear_ramp_init:
+            return spec
+        rng = np.random.default_rng(self.options.seed)
+        gammas = rng.uniform(0, np.pi, size=config.num_layers)
+        betas = rng.uniform(0, np.pi / 2, size=config.num_layers)
+        return with_initial_parameters(spec, np.ravel(np.column_stack([gammas, betas])))
+
+    @classmethod
+    def _compile_spec(
+        cls, config: PenaltyQAOAConfig, problem: ConstrainedBinaryProblem
+    ) -> AnsatzSpec:
+        """Compile the penalty ansatz of ``problem``, starting from the ramp."""
         working_problem = problem
         frozen: list[tuple[int, int]] = []
         if config.freeze_hotspots > 0:
@@ -144,13 +157,13 @@ class PenaltyQAOASolver(QuantumSolver):
             return circuit
 
         return AnsatzSpec(
-            name=self.name,
+            name=cls.name,
             num_qubits=num_qubits,
             initial_state=initial_state,
             cost_diagonal=cost_diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
-            initial_parameters=self._initial_parameters(),
+            initial_parameters=cls._ramp_parameters(config),
             metadata={
                 "num_layers": num_layers,
                 "penalty_weight": weight,

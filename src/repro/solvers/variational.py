@@ -36,9 +36,12 @@ implements the shared *how it runs*:
   the optimal state (ideally or through the solver config's
   :class:`~repro.solvers.config.NoiseConfig`), and assemble a
   :class:`~repro.solvers.base.SolverResult` with depth and latency
-  accounting.  :class:`EngineOptions` carries run settings only (shots,
-  seed, multistart, optimization level); noise is a config field, so a
-  noisy run is defined by its config and seed alone.
+  accounting.  A spec from the structure memo
+  (:mod:`repro.solvers.structure`) carries its seed-free
+  :class:`CompileReport`, so a warm run neither rebuilds nor walks its
+  reference circuit.  :class:`EngineOptions` carries run settings only
+  (shots, seed, multistart, optimization level); noise is a config field,
+  so a noisy run is defined by its config and seed alone.
 """
 
 from __future__ import annotations
@@ -248,6 +251,21 @@ def resolve_state_layout(
     )
 
 
+@dataclass(frozen=True)
+class CompileReport:
+    """The seed-free products of compiling a spec's reference circuit.
+
+    ``reference_circuit`` is ``build_circuit(initial_parameters)``;
+    ``transpiled_depth`` and ``circuit_duration`` (the default
+    :class:`~repro.solvers.latency.LatencyModel`'s) describe its transpile
+    under one :class:`~repro.qcircuit.transpile.TranspileOptions`.
+    """
+
+    reference_circuit: QuantumCircuit
+    transpiled_depth: int
+    circuit_duration: float
+
+
 @dataclass
 class AnsatzSpec:
     """Everything the engine needs to run one variational ansatz.
@@ -259,6 +277,12 @@ class AnsatzSpec:
     dimension)`` batch whose rows are bit-identical to evolving each vector
     alone.  ``build_circuit`` always targets the full gate-level register
     regardless of backend.
+
+    ``compile_reports`` maps transpile options to the :class:`CompileReport`
+    of this spec's reference circuit.  A spec from the structure memo
+    (:mod:`repro.solvers.structure`) shares one dict with every copy of its
+    entry, which the engine fills on first use; ``None`` means the engine
+    compiles the reference circuit on every run.
     """
 
     name: str
@@ -270,6 +294,7 @@ class AnsatzSpec:
     initial_parameters: np.ndarray
     metadata: dict | None = None
     backend: StateBackend | None = None
+    compile_reports: "dict[TranspileOptions, CompileReport] | None" = None
 
 
 @dataclass
@@ -425,13 +450,15 @@ class VariationalEngine:
         """Compile, optimize, sample and account for one ansatz on ``problem``.
 
         ``latency.compilation`` is the measured host time of *this* run's
-        compile step: building the reference circuit and transpiling it for
-        depth accounting.  The depths and the two-qubit count are read off
-        the transpile report's ``source`` and ``optimized`` stats, so the
-        step walks no circuit after the transpile.  When the transpile
-        structure memo already holds the circuit (e.g. a second seed of the
-        same problem and config), that step is a lookup and the figure drops
-        from the full lowering time to a few milliseconds; every other
+        compile step: building the reference circuit, transpiling it for
+        depth accounting and modeling its duration.  The depths and the
+        two-qubit count are read off the transpile report's ``source`` and
+        ``optimized`` stats, so the step walks no circuit after the
+        transpile.  A spec from the structure memo (e.g. a second seed of
+        the same problem and config) takes its reference circuit, transpiled
+        depth and modeled duration from its entry's :class:`CompileReport`,
+        and its transpile is a lookup in the transpile memo: the figure drops
+        from the full compile time to about a millisecond.  Every other
         result field is unchanged.
         """
         rng = np.random.default_rng(self.options.seed)
@@ -439,14 +466,26 @@ class VariationalEngine:
 
         # ---- compilation (circuit construction + lowering) --------------
         compile_start = time.perf_counter()
-        reference_circuit = spec.build_circuit(spec.initial_parameters)
         transpile_options = self.options.transpile_options()
+        reports = spec.compile_reports
+        compiled = None if reports is None else reports.get(transpile_options)
+        reference_circuit = (
+            spec.build_circuit(spec.initial_parameters)
+            if compiled is None
+            else compiled.reference_circuit
+        )
         transpiled, transpile_report = transpile_with_report(
             reference_circuit, transpile_options
         )
-        transpiled_depth = transpile_report.optimized.depth + unitary_synthesis_penalty(
-            transpiled
-        )
+        if compiled is None:
+            compiled = CompileReport(
+                reference_circuit,
+                transpiled_depth=transpile_report.optimized.depth
+                + unitary_synthesis_penalty(transpiled),
+                circuit_duration=LatencyModel().circuit_duration(transpiled),
+            )
+            if reports is not None:
+                reports.setdefault(transpile_options, compiled)
         compilation_seconds = time.perf_counter() - compile_start
 
         # ---- classical optimization against the exact expectation -------
@@ -515,6 +554,7 @@ class VariationalEngine:
             iterations=max(optimizer_result.num_iterations, 1),
             shots=self.options.shots,
             compilation_seconds=compilation_seconds,
+            circuit_duration=compiled.circuit_duration,
         )
         latency = LatencyBreakdown(
             compilation=estimate.compilation,
@@ -544,7 +584,7 @@ class VariationalEngine:
             optimal_parameters=optimizer_result.parameters,
             trace=optimizer_result.trace,
             circuit_depth=transpile_report.source.depth,
-            transpiled_depth=transpiled_depth,
+            transpiled_depth=compiled.transpiled_depth,
             num_qubits=spec.num_qubits,
             num_two_qubit_gates=transpile_report.optimized.two_qubit_gates,
             latency=latency,

@@ -33,6 +33,7 @@ from solver_factories import (  # noqa: E402
 
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.qcircuit.statevector import StatevectorSimulator
+from repro.solvers.structure import clear_structure_cache
 
 
 def pytest_configure(config: pytest.Config) -> None:
@@ -63,6 +64,19 @@ def pytest_collection_modifyitems(config: pytest.Config, items: list[pytest.Item
     for item in items:
         if "xslow" in item.keywords:
             item.add_marker(skip_xslow)
+
+
+@pytest.fixture(autouse=True)
+def cold_structure_memo():
+    """Start every test with an empty structure memo and zeroed counters.
+
+    Compiled solve structures are kept per process
+    (:mod:`repro.solvers.structure`); tests that count builds, spy on the
+    compile path or assert cache counters expect the first build of a
+    structure inside the test to be cold.
+    """
+    clear_structure_cache()
+    yield
 
 
 @pytest.fixture

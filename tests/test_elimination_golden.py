@@ -51,6 +51,17 @@ CASES["F2[eliminate=1,fez]"] = (
 )
 
 
+#: The variables each case's plan eliminates, in pick order.  The plan is
+#: memoized per constraint matrix and config; a cold and a warm solve must
+#: both pick these.
+CHOSEN_VARIABLES = {
+    "K1": {1: [6], 2: [6, 4], 3: [6, 4, 0]},
+    "K2": {1: [10], 2: [10, 8]},
+    "F2": {1: [2], 2: [2, 4]},
+    "G2": {1: [0], 2: [0, 2]},
+}
+
+
 def _record(case: str) -> dict:
     name, config = CASES[case]
     result = ChocoQSolver(
@@ -92,7 +103,16 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_elimination_solve_matches_golden(golden, case):
-    assert _ordered(_record(case)) == _ordered(golden[case])
+    """A cold solve and a warm one, which reads its plan and sub-instance
+    specs from the structure memo, both reproduce the golden record and
+    eliminate the pinned variables."""
+    name, config = CASES[case]
+    chosen = CHOSEN_VARIABLES[name][config.num_eliminated_variables]
+    assert golden[case]["metadata"]["eliminated_variables"] == chosen
+    cold = _record(case)
+    warm = _record(case)
+    assert _ordered(cold) == _ordered(golden[case])
+    assert _ordered(warm) == _ordered(golden[case])
 
 
 def test_all_trivial_plan_runs_no_circuit(golden):

@@ -25,6 +25,7 @@ from repro.qcircuit.transpile import transpile_cache_info
 from repro.run import (
     RunRecord,
     RunSpec,
+    execute_spec,
     register_benchmark,
     register_solver,
     unregister_benchmark,
@@ -44,6 +45,7 @@ import repro.service.server as service_server
 from repro.service.coalesce import execute_group, execute_sweep
 from repro.solvers.base import QuantumSolver
 from repro.solvers.hea import HEAConfig
+from repro.solvers.structure import structure_cache_info
 from repro.solvers.variational import batched_expectations
 from test_run_api import tiny_problem
 
@@ -393,6 +395,25 @@ class TestSweeps:
             assert batch == [float(score) for score in solo]
         assert compiler.compilations == 1  # spec_for above hit the cache
 
+    def test_sweep_reuses_the_structure_a_solve_compiled(self, tiny_benchmark):
+        """Solves and sweeps share one structure memo: a sweep on a structure
+        a solve already compiled compiles nothing, and a fresh compiler
+        counts only its own builds."""
+        execute_spec(make_spec(seed=3))
+        request = SweepRequest(solver="choco-q", benchmark=tiny_benchmark,
+                               config={"num_layers": 1}, parameter_sets=[[0.1, 0.2]])
+        compiler = SpecCompiler()
+        assert execute_sweep(compiler, [request]) == [
+            [float(score) for score in batched_expectations(
+                compiler.spec_for(request), request.parameter_sets)]
+        ]
+        assert compiler.compilations == 0
+        other = SweepRequest(solver="choco-q", benchmark=tiny_benchmark,
+                             config={"num_layers": 2}, parameter_sets=[[0.1, 0.2, 0.3, 0.4]])
+        execute_sweep(compiler, [other])
+        assert compiler.compilations == 1
+        assert structure_cache_info() == (2, 2, 2)
+
     def test_mixed_key_batch_rejected(self, tiny_benchmark):
         compiler = SpecCompiler()
         a = SweepRequest(solver="choco-q", benchmark=tiny_benchmark,
@@ -491,6 +512,12 @@ class TestClients:
         )
         assert stats["deduped"] == 3
         assert stats["store_hits"] == 1
+        # the one execution compiled its structure once, into a cold memo
+        assert (
+            stats["structure_cache_hits"],
+            stats["structure_cache_misses"],
+            stats["structure_cache_entries"],
+        ) == (0, 1, 1)
         assert repeat.cached
         assert repeat.metrics["success_rate"] == burst[0].metrics["success_rate"]
 

@@ -189,33 +189,46 @@ class TestVariableElimination:
             solver.solve(make_benchmark("K1"))
 
     def test_one_driver_per_plan(self, monkeypatch):
-        """Every sub-instance shares the reduced matrix, so the plan derives
-        its moves and its driver once (warm K4, two eliminated variables)."""
+        """Every sub-instance shares the reduced matrix, so a cold plan
+        derives its moves and its driver once, and a warm solve of the same
+        structure derives nothing (K4, two eliminated variables)."""
+        from repro.core import variable_elimination
         from repro.hamiltonian.commute import CommuteDriver
         from repro.problems import make_benchmark
         from repro.solvers import chocoq
 
         problem = make_benchmark("K4")
         solver = make_solver(num_layers=1, num_eliminated_variables=2)
-        solver.solve(problem)
-        calls = {"nullspace": 0, "driver": 0}
+        calls = {"nullspace": 0, "lookahead": 0, "driver": 0}
         basis = chocoq.ternary_nullspace_basis
         from_solutions = CommuteDriver.from_solutions.__func__
 
-        def counted_basis(*args, **kwargs):
-            calls["nullspace"] += 1
-            return basis(*args, **kwargs)
+        def counted(name):
+            def counted_basis(*args, **kwargs):
+                calls[name] += 1
+                return basis(*args, **kwargs)
+
+            return counted_basis
 
         def counted_driver(cls, solutions):
             calls["driver"] += 1
             return from_solutions(cls, solutions)
 
-        monkeypatch.setattr(chocoq, "ternary_nullspace_basis", counted_basis)
+        monkeypatch.setattr(chocoq, "ternary_nullspace_basis", counted("nullspace"))
+        monkeypatch.setattr(
+            variable_elimination, "ternary_nullspace_basis", counted("lookahead")
+        )
         monkeypatch.setattr(CommuteDriver, "from_solutions", classmethod(counted_driver))
-        result = solver.solve(problem)
-        assert result.metadata["num_circuits"] == 4
-        # One nullspace of the original matrix, one of the reduced matrix.
-        assert calls == {"nullspace": 2, "driver": 1}
+        cold = solver.solve(problem)
+        assert cold.metadata["num_circuits"] == 4
+        # One nullspace of the original matrix, one of the reduced matrix,
+        # and the lookahead's nullspace per candidate variable and pick.
+        assert calls["nullspace"] == 2 and calls["driver"] == 1
+        assert calls["lookahead"] == 31
+        calls.update(nullspace=0, lookahead=0, driver=0)
+        warm = solver.solve(problem)
+        assert warm.metadata["eliminated_variables"] == cold.metadata["eliminated_variables"]
+        assert calls == {"nullspace": 0, "lookahead": 0, "driver": 0}
 
 
 class TestLargerInstance:

@@ -15,6 +15,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.memo import LruMemo
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.gates import BASIS_GATES, Gate
 from repro.qcircuit.parameters import Parameter
@@ -29,7 +30,7 @@ transpile_cache_info = transpile_module.transpile_cache_info
 
 @pytest.fixture(autouse=True)
 def fresh_memo(monkeypatch):
-    monkeypatch.setattr(transpile_module, "_MEMO", transpile_module._StructureMemo())
+    monkeypatch.setattr(transpile_module, "_MEMO", LruMemo(transpile_module.MEMO_CAPACITY))
 
 
 @pytest.fixture
