@@ -4,7 +4,7 @@
 #   test-fast      - quick split: skips @slow benchmarks; @xslow sweeps are
 #                    skipped by default anyway.
 #   test           - the tier-1 invocation from ROADMAP.md (includes @slow,
-#                    skips @xslow).
+#                    skips @xslow); ~60 s.  Runs in the CI test job.
 #   test-all       - everything: the scaled-up @xslow randomized
 #                    cross-backend sweeps, plus every examples/ script at
 #                    tiny smoke scale.

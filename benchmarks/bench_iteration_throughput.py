@@ -23,7 +23,8 @@ probability reduction + diagonal expectation) per backend and path:
   ``tobytes()``-compared on every row).
 
 The four paths are timed in turn within each repeat round, so a change in
-host speed hits all of them alike.  The ``*_ms/iter`` columns are best-of
+host speed hits all of them alike, and each timed call follows an untimed
+call of the same path (:func:`harness.interleaved_round_ms`).  The ``*_ms/iter`` columns are best-of
 per path; each ``*_speedup`` is the median over rounds of that round's
 recompute/compiled ratio, so one slow round cannot move the gate.  The
 acceptance gate requires the compiled subspace path to clear
@@ -39,11 +40,14 @@ pytest-benchmark
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from harness import print_speedup_rows, write_bench_json
+from harness import (
+    interleaved_round_ms,
+    median_round_ratio,
+    print_speedup_rows,
+    write_bench_json,
+)
 
 from repro.hamiltonian.commute import (
     dense_term_pairing,
@@ -147,34 +151,6 @@ def _cost_function(evolve, cost_diagonal: np.ndarray):
     return cost
 
 
-def interleaved_round_ms(costs: dict, parameters: np.ndarray, repeats: int) -> dict:
-    """Per-round ms of each cost function, one call of each per round.
-
-    Timing every repeat of one path before starting the next lets a swing
-    in host speed between paths skew their ratio; running the paths in turn
-    within each round exposes all of them to the same swings.
-    """
-    rounds = {label: np.empty(repeats) for label in costs}
-    for index in range(repeats):
-        for label, cost in costs.items():
-            start = time.perf_counter()
-            cost(parameters)
-            rounds[label][index] = (time.perf_counter() - start) * 1e3
-    return rounds
-
-
-def median_round_speedup(rounds: dict, backend: str) -> float:
-    """Median over rounds of the recompute/compiled ratio of one backend.
-
-    Both paths of a round run back to back, so each round's ratio sees one
-    host speed; the median of those ratios ignores the rounds a load spike
-    hit, where the ratio of two best-ofs can pair timings from different
-    seconds.
-    """
-    ratios = rounds[f"{backend}_recompute"] / rounds[f"{backend}_compiled"]
-    return float(np.median(ratios))
-
-
 def run_iteration_throughput(
     cases=CASES, num_layers: int = NUM_LAYERS, repeats: int = REPEATS
 ) -> list[dict]:
@@ -220,10 +196,14 @@ def run_iteration_throughput(
                 "bit_identical": bit_identical,
                 "dense_recompute_ms/iter": best["dense_recompute"],
                 "dense_compiled_ms/iter": best["dense_compiled"],
-                "dense_speedup": median_round_speedup(rounds, "dense"),
+                "dense_speedup": median_round_ratio(
+                    rounds, "dense_recompute", "dense_compiled"
+                ),
                 "subspace_recompute_ms/iter": best["subspace_recompute"],
                 "subspace_compiled_ms/iter": best["subspace_compiled"],
-                "subspace_speedup": median_round_speedup(rounds, "subspace"),
+                "subspace_speedup": median_round_ratio(
+                    rounds, "subspace_recompute", "subspace_compiled"
+                ),
             }
         )
     return rows

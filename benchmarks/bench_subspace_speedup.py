@@ -16,6 +16,11 @@ this benchmark measures the quantity that bounds end-to-end solver throughput
   to ``AGREEMENT_TOLERANCE`` (1e-9), so the speedup is never bought with
   accuracy.
 
+The two backends are timed in turn within each of ``REPEATS`` rounds: the
+``*_ms/iter`` columns are best-of per backend, and ``speedup`` is the median
+of the per-round dense/subspace ratios, so one slow round cannot move the
+gate.
+
 Run directly (``python benchmarks/bench_subspace_speedup.py``) or through
 pytest-benchmark like the sibling benchmarks
 (``pytest benchmarks/bench_subspace_speedup.py -o python_functions="bench_*"``
@@ -26,9 +31,10 @@ from __future__ import annotations
 
 from harness import (
     check_speedup_rows,
+    interleaved_round_ms,
     max_backend_error,
+    median_round_ratio,
     print_speedup_rows,
-    time_call,
     write_bench_json,
 )
 
@@ -40,7 +46,7 @@ from repro.solvers.variational import EngineOptions
 CASES = ("F1", "G1", "K1", "K2", "G3", "G4")
 LARGE_CASE = "G4"
 NUM_LAYERS = 2
-REPEATS = 5
+REPEATS = 15
 AGREEMENT_TOLERANCE = 1e-9
 TARGET_SPEEDUP = 5.0
 
@@ -83,8 +89,9 @@ def run_subspace_speedup(
         dense_spec, subspace_spec = specs = _build_specs(problem, num_layers)
         agreement = verify_backend_agreement(problem, num_layers, specs=specs)
         parameters = dense_spec.initial_parameters
-        dense_seconds = time_call(lambda: dense_spec.evolve(parameters), repeats)
-        subspace_seconds = time_call(lambda: subspace_spec.evolve(parameters), repeats)
+        rounds = interleaved_round_ms(
+            {"dense": dense_spec.evolve, "subspace": subspace_spec.evolve}, parameters, repeats
+        )
         rows.append(
             {
                 "case": case,
@@ -92,9 +99,9 @@ def run_subspace_speedup(
                 "2^n": 2**problem.num_variables,
                 "|F|": subspace_spec.metadata["subspace_size"],
                 "max_err": agreement,
-                "dense_ms/iter": dense_seconds * 1e3,
-                "subspace_ms/iter": subspace_seconds * 1e3,
-                "speedup": dense_seconds / subspace_seconds,
+                "dense_ms/iter": float(rounds["dense"].min()),
+                "subspace_ms/iter": float(rounds["subspace"].min()),
+                "speedup": median_round_ratio(rounds, "dense", "subspace"),
             }
         )
     return rows

@@ -258,6 +258,37 @@ def time_call(function, repeats: int) -> float:
     return best
 
 
+def interleaved_round_ms(calls: dict, parameters: np.ndarray, repeats: int) -> dict:
+    """Per-round ms of each call on ``parameters``, one timed call of each per round.
+
+    Timing every repeat of one path before starting the next lets a swing
+    in host speed between paths skew their ratio; running the paths in turn
+    within each round exposes all of them to the same swings.  Each timed
+    call follows an untimed call of the same path, so a path is timed with
+    its own data in cache, as in an optimizer loop that calls it back to
+    back, and not with the data the previous path left there.
+    """
+    rounds = {label: np.empty(repeats) for label in calls}
+    for index in range(repeats):
+        for label, call in calls.items():
+            call(parameters)
+            start = time.perf_counter()
+            call(parameters)
+            rounds[label][index] = (time.perf_counter() - start) * 1e3
+    return rounds
+
+
+def median_round_ratio(rounds: dict, slow: str, fast: str) -> float:
+    """Median over rounds of the ``slow``/``fast`` time ratio.
+
+    Both paths of a round run back to back, so each round's ratio sees one
+    host speed; the median of those ratios ignores the rounds a load spike
+    hit, where the ratio of two best-ofs can pair timings from different
+    seconds.
+    """
+    return float(np.median(rounds[slow] / rounds[fast]))
+
+
 def max_backend_error(
     dense_spec, subspace_spec, num_parameter_sets: int = 3, seed: int = 42
 ) -> float:

@@ -29,10 +29,6 @@ class TranspileError(ReproError):
     """Raised when a circuit cannot be lowered to the target basis."""
 
 
-class ParameterError(CircuitError):
-    """Raised for unbound or mismatched circuit parameters."""
-
-
 class HamiltonianError(ReproError):
     """Raised for invalid Hamiltonian construction."""
 

@@ -50,7 +50,6 @@ import numpy as np
 from repro.exceptions import HamiltonianError
 from repro.hamiltonian.pauli import PauliString, PauliSum
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.parameters import ParameterValue
 
 _SIGMA = {
     +1: np.array([[0, 0], [1, 0]], dtype=complex),  # raises |0> -> |1>
@@ -284,12 +283,12 @@ class CommuteHamiltonianTerm:
         return circuit
 
     def decomposed_circuit(
-        self, beta: ParameterValue, register_size: int | None = None
+        self, beta: float, register_size: int | None = None
     ) -> QuantumCircuit:
         """The Lemma-2 circuit for ``e^{-i beta H_c(u)}``.
 
         Emits ``G``, then ``X_1 P(-beta) X_1`` and ``P(beta)`` (multi-controlled
-        phases over the support), then ``G†``.  ``beta`` may be symbolic.
+        phases over the support), then ``G†``.
         """
         register_size = self.num_qubits if register_size is None else register_size
         circuit = QuantumCircuit(register_size, name=f"exp(-i b Hc{self.support})")
@@ -474,7 +473,7 @@ class CommuteDriver:
             raise HamiltonianError("the driver register size does not match the subspace map")
         return tuple(term.subspace_pairing(subspace_map) for term in self.terms)
 
-    def serialized_circuit(self, beta: ParameterValue) -> QuantumCircuit:
+    def serialized_circuit(self, beta: float) -> QuantumCircuit:
         """The decomposed circuit of the whole serialized driver."""
         circuit = QuantumCircuit(self.num_qubits, name="commute_driver")
         for term in self.terms:

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.exceptions import HamiltonianError
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.parameters import ParameterValue
 
 PolynomialTerms = Mapping[tuple[int, ...], float]
 
@@ -116,7 +115,7 @@ def split_polynomial(terms: PolynomialTerms) -> tuple[float, dict[int, float], d
 
 
 def phase_separation_circuit(
-    terms: PolynomialTerms, num_qubits: int, gamma: ParameterValue
+    terms: PolynomialTerms, num_qubits: int, gamma: float
 ) -> QuantumCircuit:
     """Emit the circuit for ``e^{-i gamma H_o}`` of a quadratic objective.
 
@@ -130,10 +129,10 @@ def phase_separation_circuit(
     constant, linear, quadratic = split_polynomial(terms)
     del constant  # global phase only
     circuit = QuantumCircuit(num_qubits, name="phase_separation")
-    rz_angles: dict[int, float | ParameterValue] = {}
+    rz_angles: dict[int, float] = {}
 
     def add_angle(qubit: int, scale: float) -> None:
-        # Accumulate the scale; the symbolic gamma multiplies it at emit time.
+        # Accumulate the scale; gamma multiplies it at emit time.
         rz_angles[qubit] = rz_angles.get(qubit, 0.0) + scale
 
     for qubit, weight in linear.items():
@@ -146,15 +145,9 @@ def phase_separation_circuit(
         add_angle(qb, -weight / 2.0)
     for qubit, scale in rz_angles.items():
         if scale != 0.0:
-            circuit.rz(_scaled(gamma, scale), qubit)
+            circuit.rz(float(gamma) * scale, qubit)
     for (qa, qb), weight in quadratic.items():
         if weight != 0.0:
-            circuit.rzz(_scaled(gamma, weight / 2.0), qa, qb)
+            circuit.rzz(float(gamma) * (weight / 2.0), qa, qb)
     return circuit
 
-
-def _scaled(gamma: ParameterValue, scale: float) -> ParameterValue:
-    """Multiply a (possibly symbolic) parameter by a float."""
-    if isinstance(gamma, (int, float)):
-        return float(gamma) * scale
-    return gamma * scale

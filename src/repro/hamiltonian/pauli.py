@@ -19,7 +19,7 @@ a basis index.  ``PauliString("XY")`` therefore has ``X`` on qubit 0 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -76,10 +76,6 @@ class PauliString:
     def support(self) -> tuple[int, ...]:
         """Qubits on which the string acts non-trivially."""
         return tuple(i for i, ch in enumerate(self.label) if ch != "I")
-
-    @property
-    def is_identity(self) -> bool:
-        return all(ch == "I" for ch in self.label)
 
     @property
     def is_diagonal(self) -> bool:

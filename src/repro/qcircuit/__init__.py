@@ -2,7 +2,7 @@
 
 This subpackage is a self-contained replacement for the circuit construction
 and simulation features the paper obtains from Qiskit: a gate library, a
-circuit IR with symbolic parameters, a dense statevector simulator, a
+circuit IR over real rotation angles, a dense statevector simulator, a
 transpiler to a NISQ basis gate set, sampling helpers, and noise models of
 the IBM devices used in the evaluation.
 """
@@ -26,7 +26,6 @@ from repro.qcircuit.noise import (
     NoiseModel,
     get_device_profile,
 )
-from repro.qcircuit.parameters import Parameter, ParameterExpression
 from repro.qcircuit.passes import (
     DEFAULT_OPTIMIZATION_LEVEL,
     MAX_OPTIMIZATION_LEVEL,
@@ -94,8 +93,6 @@ __all__ = [
     "IBM_SHERBROOKE",
     "Instruction",
     "NoiseModel",
-    "Parameter",
-    "ParameterExpression",
     "QuantumCircuit",
     "SampleResult",
     "SimulationResult",

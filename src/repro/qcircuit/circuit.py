@@ -7,7 +7,6 @@ acts on.  The IR supports:
 * builder methods for every gate in the library (``circuit.h(0)``,
   ``circuit.cx(0, 1)``, ``circuit.mcp(theta, controls, target)`` ...),
 * measurement and barrier markers,
-* symbolic parameters and binding (:meth:`QuantumCircuit.bind`),
 * composition, inversion, and deep copies,
 * depth and gate-count accounting (used heavily by the evaluation section).
 
@@ -19,8 +18,8 @@ least-significant bit of a computational basis index, so the basis state
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from repro.qcircuit.gates import (
     standard_gate,
     unitary_gate,
 )
-from repro.qcircuit.parameters import Parameter, ParameterValue
 
 
 @dataclass(frozen=True)
@@ -155,16 +153,16 @@ class QuantumCircuit:
     def sx(self, qubit: int) -> "QuantumCircuit":
         return self.append(standard_gate("sx"), [qubit])
 
-    def rx(self, theta: ParameterValue, qubit: int) -> "QuantumCircuit":
+    def rx(self, theta: float, qubit: int) -> "QuantumCircuit":
         return self.append(standard_gate("rx", theta), [qubit])
 
-    def ry(self, theta: ParameterValue, qubit: int) -> "QuantumCircuit":
+    def ry(self, theta: float, qubit: int) -> "QuantumCircuit":
         return self.append(standard_gate("ry", theta), [qubit])
 
-    def rz(self, theta: ParameterValue, qubit: int) -> "QuantumCircuit":
+    def rz(self, theta: float, qubit: int) -> "QuantumCircuit":
         return self.append(standard_gate("rz", theta), [qubit])
 
-    def p(self, theta: ParameterValue, qubit: int) -> "QuantumCircuit":
+    def p(self, theta: float, qubit: int) -> "QuantumCircuit":
         return self.append(standard_gate("p", theta), [qubit])
 
     # ------------------------------------------------------------------
@@ -177,19 +175,19 @@ class QuantumCircuit:
     def cz(self, qubit_a: int, qubit_b: int) -> "QuantumCircuit":
         return self.append(standard_gate("cz"), [qubit_a, qubit_b])
 
-    def cp(self, theta: ParameterValue, control: int, target: int) -> "QuantumCircuit":
+    def cp(self, theta: float, control: int, target: int) -> "QuantumCircuit":
         return self.append(standard_gate("cp", theta), [control, target])
 
     def swap(self, qubit_a: int, qubit_b: int) -> "QuantumCircuit":
         return self.append(standard_gate("swap"), [qubit_a, qubit_b])
 
-    def rxx(self, theta: ParameterValue, qubit_a: int, qubit_b: int) -> "QuantumCircuit":
+    def rxx(self, theta: float, qubit_a: int, qubit_b: int) -> "QuantumCircuit":
         return self.append(standard_gate("rxx", theta), [qubit_a, qubit_b])
 
-    def ryy(self, theta: ParameterValue, qubit_a: int, qubit_b: int) -> "QuantumCircuit":
+    def ryy(self, theta: float, qubit_a: int, qubit_b: int) -> "QuantumCircuit":
         return self.append(standard_gate("ryy", theta), [qubit_a, qubit_b])
 
-    def rzz(self, theta: ParameterValue, qubit_a: int, qubit_b: int) -> "QuantumCircuit":
+    def rzz(self, theta: float, qubit_a: int, qubit_b: int) -> "QuantumCircuit":
         return self.append(standard_gate("rzz", theta), [qubit_a, qubit_b])
 
     # ------------------------------------------------------------------
@@ -200,7 +198,7 @@ class QuantumCircuit:
         """Multi-controlled X. Controls precede the target in operand order."""
         return self.append(mcx_gate(len(controls)), [*controls, target])
 
-    def mcp(self, theta: ParameterValue, controls: Sequence[int], target: int) -> "QuantumCircuit":
+    def mcp(self, theta: float, controls: Sequence[int], target: int) -> "QuantumCircuit":
         """Multi-controlled phase, Eq. (15): phases the all-ones state."""
         return self.append(mcp_gate(len(controls), theta), [*controls, target])
 
@@ -215,31 +213,6 @@ class QuantumCircuit:
         gate = Gate("measure", self.num_qubits)
         self._instructions.append(Instruction(gate, tuple(range(self.num_qubits))))
         return self
-
-    # ------------------------------------------------------------------
-    # Parameters
-    # ------------------------------------------------------------------
-
-    @property
-    def parameters(self) -> frozenset[Parameter]:
-        """All free symbolic parameters in appearance order (as a set)."""
-        found: set[Parameter] = set()
-        for instruction in self._instructions:
-            found.update(instruction.gate.free_parameters)
-        return frozenset(found)
-
-    @property
-    def is_parameterized(self) -> bool:
-        return any(inst.gate.is_parameterized for inst in self._instructions)
-
-    def bind(self, values: Mapping[Parameter, float]) -> "QuantumCircuit":
-        """Return a copy of the circuit with parameters bound to floats."""
-        bound = QuantumCircuit(self.num_qubits, name=self.name)
-        for instruction in self._instructions:
-            bound._instructions.append(
-                Instruction(instruction.gate.bind(values), instruction.qubits)
-            )
-        return bound
 
     # ------------------------------------------------------------------
     # Composition and transformation

@@ -1,9 +1,8 @@
 """Gate library for the circuit IR.
 
 Each gate is represented as a :class:`Gate` instance carrying its name, the
-number of qubits it acts on, optional rotation parameters (which may be
-symbolic, see :mod:`repro.qcircuit.parameters`), and a way to materialise its
-unitary matrix once parameters are bound.
+number of qubits it acts on, its rotation angles (real numbers, checked when
+the gate is built) and a way to materialise its unitary matrix.
 
 The library covers everything the paper's circuits need:
 
@@ -23,18 +22,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import GateError
-from repro.qcircuit.parameters import (
-    Parameter,
-    ParameterValue,
-    free_parameters,
-    is_parameterized,
-    resolve,
-)
+
+#: The angle types a gate accepts: real Python and NumPy scalars, exactly the
+#: types the transpile memo fingerprints.
+_REAL_ANGLE_TYPES = (int, float, np.integer, np.floating)
 
 # ---------------------------------------------------------------------------
 # Constant matrices
@@ -200,7 +196,7 @@ class Gate:
     Attributes:
         name: lower-case gate identifier (``"h"``, ``"cx"``, ``"mcx"`` ...).
         num_qubits: number of qubits the gate acts on.
-        params: rotation angles; may contain symbolic parameters.
+        params: rotation angles, kept as the objects the caller passed.
         matrix: explicit unitary for ``"unitary"`` gates, ``None`` otherwise.
         num_controls: for ``mcx`` / ``mcp``, the number of control qubits.
         label: optional human-readable annotation (kept through transpilation).
@@ -208,7 +204,7 @@ class Gate:
 
     name: str
     num_qubits: int
-    params: tuple[ParameterValue, ...] = ()
+    params: tuple[float, ...] = ()
     matrix: np.ndarray | None = field(default=None, compare=False)
     num_controls: int = 0
     label: str | None = None
@@ -220,43 +216,16 @@ class Gate:
             raise GateError(f"gate {self.name!r} must act on at least one qubit")
         if self.name == "unitary" and self.matrix is None:
             raise GateError("unitary gate requires an explicit matrix")
+        for param in self.params:
+            if not isinstance(param, _REAL_ANGLE_TYPES):
+                raise GateError(
+                    f"gate {self.name!r} takes real angles, got {type(param).__name__}"
+                )
 
-    # -- properties -----------------------------------------------------------
-
-    @property
-    def is_parameterized(self) -> bool:
-        """True if any rotation angle is still symbolic."""
-        return any(is_parameterized(p) for p in self.params)
-
-    @property
-    def free_parameters(self) -> frozenset[Parameter]:
-        return free_parameters(list(self.params))
-
-    # -- binding and matrices --------------------------------------------------
-
-    def bind(self, values: Mapping[Parameter, float]) -> "Gate":
-        """Return a copy with all symbolic parameters replaced by floats."""
-        if not self.is_parameterized:
-            return self
-        bound = tuple(resolve(p, values) for p in self.params)
-        return Gate(
-            name=self.name,
-            num_qubits=self.num_qubits,
-            params=bound,
-            matrix=self.matrix,
-            num_controls=self.num_controls,
-            label=self.label,
-        )
+    # -- matrices ------------------------------------------------------------
 
     def to_matrix(self) -> np.ndarray:
-        """Return the gate unitary as a dense ``2^k x 2^k`` array.
-
-        Raises :class:`GateError` if parameters are unbound.
-        """
-        if self.is_parameterized:
-            raise GateError(
-                f"cannot build a matrix for gate {self.name!r} with unbound parameters"
-            )
+        """Return the gate unitary as a dense ``2^k x 2^k`` array."""
         params = [float(p) for p in self.params]
         name = self.name
         if name == "unitary":
@@ -290,11 +259,10 @@ class Gate:
         if name == "tdg":
             return Gate("t", 1)
         if name in _SINGLE_QUBIT_ROTATION or name in _TWO_QUBIT_ROTATION or name == "mcp":
-            negated = tuple(-p if isinstance(p, (int, float)) else -p for p in self.params)
             return Gate(
                 name,
                 self.num_qubits,
-                params=negated,
+                params=tuple(-p for p in self.params),
                 num_controls=self.num_controls,
                 label=self.label,
             )
@@ -345,7 +313,7 @@ def _mcp_matrix(num_qubits: int, theta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def standard_gate(name: str, *params: ParameterValue) -> Gate:
+def standard_gate(name: str, *params: float) -> Gate:
     """Build a standard gate by name, validating arity."""
     name = name.lower()
     if name in _SINGLE_QUBIT_CONST:
@@ -370,7 +338,7 @@ def mcx_gate(num_controls: int) -> Gate:
     return Gate("mcx", num_controls + 1, num_controls=num_controls)
 
 
-def mcp_gate(num_controls: int, theta: ParameterValue) -> Gate:
+def mcp_gate(num_controls: int, theta: float) -> Gate:
     """A multi-controlled phase on ``num_controls + 1`` qubits.
 
     The phase ``exp(i theta)`` is applied to the all-ones computational basis
@@ -395,6 +363,6 @@ def unitary_gate(matrix: np.ndarray, label: str | None = None) -> Gate:
     return Gate("unitary", num_qubits, matrix=matrix, label=label)
 
 
-def _expect_params(name: str, params: Sequence[ParameterValue], count: int) -> None:
+def _expect_params(name: str, params: Sequence[float], count: int) -> None:
     if len(params) != count:
         raise GateError(f"gate {name!r} expects {count} parameter(s), got {len(params)}")

@@ -92,10 +92,6 @@ class InstructionTimeline:
             raise TranspileError(f"instruction {index} was already removed")
         return instruction
 
-    def last_instruction(self, qubit: int, depth: int = 0) -> Instruction | None:
-        index = self.last_index(qubit, depth)
-        return None if index is None else self.instruction_at(index)
-
     # -- finishing ----------------------------------------------------------
 
     def to_circuit(self, source: QuantumCircuit) -> QuantumCircuit:

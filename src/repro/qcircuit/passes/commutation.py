@@ -2,12 +2,12 @@
 
 Every gate in the diagonal family (``z``-axis rotations, phases, ``cz``,
 ``rzz``, ``cp``, ``mcp``) is diagonal in the computational basis, so any two
-of them commute exactly — regardless of qubit overlap or angle, bound or
-symbolic.  Within each maximal run of consecutive diagonal instructions the
-pass stable-sorts by (qubit tuple, gate name), dragging same-axis rotations
-on the same qubits next to each other so the fusion pass can merge them even
-when they were separated by other commuting phase terms (the cross-layer
-fusion opportunity in QAOA-style cost layers).
+of them commute exactly — regardless of qubit overlap or angle.  Within each
+maximal run of consecutive diagonal instructions the pass stable-sorts by
+(qubit tuple, gate name), dragging same-axis rotations on the same qubits
+next to each other so the fusion pass can merge them even when they were
+separated by other commuting phase terms (the cross-layer fusion opportunity
+in QAOA-style cost layers).
 
 The sort is stable and keyed only on structural fields, so the pass is
 deterministic and idempotent; non-diagonal gates and directives end runs.

@@ -29,7 +29,7 @@ _FUSABLE = frozenset({"rx", "ry", "rz", "p", "cp", "rxx", "ryy", "rzz", "mcp"})
 
 def _fusable_angle(instruction: Instruction) -> float | None:
     gate = instruction.gate
-    if gate.name not in _FUSABLE or gate.is_parameterized:
+    if gate.name not in _FUSABLE:
         return None
     return float(gate.params[0])
 

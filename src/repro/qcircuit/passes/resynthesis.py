@@ -29,9 +29,9 @@ from repro.qcircuit.passes.base import CircuitPass, InstructionTimeline
 _CONTROL_COMMUTING = frozenset({"id", "z", "s", "sdg", "t", "tdg", "rz", "p"})
 
 
-def _bound_angle(instruction: Instruction, name: str) -> float | None:
+def _angle_of(instruction: Instruction, name: str) -> float | None:
     gate = instruction.gate
-    if gate.name != name or gate.is_parameterized:
+    if gate.name != name:
         return None
     return float(gate.params[0])
 
@@ -117,7 +117,7 @@ class LadderResynthesisPass(CircuitPass):
         cx_index = timeline.last_index(target, 1)
         if rz_index is None or cx_index is None:
             return False
-        theta = _bound_angle(timeline.instruction_at(rz_index), "rz")
+        theta = _angle_of(timeline.instruction_at(rz_index), "rz")
         if theta is None or timeline.instruction_at(rz_index).qubits != (target,):
             return False
         if timeline.instruction_at(cx_index).gate.name != "cx":
@@ -136,7 +136,7 @@ class LadderResynthesisPass(CircuitPass):
         self, timeline: InstructionTimeline, incoming: Instruction
     ) -> bool:
         """``rz(t,c) · rzz(-t,c,t) · rz(t,t)`` → ``cp(2t,c,t)``."""
-        alpha = _bound_angle(incoming, "rz")
+        alpha = _angle_of(incoming, "rz")
         if alpha is None:
             return False
         (target,) = incoming.qubits
@@ -144,7 +144,7 @@ class LadderResynthesisPass(CircuitPass):
         if zz_index is None:
             return False
         zz = timeline.instruction_at(zz_index)
-        if _bound_angle(zz, "rzz") != -alpha:
+        if _angle_of(zz, "rzz") != -alpha:
             return False
         control = zz.qubits[0] if zz.qubits[1] == target else zz.qubits[1]
         if target not in zz.qubits or timeline.last_index(control) != zz_index:
@@ -153,7 +153,7 @@ class LadderResynthesisPass(CircuitPass):
         if rzc_index is None:
             return False
         rzc = timeline.instruction_at(rzc_index)
-        if rzc.qubits != (control,) or _bound_angle(rzc, "rz") != alpha:
+        if rzc.qubits != (control,) or _angle_of(rzc, "rz") != alpha:
             return False
         timeline.remove_all([zz_index, rzc_index])
         self._push_phase(timeline, 2.0 * alpha, control, target)
@@ -163,7 +163,7 @@ class LadderResynthesisPass(CircuitPass):
         self, timeline: InstructionTimeline, incoming: Instruction
     ) -> bool:
         """The transpiler's own five-gate ``cp`` lowering, run backwards."""
-        alpha = _bound_angle(incoming, "rz")
+        alpha = _angle_of(incoming, "rz")
         if alpha is None:
             return False
         (target,) = incoming.qubits
@@ -182,7 +182,7 @@ class LadderResynthesisPass(CircuitPass):
         if rz2_index is None or cx1_index is None or rzc_index is None:
             return False
         rz2 = timeline.instruction_at(rz2_index)
-        if rz2.qubits != (target,) or _bound_angle(rz2, "rz") != -alpha:
+        if rz2.qubits != (target,) or _angle_of(rz2, "rz") != -alpha:
             return False
         if timeline.last_index(control, 1) != cx1_index:
             return False
@@ -191,7 +191,7 @@ class LadderResynthesisPass(CircuitPass):
         if timeline.instruction_at(cx1_index).gate.name != "cx":
             return False
         rzc = timeline.instruction_at(rzc_index)
-        if rzc.qubits != (control,) or _bound_angle(rzc, "rz") != alpha:
+        if rzc.qubits != (control,) or _angle_of(rzc, "rz") != alpha:
             return False
         timeline.remove_all([cx2_index, rz2_index, cx1_index, rzc_index])
         self._push_phase(timeline, 2.0 * alpha, control, target)

@@ -16,13 +16,12 @@ computational basis states with non-negligible amplitude after each gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.qcircuit.circuit import Instruction, QuantumCircuit
-from repro.qcircuit.parameters import Parameter
 
 #: Probability below which a basis state does not count toward the measured
 #: support (shared by :meth:`Statevector.support_size` and the simulator's
@@ -226,7 +225,6 @@ class StatevectorSimulator:
         self,
         circuit: QuantumCircuit,
         initial_state: Statevector | Sequence[int] | None = None,
-        parameter_values: Mapping[Parameter, float] | None = None,
     ) -> SimulationResult:
         """Simulate ``circuit`` and return the final state.
 
@@ -234,18 +232,12 @@ class StatevectorSimulator:
             circuit: the circuit to execute (measurements/barriers ignored).
             initial_state: a :class:`Statevector`, a bit assignment, or
                 ``None`` for ``|0...0>``.
-            parameter_values: bindings for any free parameters.
         """
         if circuit.num_qubits > self.max_qubits:
             raise SimulationError(
                 f"circuit has {circuit.num_qubits} qubits, exceeding the simulator "
                 f"limit of {self.max_qubits}"
             )
-        if circuit.is_parameterized:
-            if parameter_values is None:
-                raise SimulationError("circuit has unbound parameters")
-            circuit = circuit.bind(parameter_values)
-
         state = self._prepare_state(circuit.num_qubits, initial_state)
         support_trace: list[int] = []
         gate_count = 0
@@ -265,10 +257,9 @@ class StatevectorSimulator:
         self,
         circuit: QuantumCircuit,
         initial_state: Statevector | Sequence[int] | None = None,
-        parameter_values: Mapping[Parameter, float] | None = None,
     ) -> Statevector:
         """Convenience wrapper returning just the final state."""
-        return self.run(circuit, initial_state, parameter_values).statevector
+        return self.run(circuit, initial_state).statevector
 
     # ------------------------------------------------------------------
 

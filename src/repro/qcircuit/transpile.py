@@ -46,10 +46,9 @@ stack are deterministic, so a hit is bit-identical to a miss.
   into the report), ``num_qubits``, and per instruction the gate name,
   qubit count, ``num_controls``, ``label``, qubits, params and the bytes of
   ``gate.matrix`` — plus the full :class:`TranspileOptions`.  The matrix is
-  hashed explicitly because ``Gate`` equality ignores it; float params by
-  their exact hex form (so ``-0.0`` and ``0.0`` differ); a symbolic
-  :class:`~repro.qcircuit.parameters.Parameter` by ``(name, uid)``, so two
-  distinct parameters sharing a name never share an entry.
+  hashed explicitly because ``Gate`` equality ignores it; params, which a
+  gate checks are real scalars, by type name and value, a float by its exact
+  hex form (so ``-0.0`` and ``0.0`` differ).
 * **Bound.** Four entries, enough for every structure a seed sweep cycles
   through (the whole-solve benchmark's widest sweep cycles three); a
   retained K4 circuit costs about 1 MB.  The solvers' structure memo
@@ -94,7 +93,6 @@ from repro.exceptions import TranspileError
 from repro.memo import LruMemo
 from repro.qcircuit.circuit import Instruction, QuantumCircuit
 from repro.qcircuit.gates import BASIS_GATES, Gate
-from repro.qcircuit.parameters import Parameter, ParameterExpression, ParameterValue
 from repro.qcircuit.passes.manager import (
     DEFAULT_OPTIMIZATION_LEVEL,
     MAX_OPTIMIZATION_LEVEL,
@@ -410,25 +408,13 @@ class TranspileCacheInfo(NamedTuple):
     misses: int
 
 
-def _param_token(value: ParameterValue) -> tuple:
+def _param_token(value: float) -> tuple:
     # The type name keeps e.g. a numpy scalar from sharing an entry with the
     # equal Python number: a hit hands back the first caller's objects.
+    # A gate holds only real scalars, so what is not a float is an integer.
     if isinstance(value, (float, np.floating)):
         return (type(value).__name__, float(value).hex())
-    if isinstance(value, (int, np.integer)):
-        return (type(value).__name__, int(value))
-    if isinstance(value, Parameter):
-        return ("parameter", value.name, value.uid)
-    if isinstance(value, ParameterExpression):
-        return (
-            "expression",
-            _param_token(value.parameter),
-            _param_token(value.coefficient),
-            _param_token(value.offset),
-        )
-    raise TranspileError(
-        f"cannot fingerprint a gate parameter of type {type(value).__name__}"
-    )
+    return (type(value).__name__, int(value))
 
 
 def _circuit_digest(circuit: QuantumCircuit) -> bytes:

@@ -194,7 +194,6 @@ class ChocoQSolver(QuantumSolver):
         spec, driver = self.build_spec(problem)
         engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
         result = engine.run(spec, problem)
-        result.metadata["num_driver_terms"] = len(driver.terms)
         result.metadata["total_nonzeros"] = driver.total_nonzeros
         return result
 

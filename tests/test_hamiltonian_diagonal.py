@@ -12,7 +12,6 @@ from repro.hamiltonian.diagonal import (
     phase_separation_circuit,
     split_polynomial,
 )
-from repro.qcircuit.parameters import Parameter
 from repro.qcircuit.statevector import StatevectorSimulator, Statevector
 from repro.testing import global_phase_equal
 
@@ -92,13 +91,6 @@ class TestPhaseSeparationCircuit:
             circuit, initial_state=Statevector(data=state.copy(), num_qubits=num_qubits)
         ).data
         assert global_phase_equal(exact, circuit_state)
-
-    def test_symbolic_gamma_supported(self):
-        gamma = Parameter("gamma")
-        circuit = phase_separation_circuit({(0,): 1.0, (0, 1): 2.0}, 2, gamma)
-        assert circuit.is_parameterized
-        bound = circuit.bind({gamma: 0.4})
-        assert not bound.is_parameterized
 
     def test_zero_terms_produce_empty_circuit(self):
         circuit = phase_separation_circuit({(): 5.0}, 2, 0.7)

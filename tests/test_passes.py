@@ -7,7 +7,6 @@ Per-pass rewrite units, the timeline bookkeeping they share, the
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from repro.exceptions import TranspileError
 from repro.qcircuit.circuit import Instruction, QuantumCircuit
 from repro.qcircuit.gates import BASIS_GATES, standard_gate
-from repro.qcircuit.parameters import Parameter
 from repro.qcircuit.passes import (
     DEFAULT_OPTIMIZATION_LEVEL,
     MAX_OPTIMIZATION_LEVEL,
@@ -120,13 +118,6 @@ class TestRotationFusion:
         fused = RotationFusionPass().run(circuit)
         assert gate_names(fused) == ["rzz"]
         assert fused.instructions[0].gate.params[0] == pytest.approx(0.7)
-
-    def test_parameterized_rotation_never_fused(self):
-        theta = Parameter("theta")
-        circuit = QuantumCircuit(1)
-        circuit.rz(theta, 0)
-        circuit.rz(0.4, 0)
-        assert gate_names(RotationFusionPass().run(circuit)) == ["rz", "rz"]
 
     def test_barrier_fences_fusion(self):
         circuit = QuantumCircuit(1)

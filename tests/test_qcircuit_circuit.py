@@ -1,4 +1,4 @@
-"""Tests for the QuantumCircuit IR: building, depth, composition, binding."""
+"""Tests for the QuantumCircuit IR: building, depth and composition."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import pytest
 
 from repro.exceptions import CircuitError
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.parameters import Parameter
-from repro.qcircuit.statevector import StatevectorSimulator
 
 
 class TestConstruction:
@@ -126,32 +124,6 @@ class TestDepth:
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1).cz(1, 2).h(0)
         assert circuit.num_two_qubit_gates() == 2
-
-
-class TestParameters:
-    def test_parameter_collection(self):
-        beta, gamma = Parameter("beta"), Parameter("gamma")
-        circuit = QuantumCircuit(2)
-        circuit.rz(gamma, 0).rx(beta, 1).rz(0.5, 0)
-        assert circuit.parameters == frozenset({beta, gamma})
-        assert circuit.is_parameterized
-
-    def test_bind_produces_concrete_circuit(self):
-        beta = Parameter("beta")
-        circuit = QuantumCircuit(1)
-        circuit.rx(beta, 0)
-        bound = circuit.bind({beta: 0.7})
-        assert not bound.is_parameterized
-        assert bound[0].gate.params == (0.7,)
-        # Original untouched.
-        assert circuit.is_parameterized
-
-    def test_mcp_with_negated_parameter(self):
-        beta = Parameter("beta")
-        circuit = QuantumCircuit(3)
-        circuit.mcp(-beta, [0, 1], 2)
-        bound = circuit.bind({beta: 0.4})
-        assert bound[0].gate.params[0] == pytest.approx(-0.4)
 
 
 class TestComposition:

@@ -13,7 +13,6 @@ from repro.qcircuit.gates import (
     standard_gate,
     unitary_gate,
 )
-from repro.qcircuit.parameters import Parameter
 
 SINGLE_QUBIT_NAMES = ["id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx"]
 ROTATION_NAMES = ["rx", "ry", "rz", "p"]
@@ -104,16 +103,6 @@ class TestMultiControlledGates:
         with pytest.raises(GateError):
             mcx_gate(0)
 
-    def test_mcp_with_symbolic_parameter_defers_matrix(self):
-        beta = Parameter("beta")
-        gate = mcp_gate(2, beta)
-        assert gate.is_parameterized
-        with pytest.raises(GateError):
-            gate.to_matrix()
-        bound = gate.bind({beta: 0.3})
-        assert not bound.is_parameterized
-        assert is_unitary(bound.to_matrix())
-
 
 class TestInverses:
     @pytest.mark.parametrize(
@@ -167,6 +156,22 @@ class TestGateDataclass:
         with pytest.raises(GateError):
             Gate("unitary", 1)
 
-    def test_bind_is_noop_for_constant_gates(self):
-        gate = standard_gate("rz", 0.7)
-        assert gate.bind({}) is gate
+    @pytest.mark.parametrize(
+        "angle",
+        ["0.3", 0.3 + 0j, np.complex128(0.3), None, [0.3]],
+        ids=["str", "complex", "numpy-complex", "none", "list"],
+    )
+    def test_non_real_angle_rejected_at_construction(self, angle):
+        with pytest.raises(GateError, match="real angles"):
+            standard_gate("rz", angle)
+        with pytest.raises(GateError, match="real angles"):
+            mcp_gate(2, angle)
+
+    @pytest.mark.parametrize(
+        "angle",
+        [1, 0.3, np.int64(2), np.float32(0.3), np.float64(-0.0)],
+        ids=["int", "float", "numpy-int64", "numpy-float32", "numpy-negative-zero"],
+    )
+    def test_real_angle_kept_as_passed(self, angle):
+        assert standard_gate("rz", angle).params[0] is angle
+        assert mcp_gate(1, angle).params[0] is angle

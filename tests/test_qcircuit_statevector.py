@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.parameters import Parameter
 from repro.qcircuit.statevector import (
     Statevector,
     StatevectorSimulator,
@@ -112,15 +111,6 @@ class TestSimulator:
         circuit.cx(0, 1)
         state = simulator.statevector(circuit, initial_state=[1, 0])
         assert np.argmax(np.abs(state.data)) == 3
-
-    def test_parameterized_circuit_requires_bindings(self, simulator):
-        beta = Parameter("beta")
-        circuit = QuantumCircuit(1)
-        circuit.rx(beta, 0)
-        with pytest.raises(SimulationError):
-            simulator.run(circuit)
-        result = simulator.run(circuit, parameter_values={beta: np.pi})
-        assert result.statevector.probabilities()[1] == pytest.approx(1.0)
 
     def test_qubit_limit_enforced(self):
         simulator = StatevectorSimulator(max_qubits=3)
