@@ -92,6 +92,19 @@ class TestPhaseSeparationCircuit:
         ).data
         assert global_phase_equal(exact, circuit_state)
 
+    @pytest.mark.parametrize(
+        "gamma",
+        [1, 0.4, np.int64(2), np.float32(0.4), np.float64(0.4)],
+        ids=["int", "float", "numpy-int64", "numpy-float32", "numpy-float64"],
+    )
+    def test_real_gamma_scales_every_angle_as_a_python_float(self, gamma):
+        terms = {(0,): 1.0, (1,): -0.5, (0, 1): 2.0}
+        circuit = phase_separation_circuit(terms, 2, gamma)
+        reference = phase_separation_circuit(terms, 2, float(gamma))
+        angles = [instruction.gate.params[0] for instruction in circuit]
+        assert all(type(angle) is float for angle in angles)
+        assert angles == [instruction.gate.params[0] for instruction in reference]
+
     def test_zero_terms_produce_empty_circuit(self):
         circuit = phase_separation_circuit({(): 5.0}, 2, 0.7)
         assert circuit.size() == 0

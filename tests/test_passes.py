@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import TranspileError
@@ -118,6 +119,15 @@ class TestRotationFusion:
         fused = RotationFusionPass().run(circuit)
         assert gate_names(fused) == ["rzz"]
         assert fused.instructions[0].gate.params[0] == pytest.approx(0.7)
+
+    def test_numpy_scalar_rotations_fuse(self):
+        circuit = QuantumCircuit(1)
+        circuit.rz(np.float64(0.1), 0)
+        circuit.rz(np.int64(1), 0)
+        circuit.rz(0.2, 0)
+        fused = RotationFusionPass().run(circuit)
+        assert gate_names(fused) == ["rz"]
+        assert fused.instructions[0].gate.params[0] == pytest.approx(1.3)
 
     def test_barrier_fences_fusion(self):
         circuit = QuantumCircuit(1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import CircuitError
+from repro.exceptions import CircuitError, GateError
 from repro.qcircuit.circuit import QuantumCircuit
 
 
@@ -124,6 +124,37 @@ class TestDepth:
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1).cz(1, 2).h(0)
         assert circuit.num_two_qubit_gates() == 2
+
+
+class TestRealAngles:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda c, a: c.rx(a, 0), id="rx"),
+            pytest.param(lambda c, a: c.ry(a, 0), id="ry"),
+            pytest.param(lambda c, a: c.rz(a, 0), id="rz"),
+            pytest.param(lambda c, a: c.p(a, 0), id="p"),
+            pytest.param(lambda c, a: c.cp(a, 0, 1), id="cp"),
+            pytest.param(lambda c, a: c.rxx(a, 0, 1), id="rxx"),
+            pytest.param(lambda c, a: c.ryy(a, 0, 1), id="ryy"),
+            pytest.param(lambda c, a: c.rzz(a, 0, 1), id="rzz"),
+            pytest.param(lambda c, a: c.mcp(a, [0, 1], 2), id="mcp"),
+        ],
+    )
+    def test_builder_rejects_string_angle_and_appends_nothing(self, build):
+        circuit = QuantumCircuit(3)
+        with pytest.raises(GateError, match="real angles"):
+            build(circuit, "0.3")
+        assert len(circuit) == 0
+
+    def test_mcp_with_negative_angle(self):
+        circuit = QuantumCircuit(3)
+        circuit.mcp(-0.4, [0, 1], 2)
+        gate = circuit[0].gate
+        assert gate.params == (-0.4,)
+        expected = np.ones(8, dtype=complex)
+        expected[-1] = np.exp(-0.4j)
+        np.testing.assert_allclose(gate.to_matrix(), np.diag(expected), atol=1e-12)
 
 
 class TestComposition:

@@ -112,6 +112,16 @@ class TestSimulator:
         state = simulator.statevector(circuit, initial_state=[1, 0])
         assert np.argmax(np.abs(state.data)) == 3
 
+    @pytest.mark.parametrize("name", ["rx", "ry", "rz", "p"])
+    def test_numpy_scalar_angle_simulates_like_a_python_float(self, simulator, name):
+        states = []
+        for angle in (0.7, np.float64(0.7)):
+            circuit = QuantumCircuit(1)
+            circuit.h(0)
+            getattr(circuit, name)(angle, 0)
+            states.append(simulator.statevector(circuit).data)
+        np.testing.assert_array_equal(states[0], states[1])
+
     def test_qubit_limit_enforced(self):
         simulator = StatevectorSimulator(max_qubits=3)
         with pytest.raises(SimulationError):

@@ -102,6 +102,7 @@ def test_repeated_circuit_runs_the_pipeline_once(pipeline_runs):
         pytest.param(lambda c: c.rz(-0.0, 0), lambda c: c.rz(0.0, 0), id="signed-zero"),
         pytest.param(lambda c: c.rz(0.5, 0), lambda c: c.rz(np.float32(0.5), 0),
                      id="numpy-scalar"),
+        pytest.param(lambda c: c.rz(1, 0), lambda c: c.rz(1.0, 0), id="int-and-float"),
     ],
 )
 def test_circuits_differing_in_content_miss(build_a, build_b):
