@@ -20,7 +20,6 @@ import os
 
 import repro
 from repro import ConstrainedBinaryProblem, EngineOptions, LinearConstraint, Objective
-from repro.solvers import BranchAndBoundSolver
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") == "1"
 
@@ -43,8 +42,8 @@ def main() -> None:
     )
 
     # Classical ground truth (exponential, fine at this size).
-    classical = BranchAndBoundSolver().solve(problem)
-    print(f"classical optimum: x = {classical.assignment}, value = {classical.value}")
+    optimum, optimal_value = problem.brute_force_optimum()
+    print(f"classical optimum: x = {optimum}, value = {optimal_value}")
     print(f"registered solvers: {repro.available_solvers()}")
 
     # Choco-Q: the commute-Hamiltonian driver guarantees every sample is feasible.

@@ -5,7 +5,6 @@ from repro.analysis.ablation import (
     ABLATION_ARMS,
     AblationArm,
     AblationRow,
-    ablation_improvements,
     run_ablation,
 )
 from repro.analysis.convergence import (
@@ -19,11 +18,8 @@ from repro.analysis.parallelism import (
     support_trace,
 )
 from repro.analysis.report import (
-    format_percentage,
-    format_speedup,
     format_table,
     print_table,
-    summarize_improvement,
 )
 
 __all__ = [
@@ -32,15 +28,11 @@ __all__ = [
     "AblationRow",
     "ConvergenceCurve",
     "ParallelismProfile",
-    "ablation_improvements",
     "compare_convergence",
     "convergence_curve",
-    "format_percentage",
-    "format_speedup",
     "format_table",
     "parallelism_profile",
     "print_table",
     "run_ablation",
-    "summarize_improvement",
     "support_trace",
 ]

@@ -103,24 +103,3 @@ def run_ablation(
             )
         )
     return rows
-
-
-def ablation_improvements(rows: "list[AblationRow]") -> dict[str, float]:
-    """Relative improvements between arms, in the format Fig. 14 quotes.
-
-    Returns depth-reduction and success-rate-improvement factors of each arm
-    relative to the Opt1 arm (values > 1 mean better).
-    """
-    by_label = {row.label: row for row in rows}
-    base = by_label.get("Opt1")
-    improvements: dict[str, float] = {}
-    if base is None:
-        return improvements
-    for label, row in by_label.items():
-        if label == "Opt1":
-            continue
-        if row.transpiled_depth > 0:
-            improvements[f"depth_reduction[{label}]"] = base.transpiled_depth / row.transpiled_depth
-        if base.success_rate > 0:
-            improvements[f"success_gain[{label}]"] = row.success_rate / base.success_rate
-    return improvements

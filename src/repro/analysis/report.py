@@ -8,7 +8,7 @@ benchmarks.  No plotting dependency is required.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def format_table(
@@ -47,18 +47,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_percentage(value: float) -> str:
-    """Format a probability as the percent string the paper's tables use."""
-    return f"{100.0 * value:.2f}%"
-
-
-def format_speedup(baseline: float, improved: float) -> str:
-    """Format an improvement factor ("4.69x"-style)."""
-    if improved <= 0:
-        return "inf"
-    return f"{baseline / improved:.2f}x"
-
-
 def print_table(
     rows: Sequence[Mapping[str, object]],
     columns: Sequence[str] | None = None,
@@ -66,26 +54,3 @@ def print_table(
 ) -> None:
     """Print a table (convenience wrapper used by benchmarks and examples)."""
     print(format_table(rows, columns=columns, title=title))
-
-
-def summarize_improvement(rows: Iterable[Mapping[str, float]], metric: str, reference: str, target: str) -> float:
-    """Geometric-mean improvement of ``target`` over ``reference`` for ``metric``.
-
-    Rows missing either solver, or where the reference value is zero, are
-    skipped — the same convention the paper uses when a baseline fails to
-    find any optimal solution (marked with a cross in Table II).
-    """
-    import math
-
-    ratios: list[float] = []
-    for row in rows:
-        reference_value = row.get(f"{metric}[{reference}]")
-        target_value = row.get(f"{metric}[{target}]")
-        if not reference_value or not target_value:
-            continue
-        if reference_value <= 0:
-            continue
-        ratios.append(target_value / reference_value)
-    if not ratios:
-        return float("nan")
-    return math.exp(sum(math.log(r) for r in ratios) / len(ratios))

@@ -5,7 +5,6 @@ from repro.core.encoding import (
     default_penalty_weight,
     frozen_variables,
     penalty_objective,
-    qubo_matrix,
     squared_constraint_penalty,
     to_qubo,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "nullity",
     "penalty_objective",
     "problem_initial_assignment",
-    "qubo_matrix",
     "squared_constraint_penalty",
     "success_rate",
     "ternary_nullspace_basis",

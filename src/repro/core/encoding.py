@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from repro.core.problem import ConstrainedBinaryProblem, Objective
 from repro.exceptions import ProblemError
 
@@ -82,23 +80,6 @@ def to_qubo(
                 f"QUBO encoding supports at most quadratic terms, got {variables}"
             )
     return constant, linear, quadratic
-
-
-def qubo_matrix(objective: Objective, num_variables: int) -> np.ndarray:
-    """Dense symmetric QUBO matrix ``Q`` with the linear terms on the diagonal.
-
-    ``x^T Q x + constant`` equals the polynomial for binary ``x`` (the
-    constant is dropped; retrieve it from :func:`to_qubo` if needed).
-    """
-    constant, linear, quadratic = to_qubo(objective)
-    del constant
-    matrix = np.zeros((num_variables, num_variables), dtype=float)
-    for variable, weight in linear.items():
-        matrix[variable, variable] += weight
-    for (i, j), weight in quadratic.items():
-        matrix[i, j] += weight / 2.0
-        matrix[j, i] += weight / 2.0
-    return matrix
 
 
 def frozen_variables(problem: ConstrainedBinaryProblem, count: int = 1) -> list[tuple[int, int]]:

@@ -164,14 +164,6 @@ class MetricsReport:
     approximation_ratio_gap: float
     circuit_depth: int
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "success_rate_percent": 100.0 * self.success_rate,
-            "in_constraints_rate_percent": 100.0 * self.in_constraints_rate,
-            "arg": self.approximation_ratio_gap,
-            "depth": float(self.circuit_depth),
-        }
-
 
 def evaluate_outcomes(
     problem: ConstrainedBinaryProblem,

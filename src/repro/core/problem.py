@@ -308,16 +308,6 @@ class ConstrainedBinaryProblem:
             raise ProblemError(f"problem {self.name!r} has no feasible assignment")
         return best_assignment, best_value
 
-    def optimal_assignments(self, tolerance: float = 1e-9) -> tuple[list[tuple[int, ...]], float]:
-        """All optimal feasible assignments (ties included) and the optimum."""
-        _, best_value = self.brute_force_optimum()
-        optima = [
-            self._decode(int(code))
-            for codes, values in self._feasible_chunks()
-            for code in codes[np.abs(values - best_value) <= tolerance]
-        ]
-        return optima, best_value
-
     def _decode(self, code: int) -> tuple[int, ...]:
         n = self.num_variables
         return tuple((code >> (n - 1 - j)) & 1 for j in range(n))

@@ -20,6 +20,13 @@ vectors:
 * measurement distributions lift back to bitstring histograms through
   :meth:`SubspaceMap.bitstring_of`.
 
+Assignments resolve to coordinates through one index: the basis rows viewed
+as ``np.void`` byte keys and sorted once at construction.  Membership
+(:meth:`SubspaceMap.contains`), single lookups
+(:meth:`SubspaceMap.coordinate_of`) and batch lookups
+(:meth:`SubspaceMap.coordinates_of_rows`) are all a binary search over that
+table, at any register width.
+
 Because no object of size ``2^n`` is ever built, the practical qubit ceiling
 is set by ``|F|`` rather than the Hilbert-space dimension, lifting the dense
 simulator's ``max_qubits = 24`` cap for constrained instances.
@@ -27,7 +34,6 @@ simulator's ``max_qubits = 24`` cap for constrained instances.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,19 +102,21 @@ class SubspaceMap:
     """
 
     def __init__(self, basis: np.ndarray, num_variables: int) -> None:
-        basis = np.asarray(basis, dtype=np.uint8)
+        basis = np.ascontiguousarray(basis, dtype=np.uint8)
         if basis.ndim != 2 or basis.shape[1] != num_variables:
             raise ProblemError("basis must be a (|F|, num_variables) bit matrix")
         if basis.shape[0] == 0:
             raise InfeasibleError("the feasible subspace is empty")
         self.num_variables = int(num_variables)
         self.basis = basis
-        # One-time map construction (the rank-lookup dict is built exactly
-        # once per SubspaceMap); the solve path uses coordinates_of_rows.
-        self._coordinate_by_key: dict[bytes, int] = {  # repro: ignore[hotpath]
-            row.tobytes(): coordinate for coordinate, row in enumerate(basis)
-        }
-        if len(self._coordinate_by_key) != basis.shape[0]:
+        # The one coordinate index: each row's bytes as one np.void key,
+        # sorted once, so every membership and coordinate query is a binary
+        # search at any register width.  The keys view the basis, so the
+        # index costs one sorted copy plus the argsort.
+        keys = self._row_keys(basis)
+        self._key_order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._key_order]
+        if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
             raise ProblemError("the feasible basis contains duplicate assignments")
 
     # ------------------------------------------------------------------
@@ -200,83 +208,50 @@ class SubspaceMap:
     def __len__(self) -> int:
         return self.size
 
-    def compression_ratio(self) -> float:
-        """``2^n / |F|`` — the dense-state memory/work saved by the map."""
-        return float(2.0**self.num_variables / self.size)
+    def _row_keys(self, rows: np.ndarray) -> np.ndarray:
+        """One ``np.void`` key per ``(m, num_variables)`` uint8 row."""
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
+        return rows.view(np.dtype((np.void, self.num_variables))).reshape(rows.shape[0])
+
+    def _search(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(coordinates, found)`` of each row: a candidate and whether it matches."""
+        keys = self._row_keys(rows)
+        positions = np.searchsorted(self._sorted_keys, keys)
+        positions = np.minimum(positions, self.size - 1)
+        found = self._sorted_keys[positions] == keys
+        return self._key_order[positions], found
 
     def coordinate_of(self, bits: Sequence[int]) -> int:
         """Subspace coordinate of a feasible bit assignment."""
         key = np.asarray(bits, dtype=np.uint8)
         if key.shape != (self.num_variables,):
             raise ProblemError("bit assignment length must equal the register size")
-        try:
-            return self._coordinate_by_key[key.tobytes()]
-        except KeyError:
-            raise InfeasibleError(
-                f"assignment {tuple(int(b) for b in bits)} is not in the feasible subspace"
-            ) from None
-
-    @cached_property
-    def _packed_lookup(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
-        """``(bit_weights, sorted_keys, sort_order)`` for rank lookups.
-
-        Each basis row packs into one int64 key (the row's dense basis
-        index), sorted once so membership and coordinate queries become a
-        binary search instead of a per-row dict lookup.  ``None`` beyond 62
-        variables, where a single word cannot hold the key — callers then
-        fall back to the dict.
-        """
-        if self.num_variables > 62:
-            return None
-        weights = (np.int64(1) << np.arange(self.num_variables, dtype=np.int64))
-        keys = self.full_indices()  # the same little-endian packing, reused
-        order = np.argsort(keys, kind="stable")
-        return weights, keys[order], order
+        return int(self.coordinates_of_rows(key[None, :])[0])
 
     def coordinates_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Subspace coordinates of a batch of feasible bit rows, vectorised.
 
         ``rows`` is ``(m, num_variables)``; returns the length-``m`` int64
         coordinate array such that ``basis[result[i]] == rows[i]``.  The
-        whole batch resolves through one packed-integer ``searchsorted``
-        over the sorted key table (built lazily, once per map); any row
-        outside the feasible set raises :class:`InfeasibleError` exactly
-        like :meth:`coordinate_of`.
+        whole batch resolves through one ``searchsorted`` over the sorted
+        row-byte keys; any row outside the feasible set (including one
+        holding a non-binary entry) raises :class:`InfeasibleError`.
         """
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.ndim != 2 or rows.shape[1] != self.num_variables:
             raise ProblemError("rows must be an (m, num_variables) bit matrix")
-        lookup = self._packed_lookup
-        if lookup is None:
-            # > 62 variables: one int64 word per key no longer fits; fall
-            # back to the exact per-row dict path.
-            return np.fromiter(
-                (self.coordinate_of(row) for row in rows),
-                dtype=np.int64,
-                count=rows.shape[0],
-            )
-        weights, sorted_keys, order = lookup
-        keys = rows.astype(np.int64) @ weights
-        positions = np.searchsorted(sorted_keys, keys)
-        positions = np.minimum(positions, sorted_keys.shape[0] - 1)
-        coordinates = order[positions].astype(np.int64, copy=False)
-        # Verify against the basis rows rather than the packed keys alone: a
-        # non-binary entry (e.g. a stray 2) can alias a different feasible
-        # row's key, and such rows must raise exactly like coordinate_of.
-        found = (sorted_keys[positions] == keys) & np.all(
-            self.basis[coordinates] == rows, axis=1
-        )
+        coordinates, found = self._search(rows)
         if not np.all(found):
             missing = rows[int(np.nonzero(~found)[0][0])]
             raise InfeasibleError(
                 f"assignment {tuple(int(b) for b in missing)} is not in the "
                 "feasible subspace"
             )
-        return coordinates
+        return coordinates.astype(np.int64, copy=False)
 
     def contains(self, bits: Sequence[int]) -> bool:
         key = np.asarray(bits, dtype=np.uint8)
-        return key.shape == (self.num_variables,) and key.tobytes() in self._coordinate_by_key
+        return key.shape == (self.num_variables,) and bool(self._search(key[None, :])[1][0])
 
     def bits_of(self, coordinate: int) -> np.ndarray:
         """Bit assignment (uint8 array) of one subspace coordinate."""

@@ -35,7 +35,6 @@ from repro.hamiltonian.pauli import (
     PauliString,
     PauliSum,
     cyclic_driver_terms,
-    ising_from_quadratic,
     single_pauli,
     two_pauli,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "cyclic_driver_terms",
     "dense_evolution_operator",
     "driver_evolution_operator",
-    "ising_from_quadratic",
     "pauli_sum_evolution",
     "phase_separation_circuit",
     "single_pauli",

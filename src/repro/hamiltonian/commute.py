@@ -224,11 +224,11 @@ class CommuteHamiltonianTerm:
         belong to this subspace's constraint system and raises.
 
         Fully vectorised: all partner rows are built in one scatter and
-        resolved to coordinates through the map's packed-key rank lookup
-        (:meth:`SubspaceMap.coordinates_of_rows
+        resolved to coordinates by one batched search of the map's sorted
+        row-key index (:meth:`SubspaceMap.coordinates_of_rows
         <repro.core.subspace.SubspaceMap.coordinates_of_rows>`), replacing
-        the per-row dict-lookup loop kept as
-        :func:`subspace_pairing_loop` for the throughput benchmark.
+        the per-row lookup loop kept as :func:`subspace_pairing_loop` for
+        the throughput benchmark.
         """
         basis = subspace_map.basis
         support = np.array(self.support, dtype=np.intp)
@@ -296,7 +296,7 @@ class CommuteHamiltonianTerm:
         first = qubits[0]
         g_circuit = self.converting_circuit(register_size)
         circuit.compose(g_circuit, qubits=range(register_size))
-        neg_beta = -beta if not isinstance(beta, (int, float)) else -float(beta)
+        neg_beta = -float(beta)
         if len(qubits) == 1:
             circuit.x(first)
             circuit.p(neg_beta, first)
@@ -332,8 +332,8 @@ def subspace_pairing_loop(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row reference implementation of :meth:`~CommuteHamiltonianTerm.subspace_pairing`.
 
-    The pre-vectorisation pairing: a Python loop doing one ``coordinate_of``
-    dict lookup per ``v``-side row.  Kept callable so the iteration-throughput
+    The pre-vectorisation pairing: a Python loop doing one single-row
+    ``coordinate_of`` lookup per ``v``-side row.  Kept callable so the iteration-throughput
     benchmark can measure the recompute-every-call path it replaced, and so
     the equivalence tests can pin the vectorised pairing against it
     element for element.

@@ -20,7 +20,7 @@ a basis index.  ``PauliString("XY")`` therefore has ``X`` on qubit 0 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -279,34 +279,3 @@ def cyclic_driver_terms(num_qubits: int, qubits: list[int]) -> PauliSum:
         terms.append(two_pauli(num_qubits, a, "X", b, "X"))
         terms.append(two_pauli(num_qubits, a, "Y", b, "Y"))
     return PauliSum(terms, num_qubits=num_qubits)
-
-
-def ising_from_quadratic(
-    num_qubits: int,
-    linear: Mapping[int, float],
-    quadratic: Mapping[tuple[int, int], float],
-    constant: float = 0.0,
-) -> PauliSum:
-    """Convert a binary quadratic polynomial into an Ising (I/Z) Pauli sum.
-
-    Substitutes ``x_j = (I - Z_j) / 2`` into
-    ``constant + sum_j linear[j] x_j + sum_{i<j} quadratic[i, j] x_i x_j``.
-    """
-    identity = PauliString("I" * num_qubits, 0.0)
-    label_z = lambda qubit: single_pauli(num_qubits, qubit, "Z")  # noqa: E731
-    terms: list[PauliString] = [PauliString("I" * num_qubits, complex(constant))]
-    for qubit, weight in linear.items():
-        terms.append(PauliString("I" * num_qubits, weight / 2.0))
-        terms.append(label_z(qubit) * (-weight / 2.0))
-    for (qa, qb), weight in quadratic.items():
-        if qa == qb:
-            # x^2 = x for binary variables
-            terms.append(PauliString("I" * num_qubits, weight / 2.0))
-            terms.append(label_z(qa) * (-weight / 2.0))
-            continue
-        terms.append(PauliString("I" * num_qubits, weight / 4.0))
-        terms.append(label_z(qa) * (-weight / 4.0))
-        terms.append(label_z(qb) * (-weight / 4.0))
-        terms.append(two_pauli(num_qubits, qa, "Z", qb, "Z", weight / 4.0))
-    del identity
-    return PauliSum(terms, num_qubits=num_qubits).simplify()

@@ -8,7 +8,6 @@ from repro.problems.benchmark_suite import (
     BenchmarkSpec,
     benchmark_specs,
     get_spec,
-    iter_benchmark_cases,
     make_benchmark,
 )
 from repro.problems.facility_location import (
@@ -28,7 +27,6 @@ from repro.problems.k_partition import (
     cut_weight,
     k_partition_problem,
     partition_from_assignment,
-    partition_graph,
     random_k_partition,
 )
 
@@ -46,11 +44,9 @@ __all__ = [
     "get_spec",
     "graph_coloring_problem",
     "is_proper_coloring",
-    "iter_benchmark_cases",
     "k_partition_problem",
     "make_benchmark",
     "partition_from_assignment",
-    "partition_graph",
     "random_facility_location",
     "random_graph_coloring",
     "random_k_partition",

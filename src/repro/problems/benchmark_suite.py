@@ -33,7 +33,7 @@ tables are reproducible run-to-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.exceptions import ProblemError
@@ -150,12 +150,6 @@ def make_benchmark(name: str, case_index: int = 0) -> ConstrainedBinaryProblem:
     spec = get_spec(name)
     seed = _case_seed(spec, case_index)
     return _build(spec, seed)
-
-
-def iter_benchmark_cases(name: str, num_cases: int) -> Iterator[ConstrainedBinaryProblem]:
-    """Yield ``num_cases`` reproducible instances of one benchmark scale."""
-    for case_index in range(num_cases):
-        yield make_benchmark(name, case_index)
 
 
 def _case_seed(spec: BenchmarkSpec, case_index: int) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
@@ -85,15 +84,6 @@ def random_k_partition(
         weights=weights,
         num_blocks=num_blocks,
     )
-
-
-def partition_graph(instance: KPartitionInstance) -> nx.Graph:
-    """The instance as a weighted NetworkX graph."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(instance.num_vertices))
-    for (u, v), w in zip(instance.edges, instance.weights):
-        graph.add_edge(u, v, weight=w)
-    return graph
 
 
 def variable_index(instance: KPartitionInstance, vertex: int, block: int) -> int:

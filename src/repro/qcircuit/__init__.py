@@ -43,7 +43,6 @@ from repro.qcircuit.passes import (
 from repro.qcircuit.sampling import (
     SampleResult,
     combine_metadata,
-    counts_to_probability_vector,
     exact_distribution,
     merge_results,
     subspace_exact_distribution,
@@ -61,7 +60,6 @@ from repro.qcircuit.transpile import (
     TranspileOptions,
     Transpiler,
     depth_after_transpile,
-    gate_counts_after_transpile,
     transpile,
     transpile_with_report,
     unitary_synthesis_penalty,
@@ -102,10 +100,8 @@ __all__ = [
     "Transpiler",
     "bitstring_to_index",
     "combine_metadata",
-    "counts_to_probability_vector",
     "depth_after_transpile",
     "exact_distribution",
-    "gate_counts_after_transpile",
     "get_device_profile",
     "index_to_bitstring",
     "mcp_gate",

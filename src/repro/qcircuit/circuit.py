@@ -252,14 +252,6 @@ class QuantumCircuit:
             inverted.append(instruction.gate.inverse(), instruction.qubits)
         return inverted
 
-    def remove_directives(self) -> "QuantumCircuit":
-        """Return a copy without measurement / barrier directives."""
-        stripped = QuantumCircuit(self.num_qubits, name=self.name)
-        for instruction in self._instructions:
-            if not instruction.is_directive:
-                stripped._instructions.append(instruction)
-        return stripped
-
     def deepcopy(self) -> "QuantumCircuit":
         return copy.deepcopy(self)
 
@@ -317,13 +309,6 @@ class QuantumCircuit:
             for qubit in instruction.qubits:
                 frontier[qubit] = level
         return max(frontier) if frontier else 0
-
-    def qubits_used(self) -> frozenset[int]:
-        used: set[int] = set()
-        for instruction in self._instructions:
-            if not instruction.is_directive:
-                used.update(instruction.qubits)
-        return frozenset(used)
 
     # ------------------------------------------------------------------
     # Rendering

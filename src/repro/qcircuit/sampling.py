@@ -1,15 +1,15 @@
 """Measurement sampling utilities.
 
 Solvers interact with the simulator through :class:`SampleResult`, a
-histogram of measured bitstrings.  Helpers here convert between probability
-vectors, shot histograms, and the bit-assignment arrays the problem layer
+histogram of measured bitstrings.  Helpers here turn probability vectors
+into shot histograms and the bit-assignment arrays the problem layer
 consumes, and merge histograms from the multiple circuit executions that the
 variable-elimination technique of Section IV-C requires.
 
 Two state layouts feed this module:
 
 * **dense** — probabilities indexed by the full ``2^n`` computational basis
-  (:meth:`SampleResult.from_statevector` / :meth:`from_probabilities`);
+  (:meth:`SampleResult.from_statevector`);
 * **subspace** — probabilities indexed by the compact coordinates of a
   :class:`~repro.core.subspace.SubspaceMap`
   (:meth:`SampleResult.from_subspace_probabilities` /
@@ -32,8 +32,6 @@ import numpy as np
 from repro.serialization import json_sanitize
 from repro.qcircuit.statevector import (
     Statevector,
-    bitstring_to_index,
-    index_to_bitstring,
     sample_histogram,
 )
 
@@ -77,20 +75,6 @@ class SampleResult:
         metadata: dict | None = None,
     ) -> "SampleResult":
         counts = statevector.sample_counts(shots, rng=rng)
-        return cls(counts=counts, shots=shots, metadata=dict(metadata or {}))
-
-    @classmethod
-    def from_probabilities(
-        cls,
-        probabilities: np.ndarray,
-        num_qubits: int,
-        shots: int,
-        rng: np.random.Generator | None = None,
-        metadata: dict | None = None,
-    ) -> "SampleResult":
-        counts = sample_histogram(
-            probabilities, shots, lambda index: index_to_bitstring(index, num_qubits), rng=rng
-        )
         return cls(counts=counts, shots=shots, metadata=dict(metadata or {}))
 
     @classmethod
@@ -149,12 +133,6 @@ class SampleResult:
             bits = np.array([int(ch) for ch in key], dtype=int)
             result.append((bits, value))
         return result
-
-    def probability_of_index(self, index: int, num_qubits: int) -> float:
-        key = index_to_bitstring(index, num_qubits)
-        if self.shots == 0:
-            return 0.0
-        return self.counts.get(key, 0) / self.shots
 
     def merge(self, other: "SampleResult") -> "SampleResult":
         """Combine two histograms (used when merging eliminated-variable runs).
@@ -246,14 +224,3 @@ def exact_distribution(statevector: Statevector) -> dict[str, float]:
     chars = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
     keys = chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()
     return dict(zip(keys, probabilities[indices].tolist()))
-
-
-def counts_to_probability_vector(counts: Mapping[str, int], num_qubits: int) -> np.ndarray:
-    """Convert a counts histogram into a dense probability vector."""
-    vector = np.zeros(2**num_qubits, dtype=float)
-    total = sum(counts.values())
-    if total == 0:
-        return vector
-    for key, value in counts.items():
-        vector[bitstring_to_index(key)] += value / total
-    return vector

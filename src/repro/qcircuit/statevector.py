@@ -128,18 +128,6 @@ class Statevector:
         """Measurement probabilities for every basis index."""
         return abs_squared(self.data)
 
-    def probability_of(self, bits: Sequence[int]) -> float:
-        """Probability of measuring the given bit assignment."""
-        index = 0
-        for qubit, bit in enumerate(bits):
-            index |= int(bit) << qubit
-        return float(abs(self.data[index]) ** 2)
-
-    def expectation_diagonal(self, diagonal: np.ndarray) -> float:
-        """Expectation value of a diagonal operator given as a real vector."""
-        probabilities = self.probabilities()
-        return float(np.real(np.dot(probabilities, diagonal)))
-
     def expectation(self, operator: np.ndarray) -> complex:
         """Expectation value of a dense operator matrix."""
         return complex(np.vdot(self.data, operator @ self.data))

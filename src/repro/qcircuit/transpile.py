@@ -109,9 +109,6 @@ class TranspileOptions:
     Attributes:
         basis_gates: target basis; instructions already in the basis pass
             through untouched.
-        use_ancillas: allow allocating clean ancilla qubits for the
-            linear-depth MCX/MCP constructions.  When False, the recursive
-            (deeper) no-ancilla decomposition is used instead.
         optimization_level: which pass pipeline runs after lowering (see
             :func:`~repro.qcircuit.passes.manager.default_pipeline`).
             Level 0 skips optimization entirely and is bit-identical to the
@@ -119,7 +116,6 @@ class TranspileOptions:
     """
 
     basis_gates: frozenset[str] = BASIS_GATES
-    use_ancillas: bool = True
     optimization_level: int = DEFAULT_OPTIMIZATION_LEVEL
 
     def __post_init__(self) -> None:
@@ -159,8 +155,6 @@ class Transpiler:
     # ------------------------------------------------------------------
 
     def _required_ancillas(self, circuit: QuantumCircuit) -> int:
-        if not self.options.use_ancillas:
-            return 0
         needed = 0
         for instruction in circuit:
             name = instruction.gate.name
@@ -318,21 +312,7 @@ class Transpiler:
         if k == 2:
             self._lower_ccx(output, controls[0], controls[1], target)
             return
-        free = [a for a in ancillas if a != target and a not in controls]
-        if self.options.use_ancillas and len(free) >= k - 2:
-            self._mcx_vchain(output, controls, target, free[: k - 2])
-            return
-        # No-ancilla fallback: C^k X = H_t . C^k Z . H_t with the recursive
-        # controlled-phase cascade (deeper, but always available).
-        output.h(target)
-        self._mcp_recursive(output, math.pi, controls + [target])
-        output.h(target)
-
-    def _mcx_vchain(
-        self, output: QuantumCircuit, controls: list[int], target: int, ancillas: list[int]
-    ) -> None:
-        """V-chain MCX: compute partial ANDs up a Toffoli ladder, flip, uncompute."""
-        k = len(controls)
+        # V-chain: compute partial ANDs up a Toffoli ladder, flip, uncompute.
         assert len(ancillas) >= k - 2
         compute: list[tuple[int, int, int]] = []
         self._lower_ccx(output, controls[0], controls[1], ancillas[0])
@@ -362,37 +342,16 @@ class Transpiler:
         if k == 2:
             self._lower_cp(output, theta, qubits[0], qubits[1])
             return
-        free = [a for a in ancillas if a not in qubits]
-        if self.options.use_ancillas and len(free) >= k - 2:
-            chain = free[: k - 2]
-            compute: list[tuple[int, int, int]] = []
-            self._lower_ccx(output, qubits[0], qubits[1], chain[0])
-            compute.append((qubits[0], qubits[1], chain[0]))
-            for i in range(2, k - 1):
-                self._lower_ccx(output, qubits[i], chain[i - 2], chain[i - 1])
-                compute.append((qubits[i], chain[i - 2], chain[i - 1]))
-            self._lower_cp(output, theta, chain[k - 3], qubits[k - 1])
-            for c0, c1, t in reversed(compute):
-                self._lower_ccx(output, c0, c1, t)
-            return
-        self._mcp_recursive(output, theta, qubits)
-
-    def _mcp_recursive(self, output: QuantumCircuit, theta: float, qubits: list[int]) -> None:
-        """Ancilla-free recursive multi-controlled phase (deeper circuits)."""
-        k = len(qubits)
-        if k == 1:
-            output.rz(theta, qubits[0])
-            return
-        if k == 2:
-            self._lower_cp(output, theta, qubits[0], qubits[1])
-            return
-        head, last = qubits[:-1], qubits[-1]
-        self._lower_cp(output, theta / 2, head[-1], last)
-        self._lower_mcx(output, head[:-1], head[-1], [])
-        self._lower_cp(output, -theta / 2, head[-1], last)
-        self._lower_mcx(output, head[:-1], head[-1], [])
-        self._mcp_recursive(output, theta / 2, head[:-1] + [last])
-
+        chain = ancillas[: k - 2]
+        compute: list[tuple[int, int, int]] = []
+        self._lower_ccx(output, qubits[0], qubits[1], chain[0])
+        compute.append((qubits[0], qubits[1], chain[0]))
+        for i in range(2, k - 1):
+            self._lower_ccx(output, qubits[i], chain[i - 2], chain[i - 1])
+            compute.append((qubits[i], chain[i - 2], chain[i - 1]))
+        self._lower_cp(output, theta, chain[k - 3], qubits[k - 1])
+        for c0, c1, t in reversed(compute):
+            self._lower_ccx(output, c0, c1, t)
 
 # ---------------------------------------------------------------------------
 # Structure memo (see the module docstring)
@@ -525,10 +484,3 @@ def depth_after_transpile(
     """
     transpiled = transpile(circuit, options)
     return transpiled.depth() + unitary_synthesis_penalty(transpiled)
-
-
-def gate_counts_after_transpile(
-    circuit: QuantumCircuit, options: TranspileOptions | None = None
-) -> dict[str, int]:
-    """Gate-name histogram after transpilation to the basis gate set."""
-    return transpile(circuit, options).count_ops()

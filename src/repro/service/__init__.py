@@ -9,13 +9,13 @@ The "millions of users" layer over the experiment API (ROADMAP item 1):
   ``batched_expectations``-coalesced sweeps over a bounded worker pool
   (:func:`~repro.service.server.serve_tcp` exposes it over TCP,
   ``python -m repro.service`` runs the daemon);
-* :mod:`~repro.service.client` — in-process and TCP clients;
+* :mod:`~repro.service.client` — the TCP client;
 * :mod:`~repro.service.shard` — shard one plan across machines by content
   hash and merge the shard files idempotently
   (``python -m repro.service.shard``).
 """
 
-from repro.service.client import ServiceClient, TCPServiceClient
+from repro.service.client import TCPServiceClient
 from repro.service.coalesce import SpecCompiler, SweepRequest, solve_group_key
 from repro.service.server import ServiceStats, SolveService, serve_tcp
 from repro.service.store import ResultStore
@@ -36,7 +36,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "ResultStore",
-    "ServiceClient",
     "ServiceStats",
     "SolveService",
     "SpecCompiler",

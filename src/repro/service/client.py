@@ -1,8 +1,7 @@
-"""Clients for the solve service: in-process and TCP.
+"""TCP client for the solve service.
 
-:class:`ServiceClient` is the embedding-friendly front end — a thin typed
-wrapper over a :class:`~repro.service.server.SolveService` running in the
-same event loop (the CI smoke test drives this one).
+In-process callers await :meth:`SolveService.solve
+<repro.service.server.SolveService.solve>` directly.
 :class:`TCPServiceClient` speaks the newline-delimited-JSON protocol of
 :func:`~repro.service.server.serve_tcp`; it pipelines concurrent requests
 over one connection and matches responses by id, so a remote burst of
@@ -19,34 +18,9 @@ from repro.exceptions import ServiceError
 from repro.run.plan import RunRecord, RunSpec
 from repro.serialization import json_sanitize
 from repro.service.coalesce import SweepRequest
-from repro.service.server import FRAME_LIMIT_BYTES, SolveService, surface_task_exception
+from repro.service.server import FRAME_LIMIT_BYTES, surface_task_exception
 
-__all__ = ["ServiceClient", "TCPServiceClient"]
-
-
-class ServiceClient:
-    """In-process client: same API shape as the TCP client, zero transport."""
-
-    def __init__(self, service: SolveService) -> None:
-        self.service = service
-
-    async def solve(
-        self, spec: "RunSpec | dict", *, timeout: "float | None" = None
-    ) -> RunRecord:
-        return await self.service.solve(spec, timeout=timeout)
-
-    async def solve_many(
-        self, specs, *, timeout: "float | None" = None
-    ) -> list[RunRecord]:
-        return await self.service.solve_many(specs, timeout=timeout)
-
-    async def sweep(
-        self, request: "SweepRequest | dict", *, timeout: "float | None" = None
-    ) -> list[float]:
-        return await self.service.sweep(request, timeout=timeout)
-
-    async def stats(self) -> dict:
-        return self.service.stats()
+__all__ = ["TCPServiceClient"]
 
 
 class TCPServiceClient:

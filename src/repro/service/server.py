@@ -71,6 +71,9 @@ __all__ = [
 # penalty-QAOA K2 record (~192 KB) and one 4000x2 sweep request.
 FRAME_LIMIT_BYTES = 64 * 1024 * 1024
 
+# Most seed-compatible pending specs that ride one worker dispatch.
+MAX_GROUP_SIZE = 16
+
 
 def surface_task_exception(task: asyncio.Task) -> None:
     """Done-callback surfacing a background task's otherwise-dropped error.
@@ -151,12 +154,6 @@ class SolveService:
             size of the underlying thread executor).
         request_timeout: default per-request timeout in seconds (``None``
             waits forever); individual calls may override it.
-        max_group_size: cap on how many seed-compatible pending specs ride
-            one worker dispatch.
-        sweep_window: how long (seconds) a sweep batch accumulates before
-            flushing.  ``0`` flushes on the next event-loop tick, which
-            already coalesces requests submitted in the same scheduling
-            burst (e.g. one ``asyncio.gather``).
         execute_fn: the per-spec execution function — defaults to
             :func:`~repro.run.plan.execute_spec`; tests inject counting
             spies here.
@@ -168,21 +165,13 @@ class SolveService:
         *,
         max_workers: int = 4,
         request_timeout: "float | None" = None,
-        max_group_size: int = 16,
-        sweep_window: float = 0.0,
         execute_fn: "Callable[[RunSpec], RunRecord] | None" = None,
     ) -> None:
         if max_workers < 1:
             raise ServiceError("max_workers must be at least 1")
-        if max_group_size < 1:
-            raise ServiceError("max_group_size must be at least 1")
-        if sweep_window < 0:
-            raise ServiceError("sweep_window must be non-negative")
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.max_workers = max_workers
         self.request_timeout = request_timeout
-        self.max_group_size = max_group_size
-        self.sweep_window = sweep_window
         self._execute_fn = execute_fn if execute_fn is not None else execute_spec
         self._compiler = SpecCompiler()
         self._stats = ServiceStats()
@@ -308,23 +297,13 @@ class SolveService:
         self._spawn(self._solve_worker(group))
         return await self._await_result(future, timeout)
 
-    async def solve_many(
-        self, specs, *, timeout: "float | None" = None
-    ) -> list[RunRecord]:
-        """Submit several specs concurrently; results in request order."""
-        return list(
-            await asyncio.gather(
-                *(self.solve(spec, timeout=timeout) for spec in specs)
-            )
-        )
-
     async def _solve_worker(self, group: str) -> None:
         async with self._slots:
             queue = self._queued.get(group)
             if not queue:
                 return  # a sibling worker drained this group already
             batch: list[tuple[str, RunSpec]] = []
-            while queue and len(batch) < self.max_group_size:
+            while queue and len(batch) < MAX_GROUP_SIZE:
                 batch.append(queue.popitem(last=False))
             if not self._queued.get(group):
                 self._queued.pop(group, None)
@@ -364,7 +343,9 @@ class SolveService:
         """Exact cost expectations for a batch of parameter vectors.
 
         Pending sweeps sharing a coalesce key collapse into one
-        ``batched_expectations`` pass when the batch flushes.
+        ``batched_expectations`` pass when the batch flushes on the next
+        event-loop tick, which coalesces requests submitted in the same
+        scheduling burst (e.g. one ``asyncio.gather``).
         """
         self._require_running()
         if isinstance(request, dict):
@@ -377,10 +358,7 @@ class SolveService:
         pending.batch.append((request, future))
         if not pending.scheduled:
             pending.scheduled = True
-            if self.sweep_window > 0:
-                self._loop.call_later(self.sweep_window, self._flush_sweeps, key)
-            else:
-                self._loop.call_soon(self._flush_sweeps, key)
+            self._loop.call_soon(self._flush_sweeps, key)
         return await self._await_result(future, timeout)
 
     def _flush_sweeps(self, key: str) -> None:

@@ -51,11 +51,6 @@ class ResultStore:
         with self._lock:
             return len(self._records)
 
-    def hashes(self) -> list[str]:
-        """Every stored content hash (a snapshot, safe to iterate)."""
-        with self._lock:
-            return list(self._records)
-
     # -- writes --------------------------------------------------------
 
     def put(self, record: RunRecord) -> None:
@@ -72,24 +67,6 @@ class ResultStore:
             sink = self._sink
         if sink is not None:
             sink.append(payload)
-
-    def refresh(self) -> int:
-        """Re-read the backing file, absorbing records other writers appended.
-
-        Returns the number of hashes that were new to this store.  Purely
-        in-memory stores are a no-op.
-        """
-        if not self.path:
-            return 0
-        loaded = load_jsonl_records(self.path)
-        with self._lock:
-            added = sum(1 for spec_hash in loaded if spec_hash not in self._records)
-            # Later lines win, matching load_jsonl_records semantics; records
-            # put() after the file snapshot are re-applied by the update
-            # order below only if the file already contains them — our own
-            # appends are in the file too, so this stays consistent.
-            self._records.update(loaded)
-        return added
 
     def close(self) -> None:
         with self._lock:

@@ -2,8 +2,10 @@
 
 Contains the paper's contribution (:class:`ChocoQSolver`) and the three
 baselines it is evaluated against (penalty QAOA, cyclic-Hamiltonian QAOA,
-hardware-efficient ansatz), along with classical ground-truth solvers, the
-classical optimizers shared by the variational loops, and the latency model.
+hardware-efficient ansatz), along with the classical optimizers shared by
+the variational loops and the latency model.  The exact ground truth is
+:meth:`ConstrainedBinaryProblem.brute_force_optimum
+<repro.core.problem.ConstrainedBinaryProblem.brute_force_optimum>`.
 """
 
 from repro.solvers.base import (
@@ -13,12 +15,6 @@ from repro.solvers.base import (
     SolverResult,
 )
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
-from repro.solvers.classical import (
-    BranchAndBoundSolver,
-    ClassicalResult,
-    ExhaustiveSolver,
-    GreedyRoundingSolver,
-)
 from repro.solvers.config import NoiseConfig, SolverConfig, as_noise_config
 from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver, summation_chains
 from repro.solvers.hea import HEAConfig, HEASolver
@@ -46,17 +42,13 @@ __all__ = [
     "DenseStateBackend",
     "StateBackend",
     "SubspaceStateBackend",
-    "BranchAndBoundSolver",
     "ChocoQConfig",
     "ChocoQSolver",
-    "ClassicalResult",
     "CobylaOptimizer",
     "CyclicQAOAConfig",
     "CyclicQAOASolver",
     "EngineOptions",
     "HEAConfig",
-    "ExhaustiveSolver",
-    "GreedyRoundingSolver",
     "HEASolver",
     "LatencyBreakdown",
     "LatencyEstimate",

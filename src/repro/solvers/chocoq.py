@@ -160,7 +160,11 @@ class ChocoQSolver(QuantumSolver):
 
     def build_driver(self, problem: ConstrainedBinaryProblem) -> CommuteDriver:
         """Construct the commute driver for a problem's constraint matrix."""
-        solutions = self._moves(self.config, problem.constraint_matrix()[0])
+        return self._driver(self.config, problem)
+
+    @classmethod
+    def _driver(cls, config: ChocoQConfig, problem: ConstrainedBinaryProblem) -> CommuteDriver:
+        solutions = cls._moves(config, problem.constraint_matrix()[0])
         if not solutions:
             raise SolverError("the constraint system admits no commute-Hamiltonian moves")
         return CommuteDriver.from_solutions(solutions)
@@ -206,10 +210,8 @@ class ChocoQSolver(QuantumSolver):
         structure and config in the process (:mod:`repro.solvers.structure`);
         every call gets its own spec copy.
         """
-        config = self.config
-
-        def build() -> tuple[AnsatzSpec, CommuteDriver]:
-            driver = self.build_driver(problem)
+        def build(config: ChocoQConfig) -> tuple[AnsatzSpec, CommuteDriver]:
+            driver = self._driver(config, problem)
             return self._compile_spec(config, problem, driver), driver
 
         return memoized_spec(self, problem, build)
@@ -325,12 +327,11 @@ class ChocoQSolver(QuantumSolver):
 
     def _solve_with_elimination(self, problem: ConstrainedBinaryProblem) -> SolverResult:
         start = time.perf_counter()
-        config = self.config
         planned, driver = memoized(
             "elimination-plan",
             self,
             matrix_digest(problem.constraint_matrix()[0]),
-            lambda: self._elimination_plan(config, problem),
+            lambda config: self._elimination_plan(config, problem),
         )
         if not planned:
             return self._solve_single(problem)
@@ -367,7 +368,7 @@ class ChocoQSolver(QuantumSolver):
             spec, _ = memoized_spec(
                 self,
                 sub_problem,
-                lambda: (self._compile_spec(config, sub_problem, driver), driver),
+                lambda config: (self._compile_spec(config, sub_problem, driver), driver),
             )
             sub_results.append(engine.run(spec, instance.problem))
 

@@ -161,7 +161,9 @@ class CyclicQAOASolver(QuantumSolver):
                 "to and falls back to dense",
                 stacklevel=2,
             )
-        spec, _ = memoized_spec(self, problem, lambda: (self._compile_spec(config, problem), None))
+        spec, _ = memoized_spec(
+            self, problem, lambda config: (self._compile_spec(config, problem), None)
+        )
         return spec
 
     @classmethod

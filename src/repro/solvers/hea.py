@@ -78,7 +78,9 @@ class HEASolver(QuantumSolver):
         call draws its own initial parameters from the run seed.
         """
         config = self.config
-        spec, _ = memoized_spec(self, problem, lambda: (self._compile_spec(config, problem), None))
+        spec, _ = memoized_spec(
+            self, problem, lambda config: (self._compile_spec(config, problem), None)
+        )
         rng = np.random.default_rng(self.options.seed)
         # One initial RY layer plus one RY layer per entangling block.
         num_parameters = problem.num_variables * (config.num_layers + 1)

@@ -106,7 +106,9 @@ class PenaltyQAOASolver(QuantumSolver):
         the run seed.
         """
         config = self.config
-        spec, _ = memoized_spec(self, problem, lambda: (self._compile_spec(config, problem), None))
+        spec, _ = memoized_spec(
+            self, problem, lambda config: (self._compile_spec(config, problem), None)
+        )
         if config.linear_ramp_init:
             return spec
         rng = np.random.default_rng(self.options.seed)

@@ -14,8 +14,11 @@ optimizer.  Every built-in solver's ``build_spec`` reads it through
 The optimizer still runs on every solve: nothing here depends on a seed.
 
 * **Key.** Derived, never hand-kept: the kind of value, the solver class,
-  the config's canonical ``to_dict()`` JSON and a content digest of what
-  the build reads.  A problem's digest (:func:`problem_digest`) covers
+  the canonical ``to_dict()`` JSON of the config without its ``noise``
+  field and a content digest of what the build reads.  Noise acts only
+  when a solve samples, so one structure solved noise-free and under any
+  device profiles compiles once; the build receives the noise-free config,
+  so it cannot read noise.  A problem's digest (:func:`problem_digest`) covers
   ``num_variables``, ``sense``, the objective terms and every constraint's
   coefficients and right-hand side, in their stored order (the order a
   cost diagonal sums in) and by ``repr`` (exact for floats, so ``-0.0`` and
@@ -43,9 +46,11 @@ The optimizer still runs on every solve: nothing here depends on a seed.
   (K4, three layers) holds 2.1 MB: the 1 MiB initial state, the 0.5 MiB
   cost diagonal and the evolution program's 0.5 MiB level index.  Its
   compile report adds 0.1 MB once a solve has filled it.  The subspace
-  entry of the same problem holds 0.15 MB in all, and a 12-qubit dense
-  entry (K2) 0.23 MB, so a full memo of 16-qubit dense structures pins
-  about 70 MB.
+  entry of the same problem holds 0.02 MB before its compile report and
+  0.14 MB after, and a 12-qubit dense entry (K2) 0.23 MB, so a full memo
+  of 16-qubit dense structures pins about 70 MB.  A subspace entry grows
+  with ``|F|``: its map holds the ``(|F|, n)`` uint8 basis plus one sorted
+  copy and an int64 argsort, 3.7 MB at ``|F| = 65536`` and ``n = 24``.
 * **Threads.** A lock guards lookup and insert
   (:class:`~repro.memo.LruMemo`).  Two threads missing on the same key both
   build; the first insert becomes the entry, and both return correct
@@ -115,30 +120,38 @@ def clear_structure_cache() -> None:
     _MEMO.clear()
 
 
-def memoized(kind: str, solver, content: bytes, build: Callable[[], T]) -> T:
-    """``build()``, kept per (``kind``, solver class, config, ``content``).
+def memoized(kind: str, solver, content: bytes, build: Callable[[Any], T]) -> T:
+    """``build(config)``, kept per (``kind``, solver class, config, ``content``).
 
-    ``content`` is the digest of everything ``build`` reads besides the
-    solver's config; ``build`` must not read the solver's engine options.
+    ``config`` is the solver's config without its ``noise`` field: noise
+    acts only when a solve samples, so variants differing only in noise
+    share one entry, and ``build`` receives that noise-free config so it
+    cannot read noise.  ``content`` is the digest of everything ``build``
+    reads besides the config; ``build`` must not read the solver's engine
+    options.
     """
+    config = solver.config
+    if getattr(config, "noise", None) is not None:
+        config = config.replace(noise=None)
     # default=repr: a NumPy scalar in a config field keys by its repr (its
     # type included) instead of failing to serialize.
-    config = json.dumps(
-        solver.config.to_dict(), sort_keys=True, separators=(",", ":"), default=repr
-    )
-    return _MEMO.get_or_build((kind, type(solver), config, content), build)
+    key = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"), default=repr)
+    return _MEMO.get_or_build((kind, type(solver), key, content), lambda: build(config))
 
 
 def memoized_spec(
-    solver, problem: ConstrainedBinaryProblem, build: Callable[[], tuple[AnsatzSpec, Any]]
+    solver, problem: ConstrainedBinaryProblem, build: Callable[[Any], tuple[AnsatzSpec, Any]]
 ) -> tuple[AnsatzSpec, Any]:
     """A private copy of the cached ``(spec, extra)`` of ``problem``'s structure.
 
-    ``build()`` compiles the seed-free spec and anything the solver keeps
-    beside it (Choco-Q's driver); a miss freezes the spec's arrays and
-    gives it an empty ``compile_reports`` dict before it is stored.
+    ``build(config)`` compiles the seed-free spec and anything the solver
+    keeps beside it (Choco-Q's driver) from the noise-free config (see
+    :func:`memoized`); a miss freezes the spec's arrays and gives it an
+    empty ``compile_reports`` dict before it is stored.
     """
-    spec, extra = memoized("spec", solver, problem_digest(problem), lambda: _frozen(*build()))
+    spec, extra = memoized(
+        "spec", solver, problem_digest(problem), lambda config: _frozen(*build(config))
+    )
     return replace(spec, metadata=copy.deepcopy(spec.metadata)), extra
 
 

@@ -5,14 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.ablation import ABLATION_ARMS, ablation_improvements, run_ablation
+from repro.analysis.ablation import ABLATION_ARMS, run_ablation
 from repro.analysis.convergence import compare_convergence, convergence_curve
 from repro.analysis.parallelism import parallelism_profile, support_trace
 from repro.analysis.report import (
-    format_percentage,
-    format_speedup,
     format_table,
-    summarize_improvement,
 )
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
@@ -102,8 +99,6 @@ class TestAblation:
         by_label = {row.label: row for row in rows}
         # Opt2 (equivalent decomposition) must reduce depth versus Opt1.
         assert by_label["Opt1+2"].transpiled_depth < by_label["Opt1"].transpiled_depth
-        improvements = ablation_improvements(rows)
-        assert improvements["depth_reduction[Opt1+2]"] > 1.0
 
 
 class TestReport:
@@ -116,21 +111,3 @@ class TestReport:
 
     def test_format_table_empty(self):
         assert format_table([]) == "(empty table)"
-
-    def test_format_percentage(self):
-        assert format_percentage(0.671) == "67.10%"
-
-    def test_format_speedup(self):
-        assert format_speedup(10.0, 2.0) == "5.00x"
-        assert format_speedup(1.0, 0.0) == "inf"
-
-    def test_summarize_improvement(self):
-        rows = [
-            {"success[cyclic]": 0.1, "success[choco]": 0.4},
-            {"success[cyclic]": 0.2, "success[choco]": 0.8},
-        ]
-        assert summarize_improvement(rows, "success", "cyclic", "choco") == pytest.approx(4.0)
-
-    def test_summarize_improvement_skips_failures(self):
-        rows = [{"success[cyclic]": 0.0, "success[choco]": 0.4}]
-        assert np.isnan(summarize_improvement(rows, "success", "cyclic", "choco"))

@@ -110,10 +110,12 @@ class TestCoordinatesOfRows:
         assert np.array_equal(coordinates, shuffled)
         assert coordinates.dtype == np.int64
 
-    def test_matches_coordinate_of(self):
+    def test_matches_brute_force_basis_search(self):
         _, subspace_map = _driver_and_map("K1")
-        rows = subspace_map.basis[::2]
-        expected = [subspace_map.coordinate_of(row) for row in rows]
+        rows = subspace_map.basis[::-3]
+        expected = [
+            int(np.flatnonzero(np.all(subspace_map.basis == row, axis=1))[0]) for row in rows
+        ]
         assert list(subspace_map.coordinates_of_rows(rows)) == expected
 
     def test_empty_batch(self):
@@ -133,15 +135,16 @@ class TestCoordinatesOfRows:
             subspace_map.coordinates_of_rows(np.zeros((2, 99), dtype=np.uint8))
 
     def test_non_binary_row_raises_despite_key_alias(self):
-        # (2, 0, 0) packs to the same int64 key as the feasible row (0, 1, 0);
-        # the lookup must not be fooled by the collision — coordinate_of
-        # raises on this row, so the batch path must too.
+        # (2, 0, 0) has the same weighted bit sum as the feasible row
+        # (0, 1, 0); a lookup keyed on that sum would alias them.  Both
+        # paths must raise on it.
         subspace_map = SubspaceMap.from_problem(make_one_hot_problem())
         aliased = np.array([[2, 0, 0]], dtype=np.uint8)
         with pytest.raises(InfeasibleError):
             subspace_map.coordinates_of_rows(aliased)
         with pytest.raises(InfeasibleError):
             subspace_map.coordinate_of(aliased[0])
+        assert not subspace_map.contains(aliased[0])
 
 
 # ---------------------------------------------------------------------------

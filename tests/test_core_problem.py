@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.feasibility import enumerate_feasible_assignments
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.exceptions import ProblemError
+from repro.problems.benchmark_suite import SCALE_NAMES, make_benchmark
 
 
 class TestObjective:
@@ -88,17 +92,6 @@ class TestConstrainedBinaryProblem:
         assert assignment == (1, 0, 1, 0)
         assert value == pytest.approx(6.0)
 
-    def test_optimal_assignments_includes_ties(self):
-        problem = ConstrainedBinaryProblem(
-            2,
-            Objective({(0,): 1.0, (1,): 1.0}),
-            [LinearConstraint((1.0, 1.0), 1.0)],
-            sense="min",
-        )
-        optima, value = problem.optimal_assignments()
-        assert value == pytest.approx(1.0)
-        assert set(optima) == {(1, 0), (0, 1)}
-
     def test_feasibility_and_violation(self, paper_example_problem):
         assert paper_example_problem.is_feasible((1, 0, 1, 0))
         assert not paper_example_problem.is_feasible((1, 1, 1, 1))
@@ -146,6 +139,70 @@ class TestConstrainedBinaryProblem:
     def test_assignment_length_checked(self, paper_example_problem):
         with pytest.raises(ProblemError):
             paper_example_problem.evaluate((1, 0))
+
+
+def _scan_optimum(problem: ConstrainedBinaryProblem) -> tuple[tuple[int, ...], float]:
+    """The sequential scan ``brute_force_optimum`` must reproduce bit for bit:
+    ``itertools.product`` order, scalar evaluation, strict improvement."""
+    best = None
+    for bits in itertools.product((0, 1), repeat=problem.num_variables):
+        if not problem.is_feasible(bits):
+            continue
+        value = problem.evaluate(bits)
+        if best is None or problem.better(value, best[1]):
+            best = (bits, value)
+    return best
+
+
+class TestExactOptimum:
+    """``brute_force_optimum`` is the one exact ground truth of the package."""
+
+    @pytest.mark.parametrize("name", SCALE_NAMES)
+    def test_matches_a_scan_of_the_enumerated_feasible_set(self, name):
+        problem = make_benchmark(name)
+        matrix, rhs = problem.constraint_matrix()
+        values = [problem.evaluate(bits) for bits in enumerate_feasible_assignments(matrix, rhs)]
+        assignment, value = problem.brute_force_optimum()
+        assert problem.is_feasible(assignment)
+        assert problem.evaluate(assignment) == value
+        assert value == (max(values) if problem.sense == "max" else min(values))
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_ties_resolve_to_the_first_optimum_in_scan_order(self, sense):
+        # One-hot over four variables with weights tying in pairs: both the
+        # minimum (x1, x3) and the maximum (x0, x2) are two-way ties.
+        problem = ConstrainedBinaryProblem(
+            4,
+            Objective.from_linear([5.0, 1.0, 5.0, 1.0]),
+            [LinearConstraint((1.0, 1.0, 1.0, 1.0), 1.0)],
+            sense=sense,
+        )
+        expected = ((0, 0, 0, 1), 1.0) if sense == "min" else ((0, 0, 1, 0), 5.0)
+        assert problem.brute_force_optimum() == expected == _scan_optimum(problem)
+
+    def test_unconstrained_problem_scans_the_whole_cube(self):
+        problem = ConstrainedBinaryProblem(
+            5, Objective({(0,): 1.0, (1, 2): -3.0, (3,): 2.0, (2, 4): -1.5, (4,): 0.5})
+        )
+        assert problem.brute_force_optimum() == _scan_optimum(problem) == ((0, 1, 1, 0, 1), -4.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_variables=st.integers(2, 7),
+        sense=st.sampled_from(["min", "max"]),
+    )
+    def test_property_random_instances_match_the_scan(self, seed, num_variables, sense):
+        rng = np.random.default_rng(seed)
+        objective = Objective.from_linear(rng.integers(-4, 5, num_variables).astype(float).tolist())
+        objective.add_term((0, num_variables - 1), float(rng.integers(-3, 4)))
+        coefficients = rng.integers(-1, 2, num_variables).astype(float)
+        # The right-hand side of a random assignment keeps the system feasible.
+        rhs = float(coefficients @ rng.integers(0, 2, num_variables))
+        problem = ConstrainedBinaryProblem(
+            num_variables, objective, [LinearConstraint(tuple(coefficients), rhs)], sense=sense
+        )
+        assert problem.brute_force_optimum() == _scan_optimum(problem)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,103 @@ class TestSubspaceMap:
         assert SubspaceMap.from_constraints([[1.0, 1.0, 1.0]], [1.0], limit=3).size == 3
 
 
+class TestCoordinateIndex:
+    """The one sorted row-key index behind every coordinate query."""
+
+    def test_seventy_variable_map_resolves_its_coordinates(self):
+        # Wider than one int64 word: the index has no register-width limit.
+        num_variables = 70
+        subspace_map = SubspaceMap.from_constraints([[1.0] * num_variables], [1.0])
+        assert subspace_map.size == num_variables
+        for coordinate in range(subspace_map.size):
+            bits = subspace_map.bits_of(coordinate)
+            assert subspace_map.coordinate_of(bits) == coordinate
+            assert subspace_map.contains(bits)
+        order = np.random.default_rng(3).permutation(subspace_map.size)
+        rows = subspace_map.basis[order]
+        assert np.array_equal(subspace_map.coordinates_of_rows(rows), order)
+        assert not subspace_map.contains(np.zeros(num_variables, dtype=np.uint8))
+        with pytest.raises(InfeasibleError):
+            subspace_map.coordinates_of_rows(np.ones((1, num_variables), dtype=np.uint8))
+
+    def test_duplicate_basis_rows_rejected(self):
+        basis = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]], dtype=np.uint8)
+        with pytest.raises(ProblemError, match="duplicate"):
+            SubspaceMap(basis, 3)
+
+    @staticmethod
+    def _distinct_rows(num_variables: int, count: int, seed: int) -> np.ndarray:
+        """Up to ``count`` distinct random bit rows, neither all zeros nor all
+        ones, in random order."""
+        rng = np.random.default_rng(seed)
+        rows = np.unique(rng.integers(0, 2, (count, num_variables), dtype=np.uint8), axis=0)
+        rows = rows[(rows.sum(axis=1) > 0) & (rows.sum(axis=1) < num_variables)]
+        return rows[rng.permutation(len(rows))]
+
+    @pytest.mark.parametrize("num_variables", [2, 7, 8, 9, 62, 63, 64, 65, 128])
+    def test_round_trip_at_every_width(self, num_variables):
+        # Byte and int64-word boundaries included: no width is special.
+        basis = self._distinct_rows(num_variables, 40, seed=num_variables)
+        subspace_map = SubspaceMap(basis, num_variables)
+        for coordinate in range(subspace_map.size):
+            bits = subspace_map.bits_of(coordinate)
+            assert subspace_map.coordinate_of(bits) == coordinate
+            assert subspace_map.contains(bits)
+        order = np.random.default_rng(1).permutation(subspace_map.size)
+        coordinates = subspace_map.coordinates_of_rows(basis[order])
+        assert coordinates.dtype == np.int64
+        assert np.array_equal(coordinates, order)
+
+    @pytest.mark.parametrize("num_variables", [8, 64, 70])
+    def test_rows_outside_the_basis_are_absent(self, num_variables):
+        basis = self._distinct_rows(num_variables, 40, seed=7)
+        subspace_map = SubspaceMap(basis, num_variables)
+        present = {row.tobytes() for row in basis}
+        candidates = np.random.default_rng(8).integers(0, 2, (60, num_variables), dtype=np.uint8)
+        # All zeros and all ones sort below and above every key in the table.
+        extremes = np.array([[0] * num_variables, [1] * num_variables], dtype=np.uint8)
+        absent = [row for row in np.vstack([extremes, candidates]) if row.tobytes() not in present]
+        assert len(absent) >= 2
+        for row in absent:
+            assert not subspace_map.contains(row)
+            with pytest.raises(InfeasibleError):
+                subspace_map.coordinate_of(row)
+        mixed = np.vstack([basis[:3], absent[-1][None, :]])
+        with pytest.raises(InfeasibleError):
+            subspace_map.coordinates_of_rows(mixed)
+
+    @pytest.mark.parametrize("num_variables", [64, 70])
+    def test_duplicate_rows_rejected_at_every_width(self, num_variables):
+        basis = self._distinct_rows(num_variables, 20, seed=2)
+        with pytest.raises(ProblemError, match="duplicate"):
+            SubspaceMap(np.vstack([basis, basis[5:6]]), num_variables)
+
+    def test_query_shapes_are_checked(self, paper_map):
+        assert not paper_map.contains([1, 0, 1])
+        with pytest.raises(ProblemError):
+            paper_map.coordinate_of([1, 0, 1, 0, 0])
+        with pytest.raises(ProblemError):
+            paper_map.coordinates_of_rows(np.array([1, 0, 1, 0], dtype=np.uint8))
+        with pytest.raises(ProblemError):
+            paper_map.coordinates_of_rows(np.zeros((2, 5), dtype=np.uint8))
+
+    def test_a_65536_row_map_holds_under_4_mb(self):
+        """|F| = 2^16 rows of n = 24: the uint8 basis (1.5 MB), its sorted
+        row-key copy (1.5 MB) and the int64 argsort (0.5 MB)."""
+        codes = np.arange(1 << 16, dtype=np.uint32)
+        tracemalloc.start()
+        try:
+            basis = np.zeros((codes.size, 24), dtype=np.uint8)
+            basis[:, :16] = (codes[:, None] >> np.arange(16)) & 1
+            subspace_map = SubspaceMap(basis, 24)
+            del basis
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert subspace_map.size == 1 << 16
+        assert held <= 4 * 1024 * 1024
+
+
 class TestStreamingConstruction:
     # 8 variables, sum = 4: C(8, 4) = 70 feasible assignments.
     MATRIX = [[1.0] * 8]
@@ -117,9 +216,6 @@ class TestStreamingConstruction:
         )
         with pytest.raises(InfeasibleError):
             SubspaceMap.try_from_problem(infeasible)
-
-    def test_compression_ratio(self, paper_map):
-        assert paper_map.compression_ratio() == pytest.approx(16.0 / paper_map.size)
 
     def test_basis_state_is_unit_vector(self, paper_map):
         bits = paper_map.bits_of(1)

@@ -179,6 +179,21 @@ class TestLemma2Decomposition:
         ).data
         assert global_phase_equal(exact, circuit_state)
 
+    @pytest.mark.parametrize(
+        "beta", [np.float64(0.7), np.float32(-0.3), 2, np.int64(-1)], ids=type
+    )
+    def test_any_real_scalar_beta_builds_the_float_circuit(self, beta):
+        term = CommuteHamiltonianTerm(PAPER_U1)
+        circuit = term.decomposed_circuit(beta)
+        reference = term.decomposed_circuit(float(beta))
+        assert [
+            (instruction.name, instruction.qubits, instruction.gate.params)
+            for instruction in circuit
+        ] == [
+            (instruction.name, instruction.qubits, instruction.gate.params)
+            for instruction in reference
+        ]
+
     def test_decomposition_survives_transpilation(self):
         term = CommuteHamiltonianTerm(PAPER_U1)
         beta = 0.8

@@ -12,7 +12,6 @@ from repro.hamiltonian.pauli import (
     PauliString,
     PauliSum,
     cyclic_driver_terms,
-    ising_from_quadratic,
     single_pauli,
     two_pauli,
 )
@@ -132,28 +131,14 @@ class TestConstructors:
         )
         assert driver.commutes_with(number_operator)
 
-    def test_ising_from_quadratic_matches_polynomial(self):
-        linear = {0: 2.0, 1: -1.0}
-        quadratic = {(0, 1): 3.0}
-        ising = ising_from_quadratic(2, linear, quadratic, constant=0.5)
-        diagonal = np.real(ising.diagonal())
-        for index in range(4):
-            x0, x1 = index & 1, (index >> 1) & 1
-            expected = 0.5 + 2.0 * x0 - 1.0 * x1 + 3.0 * x0 * x1
-            assert diagonal[index] == pytest.approx(expected)
-
-    def test_ising_squared_variable_collapses(self):
-        ising = ising_from_quadratic(1, {}, {(0, 0): 2.0})
-        diagonal = np.real(ising.diagonal())
-        assert diagonal[0] == pytest.approx(0.0)
-        assert diagonal[1] == pytest.approx(2.0)
-
 
 @settings(max_examples=30, deadline=None)
 @given(
     label_a=st.text(alphabet="IXYZ", min_size=1, max_size=4),
     label_b=st.text(alphabet="IXYZ", min_size=1, max_size=4),
 )
+
+
 def test_property_pauli_product_matches_matrices(label_a, label_b):
     """Symbolic Pauli products agree with explicit matrix products."""
     size = max(len(label_a), len(label_b))
@@ -168,6 +153,8 @@ def test_property_pauli_product_matches_matrices(label_a, label_b):
     label_a=st.text(alphabet="IXYZ", min_size=2, max_size=4),
     label_b=st.text(alphabet="IXYZ", min_size=2, max_size=4),
 )
+
+
 def test_property_commutes_with_matches_matrices(label_a, label_b):
     """The symbolic commutation test agrees with the matrix commutator."""
     size = max(len(label_a), len(label_b))

@@ -25,7 +25,6 @@ from repro import (
     PenaltyQAOASolver,
     make_benchmark,
 )
-from repro.solvers.classical import BranchAndBoundSolver
 from repro.solvers.optimizer import CobylaOptimizer
 
 OPTIONS = EngineOptions(shots=2048, seed=11)
@@ -78,14 +77,14 @@ class TestTableTwoRelationships:
         assert choco_metrics.approximation_ratio_gap <= penalty_metrics.approximation_ratio_gap
 
     def test_quantum_optimum_matches_classical(self, f1_problem):
-        classical = BranchAndBoundSolver().solve(f1_problem)
+        _, optimal_value = f1_problem.brute_force_optimum()
         result = ChocoQSolver(
             config=ChocoQConfig(num_layers=3), optimizer=OPTIMIZER, options=OPTIONS
         ).solve(f1_problem)
         best_key = max(result.distribution().items(), key=lambda item: item[1])[0]
         best_bits = tuple(int(ch) for ch in best_key[: f1_problem.num_variables])
         assert f1_problem.is_feasible(best_bits)
-        assert f1_problem.evaluate(best_bits) == pytest.approx(classical.value)
+        assert f1_problem.evaluate(best_bits) == pytest.approx(optimal_value)
 
     def test_cyclic_shines_on_summation_format(self, k1_problem):
         """Fig./Table II: the cyclic baseline does relatively well on KPP."""

@@ -12,7 +12,6 @@ from repro.problems.benchmark_suite import (
     SCALE_NAMES,
     benchmark_specs,
     get_spec,
-    iter_benchmark_cases,
     make_benchmark,
 )
 from repro.problems.facility_location import (
@@ -31,7 +30,6 @@ from repro.problems.k_partition import (
     cut_weight,
     k_partition_problem,
     partition_from_assignment,
-    partition_graph,
     random_k_partition,
 )
 
@@ -155,12 +153,6 @@ class TestKPartition:
         with pytest.raises(ProblemError):
             random_k_partition(5, 3, num_blocks=2, seed=0)
 
-    def test_partition_graph_weights(self):
-        instance = random_k_partition(4, 3, num_blocks=2, seed=3)
-        graph = partition_graph(instance)
-        assert graph.number_of_edges() == 3
-        assert all("weight" in data for _, _, data in graph.edges(data=True))
-
 
 class TestBenchmarkSuite:
     def test_twelve_scales(self):
@@ -193,7 +185,7 @@ class TestBenchmarkSuite:
         assert a.objective.terms == b.objective.terms
 
     def test_distinct_cases_differ(self):
-        cases = list(iter_benchmark_cases("F2", 3))
+        cases = [make_benchmark("F2", case_index=index) for index in range(3)]
         assert len({str(sorted(case.objective.terms.items())) for case in cases}) >= 2
 
 

@@ -40,11 +40,6 @@ class TestConstruction:
         circuit.h(0).barrier().measure_all()
         assert circuit.size() == 1
 
-    def test_qubits_used(self):
-        circuit = QuantumCircuit(4)
-        circuit.h(0).cx(1, 3)
-        assert circuit.qubits_used() == frozenset({0, 1, 3})
-
 
 class TestDirectiveRegisterCheck:
     """Barriers and composed directives pass the same register check as
@@ -141,6 +136,7 @@ class TestRealAngles:
             pytest.param(lambda c, a: c.mcp(a, [0, 1], 2), id="mcp"),
         ],
     )
+
     def test_builder_rejects_string_angle_and_appends_nothing(self, build):
         circuit = QuantumCircuit(3)
         with pytest.raises(GateError, match="real angles"):
@@ -210,12 +206,6 @@ class TestCopySemantics:
         duplicate.x(0)
         assert len(circuit) == 1
         assert len(duplicate) == 2
-
-    def test_remove_directives(self):
-        circuit = QuantumCircuit(1)
-        circuit.h(0).barrier().measure_all()
-        stripped = circuit.remove_directives()
-        assert len(stripped) == 1
 
     def test_summary_mentions_ops(self):
         circuit = QuantumCircuit(2)

@@ -9,7 +9,6 @@ from repro.core.subspace import SubspaceMap
 from repro.qcircuit.sampling import (
     SampleResult,
     combine_metadata,
-    counts_to_probability_vector,
     exact_distribution,
     merge_results,
     subspace_exact_distribution,
@@ -27,11 +26,6 @@ class TestSampleResult:
         state = Statevector.from_bitstring([1, 0, 1])
         result = SampleResult.from_statevector(state, shots=50, rng=rng)
         assert result.counts == {"101": 50}
-
-    def test_from_probabilities(self, rng):
-        probabilities = np.array([0.0, 1.0, 0.0, 0.0])
-        result = SampleResult.from_probabilities(probabilities, 2, shots=20, rng=rng)
-        assert result.counts == {"10": 20}
 
     def test_most_common_ordering(self):
         result = SampleResult.from_counts({"00": 1, "01": 5, "10": 3})
@@ -103,11 +97,6 @@ class TestSampleResult:
     def test_empty_frequencies(self):
         assert SampleResult().frequencies() == {}
 
-    def test_probability_of_index(self):
-        result = SampleResult.from_counts({"01": 3, "11": 1})
-        # index 2 corresponds to bitstring "01" (q0=0, q1=1)
-        assert result.probability_of_index(2, 2) == pytest.approx(0.75)
-
 
 class TestDistributionHelpers:
     def test_exact_distribution_matches_probabilities(self):
@@ -115,15 +104,6 @@ class TestDistributionHelpers:
         distribution = exact_distribution(state)
         assert len(distribution) == 4
         assert sum(distribution.values()) == pytest.approx(1.0)
-
-    def test_counts_to_probability_vector(self):
-        vector = counts_to_probability_vector({"10": 1, "01": 3}, 2)
-        assert vector[1] == pytest.approx(0.25)  # "10" -> index 1
-        assert vector[2] == pytest.approx(0.75)  # "01" -> index 2
-
-    def test_counts_to_probability_vector_empty(self):
-        vector = counts_to_probability_vector({}, 2)
-        assert np.allclose(vector, 0.0)
 
 
 class TestSubspaceSampling:

@@ -43,16 +43,6 @@ class TestStatevectorConstruction:
 
 
 class TestStatevectorOperations:
-    def test_probability_of(self):
-        state = Statevector.from_bitstring([0, 1])
-        assert state.probability_of([0, 1]) == pytest.approx(1.0)
-        assert state.probability_of([1, 1]) == pytest.approx(0.0)
-
-    def test_expectation_diagonal(self):
-        state = Statevector.uniform_superposition(2)
-        diagonal = np.array([0.0, 1.0, 2.0, 3.0])
-        assert state.expectation_diagonal(diagonal) == pytest.approx(1.5)
-
     def test_support_size(self):
         state = Statevector.uniform_superposition(3)
         assert state.support_size() == 8
@@ -194,6 +184,8 @@ class TestApplyMatrix:
     angles=st.lists(st.floats(-np.pi, np.pi, allow_nan=False), min_size=3, max_size=3),
     qubit=st.integers(min_value=0, max_value=2),
 )
+
+
 def test_property_rotation_composition(angles, qubit):
     """Applying RZ rotations sequentially equals applying their sum."""
     simulator = StatevectorSimulator()

@@ -18,7 +18,6 @@ from repro.qcircuit.statevector import Statevector, StatevectorSimulator
 from repro.qcircuit.transpile import (
     TranspileOptions,
     depth_after_transpile,
-    gate_counts_after_transpile,
     transpile,
     transpile_with_report,
 )
@@ -69,6 +68,7 @@ class TestBasisCoverage:
             lambda c: c.ryy(0.9, 0, 1),
         ],
     )
+
     def test_all_gates_lower_to_basis(self, builder):
         circuit = QuantumCircuit(2)
         builder(circuit)
@@ -103,6 +103,7 @@ class TestEquivalence:
             lambda c: (c.rzz(0.4, 0, 1), c.rxx(0.5, 0, 1), c.ryy(0.7, 1, 0)),
         ],
     )
+
     def test_two_qubit_circuits(self, builder):
         circuit = QuantumCircuit(2)
         builder(circuit)
@@ -125,24 +126,6 @@ class TestEquivalence:
         circuit.mcp(theta, list(range(num_controls)), num_controls)
         assert_equivalent(circuit)
 
-    def test_no_ancilla_mode_still_equivalent(self):
-        circuit = QuantumCircuit(5)
-        for qubit in range(5):
-            circuit.h(qubit)
-        circuit.mcp(0.9, [0, 1, 2, 3], 4)
-        options = TranspileOptions(use_ancillas=False)
-        lowered = transpile(circuit, options)
-        assert lowered.num_qubits == 5
-        simulator = StatevectorSimulator()
-        state = random_state(5)
-        ideal = simulator.statevector(
-            circuit, initial_state=Statevector(data=state.copy(), num_qubits=5)
-        ).data
-        lowered_state = simulator.statevector(
-            lowered, initial_state=Statevector(data=state.copy(), num_qubits=5)
-        ).data
-        assert global_phase_equal(ideal, lowered_state)
-
 
 class TestDepthAccounting:
     def test_depth_after_transpile_counts_unitary_penalty(self):
@@ -159,12 +142,6 @@ class TestDepthAccounting:
         growth = [b - a for a, b in zip(depths, depths[1:])]
         # Linear growth: successive increments stay within a constant factor.
         assert max(growth) <= 2.5 * min(growth)
-
-    def test_gate_counts_after_transpile(self):
-        circuit = QuantumCircuit(2)
-        circuit.swap(0, 1)
-        counts = gate_counts_after_transpile(circuit)
-        assert counts.get("cx", 0) == 3
 
 
 def _golden_source() -> QuantumCircuit:

@@ -33,7 +33,6 @@ from repro.run import (
 )
 from repro.service import (
     ResultStore,
-    ServiceClient,
     SolveService,
     SpecCompiler,
     SweepRequest,
@@ -190,8 +189,8 @@ class TestSolvePath:
 
         async def scenario():
             async with SolveService(execute_fn=spy, max_workers=1) as service:
-                records = await service.solve_many(
-                    [make_spec(seed=seed) for seed in range(6)]
+                records = await asyncio.gather(
+                    *(service.solve(make_spec(seed=seed)) for seed in range(6))
                 )
                 return records, service.stats()
 
@@ -202,6 +201,32 @@ class TestSolvePath:
         # and the rest of the group rides along.
         assert stats["solves_coalesced"] >= 1
         assert [record.metrics["seed"] for record in records] == list(range(6))
+
+    def test_a_group_dispatch_carries_at_most_max_group_size_specs(self, monkeypatch):
+        spy = SpyExecutor()
+        dispatched: list[int] = []
+
+        def recording_execute_group(specs, execute_fn):
+            dispatched.append(len(specs))
+            return execute_group(specs, execute_fn)
+
+        monkeypatch.setattr(service_server, "execute_group", recording_execute_group)
+        count = service_server.MAX_GROUP_SIZE + 4
+
+        async def scenario():
+            async with SolveService(execute_fn=spy, max_workers=1) as service:
+                records = await asyncio.gather(
+                    *(service.solve(make_spec(seed=seed)) for seed in range(count))
+                )
+                return records, service.stats()
+
+        records, stats = asyncio.run(scenario())
+        # One worker slot: the whole burst is queued before the first
+        # dispatch, which takes a full group and leaves the rest to the next.
+        assert dispatched == [service_server.MAX_GROUP_SIZE, 4]
+        assert stats["executed"] == len(spy.calls) == count
+        assert stats["solves_coalesced"] == count - len(dispatched)
+        assert [record.metrics["seed"] for record in records] == list(range(count))
 
     def test_group_key_ignores_seed_but_nothing_else(self):
         base = make_spec(seed=0)
@@ -311,10 +336,6 @@ class TestLifecycle:
     def test_constructor_validation(self):
         with pytest.raises(ServiceError, match="max_workers"):
             SolveService(max_workers=0)
-        with pytest.raises(ServiceError, match="max_group_size"):
-            SolveService(max_group_size=0)
-        with pytest.raises(ServiceError, match="sweep_window"):
-            SolveService(sweep_window=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +344,6 @@ class TestLifecycle:
 
 
 class TestResultStore:
-    def test_refresh_picks_up_new_lines(self, tmp_path):
-        path = tmp_path / "shared.jsonl"
-        writer = ResultStore(path)
-        reader = ResultStore(path)
-        spec = make_spec(seed=6)
-        writer.put(
-            RunRecord(spec=spec, spec_hash=spec.content_hash(),
-                      result={}, metrics={"seed": 6})
-        )
-        assert spec.content_hash() not in reader
-        assert reader.refresh() == 1
-        assert spec.content_hash() in reader
-        assert reader.get(spec.content_hash()).cached
-        writer.close()
-        reader.close()
-
     def test_in_memory_store_roundtrip(self):
         with ResultStore() as store:
             spec = make_spec(seed=7)
@@ -347,7 +352,7 @@ class TestResultStore:
                           result={}, metrics={})
             )
             assert len(store) == 1
-            assert store.hashes() == [spec.content_hash()]
+            assert spec.content_hash() in store
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +438,7 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "solver, num_parameters", [("penalty-qaoa", 4), ("hea", 9)]
     )
+
     def test_baseline_sweeps_equal_sequential_costs(
         self, tiny_benchmark, solver, num_parameters
     ):
@@ -491,16 +497,15 @@ class TestExecuteGroup:
 
 
 class TestClients:
-    def test_service_client_smoke_real_solver(self, tiny_benchmark):
+    def test_in_process_smoke_real_solver(self, tiny_benchmark):
         """End-to-end smoke: dedup + store hit through the real solver path."""
 
         async def scenario():
             async with SolveService(max_workers=2) as service:
-                client = ServiceClient(service)
                 spec = make_spec(seed=0, benchmark=tiny_benchmark)
-                burst = await asyncio.gather(*(client.solve(spec) for _ in range(4)))
-                repeat = await client.solve(spec)
-                return burst, repeat, await client.stats()
+                burst = await asyncio.gather(*(service.solve(spec) for _ in range(4)))
+                repeat = await service.solve(spec)
+                return burst, repeat, service.stats()
 
         transpiles_before = sum(transpile_cache_info())
         burst, repeat, stats = asyncio.run(scenario())

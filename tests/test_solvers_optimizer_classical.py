@@ -1,17 +1,11 @@
-"""Tests for classical optimizers and classical reference solvers."""
+"""Tests for the classical optimizers shared by the variational loops."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
-from repro.exceptions import InfeasibleError, SolverError
-from repro.solvers.classical import (
-    BranchAndBoundSolver,
-    ExhaustiveSolver,
-    GreedyRoundingSolver,
-)
+from repro.exceptions import SolverError
 from repro.solvers.optimizer import (
     CobylaOptimizer,
     NelderMeadOptimizer,
@@ -60,50 +54,3 @@ class TestOptimizers:
         first = result.trace.iterations_to_reach(1.0)
         assert first is not None
         assert result.trace.costs[first] <= 1.0
-
-
-class TestClassicalSolvers:
-    def test_exhaustive_finds_paper_optimum(self, paper_example_problem):
-        result = ExhaustiveSolver().solve(paper_example_problem)
-        assert result.assignment == (1, 0, 1, 0)
-        assert result.value == pytest.approx(6.0)
-        assert result.is_optimal
-
-    def test_branch_and_bound_matches_exhaustive(self, paper_example_problem):
-        exhaustive = ExhaustiveSolver().solve(paper_example_problem)
-        pruned = BranchAndBoundSolver().solve(paper_example_problem)
-        assert pruned.value == pytest.approx(exhaustive.value)
-        assert pruned.nodes_explored < exhaustive.nodes_explored
-
-    def test_branch_and_bound_on_random_instances(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            num_variables = 6
-            weights = rng.integers(-5, 6, size=num_variables).astype(float)
-            target = rng.integers(1, 3)
-            problem = ConstrainedBinaryProblem(
-                num_variables,
-                Objective.from_linear(weights),
-                [LinearConstraint(tuple([1.0] * num_variables), float(target))],
-                sense="min",
-            )
-            assert BranchAndBoundSolver().solve(problem).value == pytest.approx(
-                ExhaustiveSolver().solve(problem).value
-            )
-
-    def test_infeasible_raises(self):
-        problem = ConstrainedBinaryProblem(
-            2, Objective(), [LinearConstraint((1.0, 1.0), 9.0)]
-        )
-        with pytest.raises(InfeasibleError):
-            BranchAndBoundSolver().solve(problem)
-
-    def test_greedy_returns_feasible(self, paper_example_problem):
-        result = GreedyRoundingSolver().solve(paper_example_problem)
-        assert paper_example_problem.is_feasible(result.assignment)
-        assert not result.is_optimal
-
-    def test_unconstrained_branch_and_bound_falls_back(self):
-        problem = ConstrainedBinaryProblem(3, Objective.from_linear([-1.0, 2.0, -3.0]))
-        result = BranchAndBoundSolver().solve(problem)
-        assert result.assignment == (1, 0, 1)

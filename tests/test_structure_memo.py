@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,6 @@ class TestKey:
             ("use_equivalent_decomposition", False),
             ("backend", "subspace"),
             ("subspace_limit", 64),
-            ("noise", NoiseConfig(device="fez")),
         ],
     )
     def test_configs_differing_in_one_field_never_share_an_entry(self, field, value):
@@ -108,6 +108,14 @@ class TestKey:
         ChocoQSolver(config=base).build_spec(problem)
         ChocoQSolver(config=base.replace(**{field: value})).build_spec(problem)
         assert structure_cache_info() == (0, 2, 2)
+
+    def test_configs_differing_only_in_noise_share_one_entry(self):
+        problem = _problem()
+        base = ChocoQConfig(num_layers=1)
+        ChocoQSolver(config=base).build_spec(problem)
+        for device in ("fez", "osaka", "sherbrooke"):
+            ChocoQSolver(config=base.replace(noise=NoiseConfig(device=device))).build_spec(problem)
+        assert structure_cache_info() == (3, 1, 1)
 
     def test_a_numpy_scalar_config_field_is_keyed_not_rejected(self):
         problem = _problem()
@@ -247,6 +255,24 @@ class TestWarmEqualsCold:
         execute_spec(_run_spec(solver, backend, 3, case))
         warm = _comparable(execute_spec(_run_spec(solver, backend, 5, case)))
         assert structure_cache_info() == (1, 1, 1)
+        assert warm == cold
+
+    def test_noisy_solves_reuse_the_noise_free_structure(self):
+        """K1 solved noise-free, then under three device profiles, compiles
+        once; each noisy record equals its cold solve, wall clock aside."""
+        devices = ("fez", "osaka", "sherbrooke")
+        noisy = [
+            replace(_run_spec("choco-q", "dense", 5), noise={"device": device, "mode": "analytical"})
+            for device in devices
+        ]
+        cold = []
+        for spec in noisy:
+            clear_structure_cache()
+            cold.append(_comparable(execute_spec(spec)))
+        clear_structure_cache()
+        execute_spec(_run_spec("choco-q", "dense", 5))
+        warm = [_comparable(execute_spec(spec)) for spec in noisy]
+        assert structure_cache_info() == (3, 1, 1)
         assert warm == cold
 
     @pytest.mark.parametrize(

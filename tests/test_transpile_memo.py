@@ -132,7 +132,6 @@ def test_circuit_name_is_part_of_the_key():
     [
         pytest.param(TranspileOptions(optimization_level=0), id="optimization_level"),
         pytest.param(TranspileOptions(basis_gates=BASIS_GATES | {"rzz"}), id="basis_gates"),
-        pytest.param(TranspileOptions(use_ancillas=False), id="use_ancillas"),
     ],
 )
 def test_options_are_part_of_the_key(options):
