@@ -18,9 +18,11 @@ probability reduction + diagonal expectation) per backend and path:
   and both re-factor the cost diagonal's level table
   (:func:`~repro.hamiltonian.compiled.diagonal_levels`) per call;
 * ``*_compiled``  — the same arithmetic over the program's cached hop
-  sides: strided views of the ``(2,)*n`` qubit tensor on the dense layout,
-  coordinate arrays on the subspace one (bit-identical final states,
-  ``tobytes()``-compared on every row).
+  sides: strided views of the ``(2,)*n`` qubit tensor on the dense layout;
+  on the subspace one, each term's fused gather index ``(a, b, b, a)`` and
+  scatter index ``(a, b)``, one gather and one scatter per term with the
+  terms that have no pair in the feasible set left out (bit-identical
+  final states, ``tobytes()``-compared on every row).
 
 The four paths are timed in turn within each repeat round, so a change in
 host speed hits all of them alike, and each timed call follows an untimed

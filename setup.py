@@ -1,12 +1,18 @@
-"""Setuptools shim.
+"""Setuptools packaging for the ``repro`` package (a ``src/`` layout).
 
+All project metadata lives here; the repository has no ``pyproject.toml``.
 The offline environment ships setuptools without the ``wheel`` package, so
 PEP 660 editable installs (``pip install -e .`` with build isolation) cannot
-build an editable wheel.  This ``setup.py`` enables the legacy
-``--no-use-pep517`` editable path; all project metadata lives in
-``pyproject.toml``.
+build an editable wheel; ``pip install --no-use-pep517 -e .`` takes the
+legacy editable path through this file.  ``python setup.py --name`` prints
+the package name without building anything.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -382,6 +382,9 @@ def rotate_pairs_cs(state: np.ndarray, cos_b, sin_b, a_side, b_side) -> None:
     evaluates them once per layer and reuses them across every term.  For a
     batch of states they may be arrays of per-row values, and every row
     sees exactly the elementwise operations the sequential path applies.
+    The program calls this for dense keys; its coordinate terms run a
+    fused gather/scatter of the same per-element arithmetic, tested bit
+    for bit against this function.
     """
     if not isinstance(a_side, tuple):
         a_side, b_side = (Ellipsis, a_side), (Ellipsis, b_side)

@@ -17,16 +17,21 @@ explicitly:
   into its level table (:func:`diagonal_levels`): the distinct values
   ``levels`` and the ``level_index`` that maps every basis state to its
   level.  A K4 dense diagonal has 2^16 entries but only 90 distinct values
-  (G4: 13);
+  (G4: 13).  A subspace term's two coordinate arrays are fused into one
+  gather index ``(a, b, b, a)`` and one scatter index ``(a, b)``, and a
+  term with no pair inside the feasible set (every G4 term) is dropped
+  from the sequence;
 * **execute** (per cost evaluation): a flat sequence of
-  :func:`apply_diagonal_phase` and :func:`rotate_pairs_cs
-  <repro.hamiltonian.commute.rotate_pairs_cs>` calls over the cached
+  :func:`apply_diagonal_phase` and per-term rotations over the cached
   sides, with one cosine/sine evaluation per layer shared by every term.
   The phase evaluates the complex ``exp`` once per level and gathers it to
-  the state's layout; each rotation reads its two sides (strided views of
-  the dense state — a K4 side is one contiguous block — or a subspace
-  coordinate gather) and writes the rotated pairs back into the state the
-  program owns, so a term costs ``O(pairs)``, not a copy of the state.
+  the state's layout.  A dense rotation is :func:`rotate_pairs_cs
+  <repro.hamiltonian.commute.rotate_pairs_cs>` on strided views of the
+  qubit tensor (a K4 side is one contiguous block); a subspace rotation is
+  one gather, ``cos * g[:2p] - i sin * g[2p:]`` and one scatter, with
+  ``i sin`` formed once per layer.  Either writes the rotated pairs back
+  into the state the program owns, so a term costs ``O(pairs)``, not a
+  copy of the state.
 
 The program is the one simulation path of three solvers: Choco-Q's
 serialized driver, the cyclic baseline's ring hops (``angle_scale=2``), and
@@ -42,7 +47,11 @@ every diagonal entry and to rotating into a fresh copy per term (asserted in
   to equal outputs;
 * a rotation computes both rotated sides before it writes either, and the
   two sides of a hop pairing are disjoint (checked at construction), so
-  writing in place reads exactly the amplitudes a copy would have kept.
+  writing in place reads exactly the amplitudes a copy would have kept;
+* the fused subspace rotation forms, per element, the very products and
+  difference :func:`rotate_pairs_cs
+  <repro.hamiltonian.commute.rotate_pairs_cs>` forms, which stays the
+  per-pair reference it is tested against.
 
 Compilation only removes per-iteration recomputation, never changes an
 arithmetic step.  ``benchmarks/bench_iteration_throughput.py`` measures the
@@ -161,6 +170,26 @@ def _checked_pairing(a_side, b_side, dimension: int) -> tuple:
     return a_side, b_side
 
 
+def _compile_coordinate_terms(pairings: tuple) -> tuple[tuple, tuple]:
+    """Fuse each coordinate term into one gather and one scatter index.
+
+    A term of ``p`` pairs becomes the gather index ``(a, b, b, a)``; its
+    first ``2p`` entries are the scatter index ``(a, b)``, and the term's
+    ``(a, b)`` sides are views of it too, so a term holds ``4p`` indices in
+    all.  Returns ``(pairings, hops)``: every term's sides, and a
+    ``(gather, scatter, 2p)`` hop per term that has a pair in the layout
+    (one without is a no-op and is left out).
+    """
+    sides, hops = [], []
+    for a_side, b_side in pairings:
+        count = a_side.size
+        gather = np.concatenate((a_side, b_side, b_side, a_side))
+        sides.append((gather[:count], gather[count : 2 * count]))
+        if count:
+            hops.append((gather, gather[: 2 * count], 2 * count))
+    return tuple(sides), tuple(hops)
+
+
 class EvolutionProgram:
     """A layered (phase, hops) ansatz compiled to cached hop sides.
 
@@ -178,8 +207,11 @@ class EvolutionProgram:
     :meth:`~repro.hamiltonian.commute.CommuteDriver.pairings` — dense, or
     over a subspace map — then call :meth:`execute` (or the
     :meth:`bind`-ed closure) per cost evaluation.  A dense pairing keeps
-    only two ``n + 1``-entry keys per term resident; a subspace pairing
-    keeps two int64 arrays of its ``O(|F|)`` pairs.
+    only two ``n + 1``-entry keys per term resident.  A subspace pairing of
+    ``p`` pairs compiles to a ``4p``-entry gather index ``(a, b, b, a)``
+    whose first half is the scatter index ``(a, b)``; a term without pairs
+    in the layout is skipped at compile time but still counts in
+    :attr:`num_terms`.
     """
 
     def __init__(
@@ -199,7 +231,13 @@ class EvolutionProgram:
         dense = {isinstance(a_side, tuple) for a_side, _ in self.pairings}
         if len(dense) > 1:
             raise HamiltonianError("a program's hop sides are all dense keys or all arrays")
-        self._view_shape = (2,) * (dimension.bit_length() - 1) if True in dense else (dimension,)
+        self._dense = True in dense
+        if self._dense:
+            # Dense keys stay strided views of the (2,)*n qubit tensor.
+            self._qubit_shape = (2,) * (dimension.bit_length() - 1)
+            self._hops = self.pairings
+        else:
+            self.pairings, self._hops = _compile_coordinate_terms(self.pairings)
         self.num_layers = int(num_layers)
         self.cost_diagonal = cost_diagonal
         self.levels, self.level_index = diagonal_levels(cost_diagonal)
@@ -228,7 +266,8 @@ class EvolutionProgram:
 
         Each layer phases through the compiled level table (one ``exp`` per
         distinct cost value, gathered to the layout) and then rotates every
-        term's pairs in place through one reshaped view.  The rotations
+        term's pairs in place: dense keys through one reshaped view, each
+        coordinate term with one gather and one scatter.  The rotations
         write only into the state this call owns — a fresh copy of
         ``initial_state``, replaced by each layer's phase — never into
         ``initial_state``, the cost diagonal or an array an earlier call
@@ -247,10 +286,30 @@ class EvolutionProgram:
             angle = beta if self.angle_scale == 1.0 else self.angle_scale * beta
             cos_b = np.cos(angle)
             sin_b = np.sin(angle)
-            shaped = state.reshape(state.shape[:-1] + self._view_shape)
-            for a_side, b_side in self.pairings:
-                rotate_pairs_cs(shaped, cos_b, sin_b, a_side, b_side)
+            if self._dense:
+                shaped = state.reshape(state.shape[:-1] + self._qubit_shape)
+                for a_side, b_side in self._hops:
+                    rotate_pairs_cs(shaped, cos_b, sin_b, a_side, b_side)
+            else:
+                self._rotate_coordinates(state, cos_b, sin_b)
         return state
+
+    def _rotate_coordinates(self, state: np.ndarray, cos_b, sin_b) -> None:
+        """Rotate every compiled coordinate term of ``state`` in place.
+
+        Each term gathers ``[a, b, b, a]`` once and scatters
+        ``cos * [a, b] - i sin * [b, a]`` once: every element gets the very
+        products and difference :func:`rotate_pairs_cs` forms, so the result
+        is bit-identical to it, and the scatter is well defined because the
+        sides are disjoint and repeat no index.  The transposed view puts the
+        coordinate axis first, so a batch's per-row angles broadcast over
+        its trailing row axis as they are.
+        """
+        isin_b = 1j * sin_b
+        coordinates = state.T
+        for gather, scatter, half in self._hops:
+            paired = coordinates[gather]
+            coordinates[scatter] = cos_b * paired[:half] - isin_b * paired[half:]
 
     def bind(self, initial_state: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The ``evolve(parameters)`` closure an :class:`AnsatzSpec` carries.

@@ -52,7 +52,6 @@ from repro.qcircuit.statevector import (
     SimulationResult,
     Statevector,
     StatevectorSimulator,
-    bitstring_to_index,
     index_to_bitstring,
     state_support_size,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "StatevectorSimulator",
     "TranspileOptions",
     "Transpiler",
-    "bitstring_to_index",
     "combine_metadata",
     "depth_after_transpile",
     "exact_distribution",

@@ -173,14 +173,6 @@ def index_to_bitstring(index: int, num_qubits: int) -> str:
     return "".join(str((index >> qubit) & 1) for qubit in range(num_qubits))
 
 
-def bitstring_to_index(bits: str | Sequence[int]) -> int:
-    """Convert a little-endian bitstring (qubit 0 first) to a basis index."""
-    index = 0
-    for qubit, bit in enumerate(bits):
-        index |= int(bit) << qubit
-    return index
-
-
 @dataclass
 class SimulationResult:
     """Output of a statevector simulation run."""

@@ -439,6 +439,121 @@ class TestEvolutionProgramValidation:
 
 
 # ---------------------------------------------------------------------------
+# Fused coordinate rotation == per-pair rotate_pairs_cs, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _per_pair_execute(program: EvolutionProgram, initial_state, parameters):
+    """The program's layer sequence with every term through ``rotate_pairs_cs``."""
+    parameters, state = prepare_ansatz_state(initial_state, parameters)
+    for layer in range(program.num_layers):
+        gamma = parameters[..., 2 * layer]
+        beta = parameters[..., 2 * layer + 1]
+        state = apply_diagonal_phase(state, gamma, program.levels, program.level_index)
+        angle = beta if program.angle_scale == 1.0 else program.angle_scale * beta
+        for a_side, b_side in program.pairings:
+            rotate_pairs_cs(state, np.cos(angle), np.sin(angle), a_side, b_side)
+    return state
+
+
+def _random_program(rng, pair_counts, dimension, num_layers=2, angle_scale=1.0):
+    """A program of one random disjoint coordinate pairing per entry of ``pair_counts``."""
+    pairings = []
+    for count in pair_counts:
+        order = rng.permutation(dimension)
+        pairings.append((order[:count], order[count : 2 * count]))
+    diagonal = rng.integers(-3, 4, size=dimension).astype(float)
+    return EvolutionProgram(num_layers, diagonal, pairings, angle_scale=angle_scale)
+
+
+def _random_state(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestFusedCoordinateRotation:
+    """A subspace term is one gather and one scatter; its bytes must not move."""
+
+    @pytest.mark.parametrize("pairs", range(1, 34))
+    def test_pair_counts_match_per_pair_rotation(self, pairs):
+        # 1-33 pairs put every element count of the fused (2p) and per-side
+        # (p) arrays through the SIMD bodies and their remainders.
+        rng = np.random.default_rng(pairs)
+        program = _random_program(rng, (pairs, max(1, pairs // 2), pairs), 2 * pairs + 3)
+        initial = _random_state(rng, program.dimension)
+        for _ in range(3):
+            parameters = rng.uniform(-np.pi, np.pi, size=4)
+            assert (
+                program.execute(initial, parameters).tobytes()
+                == _per_pair_execute(program, initial, parameters).tobytes()
+            )
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_batch_rows_match_sequential_rows(self, rows):
+        rng = np.random.default_rng(100 + rows)
+        program = _random_program(rng, (20, 9, 1, 33), 70, num_layers=3)
+        initial = _random_state(rng, 70)
+        batch = rng.uniform(-np.pi, np.pi, size=(rows, 6))
+        states = program.execute(initial, batch)
+        assert states.shape == (rows, 70)
+        sequential = np.stack([program.execute(initial, parameters) for parameters in batch])
+        assert states.tobytes() == sequential.tobytes()
+        assert states.tobytes() == _per_pair_execute(program, initial, batch).tobytes()
+
+    def test_cyclic_angle_scale(self):
+        rng = np.random.default_rng(7)
+        program = _random_program(rng, (5, 12, 17), 40, angle_scale=2.0)
+        initial = _random_state(rng, 40)
+        parameters = rng.uniform(-np.pi, np.pi, size=(4, 4))
+        expected = _per_pair_execute(program, initial, parameters)
+        assert program.execute(initial, parameters).tobytes() == expected.tobytes()
+        assert program.execute(initial, parameters[2]).tobytes() == expected[2].tobytes()
+
+    @pytest.mark.parametrize(
+        "pair_counts", [(0, 6, 0, 3), (0, 0, 0)], ids=["partly-empty", "wholly-empty"]
+    )
+    def test_empty_pairings(self, pair_counts):
+        rng = np.random.default_rng(sum(pair_counts))
+        program = _random_program(rng, pair_counts, 16)
+        assert program.num_terms == len(pair_counts)
+        initial = _random_state(rng, 16)
+        parameters = rng.uniform(-np.pi, np.pi, size=(3, 4))
+        expected = _per_pair_execute(program, initial, parameters)
+        assert program.execute(initial, parameters).tobytes() == expected.tobytes()
+        assert program.execute(initial, parameters[0]).tobytes() == expected[0].tobytes()
+
+    def test_inputs_and_earlier_results_stay_unmodified(self):
+        rng = np.random.default_rng(5)
+        program = _random_program(rng, (8, 3), 24)
+        initial = _random_state(rng, 24)
+        initial_bytes = initial.tobytes()
+        first = program.execute(initial, np.array([0.3, 0.9, -1.1, 0.4]))
+        first_bytes = first.tobytes()
+        batch = program.execute(initial, rng.uniform(-np.pi, np.pi, size=(2, 4)))
+        batch_bytes = batch.tobytes()
+        program.execute(initial, np.array([1.2, -0.7, 0.5, 2.0]))
+        program.execute(initial, rng.uniform(-np.pi, np.pi, size=(3, 4)))
+        assert initial.tobytes() == initial_bytes
+        assert first.tobytes() == first_bytes
+        assert batch.tobytes() == batch_bytes
+
+    def test_g4_terms_without_pairs_keep_counts_and_results(self):
+        # Every G4 driver term hops out of its 2-state feasible set, so the
+        # compiled sequence rotates nothing, yet it still reports 4 terms.
+        problem = make_benchmark("G4")
+        solver = make_chocoq_solver("subspace", num_layers=2)
+        spec, driver = solver.build_spec(problem)
+        pairings = driver.pairings(spec.backend.subspace_map)
+        assert [a_side.size for a_side, _ in pairings] == [0, 0, 0, 0]
+        program = EvolutionProgram(2, spec.cost_diagonal, pairings)
+        assert program.num_terms == len(driver.terms) == 4
+        assert spec.metadata["num_driver_terms"] == 4
+        parameters = np.random.default_rng(19).uniform(-np.pi, np.pi, size=(3, 4))
+        expected = _per_pair_execute(program, spec.initial_state, parameters)
+        assert spec.evolve(parameters).tobytes() == expected.tobytes()
+        assert spec.evolve(parameters[1]).tobytes() == expected[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Batched evolution == sequential evolution, bit for bit
 # ---------------------------------------------------------------------------
 

@@ -13,9 +13,16 @@ from repro.qcircuit.statevector import (
     Statevector,
     StatevectorSimulator,
     apply_matrix,
-    bitstring_to_index,
     index_to_bitstring,
 )
+
+
+def bitstring_to_index(bits) -> int:
+    """A little-endian bitstring (qubit 0 first) as its basis index."""
+    index = 0
+    for qubit, bit in enumerate(bits):
+        index |= int(bit) << qubit
+    return index
 
 
 class TestStatevectorConstruction:
