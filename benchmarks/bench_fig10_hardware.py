@@ -3,8 +3,9 @@
 The paper runs the small-scale cases (F1, G1, K1) on three IBM devices (Fez,
 Osaka, Sherbrooke).  We substitute the hardware with the depolarizing +
 readout noise models calibrated from the gate fidelities quoted in Section
-V-A (see DESIGN.md) and regenerate the same grid: per device and per case,
-the success rate and in-constraints rate of every design.
+V-A (README, "Deviations from the paper") and regenerate the same grid: per
+device and per case, the success rate and in-constraints rate of every
+design.
 
 The whole grid is one declarative :class:`~repro.run.ExperimentPlan` — each
 (device, case, design) cell is a :class:`~repro.run.RunSpec` whose ``noise``

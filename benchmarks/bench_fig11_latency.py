@@ -8,9 +8,9 @@ iterative execution dominates (~70%) and compilation stays well under a
 second.
 
 Our latency numbers come from the analytical device-calibrated model of
-``repro.solvers.latency`` (see DESIGN.md), calibrated to its default
-IBM Fez profile; the relative factors are the reproduction target, not the
-absolute seconds.
+``repro.solvers.latency`` (README, "Deviations from the paper"), calibrated
+to its default IBM Fez profile; the relative factors are the reproduction
+target, not the absolute seconds.
 """
 
 from __future__ import annotations

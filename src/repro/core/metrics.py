@@ -13,9 +13,13 @@ outcomes of a solver:
 All three are implemented over either a shot histogram
 (:class:`~repro.qcircuit.sampling.SampleResult`) or an exact probability
 dictionary keyed by bitstring, as views over one array pass (:class:`_Scores`)
-that scores every key once.  Each metric sums its per-key terms left to right
-in the distribution's order from ``0.0`` (``np.add.accumulate``; ``np.sum`` is
-pairwise), so it equals a per-key scalar loop bit for bit.
+that scores every key once: the keys parse into ``(k, n)`` bit rows
+(:func:`~repro.qcircuit.statevector.key_bits`), which
+:meth:`~repro.core.problem.ConstrainedBinaryProblem.evaluate_rows` scores
+through the shared polynomial and violation kernels, at any register width.
+Each metric sums its per-key terms left to right in the distribution's order
+from ``0.0`` (``np.add.accumulate``; ``np.sum`` is pairwise), so it equals a
+per-key scalar loop bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.exceptions import ProblemError
 from repro.qcircuit.sampling import SampleResult
+from repro.qcircuit.statevector import key_bits
 
 DEFAULT_ARG_PENALTY = 10.0
 Outcomes = SampleResult | Mapping[str, float]
@@ -43,42 +48,19 @@ def _normalised_distribution(outcomes: Outcomes) -> dict[str, float]:
     return {key: value / total for key, value in outcomes.items()}
 
 
-def key_bits(keys: list[str], n: int) -> np.ndarray:
-    """The keys' first ``n`` characters as a ``(len(keys), n)`` array of 0/1.
-
-    Longer keys are truncated (ancilla bits); the rest must be ``0``/``1``.
-    """
-    # One code point per character, NUL-padded when a key is short; unsigned
-    # wrap-around puts every character but '0' and '1' above 1.
-    bits = np.array(keys, dtype=f"U{n}").view(np.uint32).reshape(len(keys), n) - np.uint32(ord("0"))
-    bad = np.flatnonzero((bits > 1).any(axis=1))
-    if bad.size:
-        raise ProblemError(f"bitstring {keys[bad[0]]!r} does not start with {n} binary digits")
-    return bits
-
-
-def _assignment_codes(keys: list[str], n: int) -> np.ndarray:
-    """Codes of the keys' first ``n`` characters, variable ``j`` at bit ``n - 1 - j``."""
-    if n > 62:
-        raise ProblemError("outcome scoring packs at most 62 variables into a code")
-    weights = np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64)
-    return key_bits(keys, n).astype(np.int64) @ weights
-
-
 def _sequential_sum(terms: np.ndarray) -> float:
     """``total = 0.0; for term in terms: total += term``, vectorized."""
     return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
 class _Scores:
-    """Probability, objective, L1 violation and feasibility of every key."""
+    """Bit row, probability, objective, L1 violation and feasibility of every key."""
 
     def __init__(self, problem: ConstrainedBinaryProblem, outcomes: Outcomes) -> None:
         distribution = _normalised_distribution(outcomes)
-        self.keys = list(distribution)
-        self.probabilities = np.fromiter(distribution.values(), float, len(self.keys))
-        codes = _assignment_codes(self.keys, problem.num_variables)
-        self.objective, self.violation, self.feasible = problem.evaluate_codes(codes)
+        self.probabilities = np.fromiter(distribution.values(), float, len(distribution))
+        self.bits = key_bits(list(distribution), problem.num_variables)
+        self.objective, self.violation, self.feasible = problem.evaluate_rows(self.bits)
 
     def in_constraints_rate(self) -> float:
         return _sequential_sum(self.probabilities[self.feasible])
@@ -151,8 +133,7 @@ def best_measured(
         return None, None
     pick = np.argmin if problem.sense == "min" else np.argmax
     best = int(candidates[pick(scores.objective[candidates])])
-    bits = tuple(int(ch) for ch in scores.keys[best][: problem.num_variables])
-    return bits, float(scores.objective[best])
+    return tuple(scores.bits[best].tolist()), float(scores.objective[best])
 
 
 @dataclass(frozen=True)

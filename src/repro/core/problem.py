@@ -14,19 +14,57 @@ This module provides the data model shared by every solver:
 * :class:`LinearConstraint` — one row ``sum_i coeff_i x_i = rhs``;
 * :class:`ConstrainedBinaryProblem` — the full problem, with evaluation,
   feasibility checking, penalty reformulation hooks, and a brute-force
-  optimum used as ground truth by the metrics layer.
+  optimum used as ground truth by the metrics layer;
+* :func:`evaluate_polynomial` and :func:`constraint_violation` — the array
+  forms of :meth:`Objective.evaluate` and :meth:`LinearConstraint.violation`
+  over 0/1 bit columns, equal to them bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ProblemError
 
 VariableTuple = tuple[int, ...]
+
+
+def evaluate_polynomial(
+    terms: Mapping[VariableTuple, float], size: int, column: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Evaluate a binary polynomial on ``size`` assignments at once.
+
+    ``column(v)`` returns variable ``v``'s length-``size`` array of 0/1
+    values.  Terms accumulate in mapping order from ``0.0`` and each product
+    runs left to right from its coefficient, so entry ``i`` equals
+    :meth:`Objective.evaluate` of assignment ``i`` bit for bit (a zero
+    coefficient is skipped: it adds nothing).  Every array evaluator of a
+    polynomial in the package is this function with its own ``column``.
+    """
+    values = np.zeros(size)
+    for variables, coefficient in terms.items():
+        if coefficient == 0:
+            continue
+        product = np.full(size, float(coefficient))
+        for variable in variables:
+            product *= column(variable)
+        values += product
+    return values
+
+
+def constraint_violation(
+    constraint: "LinearConstraint", size: int, column: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """:meth:`LinearConstraint.violation` of ``size`` assignments, bit for bit;
+    ``column`` as in :func:`evaluate_polynomial`."""
+    total = np.zeros(size)
+    for i, coefficient in enumerate(constraint.coefficients):
+        if coefficient != 0:
+            total += float(coefficient) * column(i)
+    return np.abs(total - constraint.rhs)
 
 
 class Objective:
@@ -289,89 +327,56 @@ class ConstrainedBinaryProblem:
         Raises :class:`ProblemError` when the problem has no feasible
         assignment.  The scan is exponential in the number of variables —
         exactly the classical cost the paper quotes for exact solvers — but
-        vectorized: assignments are enumerated in chunks, each constraint
-        prunes the chunk before the next one runs, and the objective is only
-        evaluated on the feasible survivors.  Enumeration order (variable 0
-        as the most significant bit) and strict-improvement tie-breaking
-        match the naive ``itertools.product`` scan bit for bit.
+        vectorized: assignments are enumerated as integer codes in chunks,
+        each constraint prunes the chunk before the next one runs, and the
+        objective is only evaluated on the feasible survivors.  Code order
+        (variable 0 as the most significant bit), the shared kernels and
+        strict-improvement tie-breaking match the naive
+        ``itertools.product`` scan bit for bit.
         """
-        best_assignment: tuple[int, ...] | None = None
-        best_value = 0.0
+        n = self.num_variables
         pick = np.argmin if self.sense == "min" else np.argmax
-        for codes, values in self._feasible_chunks():
-            index = int(pick(values))
-            value = float(values[index])
-            if best_assignment is None or self.better(value, best_value):
-                best_assignment = self._decode(int(codes[index]))
-                best_value = value
-        if best_assignment is None:
-            raise ProblemError(f"problem {self.name!r} has no feasible assignment")
-        return best_assignment, best_value
-
-    def _decode(self, code: int) -> tuple[int, ...]:
-        n = self.num_variables
-        return tuple((code >> (n - 1 - j)) & 1 for j in range(n))
-
-    def evaluate_codes(
-        self, codes: np.ndarray, tolerance: float = 1e-9
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Objective, L1 violation and feasibility of each assignment code.
-
-        Code ``c`` encodes variable ``j`` in bit ``n - 1 - j``.  Entry ``i``
-        of the three arrays equals :meth:`evaluate`, :meth:`total_violation`
-        and :meth:`is_feasible` of the decoded assignment bit for bit.
-        """
-        violation = np.zeros(codes.size)
-        feasible = np.ones(codes.size, dtype=bool)
-        for constraint in self.constraints:
-            distance = self._constraint_violation(constraint, codes)
-            violation += distance
-            feasible &= distance <= tolerance
-        return self._objective_values(codes), violation, feasible
-
-    def _constraint_violation(
-        self, constraint: LinearConstraint, codes: np.ndarray
-    ) -> np.ndarray:
-        n = self.num_variables
-        total = np.zeros(codes.size)
-        for i, coefficient in enumerate(constraint.coefficients):
-            if coefficient != 0:
-                total += coefficient * ((codes >> (n - 1 - i)) & 1)
-        return np.abs(total - constraint.rhs)
-
-    def _objective_values(self, codes: np.ndarray) -> np.ndarray:
-        n = self.num_variables
-        values = np.zeros(codes.size)
-        for variables, coefficient in self.objective.terms.items():
-            product = np.full(codes.size, float(coefficient))
-            for variable in variables:
-                product *= (codes >> (n - 1 - variable)) & 1
-            values += product
-        return values
-
-    def _feasible_chunks(
-        self, tolerance: float = 1e-9
-    ) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(codes, objective values)`` for every feasible assignment.
-
-        Ascending codes reproduce the lexicographic order of
-        ``itertools.product((0, 1), repeat=n)``.  Constraint sums and the
-        objective accumulate term by term in the same order as the scalar
-        :meth:`LinearConstraint.evaluate` / :meth:`Objective.evaluate` (the
-        kernels :meth:`evaluate_codes` shares), so the floating-point results
-        are identical to the sequential scan.  Each constraint prunes the
-        chunk before the next one runs.
-        """
-        n = self.num_variables
+        best_code: int | None = None
+        best_value = 0.0
         chunk = 1 << min(n, 18)
         for start in range(0, 1 << n, chunk):
             codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
             for constraint in self.constraints:
-                codes = codes[self._constraint_violation(constraint, codes) <= tolerance]
+                violation = constraint_violation(constraint, codes.size, _code_column(codes, n))
+                codes = codes[violation <= 1e-9]
                 if codes.size == 0:
                     break
-            if codes.size:
-                yield codes, self._objective_values(codes)
+            if codes.size == 0:
+                continue
+            values = evaluate_polynomial(self.objective.terms, codes.size, _code_column(codes, n))
+            index = int(pick(values))
+            if best_code is None or self.better(float(values[index]), best_value):
+                best_code, best_value = int(codes[index]), float(values[index])
+        if best_code is None:
+            raise ProblemError(f"problem {self.name!r} has no feasible assignment")
+        return tuple((best_code >> (n - 1 - j)) & 1 for j in range(n)), best_value
+
+    def evaluate_rows(
+        self, bits: np.ndarray, tolerance: float = 1e-9
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Objective, L1 violation and feasibility of each ``(k, n)`` 0/1 bit row.
+
+        Column ``j`` is variable ``j``.  Entry ``i`` of the three arrays
+        equals :meth:`evaluate`, :meth:`total_violation` and
+        :meth:`is_feasible` of row ``i`` bit for bit.
+        """
+        bits = np.asarray(bits)
+        if bits.ndim != 2 or bits.shape[1] != self.num_variables:
+            raise ProblemError(f"bit rows must be (k, {self.num_variables})")
+        size = bits.shape[0]
+        violation = np.zeros(size)
+        feasible = np.ones(size, dtype=bool)
+        for constraint in self.constraints:
+            distance = constraint_violation(constraint, size, lambda v: bits[:, v])
+            violation += distance
+            feasible &= distance <= tolerance
+        objective = evaluate_polynomial(self.objective.terms, size, lambda v: bits[:, v])
+        return objective, violation, feasible
 
     # ------------------------------------------------------------------
 
@@ -400,3 +405,8 @@ class ConstrainedBinaryProblem:
             f"ConstrainedBinaryProblem(name={self.name!r}, variables={self.num_variables}, "
             f"constraints={self.num_constraints}, sense={self.sense!r})"
         )
+
+
+def _code_column(codes: np.ndarray, n: int) -> Callable[[int], np.ndarray]:
+    """Variable ``v``'s bits of assignment codes (variable ``j`` at bit ``n - 1 - j``)."""
+    return lambda variable: (codes >> (n - 1 - variable)) & 1

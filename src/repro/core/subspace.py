@@ -12,13 +12,14 @@ Everything the simulation path needs is then expressible over length-``|F|``
 vectors:
 
 * objective diagonals are evaluated directly on the feasible basis
-  (:meth:`SubspaceMap.evaluate_polynomial`) without ever materialising the
-  ``2^n`` diagonal;
+  (:meth:`SubspaceMap.evaluate_polynomial`, the shared polynomial kernel
+  over the basis columns) without ever materialising the ``2^n`` diagonal;
 * commute-Hamiltonian terms become pairing permutations over the feasible
   coordinates (see :meth:`CommuteHamiltonianTerm.subspace_pairing
   <repro.hamiltonian.commute.CommuteHamiltonianTerm.subspace_pairing>`);
 * measurement distributions lift back to bitstring histograms through
-  :meth:`SubspaceMap.bitstring_of`.
+  the basis rows: coordinate ``k``'s key is
+  :func:`~repro.qcircuit.statevector.bitstring_keys` of ``basis[k]``.
 
 Assignments resolve to coordinates through one index: the basis rows viewed
 as ``np.void`` byte keys and sorted once at construction.  Membership
@@ -39,7 +40,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.feasibility import iter_feasible_assignments
+from repro.core.problem import evaluate_polynomial
 from repro.exceptions import InfeasibleError, ProblemError, SubspaceOverflowError
+from repro.qcircuit.statevector import bitstring_keys
 
 #: Chunk size (rows) of the streaming basis accumulator.  Large enough that
 #: block bookkeeping is negligible, small enough that a map which overflows
@@ -259,11 +262,11 @@ class SubspaceMap:
 
     def bitstring_of(self, coordinate: int) -> str:
         """Little-endian bitstring key of one subspace coordinate."""
-        return "".join("1" if bit else "0" for bit in self.basis[coordinate])
+        return bitstring_keys(self.basis[[coordinate]])[0]
 
     def bitstrings(self) -> list[str]:
         """All coordinate bitstrings, in coordinate order."""
-        return [self.bitstring_of(coordinate) for coordinate in range(self.size)]
+        return bitstring_keys(self.basis)
 
     def full_indices(self) -> np.ndarray:
         """Dense basis index of every coordinate (requires a small register)."""
@@ -287,26 +290,19 @@ class SubspaceMap:
 
         Returns the length-``|F|`` diagonal of the objective Hamiltonian
         restricted to the subspace — the exact sub-block of
-        :meth:`DiagonalHamiltonian.from_polynomial
-        <repro.hamiltonian.diagonal.DiagonalHamiltonian.from_polynomial>`
-        without building the ``2^n`` vector.
+        :func:`~repro.hamiltonian.diagonal.polynomial_diagonal` without
+        building the ``2^n`` vector.  Both run the one kernel,
+        :func:`repro.core.problem.evaluate_polynomial`, over the basis columns.
         """
-        values = np.zeros(self.size, dtype=float)
-        bits = self.basis.astype(float)
-        for variables, coefficient in terms.items():
-            if coefficient == 0:
-                continue
-            # Cost-diagonal compilation: runs once per (problem, map), and
-            # the loop is over polynomial terms, not basis states.
-            product = np.ones(self.size, dtype=float)  # repro: ignore[hotpath]
-            for variable in variables:
-                if not 0 <= variable < self.num_variables:
-                    raise ProblemError(
-                        f"variable {variable} out of range for {self.num_variables} variables"
-                    )
-                product = product * bits[:, variable]
-            values += coefficient * product
-        return values
+
+        def column(variable: int) -> np.ndarray:
+            if not 0 <= variable < self.num_variables:
+                raise ProblemError(
+                    f"variable {variable} out of range for {self.num_variables} variables"
+                )
+            return self.basis[:, variable]
+
+        return evaluate_polynomial(terms, self.size, column)
 
     def restrict_diagonal(self, diagonal: np.ndarray) -> np.ndarray:
         """Gather a dense ``2^n`` diagonal onto the feasible coordinates.

@@ -25,10 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.metrics import key_bits
 from repro.core.nullspace import ternary_nullspace_basis, variable_nonzero_counts
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.exceptions import ProblemError
+from repro.qcircuit.statevector import bitstring_keys, key_bits
 
 
 def choose_elimination_variables(
@@ -108,26 +108,26 @@ class ReducedInstance:
 
     def lift(self, reduced_bits: Sequence[int]) -> tuple[int, ...]:
         """Map a reduced-register bit assignment back to the original register."""
-        key = "".join(str(int(bit)) for bit in reduced_bits)
-        return tuple(int(ch) for ch in self.lift_keys([key])[0])
+        return tuple(self._lift_rows(np.array([reduced_bits], dtype=np.uint8))[0].tolist())
 
     def lift_keys(self, keys: Iterable[str]) -> list[str]:
         """Lift reduced-register bitstrings to the original register, in order.
 
         Each key's first ``len(kept_variables)`` characters are the reduced
         bits; anything after them (a noisy run's ancilla bits) is dropped.
-        The keys are parsed as one ``(k, width)`` bit array and scattered
-        into the kept columns of a ``(k, n)`` array whose eliminated columns
-        hold the fixed values.
         """
-        keys = list(keys)
+        rows = key_bits(list(keys), len(self.kept_variables))
+        return bitstring_keys(self._lift_rows(rows))
+
+    def _lift_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Scatter ``(k, width)`` reduced bit rows into the kept columns of
+        ``(k, n)`` rows whose eliminated columns hold the fixed values."""
         num_variables = len(self.kept_variables) + len(self.assignment)
-        lifted = np.empty((len(keys), num_variables), dtype=np.uint32)
-        lifted[:, list(self.kept_variables)] = key_bits(keys, len(self.kept_variables))
+        lifted = np.empty((rows.shape[0], num_variables), dtype=np.uint8)
+        lifted[:, list(self.kept_variables)] = rows
         for variable, value in self.assignment:
             lifted[:, variable] = value
-        lifted += np.uint32(ord("0"))
-        return lifted.view(f"U{num_variables}").ravel().tolist()
+        return lifted
 
 
 @dataclass

@@ -21,8 +21,8 @@ from repro.hamiltonian.constraint_operator import (
     constraint_system_operators,
 )
 from repro.hamiltonian.diagonal import (
-    DiagonalHamiltonian,
     phase_separation_circuit,
+    polynomial_diagonal,
     split_polynomial,
 )
 from repro.hamiltonian.evolution import (
@@ -43,7 +43,6 @@ from repro.hamiltonian.trotter import TrotterDecomposer, TrotterReport
 __all__ = [
     "CommuteDriver",
     "CommuteHamiltonianTerm",
-    "DiagonalHamiltonian",
     "EvolutionProgram",
     "PauliString",
     "PauliSum",
@@ -64,6 +63,7 @@ __all__ = [
     "driver_evolution_operator",
     "pauli_sum_evolution",
     "phase_separation_circuit",
+    "polynomial_diagonal",
     "single_pauli",
     "split_polynomial",
     "term_evolution_operator",

@@ -4,11 +4,15 @@ QAOA encodes the objective function ``f(x)`` as a Hamiltonian ``H_o`` that is
 diagonal in the computational basis: the eigenvalue of basis state ``|x>`` is
 ``f(x)``.  This module provides two representations of the same operator:
 
-* :class:`DiagonalHamiltonian` — a dense diagonal vector of length ``2**n``,
-  the cost diagonal the simulator's phase separation
-  (:func:`~repro.hamiltonian.compiled.apply_diagonal_phase`) and
-  expectation values run on (the exact equivalent of substituting
-  ``x_j = (I - Z_j)/2`` in the paper's Step 2);
+* :func:`polynomial_diagonal` — the dense diagonal vector of length
+  ``2**n`` (qubit ``q`` is bit ``q`` of the basis index) that the
+  simulator's phase separation
+  (:func:`~repro.hamiltonian.compiled.apply_diagonal_phase`) and cost
+  expectations run on (the exact equivalent of substituting
+  ``x_j = (I - Z_j)/2`` in the paper's Step 2).  It is the shared
+  polynomial kernel :func:`repro.core.problem.evaluate_polynomial` over the
+  basis indices' bits, the same kernel that scores measured bitstrings and
+  evaluates a feasible subspace's diagonal;
 * a quadratic *polynomial* form (linear + quadratic coefficient maps), used
   to emit the RZ / RZZ phase-separation circuit whose depth Table II reports.
 
@@ -20,67 +24,32 @@ by the dense representation and rejected by the circuit emitter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
+from repro.core.problem import evaluate_polynomial
 from repro.exceptions import HamiltonianError
 from repro.qcircuit.circuit import QuantumCircuit
 
 PolynomialTerms = Mapping[tuple[int, ...], float]
 
 
-@dataclass
-class DiagonalHamiltonian:
-    """A Hamiltonian diagonal in the computational basis."""
+def polynomial_diagonal(terms: PolynomialTerms, num_qubits: int) -> np.ndarray:
+    """The dense ``2**num_qubits`` cost diagonal of a binary polynomial.
 
-    diagonal: np.ndarray
-    num_qubits: int
+    Entry ``k`` is the polynomial evaluated on basis index ``k``'s bits
+    (qubit ``q`` is bit ``q``), through the shared kernel
+    :func:`repro.core.problem.evaluate_polynomial`, one bit column at a time.
+    """
+    indices = np.arange(2**num_qubits)
 
-    @classmethod
-    def from_polynomial(cls, terms: PolynomialTerms, num_qubits: int) -> "DiagonalHamiltonian":
-        """Build the dense diagonal from a binary polynomial.
+    def column(variable: int) -> np.ndarray:
+        if not 0 <= variable < num_qubits:
+            raise HamiltonianError(f"variable {variable} out of range for {num_qubits} qubits")
+        return (indices >> variable) & 1
 
-        The eigenvalue at basis index ``k`` is the polynomial evaluated on the
-        bit assignment of ``k`` (little-endian).
-        """
-        dim = 2**num_qubits
-        indices = np.arange(dim)
-        diagonal = np.zeros(dim, dtype=float)
-        for variables, coefficient in terms.items():
-            if coefficient == 0:
-                continue
-            product = np.ones(dim, dtype=float)
-            for variable in variables:
-                if not 0 <= variable < num_qubits:
-                    raise HamiltonianError(
-                        f"variable {variable} out of range for {num_qubits} qubits"
-                    )
-                product = product * ((indices >> variable) & 1)
-            diagonal += coefficient * product
-        return cls(diagonal=diagonal, num_qubits=num_qubits)
-
-    # ------------------------------------------------------------------
-
-    def value(self, bits: Sequence[int]) -> float:
-        index = 0
-        for qubit, bit in enumerate(bits):
-            index |= int(bit) << qubit
-        return float(self.diagonal[index])
-
-    def expectation(self, probabilities: np.ndarray) -> float:
-        return float(np.dot(probabilities, self.diagonal))
-
-    def __add__(self, other: "DiagonalHamiltonian") -> "DiagonalHamiltonian":
-        if other.num_qubits != self.num_qubits:
-            raise HamiltonianError("cannot add Hamiltonians of different sizes")
-        return DiagonalHamiltonian(self.diagonal + other.diagonal, self.num_qubits)
-
-    def __mul__(self, scalar: float) -> "DiagonalHamiltonian":
-        return DiagonalHamiltonian(self.diagonal * scalar, self.num_qubits)
-
-    __rmul__ = __mul__
+    return evaluate_polynomial(terms, indices.size, column)
 
 
 # ---------------------------------------------------------------------------

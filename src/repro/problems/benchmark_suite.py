@@ -3,9 +3,10 @@
 Section V-A evaluates the solvers on four problem scales per application
 domain.  The original suite contains 400 literature-derived cases with up to
 28 variables; running those requires the authors' GPU simulator, so this
-module provides the laptop-scale substitute documented in DESIGN.md: seeded
-synthetic generators at four scales per domain, with the largest instances
-capped so that dense statevector simulation stays tractable (<= 16 qubits).
+module provides the laptop-scale substitute described in the README's
+"Deviations from the paper": seeded synthetic generators at four scales per
+domain, with the largest instances capped so that dense statevector
+simulation stays tractable (<= 16 qubits).
 
 Scales (variables / constraints):
 

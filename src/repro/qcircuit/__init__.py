@@ -52,7 +52,6 @@ from repro.qcircuit.statevector import (
     SimulationResult,
     Statevector,
     StatevectorSimulator,
-    index_to_bitstring,
     state_support_size,
 )
 from repro.qcircuit.transpile import (
@@ -101,7 +100,6 @@ __all__ = [
     "depth_after_transpile",
     "exact_distribution",
     "get_device_profile",
-    "index_to_bitstring",
     "mcp_gate",
     "mcx_gate",
     "merge_results",

@@ -34,8 +34,7 @@ from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.statevector import (
     StatevectorSimulator,
     Statevector,
-    apply_matrix,
-    index_to_bitstring,
+    index_bits,
     sample_histogram,
 )
 from repro.qcircuit.sampling import SampleResult, split_shots
@@ -251,7 +250,7 @@ class NoiseModel:
         counts = sample_histogram(
             noisy_probabilities,
             shots,
-            key_of=lambda index: index_to_bitstring(index, circuit.num_qubits),
+            lambda indices: index_bits(indices, circuit.num_qubits),
             rng=self._rng,
         )
         result = SampleResult.from_counts(counts)

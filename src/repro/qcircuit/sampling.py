@@ -13,9 +13,12 @@ Two state layouts feed this module:
 * **subspace** — probabilities indexed by the compact coordinates of a
   :class:`~repro.core.subspace.SubspaceMap`
   (:meth:`SampleResult.from_subspace_probabilities` /
-  :func:`subspace_exact_distribution`), which lift each coordinate back to
-  its feasible bitstring, so downstream metrics code sees the exact same
-  histogram format either way.
+  :func:`subspace_exact_distribution`), whose basis rows are the
+  coordinates' feasible assignments.
+
+Either way the kept indices become ``(k, n)`` bit rows and all their keys
+come from one :func:`~repro.qcircuit.statevector.bitstring_keys` call, so
+downstream metrics code sees the exact same histogram format.
 
 Merging preserves ``metadata`` (combining values key-by-key; list values
 concatenate), so per-sub-circuit annotations such as the eliminated-variable
@@ -32,6 +35,9 @@ import numpy as np
 from repro.serialization import json_sanitize
 from repro.qcircuit.statevector import (
     Statevector,
+    bitstring_keys,
+    index_bits,
+    key_bits,
     sample_histogram,
 )
 
@@ -93,7 +99,7 @@ class SampleResult:
         coordinate is lifted to its full-register bitstring key.
         """
         counts = sample_histogram(
-            probabilities, shots, subspace_map.bitstring_of, rng=rng
+            probabilities, shots, lambda coordinates: subspace_map.basis[coordinates], rng=rng
         )
         return cls(counts=counts, shots=shots, metadata=dict(metadata or {}))
 
@@ -128,11 +134,11 @@ class SampleResult:
 
     def assignments(self) -> list[tuple[np.ndarray, int]]:
         """Return (bit-array, count) pairs; index ``i`` of the array is x_i."""
-        result = []
-        for key, value in self.counts.items():
-            bits = np.array([int(ch) for ch in key], dtype=int)
-            result.append((bits, value))
-        return result
+        keys = list(self.counts)
+        if not keys:
+            return []
+        rows = key_bits(keys, len(keys[0])).astype(int)
+        return list(zip(rows, self.counts.values()))
 
     def merge(self, other: "SampleResult") -> "SampleResult":
         """Combine two histograms (used when merging eliminated-variable runs).
@@ -204,23 +210,17 @@ def subspace_exact_distribution(
 
     The subspace analogue of :func:`exact_distribution`: coordinate ``k`` of
     a :class:`~repro.core.subspace.SubspaceMap` contributes its probability
-    under the coordinate's full-register bitstring key.
+    under the key of basis row ``k``.
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    result: dict[str, float] = {}
-    for coordinate in np.nonzero(probabilities > tolerance)[0]:
-        result[subspace_map.bitstring_of(int(coordinate))] = float(
-            probabilities[coordinate]
-        )
-    return result
+    coordinates = np.flatnonzero(probabilities > tolerance)
+    keys = bitstring_keys(subspace_map.basis[coordinates])
+    return dict(zip(keys, probabilities[coordinates].tolist()))
 
 
 def exact_distribution(statevector: Statevector) -> dict[str, float]:
     """The exact measurement distribution (no shot noise)."""
     probabilities = statevector.probabilities()
     indices = np.flatnonzero(probabilities > 1e-12)
-    # All keys in one batch: qubit q is character q, as in index_to_bitstring.
-    n = statevector.num_qubits
-    chars = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
-    keys = chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()
+    keys = bitstring_keys(index_bits(indices, statevector.num_qubits))
     return dict(zip(keys, probabilities[indices].tolist()))

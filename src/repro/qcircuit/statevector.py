@@ -8,7 +8,10 @@ axes of its operand qubits, which keeps every gate application
 touches.
 
 Qubit ordering is little-endian (qubit 0 = least significant bit), matching
-the rest of the package.  The simulator also records intermediate "snapshot"
+the rest of the package.  The bit-row codec here (:func:`index_bits`,
+:func:`bitstring_keys`, :func:`key_bits`) is the one place that order is
+spelled out: column ``q`` of a ``(k, n)`` 0/1 row, character ``q`` of a
+histogram key and bit ``q`` of a basis index are all qubit ``q``.  The simulator also records intermediate "snapshot"
 statistics used by the parallelism analysis of Fig. 9(b): the number of
 computational basis states with non-negligible amplitude after each gate.
 """
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ProblemError, SimulationError
 from repro.qcircuit.circuit import Instruction, QuantumCircuit
 
 #: Probability below which a basis state does not count toward the measured
@@ -60,29 +63,59 @@ def state_support_size(
 _FALLBACK_RNG = np.random.default_rng(0x5EED)
 
 
+def index_bits(indices, num_qubits: int) -> np.ndarray:
+    """``(k, num_qubits)`` uint8 bit rows of basis indices: column ``q`` is bit ``q``.
+
+    A scalar index gives one row.
+    """
+    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+    return ((indices[:, None] >> np.arange(num_qubits)) & 1).astype(np.uint8)
+
+
+def bitstring_keys(bits: np.ndarray) -> list[str]:
+    """One histogram key per row of a ``(k, n)`` 0/1 array: character ``i`` is column ``i``."""
+    bits = np.asarray(bits)
+    # One UCS-4 code point per character, so the rows view as ``U{n}`` strings.
+    chars = np.add(bits, ord("0"), dtype=np.uint32, casting="unsafe")
+    return chars.view(f"U{bits.shape[1]}").ravel().tolist()
+
+
+def key_bits(keys: list[str], n: int) -> np.ndarray:
+    """The keys' first ``n`` characters as a ``(len(keys), n)`` array of 0/1.
+
+    The inverse of :func:`bitstring_keys`.  Longer keys are truncated
+    (ancilla bits); the rest must be ``0``/``1``, or :class:`ProblemError`
+    names the first offending key.
+    """
+    # One code point per character, NUL-padded when a key is short; unsigned
+    # wrap-around puts every character but '0' and '1' above 1.
+    bits = np.array(keys, dtype=f"U{n}").view(np.uint32).reshape(len(keys), n) - np.uint32(ord("0"))
+    bad = np.flatnonzero((bits > 1).any(axis=1))
+    if bad.size:
+        raise ProblemError(f"bitstring {keys[bad[0]]!r} does not start with {n} binary digits")
+    return bits
+
+
 def sample_histogram(
     probabilities: np.ndarray,
     shots: int,
-    key_of,
+    bits_of,
     rng: np.random.Generator | None = None,
 ) -> dict[str, int]:
     """Sample ``shots`` outcomes from a probability vector into a histogram.
 
-    The single sampling loop shared by the dense, probability-vector and
-    subspace histogram constructors; ``key_of(index)`` maps a sampled index
-    to its histogram key (e.g. a bitstring).
+    The single sampling loop shared by the dense and subspace histogram
+    constructors; ``bits_of(indices)`` maps the sampled indices (ascending,
+    distinct) to their ``(k, n)`` bit rows, one distinct row per index:
+    :func:`index_bits` for the dense layout, ``subspace_map.basis[indices]``
+    for a feasible subspace.
     """
     rng = _FALLBACK_RNG if rng is None else rng
     probabilities = np.asarray(probabilities, dtype=float)
     probabilities = probabilities / probabilities.sum()
     outcomes = rng.choice(len(probabilities), size=shots, p=probabilities)
-    counts: dict[str, int] = {}
-    # Accumulate rather than comprehend: key_of need not be injective (a
-    # caller may key by a coarsened register), and colliding keys must add.
-    for index, count in zip(*np.unique(outcomes, return_counts=True)):
-        key = key_of(int(index))
-        counts[key] = counts.get(key, 0) + int(count)
-    return counts
+    indices, counts = np.unique(outcomes, return_counts=True)
+    return dict(zip(bitstring_keys(bits_of(indices)), counts.tolist()))
 
 
 @dataclass
@@ -155,22 +188,15 @@ class Statevector:
         return sample_histogram(
             self.probabilities(),
             shots,
-            lambda index: index_to_bitstring(index, self.num_qubits),
+            lambda indices: index_bits(indices, self.num_qubits),
             rng=rng,
         )
 
     def to_dict(self, tolerance: float = 1e-12) -> dict[str, complex]:
         """Sparse dictionary of non-negligible amplitudes keyed by bitstring."""
         indices = np.flatnonzero(np.abs(self.data) > tolerance)
-        return {
-            index_to_bitstring(int(index), self.num_qubits): complex(self.data[index])
-            for index in indices
-        }
-
-
-def index_to_bitstring(index: int, num_qubits: int) -> str:
-    """Convert a basis index to a little-endian bitstring (qubit 0 first)."""
-    return "".join(str((index >> qubit) & 1) for qubit in range(num_qubits))
+        keys = bitstring_keys(index_bits(indices, self.num_qubits))
+        return {key: complex(self.data[index]) for key, index in zip(keys, indices)}
 
 
 @dataclass

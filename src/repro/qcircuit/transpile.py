@@ -14,7 +14,8 @@ Key synthesis routines:
 * ``mcx`` with ``k`` controls → a V-chain of Toffolis over ``k - 2`` clean
   ancilla qubits (linear time and depth).  The paper re-uses only two
   ancillas via a borrowed-ancilla construction; we use the simpler clean
-  V-chain, which has the same linear asymptotics (see DESIGN.md).
+  V-chain, which has the same linear asymptotics (README, "Deviations
+  from the paper").
 * ``mcp`` → compute the AND of all-but-one involved qubits into an ancilla
   chain, apply a controlled-phase against the remaining qubit, uncompute —
   again linear, matching Section IV-B's complexity claim,

@@ -364,11 +364,12 @@ def run_plan(
         progress: print one line per completed run.
 
     Raises:
-        :class:`~repro.exceptions.PlanExecutionError` when any spec fails;
-        its ``failures`` list names every failed spec (display name + content
-        hash) and the original exception is chained.  Completed runs still
-        reach the JSONL sink before the raise — that is the crash-safety
-        contract.
+        :class:`~repro.exceptions.PlanExecutionError` when any spec fails,
+        after every other spec has run, whatever ``max_workers`` is; its
+        ``failures`` list names every failed spec (display name + content
+        hash) and the first failure's exception is chained.  Completed runs
+        still reach the JSONL sink before the raise — that is the
+        crash-safety contract.
     """
     specs = plan.resolved_specs()
     cache = load_records(jsonl_path) if resume else {}
@@ -418,7 +419,16 @@ def run_plan(
                     f"(+{num_cached} cached) {record.spec.display_name()}"
                 )
 
+        # Every spec runs even when one fails: completed runs must reach the
+        # JSONL sink (that is the crash-safety contract), so failures are
+        # collected and raised only after the last spec, with every failed
+        # spec identified — in-process and pooled alike.
+        first_failure: BaseException | None = None
+
         def record_failure(spec: RunSpec, error: BaseException) -> None:
+            nonlocal first_failure
+            if first_failure is None:
+                first_failure = error
             failures.append(
                 {
                     "display_name": spec.display_name(),
@@ -433,15 +443,10 @@ def run_plan(
                     record = execute_spec(spec)
                 except Exception as error:
                     record_failure(spec, error)
-                    raise PlanExecutionError(failures) from error
+                    continue
                 finish(record)
         else:
             context = _pool_context()
-            # Drain every future even when one fails: completed runs must
-            # reach the JSONL sink (that is the crash-safety contract), so
-            # failures are collected and re-raised only after the pool is
-            # empty — with every failed spec identified.
-            first_failure: BaseException | None = None
             with ProcessPoolExecutor(max_workers=max_workers, mp_context=context) as pool:
                 futures = {
                     pool.submit(_execute_spec_payload, spec.to_dict()): spec
@@ -456,12 +461,10 @@ def run_plan(
                             record = RunRecord.from_dict(future.result())
                         except BaseException as error:  # noqa: BLE001 - re-raised below
                             record_failure(spec, error)
-                            if first_failure is None:
-                                first_failure = error
                             continue
                         finish(record)
-            if failures:
-                raise PlanExecutionError(failures) from first_failure
+        if failures:
+            raise PlanExecutionError(failures) from first_failure
     finally:
         if sink is not None:
             sink.close()

@@ -69,6 +69,7 @@ from repro.hamiltonian.compiled import EvolutionProgram
 from repro.hamiltonian.diagonal import phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import SampleResult, merge_results, split_shots
+from repro.qcircuit.statevector import bitstring_keys
 from repro.solvers.base import LatencyBreakdown, OptimizationTrace, QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.structure import matrix_digest, memoized, memoized_spec
@@ -96,7 +97,8 @@ class ChocoQConfig(SolverConfig):
             driver carries the *full* solution set Delta; our default driver
             is the compact nullspace basis (see ``nullspace_mode``), which
             needs a few interleaved objective phases to cover the same search
-            directions, so the default here is 3 (documented in DESIGN.md).
+            directions, so the default here is 3 (README, "Deviations from
+            the paper").
         nullspace_mode: ``"basis"`` uses the compact generating subset of
             Delta (default, matching the paper's serialized example);
             ``"full"`` enumerates every ternary nullspace vector.
@@ -450,7 +452,7 @@ def _accumulate(totals: dict, keys: Iterable[str], values: Iterable) -> dict:
 def _trivial_result(problem: ConstrainedBinaryProblem, shots: int) -> SolverResult:
     """Result for a sub-problem whose feasible set is a single classical point."""
     bits = problem_initial_assignment(problem)
-    key = "".join(str(b) for b in bits)
+    key = bitstring_keys(np.array([bits]))[0]
     outcomes = SampleResult.from_counts({key: shots} if shots else {})
     return SolverResult(
         solver_name="choco-q",

@@ -12,11 +12,12 @@ comparison).
 The per-qubit RY angles are not (gamma, beta) layers, so the ansatz keeps
 its own evolve closure rather than an
 :class:`~repro.hamiltonian.compiled.EvolutionProgram`; like the compiled
-path it resolves its hop sides and the CZ-chain phase vector once in
-:meth:`HEASolver.build_spec`, not on every cost evaluation.  Its ``evolve``
-takes one parameter vector or a ``(k, P)`` batch like every other ansatz,
-so HEA supports parameter sweeps; a batch runs the per-vector kernel row by
-row, bit-identical to evolving each vector alone.
+path it resolves its hop sides and the CZ-chain phase vector once per
+structure in :meth:`HEASolver._compile_spec`, under the structure memo
+(:mod:`repro.solvers.structure`), not on every cost evaluation.  Its
+``evolve`` takes one parameter vector or a ``(k, P)`` batch like every other
+ansatz, so HEA supports parameter sweeps; a batch runs the per-vector kernel
+row by row, bit-identical to evolving each vector alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from repro.core.encoding import default_penalty_weight, penalty_objective
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.hamiltonian.commute import CommuteDriver
-from repro.hamiltonian.diagonal import DiagonalHamiltonian
+from repro.hamiltonian.diagonal import polynomial_diagonal
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
@@ -98,7 +99,7 @@ class HEASolver(QuantumSolver):
             else default_penalty_weight(problem)
         )
         qubo = penalty_objective(problem, weight)
-        hamiltonian = DiagonalHamiltonian.from_polynomial(qubo.terms, num_qubits)
+        cost_diagonal = polynomial_diagonal(qubo.terms, num_qubits)
 
         # RY_j rotates the basis pairs that differ in bit j: the hop sides of
         # the single-bit flip u = -e_j, resolved once here.
@@ -160,7 +161,7 @@ class HEASolver(QuantumSolver):
             name=cls.name,
             num_qubits=num_qubits,
             initial_state=initial_state,
-            cost_diagonal=hamiltonian.diagonal,
+            cost_diagonal=cost_diagonal,
             evolve=evolve,
             build_circuit=build_circuit,
             initial_parameters=np.empty(0),

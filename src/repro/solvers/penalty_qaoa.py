@@ -35,7 +35,7 @@ from repro.core.problem import ConstrainedBinaryProblem
 from repro.exceptions import SolverError
 from repro.hamiltonian.commute import CommuteDriver
 from repro.hamiltonian.compiled import EvolutionProgram
-from repro.hamiltonian.diagonal import DiagonalHamiltonian, phase_separation_circuit
+from repro.hamiltonian.diagonal import phase_separation_circuit, polynomial_diagonal
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.solvers.base import QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
@@ -136,7 +136,7 @@ class PenaltyQAOASolver(QuantumSolver):
         qubo = penalty_objective(working_problem, weight)
         num_qubits = problem.num_variables
         num_layers = config.num_layers
-        cost_diagonal = DiagonalHamiltonian.from_polynomial(qubo.terms, num_qubits).diagonal
+        cost_diagonal = polynomial_diagonal(qubo.terms, num_qubits)
         # H_c(-e_j) = X_j, so the transverse-field mixer prod_j e^{-i beta X_j}
         # is the serialized commute driver over the single-bit flips.
         mixer = CommuteDriver.from_solutions(-np.eye(num_qubits, dtype=int))

@@ -56,7 +56,7 @@ from repro.core.problem import ConstrainedBinaryProblem
 from repro.core.subspace import SubspaceMap
 from repro.exceptions import SolverError
 from repro.hamiltonian.commute import CommuteDriver
-from repro.hamiltonian.diagonal import DiagonalHamiltonian
+from repro.hamiltonian.diagonal import polynomial_diagonal
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import (
     SampleResult,
@@ -238,7 +238,7 @@ def resolve_state_layout(
     if subspace_map is None:
         return StateLayout(
             initial_state=basis_state(num_qubits, initial_bits),
-            cost_diagonal=DiagonalHamiltonian.from_polynomial(cost_terms, num_qubits).diagonal,
+            cost_diagonal=polynomial_diagonal(cost_terms, num_qubits),
             pairings=pairings,
         )
     # Every per-iteration object has length |F|; nothing of size 2^n is

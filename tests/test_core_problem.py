@@ -229,9 +229,8 @@ def test_scalar_sums_run_left_to_right_like_the_array_kernels():
             LinearConstraint((0.1, 0.2, 0.3), 0.6),
         ],
     )
-    codes = np.arange(8, dtype=np.int64)
-    objective, violation, feasible = problem.evaluate_codes(codes)
-    assignments = [tuple((code >> (2 - j)) & 1 for j in range(3)) for code in range(8)]
+    assignments = list(itertools.product((0, 1), repeat=3))
+    objective, violation, feasible = problem.evaluate_rows(np.array(assignments, dtype=np.uint8))
     assert problem.constraints[0].evaluate((1, 1, 1)) == 0.0
     assert [problem.evaluate(bits) for bits in assignments] == objective.tolist()
     assert [problem.total_violation(bits) for bits in assignments] == violation.tolist()

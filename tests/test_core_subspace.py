@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.encoding import default_penalty_weight, penalty_objective
 from repro.core.feasibility import count_feasible_assignments
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.core.subspace import SubspaceMap, stream_feasible_basis
@@ -23,12 +24,47 @@ from repro.hamiltonian.commute import (
     rotate_pairs_cs,
 )
 from repro.hamiltonian.compiled import EvolutionProgram
-from repro.hamiltonian.diagonal import DiagonalHamiltonian
+from repro.hamiltonian.diagonal import polynomial_diagonal
+from repro.problems.benchmark_suite import SCALE_NAMES, make_benchmark
+from repro.qcircuit.statevector import index_bits
 
 
 @pytest.fixture
 def paper_map(paper_example_problem) -> SubspaceMap:
     return SubspaceMap.from_problem(paper_example_problem)
+
+
+#: A polynomial no suite objective has: negative and zero coefficients (so
+#: zero products carry both signs), a constant and a cubic term.
+HAND_MADE_TERMS = {
+    (): 0.75,
+    (0,): -1.5,
+    (1,): 0.0,
+    (0, 2): -0.0,
+    (1, 2, 3): 2.25,
+    (2,): -0.1,
+    (0, 4): 0.3,
+    (3,): -0.2,
+}
+#: Negative coefficients only and no constant: on the all-zero row every
+#: product is -0.0, and the sum must still be the scalar loop's +0.0.
+NEGATIVE_TERMS = {(0,): -1.5, (1, 2, 3): -2.25, (2,): -0.1}
+
+
+def _polynomial_case(case, paper_example_problem):
+    """``(problem, polynomials)`` of one kernel case; the first polynomial is
+    the problem's own objective."""
+    if case == "paper":
+        problem = paper_example_problem
+    elif case == "hand-made":
+        problem = ConstrainedBinaryProblem(
+            5, Objective(HAND_MADE_TERMS), [LinearConstraint((1.0,) * 5, 2.0)]
+        )
+        return problem, [HAND_MADE_TERMS, NEGATIVE_TERMS]
+    else:
+        problem = make_benchmark(case)
+    penalty = penalty_objective(problem, default_penalty_weight(problem))
+    return problem, [problem.objective.terms, penalty.terms]
 
 
 class TestSubspaceMap:
@@ -224,14 +260,38 @@ class TestStreamingConstruction:
         assert state[1] == 1.0
         assert np.sum(np.abs(state)) == 1.0
 
-    def test_evaluate_polynomial_matches_dense_diagonal(
-        self, paper_example_problem, paper_map
-    ):
-        terms = paper_example_problem.minimization_objective().terms
-        dense = DiagonalHamiltonian.from_polynomial(terms, 4)
-        np.testing.assert_allclose(
-            paper_map.evaluate_polynomial(terms), paper_map.restrict_diagonal(dense.diagonal)
+    @pytest.mark.parametrize("case", ["paper", "hand-made", *SCALE_NAMES])
+    def test_evaluate_polynomial_matches_dense_diagonal(self, case, paper_example_problem):
+        """The one polynomial kernel, through each caller, equals the scalar
+        :meth:`Objective.evaluate` (and the scalar constraint checks) byte
+        for byte: on every feasible row, and on every dense index up to 8
+        qubits or 64 random ones beyond."""
+        problem, polynomials = _polynomial_case(case, paper_example_problem)
+        subspace_map = SubspaceMap.from_problem(problem)
+        n = problem.num_variables
+        others = (
+            np.arange(2**n)
+            if n <= 8
+            else np.random.default_rng(n).integers(0, 2**n, size=64)
         )
+        indices = np.concatenate([subspace_map.full_indices(), others])
+        rows = index_bits(indices, n)
+        for terms in polynomials:
+            reference = Objective(terms)
+            expected = np.array([reference.evaluate(row) for row in rows])
+            assert polynomial_diagonal(terms, n)[indices].tobytes() == expected.tobytes()
+            assert (
+                subspace_map.evaluate_polynomial(terms).tobytes()
+                == expected[: subspace_map.size].tobytes()
+            )
+        objective, violation, feasible = problem.evaluate_rows(rows)
+        assert objective.tobytes() == np.array([problem.evaluate(row) for row in rows]).tobytes()
+        assert (
+            violation.tobytes()
+            == np.array([problem.total_violation(row) for row in rows]).tobytes()
+        )
+        assert feasible.tolist() == [problem.is_feasible(row) for row in rows]
+        assert feasible[: subspace_map.size].all()
 
     def test_evaluate_polynomial_rejects_out_of_range(self, paper_map):
         with pytest.raises(ProblemError):

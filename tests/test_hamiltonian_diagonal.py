@@ -8,54 +8,37 @@ import pytest
 from repro.exceptions import HamiltonianError
 from repro.hamiltonian.compiled import apply_diagonal_phase, diagonal_levels
 from repro.hamiltonian.diagonal import (
-    DiagonalHamiltonian,
     phase_separation_circuit,
+    polynomial_diagonal,
     split_polynomial,
 )
 from repro.qcircuit.statevector import StatevectorSimulator, Statevector
 from repro.testing import global_phase_equal
 
 
-class TestDiagonalHamiltonian:
+class TestPolynomialDiagonal:
     def test_from_polynomial_values(self):
-        terms = {(): 1.0, (0,): 2.0, (0, 1): -3.0}
-        hamiltonian = DiagonalHamiltonian.from_polynomial(terms, 2)
-        assert hamiltonian.value([0, 0]) == pytest.approx(1.0)
-        assert hamiltonian.value([1, 0]) == pytest.approx(3.0)
-        assert hamiltonian.value([1, 1]) == pytest.approx(0.0)
+        diagonal = polynomial_diagonal({(): 1.0, (0,): 2.0, (0, 1): -3.0}, 2)
+        # Qubit q is bit q of the basis index.
+        assert diagonal[0b00] == pytest.approx(1.0)
+        assert diagonal[0b01] == pytest.approx(3.0)
+        assert diagonal[0b11] == pytest.approx(0.0)
 
     def test_variable_out_of_range(self):
         with pytest.raises(HamiltonianError):
-            DiagonalHamiltonian.from_polynomial({(5,): 1.0}, 2)
-
-    def test_expectation(self):
-        hamiltonian = DiagonalHamiltonian.from_polynomial({(0,): 1.0}, 1)
-        probabilities = np.array([0.25, 0.75])
-        assert hamiltonian.expectation(probabilities) == pytest.approx(0.75)
+            polynomial_diagonal({(5,): 1.0}, 2)
 
     def test_diagonal_phase_only_phases(self):
-        hamiltonian = DiagonalHamiltonian.from_polynomial({(0,): 2.0}, 1)
+        diagonal = polynomial_diagonal({(0,): 2.0}, 1)
         state = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        evolved = apply_diagonal_phase(state, 0.5, *diagonal_levels(hamiltonian.diagonal))
+        evolved = apply_diagonal_phase(state, 0.5, *diagonal_levels(diagonal))
         assert np.allclose(np.abs(evolved), np.abs(state))
         assert np.angle(evolved[1]) == pytest.approx(-1.0)
 
-    def test_addition_and_scaling(self):
-        a = DiagonalHamiltonian.from_polynomial({(0,): 1.0}, 1)
-        b = DiagonalHamiltonian.from_polynomial({(): 1.0}, 1)
-        combined = a + 2.0 * b
-        assert np.allclose(combined.diagonal, [2.0, 3.0])
-
-    def test_size_mismatch_rejected(self):
-        a = DiagonalHamiltonian.from_polynomial({(): 1.0}, 1)
-        b = DiagonalHamiltonian.from_polynomial({(): 1.0}, 2)
-        with pytest.raises(HamiltonianError):
-            _ = a + b
-
     def test_cubic_terms_supported_densely(self):
-        hamiltonian = DiagonalHamiltonian.from_polynomial({(0, 1, 2): 4.0}, 3)
-        assert hamiltonian.value([1, 1, 1]) == pytest.approx(4.0)
-        assert hamiltonian.value([1, 1, 0]) == pytest.approx(0.0)
+        diagonal = polynomial_diagonal({(0, 1, 2): 4.0}, 3)
+        assert diagonal[0b111] == pytest.approx(4.0)
+        assert diagonal[0b011] == pytest.approx(0.0)
 
 
 class TestSplitPolynomial:
@@ -80,12 +63,12 @@ class TestPhaseSeparationCircuit:
     def test_circuit_matches_exact_evolution(self, gamma):
         terms = {(): 2.0, (0,): 1.0, (1,): -2.0, (0, 2): 3.0, (1, 2): -1.5}
         num_qubits = 3
-        hamiltonian = DiagonalHamiltonian.from_polynomial(terms, num_qubits)
+        diagonal = polynomial_diagonal(terms, num_qubits)
         simulator = StatevectorSimulator()
         rng = np.random.default_rng(4)
         state = rng.normal(size=8) + 1j * rng.normal(size=8)
         state /= np.linalg.norm(state)
-        exact = apply_diagonal_phase(state, gamma, *diagonal_levels(hamiltonian.diagonal))
+        exact = apply_diagonal_phase(state, gamma, *diagonal_levels(diagonal))
         circuit = phase_separation_circuit(terms, num_qubits, gamma)
         circuit_state = simulator.statevector(
             circuit, initial_state=Statevector(data=state.copy(), num_qubits=num_qubits)

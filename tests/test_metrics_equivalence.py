@@ -20,8 +20,11 @@ from repro.core.metrics import (
     expected_objective,
 )
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
+from repro.core.subspace import SubspaceMap
 from repro.exceptions import ProblemError
+from repro.problems.benchmark_suite import SCALE_NAMES, make_benchmark
 from repro.qcircuit.sampling import SampleResult
+from repro.qcircuit.statevector import bitstring_keys
 from repro.run.problems import resolve_benchmark
 from repro.solvers.optimizer import CobylaOptimizer
 from repro.solvers.variational import EngineOptions
@@ -127,6 +130,37 @@ def test_real_solve_distributions(name, solver):
     )
     assert_scores_identical(problem, result.exact_distribution)
     assert_scores_identical(problem, result.outcomes)
+
+
+@pytest.mark.parametrize("name", SCALE_NAMES)
+def test_suite_scales_feasible_and_random_rows(name):
+    problem = make_benchmark(name)
+    random_rows = np.random.default_rng(4).integers(
+        0, 2, size=(32, problem.num_variables), dtype=np.uint8
+    )
+    rows = np.concatenate([SubspaceMap.from_problem(problem).basis, random_rows])
+    assert_scores_identical(problem, _fractional(bitstring_keys(rows), seed=4))
+
+
+def test_a_64_variable_subspace_solve_scores_its_metrics():
+    """Scoring reads each key's bits directly: no register width cap."""
+    problem = ConstrainedBinaryProblem(
+        num_variables=64,
+        objective=Objective.from_linear([float(i % 7) for i in range(64)]),
+        constraints=[LinearConstraint((1.0,) * 64, 1.0)],
+        name="one-hot-64",
+    )
+    result = repro.solve(
+        problem,
+        "choco-q",
+        backend="subspace",
+        num_layers=1,
+        optimizer=CobylaOptimizer(max_iterations=5),
+        options=EngineOptions(shots=64, seed=0),
+    )
+    report = result.metrics(problem, optimal_value=0.0)
+    assert report.in_constraints_rate == pytest.approx(1.0, abs=1e-9)
+    assert_scores_identical(problem, result.outcomes, optimal_value=0.0)
 
 
 def test_maximisation_problem():

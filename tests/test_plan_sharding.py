@@ -152,6 +152,29 @@ class TestFailureReporting:
         # Both healthy specs still reached the sink before the raise.
         assert len(load_jsonl_records(path)) == 2
 
+    def test_one_failure_policy_for_every_worker_count(
+        self, tiny_benchmark, broken_benchmark, tmp_path
+    ):
+        """A failing spec neither stops the specs after it nor keeps them out
+        of the sink, in-process or pooled."""
+        bad = RunSpec(solver="choco-q", benchmark=broken_benchmark, seed=0)
+        plan = ExperimentPlan(specs=[bad, make_spec(seed=0)])
+        outcomes = {}
+        for max_workers in (1, 2):
+            path = tmp_path / f"plan-{max_workers}.jsonl"
+            with pytest.raises(PlanExecutionError) as excinfo:
+                run_plan(plan, max_workers=max_workers, jsonl_path=path)
+            assert isinstance(excinfo.value.__cause__, ProblemError)
+            sink = {
+                spec_hash: deterministic_metrics(plan_module.RunRecord.from_dict(record))
+                for spec_hash, record in load_jsonl_records(path).items()
+            }
+            outcomes[max_workers] = (excinfo.value.failures, sink)
+        assert outcomes[1] == outcomes[2]
+        failures, sink = outcomes[1]
+        assert [failure["spec_hash"] for failure in failures] == [bad.content_hash()]
+        assert list(sink) == [make_spec(seed=0).content_hash()]
+
 
 # ---------------------------------------------------------------------------
 # Progress accounting

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ProblemError, SimulationError
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.statevector import (
     Statevector,
     StatevectorSimulator,
     apply_matrix,
-    index_to_bitstring,
+    bitstring_keys,
+    index_bits,
+    key_bits,
 )
 
 
@@ -45,8 +47,50 @@ class TestStatevectorConstruction:
 
     def test_bitstring_roundtrip(self):
         for index in range(16):
-            bits = index_to_bitstring(index, 4)
+            bits = bitstring_keys(index_bits(index, 4))[0]
             assert bitstring_to_index(bits) == index
+
+
+CODEC_WIDTHS = [1, 8, 62, 63, 64, 70]
+
+
+class TestBitRowCodec:
+    """``index_bits``, ``bitstring_keys`` and ``key_bits``: the one bit order."""
+
+    @pytest.mark.parametrize("width", CODEC_WIDTHS)
+    def test_keys_round_trip_through_rows(self, width):
+        rows = np.random.default_rng(width).integers(0, 2, size=(9, width), dtype=np.uint8)
+        rows[0] = 0
+        rows[1] = 1
+        keys = bitstring_keys(rows)
+        assert all(len(key) == width and set(key) <= {"0", "1"} for key in keys)
+        assert np.array_equal(key_bits(keys, width), rows)
+
+    @pytest.mark.parametrize("width", CODEC_WIDTHS)
+    def test_character_q_is_bit_q_of_the_index(self, width):
+        rng = np.random.default_rng(width)
+        indices = [0, 1, 5, int(rng.integers(0, 2**62)), 2**62 - 1, 2**63 - 1]
+        keys = bitstring_keys(index_bits(indices, width))
+        for index, key in zip(indices, keys):
+            assert key == "".join(str((index >> q) & 1) for q in range(width))
+
+    def test_index_bits_shape_and_dtype(self):
+        rows = index_bits(np.arange(8), 3)
+        assert rows.dtype == np.uint8 and rows.shape == (8, 3)
+        assert rows[6].tolist() == [0, 1, 1]
+        assert index_bits(6, 3).shape == (1, 3)
+
+    def test_empty_batches(self):
+        assert bitstring_keys(np.zeros((0, 5), dtype=np.uint8)) == []
+        assert key_bits([], 5).shape == (0, 5)
+
+    def test_key_bits_truncates_ancilla_characters(self):
+        assert key_bits(["0110" + "1" * 70], 4).tolist() == [[0, 1, 1, 0]]
+
+    @pytest.mark.parametrize("keys", [["01"], ["0x1"], ["012"], ["", "011"]])
+    def test_key_bits_rejects_malformed_keys(self, keys):
+        with pytest.raises(ProblemError, match="binary digits"):
+            key_bits(keys, 3)
 
 
 class TestStatevectorOperations:
