@@ -21,8 +21,8 @@
 #                    (concurrency, ipdeterminism, deadcode).  The full scan
 #                    covers src/, tests/, benchmarks/, scripts/ and
 #                    examples/.  Zero findings or fail.
-#   coverage floor - CI gates the coverage run at --min 90 (measured 95.0%
-#                    on 2026-10-18); make coverage just prints the table.
+#   coverage floor - CI gates the coverage run at --min 90 (measured 94.9%
+#                    on 2026-10-19); make coverage just prints the table.
 #   bench-hotpath  - run the iteration-throughput benchmark (compiled vs
 #                    recompute-every-call) and refresh its perf-trajectory
 #                    file BENCH_iteration_throughput.json.

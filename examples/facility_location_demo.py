@@ -39,12 +39,14 @@ def main() -> None:
     print(f"problem size : {problem.num_variables} variables, {problem.num_constraints} constraints\n")
 
     options = EngineOptions(shots=256 if SMOKE else 4096, seed=1)
-    optimizer = CobylaOptimizer(max_iterations=10 if SMOKE else 80)
 
     _, optimal_value = problem.brute_force_optimum()
     rows = []
     best_plan = None
     for name, layers in LAYERS.items():
+        # HEA's 3 x 6 RY angles need COBYLA's minimum smoke budget of 18 + 2.
+        smoke_budget = 20 if name == "hea" else 10
+        optimizer = CobylaOptimizer(max_iterations=smoke_budget if SMOKE else 80)
         result = repro.solve(
             problem, solver=name, num_layers=layers, optimizer=optimizer, options=options
         )

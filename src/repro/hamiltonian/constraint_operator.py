@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.exceptions import HamiltonianError
 from repro.hamiltonian.pauli import PauliString, PauliSum, single_pauli
+from repro.qcircuit.statevector import index_bits
 
 
 def constraint_operator(coefficients: Sequence[float], num_qubits: int | None = None) -> PauliSum:
@@ -51,13 +52,13 @@ def constraint_operator_diagonal(
     coefficients = np.asarray(list(coefficients), dtype=float)
     num_qubits = len(coefficients) if num_qubits is None else num_qubits
     dim = 2**num_qubits
-    indices = np.arange(dim)
+    bits = index_bits(np.arange(dim), num_qubits)
     diagonal = np.zeros(dim, dtype=float)
     for qubit, coefficient in enumerate(coefficients):
         if coefficient == 0:
             continue
-        bits = (indices >> qubit) & 1
-        diagonal += coefficient * (1 - 2 * bits)
+        # int64 before the sign flip: 1 - 2 * bit wraps on uint8.
+        diagonal += coefficient * (1 - 2 * bits[:, qubit].astype(np.int64))
     return diagonal
 
 

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.exceptions import HamiltonianError
+from repro.qcircuit.statevector import index_bits
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -210,13 +211,13 @@ class PauliSum:
             raise HamiltonianError("PauliSum is not diagonal")
         dim = 2**self.num_qubits
         values = np.zeros(dim, dtype=complex)
-        indices = np.arange(dim)
+        bits = index_bits(np.arange(dim), self.num_qubits)
         for term in self._terms:
             sign = np.ones(dim)
             for qubit, ch in enumerate(term.label):
                 if ch == "Z":
-                    bit = (indices >> qubit) & 1
-                    sign = sign * (1 - 2 * bit)
+                    # int64 before the sign flip: 1 - 2 * bit wraps on uint8.
+                    sign = sign * (1 - 2 * bits[:, qubit].astype(np.int64))
             values = values + term.coefficient * sign
         return values
 

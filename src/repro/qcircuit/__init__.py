@@ -42,9 +42,7 @@ from repro.qcircuit.passes import (
 )
 from repro.qcircuit.sampling import (
     SampleResult,
-    combine_metadata,
     exact_distribution,
-    merge_results,
     subspace_exact_distribution,
 )
 from repro.qcircuit.statevector import (
@@ -96,13 +94,11 @@ __all__ = [
     "StatevectorSimulator",
     "TranspileOptions",
     "Transpiler",
-    "combine_metadata",
     "depth_after_transpile",
     "exact_distribution",
     "get_device_profile",
     "mcp_gate",
     "mcx_gate",
-    "merge_results",
     "state_support_size",
     "subspace_exact_distribution",
     "standard_gate",

@@ -205,7 +205,7 @@ class NoiseModel:
 
         ``trajectories`` independent noisy executions are simulated; the shot
         budget is divided between them *exactly* — the first ``shots mod
-        trajectories`` trajectories take one extra shot, so the merged
+        trajectories`` trajectories take one extra shot, so the summed
         histogram always carries ``shots`` samples (a trajectory whose share
         rounds to zero is skipped entirely).  Each trajectory inserts a
         random Pauli after every gate with the corresponding error
@@ -216,15 +216,16 @@ class NoiseModel:
         if trajectories < 1:
             raise NoiseModelError("trajectories must be positive")
         simulator = simulator or StatevectorSimulator(max_qubits=22)
-        result = SampleResult()
+        totals: dict[str, int] = {}
         for per_trajectory in split_shots(shots, trajectories):
             if per_trajectory == 0:
                 continue
             noisy_circuit = self._sample_noisy_circuit(circuit)
             state = simulator.statevector(noisy_circuit, initial_state=initial_state)
             counts = state.sample_counts(per_trajectory, rng=self._rng)
-            counts = self._apply_readout_error(counts)
-            result = result.merge(SampleResult.from_counts(counts))
+            for key, value in self._apply_readout_error(counts).items():
+                totals[key] = totals.get(key, 0) + value
+        result = SampleResult.from_counts(totals)
         self._check_shot_conservation(result, shots)
         return result
 

@@ -3,8 +3,9 @@
 Solvers interact with the simulator through :class:`SampleResult`, a
 histogram of measured bitstrings.  Helpers here turn probability vectors
 into shot histograms and the bit-assignment arrays the problem layer
-consumes, and merge histograms from the multiple circuit executions that the
-variable-elimination technique of Section IV-C requires.
+consumes, and split a shot budget over the multiple circuit executions that
+the variable-elimination technique of Section IV-C requires (and over the
+noise model's trajectories); each caller sums its partial histograms itself.
 
 Two state layouts feed this module:
 
@@ -19,16 +20,12 @@ Two state layouts feed this module:
 Either way the kept indices become ``(k, n)`` bit rows and all their keys
 come from one :func:`~repro.qcircuit.statevector.bitstring_keys` call, so
 downstream metrics code sees the exact same histogram format.
-
-Merging preserves ``metadata`` (combining values key-by-key; list values
-concatenate), so per-sub-circuit annotations such as the eliminated-variable
-assignments of the Opt3 pipeline survive :func:`merge_results`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -140,67 +137,8 @@ class SampleResult:
         rows = key_bits(keys, len(keys[0])).astype(int)
         return list(zip(rows, self.counts.values()))
 
-    def merge(self, other: "SampleResult") -> "SampleResult":
-        """Combine two histograms (used when merging eliminated-variable runs).
-
-        Counts add, shots add, and ``metadata`` from both operands is
-        combined via :func:`combine_metadata` so annotations such as the
-        Opt3 pipeline's eliminated-variable assignments are not lost.
-        """
-        merged = dict(self.counts)
-        for key, value in other.counts.items():
-            merged[key] = merged.get(key, 0) + value
-        return SampleResult(
-            counts=merged,
-            shots=self.shots + other.shots,
-            metadata=combine_metadata(self.metadata, other.metadata),
-        )
-
     def __len__(self) -> int:
         return len(self.counts)
-
-
-def combine_metadata(left: Mapping, right: Mapping) -> dict:
-    """Combine two metadata dictionaries without losing either side.
-
-    Keys unique to one side are kept as-is.  For a shared key, lists are
-    treated as collections (the convention used for per-sub-circuit
-    annotation lists): list values concatenate and a non-list value joins a
-    list as one element, so folding any number of results through
-    :func:`merge_results` always yields flat lists, never nested ones.
-    Equal non-list values collapse; conflicting ones are collected into a
-    list.  The collapse means the result can depend on merge grouping in
-    one corner — equal scalars later meeting a list — which the annotation
-    convention (every per-sub-circuit value is born as a list) avoids.
-    """
-    combined = dict(left)
-    for key, value in right.items():
-        if key not in combined:
-            combined[key] = value
-            continue
-        existing = combined[key]
-        if isinstance(existing, list) or isinstance(value, list):
-            as_list = lambda v: v if isinstance(v, list) else [v]  # noqa: E731
-            combined[key] = as_list(existing) + as_list(value)
-        elif not _values_equal(existing, value):
-            combined[key] = [existing, value]
-    return combined
-
-
-def _values_equal(left, right) -> bool:
-    """Equality that tolerates values without scalar ``==`` (numpy arrays)."""
-    try:
-        return bool(left == right)
-    except (TypeError, ValueError):
-        return bool(np.array_equal(left, right))
-
-
-def merge_results(results: Iterable[SampleResult]) -> SampleResult:
-    """Merge an iterable of histograms into one (metadata included)."""
-    merged = SampleResult()
-    for result in results:
-        merged = merged.merge(result)
-    return merged
 
 
 def subspace_exact_distribution(

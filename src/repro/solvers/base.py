@@ -14,7 +14,6 @@ accounting (Table II), and the latency breakdown (Fig. 11).
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -196,12 +195,13 @@ class SolverResult:
         )
 
 
-class QuantumSolver(abc.ABC):
-    """Abstract base class of every variational solver in the package.
+class QuantumSolver:
+    """Base class of every variational solver in the package.
 
     Subclasses name their frozen config dataclass in ``config_cls`` and the
     COBYLA iteration budget used when no optimizer is given in
-    ``default_max_iterations``; the constructor is shared.
+    ``default_max_iterations``, and define ``build_spec(problem)``; the
+    constructor and :meth:`solve` are shared.
     """
 
     name: str = "solver"
@@ -209,7 +209,7 @@ class QuantumSolver(abc.ABC):
     default_max_iterations: int = 100
 
     def __init__(self, config=None, optimizer=None, options=None) -> None:
-        # Imported here: both modules import this one.
+        # Imported here (and in solve): both modules import this one.
         from repro.solvers.optimizer import CobylaOptimizer
         from repro.solvers.variational import EngineOptions
 
@@ -228,9 +228,17 @@ class QuantumSolver(abc.ABC):
         )
         self.options = options or EngineOptions()
 
-    @abc.abstractmethod
     def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        """Run the full encode → optimize → sample pipeline on ``problem``."""
+        """Run the full encode → optimize → sample pipeline on ``problem``.
+
+        Runs the spec of the subclass's ``build_spec(problem)`` on a
+        :class:`~repro.solvers.variational.VariationalEngine`; the engine
+        folds ``spec.metadata`` into the result's metadata.
+        """
+        from repro.solvers.variational import VariationalEngine
+
+        engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
+        return engine.run(self.build_spec(problem), problem)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

@@ -24,7 +24,7 @@ workflow of Fig. 3 with the three optimisations of Section IV:
    depth accounting and noisy runs) and a fast simulation path.
 4. **Variable elimination** (Opt3, Section IV-C).  Optionally eliminate the
    variables with the most non-zeros across ``Delta``, running one (smaller)
-   circuit per assignment of the eliminated variables and merging the lifted
+   circuit per assignment of the eliminated variables and summing the lifted
    measurement histograms.  Every sub-instance has the same reduced
    constraint matrix, so the driver is built once per elimination plan and
    each sub-instance compiles its ansatz around it.
@@ -35,7 +35,10 @@ The ansatz for each (sub-)problem is
 
 with ``2 L`` trainable parameters, trained by COBYLA against the exact
 expectation of the objective Hamiltonian (the constraints need no penalty —
-the evolution cannot violate them).
+the evolution cannot violate them).  It is the layered ansatz both QAOA
+baselines share, built by :func:`~repro.solvers.variational.layered_ansatz`:
+Choco-Q supplies the objective terms, the feasible start bits, the commute
+driver and its decomposed (Opt2) or opaque local-unitary gates.
 
 Simulation runs on one of two interchangeable state backends (see
 ``ChocoQConfig.backend`` and :mod:`repro.solvers.variational`): ``dense``
@@ -65,10 +68,8 @@ from repro.core.variable_elimination import (
 )
 from repro.exceptions import SolverError
 from repro.hamiltonian.commute import CommuteDriver
-from repro.hamiltonian.compiled import EvolutionProgram
-from repro.hamiltonian.diagonal import phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.sampling import SampleResult, merge_results, split_shots
+from repro.qcircuit.sampling import SampleResult, split_shots
 from repro.qcircuit.statevector import bitstring_keys
 from repro.solvers.base import LatencyBreakdown, OptimizationTrace, QuantumSolver, SolverResult
 from repro.solvers.config import NoiseConfig, SolverConfig
@@ -77,7 +78,8 @@ from repro.solvers.variational import (
     AnsatzSpec,
     VariationalEngine,
     child_seed_sequence,
-    resolve_state_layout,
+    interleave,
+    layered_ansatz,
 )
 
 
@@ -223,79 +225,44 @@ class ChocoQSolver(QuantumSolver):
         cls, config: ChocoQConfig, problem: ConstrainedBinaryProblem, driver: CommuteDriver
     ) -> AnsatzSpec:
         """Compile the ansatz of ``problem`` around a ready ``driver``."""
-        num_qubits = problem.num_variables
-        objective = problem.minimization_objective()
+        register = range(problem.num_variables)
         initial_bits = problem_initial_assignment(problem)
+        if config.use_equivalent_decomposition:
+
+            def mix(circuit: QuantumCircuit, beta: float) -> None:
+                circuit.compose(driver.serialized_circuit(beta), qubits=register)
+
+        else:
+            from scipy.linalg import expm
+
+            def mix(circuit: QuantumCircuit, beta: float) -> None:
+                for term in driver.terms:
+                    circuit.unitary(
+                        expm(-1j * beta * term.local_matrix()), term.support, label="local_hc"
+                    )
+
         num_layers = config.num_layers
-        use_decomposition = config.use_equivalent_decomposition
-        # The backends share one ansatz loop; they differ only in the state
-        # layout and the hop sides it compiles.
-        layout = resolve_state_layout(
+        layers = np.arange(1, num_layers + 1)
+        return layered_ansatz(
+            cls.name,
             problem,
             config.backend,
             config.subspace_limit,
-            cost_terms=objective.terms,
+            cost_terms=problem.minimization_objective().terms,
             initial_bits=initial_bits,
             driver=driver,
+            mix=mix,
+            num_layers=num_layers,
+            initial_parameters=interleave(
+                0.4 * layers / num_layers, np.full(num_layers, np.pi / 4)
+            ),
+            metadata={
+                "initial_assignment": initial_bits,
+                "num_driver_terms": len(driver.terms),
+                "nullspace_mode": config.nullspace_mode,
+                "backend_requested": config.backend,
+            },
         )
-        # Compile once per prepare: every cost evaluation afterwards runs
-        # over cached hop sides with zero structural recomputation,
-        # broadcasting unchanged over the batched (k, 2L) sweep path.
-        evolve = EvolutionProgram(num_layers, layout.cost_diagonal, layout.pairings).bind(
-            layout.initial_state
-        )
-
-        def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
-            circuit = QuantumCircuit(num_qubits, name="choco_q")
-            for qubit, bit in enumerate(initial_bits):
-                if bit:
-                    circuit.x(qubit)
-            for layer in range(num_layers):
-                gamma = float(parameters[2 * layer])
-                beta = float(parameters[2 * layer + 1])
-                phase_circuit = phase_separation_circuit(objective.terms, num_qubits, gamma)
-                circuit.compose(phase_circuit, qubits=range(num_qubits))
-                if use_decomposition:
-                    driver_circuit = driver.serialized_circuit(beta)
-                    circuit.compose(driver_circuit, qubits=range(num_qubits))
-                else:
-                    from scipy.linalg import expm
-
-                    for term in driver.terms:
-                        circuit.unitary(
-                            expm(-1j * beta * term.local_matrix()),
-                            term.support,
-                            label="local_hc",
-                        )
-            return circuit
-
-        metadata = {
-            "num_layers": num_layers,
-            "initial_assignment": initial_bits,
-            "num_driver_terms": len(driver.terms),
-            "nullspace_mode": config.nullspace_mode,
-            "backend_requested": config.backend,
-        }
-        if layout.subspace_map is not None:
-            metadata["subspace_size"] = layout.subspace_map.size
-        return AnsatzSpec(
-            name=cls.name,
-            num_qubits=num_qubits,
-            initial_state=layout.initial_state,
-            cost_diagonal=layout.cost_diagonal,
-            evolve=evolve,
-            build_circuit=build_circuit,
-            initial_parameters=cls._initial_parameters(config),
-            metadata=metadata,
-            backend=layout.backend,
-        )
-
-    @staticmethod
-    def _initial_parameters(config: ChocoQConfig) -> np.ndarray:
-        layers = np.arange(1, config.num_layers + 1)
-        gammas = 0.4 * layers / config.num_layers
-        betas = np.full(config.num_layers, np.pi / 4)
-        return np.ravel(np.column_stack([gammas, betas]))
 
     # ------------------------------------------------------------------
     # Variable-elimination pipeline (Opt3)
@@ -375,19 +342,15 @@ class ChocoQSolver(QuantumSolver):
             sub_results.append(engine.run(spec, instance.problem))
 
         weight = 1.0 / plan.num_circuits
-        merged_counts: list[SampleResult] = []
+        merged_counts: dict[str, int] = {}
+        assignments: list[dict] = []
         merged_distribution: dict[str, float] = {}
         trace = OptimizationTrace()
         latency = LatencyBreakdown()
         for instance, shots, sub_result in zip(plan.instances, shot_allocation, sub_results):
             counts = sub_result.outcomes.counts
-            assignment = {"assignment": dict(instance.assignment), "shots": shots}
-            merged_counts.append(
-                SampleResult.from_counts(
-                    _accumulate({}, instance.lift_keys(counts), counts.values()),
-                    metadata={"eliminated_assignments": [assignment]},
-                )
-            )
+            _accumulate(merged_counts, instance.lift_keys(counts), counts.values())
+            assignments.append({"assignment": dict(instance.assignment), "shots": shots})
             distribution = sub_result.exact_distribution
             if distribution is not None:
                 _accumulate(
@@ -413,7 +376,9 @@ class ChocoQSolver(QuantumSolver):
         return SolverResult(
             solver_name=self.name,
             problem_name=problem.name,
-            outcomes=merge_results(merged_counts),
+            outcomes=SampleResult.from_counts(
+                merged_counts, metadata={"eliminated_assignments": assignments}
+            ),
             exact_distribution=merged_distribution or None,
             optimal_parameters=None,
             trace=trace,

@@ -29,6 +29,12 @@ permutation over ``O(|F_enc|)`` amplitudes (the unencoded constraints stay
 in the penalty objective, evaluated directly on the feasible basis).  For
 problems with no encodable chain the solver falls back to the dense layout —
 there is no invariant subspace to restrict to.
+
+The ansatz is the layered one Choco-Q and penalty QAOA share, built by
+:func:`~repro.solvers.variational.layered_ansatz`: this module supplies the
+(penalised) cost terms, the feasible start bits, the ring-hop driver (angle
+scale 2) with its RXX/RYY gates, and the
+:func:`~repro.solvers.variational.linear_ramp` start.
 """
 
 from __future__ import annotations
@@ -37,19 +43,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.encoding import default_penalty_weight, penalty_objective
 from repro.core.feasibility import problem_initial_assignment
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
-from repro.hamiltonian.compiled import EvolutionProgram
-from repro.hamiltonian.diagonal import phase_separation_circuit
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.solvers.base import QuantumSolver, SolverResult
+from repro.solvers.base import QuantumSolver
 from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.structure import memoized_spec
-from repro.solvers.variational import AnsatzSpec, VariationalEngine, resolve_state_layout
+from repro.solvers.variational import AnsatzSpec, layered_ansatz, linear_ramp
 
 
 def summation_chains(problem: ConstrainedBinaryProblem) -> tuple[list[list[int]], list[int]]:
@@ -127,23 +129,6 @@ class CyclicQAOASolver(QuantumSolver):
 
     # ------------------------------------------------------------------
 
-    def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        spec = self.build_spec(problem)
-        engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
-        # The engine folds spec.metadata (chains, penalty weight, subspace
-        # size) into the result's metadata.
-        return engine.run(spec, problem)
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _initial_parameters(config: CyclicQAOAConfig) -> np.ndarray:
-        num_layers = config.num_layers
-        layers = np.arange(1, num_layers + 1)
-        gammas = 0.7 * layers / num_layers
-        betas = 0.7 * (1.0 - layers / num_layers) + 0.1
-        return np.ravel(np.column_stack([gammas, betas]))
-
     def build_spec(self, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
         """The compiled :class:`AnsatzSpec` for one problem.
 
@@ -172,7 +157,6 @@ class CyclicQAOASolver(QuantumSolver):
     ) -> AnsatzSpec:
         """Compile the ring-driver ansatz of ``problem``."""
         num_qubits = problem.num_variables
-        num_layers = config.num_layers
         chains, unencoded = summation_chains(problem)
 
         # The objective Hamiltonian carries a penalty for whatever the driver
@@ -196,17 +180,15 @@ class CyclicQAOASolver(QuantumSolver):
             weight = 0.0
             cost_objective = problem.minimization_objective()
 
-        initial_bits = problem_initial_assignment(problem)
-
         # Each ring edge (a, b) contributes XX + YY = 2 * H_c(u) with
         # u = +1 on one qubit and -1 on the other.
+        edges = [edge for chain in chains for edge in chain_hop_edges(chain)]
         pair_terms: list[CommuteHamiltonianTerm] = []
-        for chain in chains:
-            for qubit_a, qubit_b in chain_hop_edges(chain):
-                u = [0] * num_qubits
-                u[qubit_a] = 1
-                u[qubit_b] = -1
-                pair_terms.append(CommuteHamiltonianTerm(tuple(u)))
+        for qubit_a, qubit_b in edges:
+            u = [0] * num_qubits
+            u[qubit_a] = 1
+            u[qubit_b] = -1
+            pair_terms.append(CommuteHamiltonianTerm(tuple(u)))
         driver = CommuteDriver(pair_terms) if pair_terms else None
 
         # The ring hops conserve exactly the encoded rows, so the invariant
@@ -227,58 +209,29 @@ class CyclicQAOASolver(QuantumSolver):
             ],
             name=f"{problem.name}-encoded",
         )
-        layout = resolve_state_layout(
+
+        def mix(circuit: QuantumCircuit, beta: float) -> None:
+            for qubit_a, qubit_b in edges:
+                circuit.rxx(2.0 * beta, qubit_a, qubit_b)
+                circuit.ryy(2.0 * beta, qubit_a, qubit_b)
+
+        # XX + YY = 2 H_c(u), so every ring hop evolves with angle 2*beta.
+        return layered_ansatz(
+            cls.name,
             encoded_problem,
             backend,
             config.subspace_limit,
             cost_terms=cost_objective.terms,
-            initial_bits=initial_bits,
+            initial_bits=problem_initial_assignment(problem),
             driver=driver,
-        )
-
-        # Compile once per prepare: XX + YY = 2 H_c(u), so every ring hop
-        # evolves with angle 2*beta (angle_scale).  One vector (2L,) or a
-        # batch (k, 2L): the program broadcasts over leading axes, so the
-        # same closure serves the optimizer loop and the vectorised
-        # parameter-sweep path.
-        program = EvolutionProgram(
-            num_layers, layout.cost_diagonal, layout.pairings, angle_scale=2.0
-        )
-        evolve = program.bind(layout.initial_state)
-
-        def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
-            circuit = QuantumCircuit(num_qubits, name="cyclic_qaoa")
-            for qubit, bit in enumerate(initial_bits):
-                if bit:
-                    circuit.x(qubit)
-            for layer in range(num_layers):
-                gamma = float(parameters[2 * layer])
-                beta = float(parameters[2 * layer + 1])
-                phase_circuit = phase_separation_circuit(cost_objective.terms, num_qubits, gamma)
-                circuit.compose(phase_circuit, qubits=range(num_qubits))
-                for chain in chains:
-                    for qubit_a, qubit_b in chain_hop_edges(chain):
-                        circuit.rxx(2.0 * beta, qubit_a, qubit_b)
-                        circuit.ryy(2.0 * beta, qubit_a, qubit_b)
-            return circuit
-
-        metadata = {
-            "num_layers": num_layers,
-            "encoded_chains": chains,
-            "unencoded_constraints": unencoded,
-            "penalty_weight": weight,
-            "backend_requested": config.backend,
-        }
-        if layout.subspace_map is not None:
-            metadata["subspace_size"] = layout.subspace_map.size
-        return AnsatzSpec(
-            name=cls.name,
-            num_qubits=num_qubits,
-            initial_state=layout.initial_state,
-            cost_diagonal=layout.cost_diagonal,
-            evolve=evolve,
-            build_circuit=build_circuit,
-            initial_parameters=cls._initial_parameters(config),
-            metadata=metadata,
-            backend=layout.backend,
+            mix=mix,
+            num_layers=config.num_layers,
+            initial_parameters=linear_ramp(config.num_layers),
+            metadata={
+                "encoded_chains": chains,
+                "unencoded_constraints": unencoded,
+                "penalty_weight": weight,
+                "backend_requested": config.backend,
+            },
+            angle_scale=2.0,
         )

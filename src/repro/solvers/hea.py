@@ -31,10 +31,11 @@ from repro.core.problem import ConstrainedBinaryProblem
 from repro.hamiltonian.commute import CommuteDriver
 from repro.hamiltonian.diagonal import polynomial_diagonal
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.solvers.base import QuantumSolver, SolverResult
+from repro.qcircuit.statevector import index_bits
+from repro.solvers.base import QuantumSolver
 from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.structure import memoized_spec, with_initial_parameters
-from repro.solvers.variational import AnsatzSpec, VariationalEngine
+from repro.solvers.variational import AnsatzSpec
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,6 @@ class HEASolver(QuantumSolver):
     name = "hea"
     config_cls = HEAConfig
     default_max_iterations = 200
-
-    def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
-        # The engine folds spec.metadata (penalty weight) into the result's
-        # metadata.
-        return engine.run(self.build_spec(problem), problem)
 
     def build_spec(self, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
         """The :class:`AnsatzSpec` for one problem, its hop sides built once.
@@ -105,10 +100,10 @@ class HEASolver(QuantumSolver):
         # the single-bit flip u = -e_j, resolved once here.
         pairings = CommuteDriver.from_solutions(-np.eye(num_qubits, dtype=int)).pairings()
         # The CZ chain is diagonal: -1 once per adjacent pair of set bits.
-        indices = np.arange(2**num_qubits)
+        bits = index_bits(np.arange(2**num_qubits), num_qubits)
         cz_chain_phase = np.ones(2**num_qubits, dtype=complex)
         for qubit in range(num_qubits - 1):
-            both_one = (((indices >> qubit) & 1) == 1) & (((indices >> (qubit + 1)) & 1) == 1)
+            both_one = (bits[:, qubit] == 1) & (bits[:, qubit + 1] == 1)
             cz_chain_phase[both_one] *= -1.0
         initial_state = np.eye(1, 2**num_qubits, 0, dtype=complex).ravel()
 

@@ -82,6 +82,14 @@ class CobylaOptimizer(Optimizer):
         self.rhobeg = rhobeg
 
     def _run(self, cost: CostFunction, initial: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        # SciPy would silently raise a smaller budget to this minimum (the
+        # initial simplex) and report the larger iteration count.
+        minimum = initial.size + 2
+        if self.max_iterations < minimum:
+            raise SolverError(
+                f"COBYLA needs max_iterations >= num_parameters + 2 = {minimum}, "
+                f"got {self.max_iterations}"
+            )
         result = scipy_optimize.minimize(
             cost,
             initial,

@@ -10,9 +10,11 @@ objective Hamiltonian, and the standard transverse-field mixer
 
 ``RX_j(2 beta) = e^{-i beta X_j}`` and ``X_j`` is the commute term
 ``H_c(u)`` of the single-bit flip ``u = -e_j``, so the mixer is a
-serialized commute driver and the simulation runs as the same compiled
-:class:`~repro.hamiltonian.compiled.EvolutionProgram` Choco-Q uses — which
-also gives the baseline the batched parameter-sweep path.
+serialized commute driver, and the ansatz is the layered one Choco-Q and
+cyclic QAOA share (:func:`~repro.solvers.variational.layered_ansatz`, with
+a uniform start): it runs as the same compiled
+:class:`~repro.hamiltonian.compiled.EvolutionProgram` — which also gives
+the baseline the batched parameter-sweep path.
 
 Two optional enhancements from the paper's comparison setup are included:
 
@@ -20,8 +22,10 @@ Two optional enhancements from the paper's comparison setup are included:
   QUBO to their locally best value and solve the reduced problem, boosting
   fidelity at the price of classical enumeration;
 * **Red-QAOA-style initial parameters** [45] — a linear ramp initialisation
-  of (gamma, beta) instead of random angles, which is the essence of the
-  parameter-initialisation optimisation that Red-QAOA contributes.
+  of (gamma, beta) (:func:`~repro.solvers.variational.linear_ramp`, the
+  cyclic baseline's start too) instead of random angles, which is the
+  essence of the parameter-initialisation optimisation that Red-QAOA
+  contributes.
 """
 
 from __future__ import annotations
@@ -34,13 +38,11 @@ from repro.core.encoding import default_penalty_weight, frozen_variables, penalt
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.exceptions import SolverError
 from repro.hamiltonian.commute import CommuteDriver
-from repro.hamiltonian.compiled import EvolutionProgram
-from repro.hamiltonian.diagonal import phase_separation_circuit, polynomial_diagonal
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.solvers.base import QuantumSolver, SolverResult
+from repro.solvers.base import QuantumSolver
 from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.structure import memoized_spec, with_initial_parameters
-from repro.solvers.variational import AnsatzSpec, VariationalEngine, uniform_state
+from repro.solvers.variational import AnsatzSpec, interleave, layered_ansatz, linear_ramp
 
 
 @dataclass(frozen=True)
@@ -77,24 +79,6 @@ class PenaltyQAOASolver(QuantumSolver):
     config_cls = PenaltyQAOAConfig
     default_max_iterations = 150
 
-    def solve(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        engine = VariationalEngine(self.optimizer, self.options, self.config.noise)
-        # The engine folds spec.metadata (penalty weight, frozen variables)
-        # into the result's metadata.
-        return engine.run(self.build_spec(problem), problem)
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _ramp_parameters(config: PenaltyQAOAConfig) -> np.ndarray:
-        """(gamma_1, beta_1, ..., gamma_L, beta_L) of the annealing-inspired ramp."""
-        # Red-QAOA-style annealing-inspired ramp: gamma grows, beta shrinks.
-        num_layers = config.num_layers
-        layers = np.arange(1, num_layers + 1)
-        gammas = 0.7 * layers / num_layers
-        betas = 0.7 * (1.0 - layers / num_layers) + 0.1
-        return np.ravel(np.column_stack([gammas, betas]))
-
     def build_spec(self, problem: ConstrainedBinaryProblem) -> AnsatzSpec:
         """The compiled :class:`AnsatzSpec` for one problem.
 
@@ -112,9 +96,13 @@ class PenaltyQAOASolver(QuantumSolver):
         if config.linear_ramp_init:
             return spec
         rng = np.random.default_rng(self.options.seed)
-        gammas = rng.uniform(0, np.pi, size=config.num_layers)
-        betas = rng.uniform(0, np.pi / 2, size=config.num_layers)
-        return with_initial_parameters(spec, np.ravel(np.column_stack([gammas, betas])))
+        return with_initial_parameters(
+            spec,
+            interleave(
+                rng.uniform(0, np.pi, size=config.num_layers),
+                rng.uniform(0, np.pi / 2, size=config.num_layers),
+            ),
+        )
 
     @classmethod
     def _compile_spec(
@@ -134,41 +122,24 @@ class PenaltyQAOASolver(QuantumSolver):
             else default_penalty_weight(problem)
         )
         qubo = penalty_objective(working_problem, weight)
-        num_qubits = problem.num_variables
-        num_layers = config.num_layers
-        cost_diagonal = polynomial_diagonal(qubo.terms, num_qubits)
+        register = range(problem.num_variables)
+
+        def mix(circuit: QuantumCircuit, beta: float) -> None:
+            for qubit in register:
+                circuit.rx(2.0 * beta, qubit)
+
         # H_c(-e_j) = X_j, so the transverse-field mixer prod_j e^{-i beta X_j}
         # is the serialized commute driver over the single-bit flips.
-        mixer = CommuteDriver.from_solutions(-np.eye(num_qubits, dtype=int))
-        initial_state = uniform_state(num_qubits)
-        evolve = EvolutionProgram(num_layers, cost_diagonal, mixer.pairings()).bind(
-            initial_state
-        )
-
-        def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
-            circuit = QuantumCircuit(num_qubits, name="penalty_qaoa")
-            for qubit in range(num_qubits):
-                circuit.h(qubit)
-            for layer in range(num_layers):
-                gamma = float(parameters[2 * layer])
-                beta = float(parameters[2 * layer + 1])
-                phase_circuit = phase_separation_circuit(qubo.terms, num_qubits, gamma)
-                circuit.compose(phase_circuit, qubits=range(num_qubits))
-                for qubit in range(num_qubits):
-                    circuit.rx(2.0 * beta, qubit)
-            return circuit
-
-        return AnsatzSpec(
-            name=cls.name,
-            num_qubits=num_qubits,
-            initial_state=initial_state,
-            cost_diagonal=cost_diagonal,
-            evolve=evolve,
-            build_circuit=build_circuit,
-            initial_parameters=cls._ramp_parameters(config),
-            metadata={
-                "num_layers": num_layers,
-                "penalty_weight": weight,
-                "frozen_variables": frozen,
-            },
+        return layered_ansatz(
+            cls.name,
+            problem,
+            "dense",
+            None,
+            cost_terms=qubo.terms,
+            initial_bits=None,
+            driver=CommuteDriver.from_solutions(-np.eye(problem.num_variables, dtype=int)),
+            mix=mix,
+            num_layers=config.num_layers,
+            initial_parameters=linear_ramp(config.num_layers),
+            metadata={"penalty_weight": weight, "frozen_variables": frozen},
         )

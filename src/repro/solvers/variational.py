@@ -27,10 +27,14 @@ implements the shared *how it runs*:
   ``initial_state`` and ``cost_diagonal`` must all live in the backend's
   layout; the backend converts final states to bitstring distributions and
   shot histograms.
-* :func:`resolve_state_layout` — the one dense-vs-subspace decision for the
-  commute-driver solvers (Choco-Q and cyclic QAOA): which map a ``dense``,
-  ``subspace`` or ``auto`` backend uses, and the :class:`StateLayout` built
-  on it — cost diagonal, initial state, state backend and per-term pairings.
+* :func:`layered_ansatz` — the one builder of the layered QAOA ansatz that
+  Choco-Q, cyclic QAOA and penalty QAOA share (paper §II-B, Fig. 3): a
+  start state, then ``L`` layers of the objective phase separator and a
+  driver.  It makes the one dense-vs-subspace decision (``dense``,
+  ``subspace`` or ``auto``), compiles the evolution program and emits the
+  matching circuit; each solver supplies only its cost terms, start bits,
+  driver, mixer gates and metadata.  :func:`interleave` and
+  :func:`linear_ramp` spell the ``(gamma_l, beta_l)`` parameter order.
 * :class:`VariationalEngine` — the run loop: measure compilation cost, drive
   the classical optimizer against the exact expectation value, then sample
   the optimal state (ideally or through the solver config's
@@ -56,7 +60,8 @@ from repro.core.problem import ConstrainedBinaryProblem
 from repro.core.subspace import SubspaceMap
 from repro.exceptions import SolverError
 from repro.hamiltonian.commute import CommuteDriver
-from repro.hamiltonian.diagonal import polynomial_diagonal
+from repro.hamiltonian.compiled import EvolutionProgram
+from repro.hamiltonian.diagonal import phase_separation_circuit, polynomial_diagonal
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.sampling import (
     SampleResult,
@@ -79,6 +84,8 @@ from repro.solvers.optimizer import Optimizer
 
 EvolveFunction = Callable[[np.ndarray], np.ndarray]
 CircuitBuilder = Callable[[np.ndarray], QuantumCircuit]
+#: Appends one layer's driver gates for angle ``beta`` to a circuit.
+MixerGates = Callable[[QuantumCircuit, float], None]
 
 #: Feasible-set size past which ``backend="auto"`` solvers abandon the
 #: subspace map and fall back to the dense statevector.  At 2^16 entries the
@@ -177,81 +184,6 @@ class SubspaceStateBackend(StateBackend):
 
 
 @dataclass(frozen=True)
-class StateLayout:
-    """Where a commute-driver ansatz evolves: the ``2^n`` basis or a subspace.
-
-    Built by :func:`resolve_state_layout`.  ``initial_state``,
-    ``cost_diagonal`` and the ``(a, b)`` hop sides of ``pairings`` (one
-    per driver term) all address the same vectors; ``backend`` measures them
-    (``None`` means dense, the engine's default).
-    """
-
-    initial_state: np.ndarray
-    cost_diagonal: np.ndarray
-    pairings: tuple[tuple, ...]
-    backend: SubspaceStateBackend | None = None
-
-    @property
-    def subspace_map(self) -> SubspaceMap | None:
-        return None if self.backend is None else self.backend.subspace_map
-
-
-def _choose_subspace_map(
-    problem: ConstrainedBinaryProblem, backend: str, subspace_limit: int | None
-) -> SubspaceMap | None:
-    """The feasible-subspace map a ``backend`` choice calls for, or None.
-
-    ``None`` means "run dense": either the choice says so, or ``auto``
-    found the feasible set past its fallback threshold while streaming the
-    enumeration (``subspace_limit``, or :data:`DEFAULT_SUBSPACE_AUTO_LIMIT`
-    when unset).
-    """
-    if backend == "dense":
-        return None
-    if backend == "subspace":
-        return SubspaceMap.from_problem(problem, limit=subspace_limit)
-    if subspace_limit is None:
-        subspace_limit = DEFAULT_SUBSPACE_AUTO_LIMIT
-    return SubspaceMap.try_from_problem(problem, limit=subspace_limit)
-
-
-def resolve_state_layout(
-    problem: ConstrainedBinaryProblem,
-    backend: str,
-    subspace_limit: int | None,
-    *,
-    cost_terms: Mapping[tuple[int, ...], float],
-    initial_bits: Sequence[int],
-    driver: CommuteDriver | None,
-) -> StateLayout:
-    """The dense-or-subspace :class:`StateLayout` of one commute-driver ansatz.
-
-    ``problem``'s constraints define the invariant subspace: every row the
-    driver conserves, and no other (cyclic QAOA passes only its encoded
-    rows).  ``cost_terms`` is the objective polynomial the phase separator
-    applies, ``initial_bits`` the feasible starting assignment, and
-    ``driver`` the hop terms (``None``: no hops, a pure phase sequence).
-    """
-    num_qubits = problem.num_variables
-    subspace_map = _choose_subspace_map(problem, backend, subspace_limit)
-    pairings = () if driver is None else driver.pairings(subspace_map)
-    if subspace_map is None:
-        return StateLayout(
-            initial_state=basis_state(num_qubits, initial_bits),
-            cost_diagonal=polynomial_diagonal(cost_terms, num_qubits),
-            pairings=pairings,
-        )
-    # Every per-iteration object has length |F|; nothing of size 2^n is
-    # materialised.
-    return StateLayout(
-        initial_state=subspace_map.basis_state(initial_bits),
-        cost_diagonal=subspace_map.evaluate_polynomial(cost_terms),
-        pairings=pairings,
-        backend=SubspaceStateBackend(subspace_map),
-    )
-
-
-@dataclass(frozen=True)
 class CompileReport:
     """The seed-free products of compiling a spec's reference circuit.
 
@@ -295,6 +227,126 @@ class AnsatzSpec:
     metadata: dict | None = None
     backend: StateBackend | None = None
     compile_reports: "dict[TranspileOptions, CompileReport] | None" = None
+
+
+def _choose_subspace_map(
+    problem: ConstrainedBinaryProblem, backend: str, subspace_limit: int | None
+) -> SubspaceMap | None:
+    """The feasible-subspace map a ``backend`` choice calls for, or None.
+
+    ``None`` means "run dense": either the choice says so, or ``auto``
+    found the feasible set past its fallback threshold while streaming the
+    enumeration (``subspace_limit``, or :data:`DEFAULT_SUBSPACE_AUTO_LIMIT`
+    when unset).
+    """
+    if backend == "dense":
+        return None
+    if backend == "subspace":
+        return SubspaceMap.from_problem(problem, limit=subspace_limit)
+    if subspace_limit is None:
+        subspace_limit = DEFAULT_SUBSPACE_AUTO_LIMIT
+    return SubspaceMap.try_from_problem(problem, limit=subspace_limit)
+
+
+def interleave(gammas, betas) -> np.ndarray:
+    """The layered parameter vector ``(gamma_1, beta_1, ..., gamma_L, beta_L)``."""
+    return np.ravel(np.column_stack([gammas, betas]))
+
+
+def linear_ramp(num_layers: int) -> np.ndarray:
+    """Annealing-inspired start over ``num_layers``: gamma grows, beta shrinks."""
+    layers = np.arange(1, num_layers + 1)
+    gammas = 0.7 * layers / num_layers
+    betas = 0.7 * (1.0 - layers / num_layers) + 0.1
+    return interleave(gammas, betas)
+
+
+def layered_ansatz(
+    name: str,
+    problem: ConstrainedBinaryProblem,
+    backend: str,
+    subspace_limit: int | None,
+    *,
+    cost_terms: Mapping[tuple[int, ...], float],
+    initial_bits: Sequence[int] | None,
+    driver: CommuteDriver | None,
+    mix: MixerGates,
+    num_layers: int,
+    initial_parameters: np.ndarray,
+    metadata: dict,
+    angle_scale: float = 1.0,
+) -> AnsatzSpec:
+    """The :class:`AnsatzSpec` of one layered QAOA ansatz.
+
+    A start state, then ``num_layers`` repetitions of the phase separator
+    ``e^{-i gamma_l H_o}`` of ``cost_terms`` and the driver with angle
+    ``beta_l``; parameters come as :func:`interleave` orders them.  The
+    start is the basis state of ``initial_bits`` (the circuit opens with X
+    on its set bits) or, for ``None``, the uniform superposition (H on
+    every qubit; dense only).
+
+    ``backend`` (``dense``, ``subspace`` or ``auto``) and ``subspace_limit``
+    choose the state layout.  ``problem``'s constraints define the invariant
+    subspace: every row the driver conserves, and no other (cyclic QAOA
+    passes only its encoded rows).  ``driver``'s hop terms, rotated by
+    ``angle_scale * beta_l``, make the simulated driver (``None``: no hops,
+    a pure phase sequence); ``mix(circuit, beta_l)`` appends its gates.  The
+    spec's metadata is ``num_layers``, then ``metadata``, then
+    ``subspace_size`` when a map is used.
+    """
+    num_qubits = problem.num_variables
+    subspace_map = _choose_subspace_map(problem, backend, subspace_limit)
+    if subspace_map is None:
+        initial_state = (
+            uniform_state(num_qubits)
+            if initial_bits is None
+            else basis_state(num_qubits, initial_bits)
+        )
+        cost_diagonal = polynomial_diagonal(cost_terms, num_qubits)
+    elif initial_bits is None:
+        raise SolverError("a uniform start state runs on the dense layout only")
+    else:
+        # Every per-iteration object has length |F|; nothing of size 2^n is
+        # materialised.
+        initial_state = subspace_map.basis_state(initial_bits)
+        cost_diagonal = subspace_map.evaluate_polynomial(cost_terms)
+    pairings = () if driver is None else driver.pairings(subspace_map)
+    # Compile once per prepare: every cost evaluation afterwards runs over
+    # cached hop sides, broadcasting unchanged over a (k, 2L) sweep batch.
+    evolve = EvolutionProgram(
+        num_layers, cost_diagonal, pairings, angle_scale=angle_scale
+    ).bind(initial_state)
+    register = range(num_qubits)
+
+    def build_circuit(parameters: np.ndarray) -> QuantumCircuit:
+        circuit = QuantumCircuit(num_qubits, name=name.replace("-", "_"))
+        for qubit in register:
+            if initial_bits is None:
+                circuit.h(qubit)
+            elif initial_bits[qubit]:
+                circuit.x(qubit)
+        for layer in range(num_layers):
+            gamma = float(parameters[2 * layer])
+            beta = float(parameters[2 * layer + 1])
+            phase_circuit = phase_separation_circuit(cost_terms, num_qubits, gamma)
+            circuit.compose(phase_circuit, qubits=register)
+            mix(circuit, beta)
+        return circuit
+
+    metadata = {"num_layers": num_layers, **metadata}
+    if subspace_map is not None:
+        metadata["subspace_size"] = subspace_map.size
+    return AnsatzSpec(
+        name=name,
+        num_qubits=num_qubits,
+        initial_state=initial_state,
+        cost_diagonal=cost_diagonal,
+        evolve=evolve,
+        build_circuit=build_circuit,
+        initial_parameters=initial_parameters,
+        metadata=metadata,
+        backend=None if subspace_map is None else SubspaceStateBackend(subspace_map),
+    )
 
 
 @dataclass

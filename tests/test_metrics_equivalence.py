@@ -122,10 +122,13 @@ def _all_keys(num_variables):
 @pytest.mark.parametrize("solver", ["penalty-qaoa", "hea", "choco-q"])
 def test_real_solve_distributions(name, solver):
     problem = resolve_benchmark(name)
+    # 8 evaluations, or COBYLA's minimum of num_parameters + 2 at the default
+    # layer counts (penalty QAOA 2 x 7, HEA 4 RY layers of n qubits).
+    num_parameters = {"penalty-qaoa": 14, "hea": 4 * problem.num_variables, "choco-q": 6}
     result = repro.solve(
         problem,
         solver,
-        optimizer=CobylaOptimizer(max_iterations=8),
+        optimizer=CobylaOptimizer(max_iterations=max(8, num_parameters[solver] + 2)),
         options=EngineOptions(shots=512, seed=5),
     )
     assert_scores_identical(problem, result.exact_distribution)

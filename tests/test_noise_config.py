@@ -169,9 +169,11 @@ class TestNoiseThreading:
         noise = NoiseConfig(device="osaka", mode="analytical")
 
         def run():
+            # 2 RY layers of 4 qubits: COBYLA's minimum budget is 8 + 2.
             return repro.solve(
                 paper_example_problem, solver="hea", num_layers=1, noise=noise,
-                optimizer=FAST_OPTIMIZER, options=EngineOptions(shots=128, seed=5),
+                optimizer=CobylaOptimizer(max_iterations=10),
+                options=EngineOptions(shots=128, seed=5),
             )
 
         first, second = run(), run()

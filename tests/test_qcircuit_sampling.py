@@ -8,9 +8,7 @@ import pytest
 from repro.core.subspace import SubspaceMap
 from repro.qcircuit.sampling import (
     SampleResult,
-    combine_metadata,
     exact_distribution,
-    merge_results,
     subspace_exact_distribution,
 )
 from repro.qcircuit.statevector import Statevector
@@ -37,62 +35,6 @@ class TestSampleResult:
         bits, count = result.assignments()[0]
         assert list(bits) == [1, 0]
         assert count == 4
-
-    def test_merge_adds_counts(self):
-        a = SampleResult.from_counts({"0": 5})
-        b = SampleResult.from_counts({"0": 2, "1": 3})
-        merged = a.merge(b)
-        assert merged.counts == {"0": 7, "1": 3}
-        assert merged.shots == 10
-
-    def test_merge_results_helper(self):
-        parts = [SampleResult.from_counts({"0": 1}) for _ in range(4)]
-        assert merge_results(parts).counts == {"0": 4}
-
-    def test_merge_preserves_metadata(self):
-        a = SampleResult.from_counts({"0": 5}, metadata={"origin": "sub-0"})
-        b = SampleResult.from_counts({"1": 3}, metadata={"shots_requested": 3})
-        merged = a.merge(b)
-        assert merged.metadata == {"origin": "sub-0", "shots_requested": 3}
-
-    def test_merge_concatenates_list_metadata(self):
-        a = SampleResult.from_counts(
-            {"0": 5}, metadata={"eliminated_assignments": [{"assignment": {0: 0}}]}
-        )
-        b = SampleResult.from_counts(
-            {"1": 3}, metadata={"eliminated_assignments": [{"assignment": {0: 1}}]}
-        )
-        merged = merge_results([a, b])
-        assert merged.metadata["eliminated_assignments"] == [
-            {"assignment": {0: 0}},
-            {"assignment": {0: 1}},
-        ]
-
-    def test_merge_collects_conflicting_scalars(self):
-        a = SampleResult.from_counts({"0": 1}, metadata={"tag": "left"})
-        b = SampleResult.from_counts({"1": 1}, metadata={"tag": "right"})
-        assert a.merge(b).metadata["tag"] == ["left", "right"]
-
-    def test_combine_metadata_keeps_equal_values(self):
-        assert combine_metadata({"k": 1}, {"k": 1}) == {"k": 1}
-
-    def test_merge_of_many_scalars_stays_flat(self):
-        """Folding conflicting scalars through merge_results must not nest."""
-        parts = [
-            SampleResult.from_counts({"0": 1}, metadata={"tag": tag})
-            for tag in ("a", "b", "c")
-        ]
-        assert merge_results(parts).metadata["tag"] == ["a", "b", "c"]
-
-    def test_combine_metadata_list_absorbs_scalar(self):
-        assert combine_metadata({"k": [1, 2]}, {"k": 3}) == {"k": [1, 2, 3]}
-        assert combine_metadata({"k": 1}, {"k": [2, 3]}) == {"k": [1, 2, 3]}
-
-    def test_combine_metadata_tolerates_numpy_arrays(self):
-        same = combine_metadata({"bias": np.array([1, 2])}, {"bias": np.array([1, 2])})
-        assert np.array_equal(same["bias"], np.array([1, 2]))
-        different = combine_metadata({"bias": np.array([1, 2])}, {"bias": np.array([3, 4])})
-        assert isinstance(different["bias"], list) and len(different["bias"]) == 2
 
     def test_empty_frequencies(self):
         assert SampleResult().frequencies() == {}

@@ -14,12 +14,20 @@ from repro.solvers.latency import LatencyModel
 from repro.solvers.optimizer import CobylaOptimizer
 from repro.hamiltonian.commute import CommuteDriver
 from repro.hamiltonian.compiled import EvolutionProgram
+from repro.exceptions import SolverError
+from repro.problems.benchmark_suite import make_benchmark
+from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
+from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
 from repro.solvers.hea import HEAConfig, HEASolver
+from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
 from repro.solvers.variational import (
     AnsatzSpec,
     EngineOptions,
     VariationalEngine,
     basis_state,
+    interleave,
+    layered_ansatz,
+    linear_ramp,
     uniform_state,
 )
 from repro.qcircuit.sampling import SampleResult
@@ -53,6 +61,60 @@ class TestStateHelpers:
         parameters = np.random.default_rng(4).uniform(-np.pi, np.pi, size=9)
         expected = simulator.statevector(spec.build_circuit(parameters)).data
         assert np.allclose(spec.evolve(parameters), expected, atol=1e-10)
+
+
+LAYERED_ANSATZE = {
+    "choco-q-dense": (ChocoQSolver, ChocoQConfig(num_layers=2)),
+    "choco-q-subspace": (ChocoQSolver, ChocoQConfig(num_layers=2, backend="subspace")),
+    "choco-q-no-opt2-dense": (
+        ChocoQSolver,
+        ChocoQConfig(num_layers=2, use_equivalent_decomposition=False),
+    ),
+    "choco-q-no-opt2-subspace": (
+        ChocoQSolver,
+        ChocoQConfig(num_layers=2, use_equivalent_decomposition=False, backend="subspace"),
+    ),
+    "cyclic-dense": (CyclicQAOASolver, CyclicQAOAConfig(num_layers=2)),
+    "cyclic-subspace": (CyclicQAOASolver, CyclicQAOAConfig(num_layers=2, backend="subspace")),
+    "penalty": (PenaltyQAOASolver, PenaltyQAOAConfig(num_layers=2)),
+}
+
+
+class TestLayeredAnsatz:
+    @pytest.mark.parametrize("name", ["F1", "G1", "K1"])
+    @pytest.mark.parametrize("ansatz", sorted(LAYERED_ANSATZE))
+    def test_circuit_state_matches_the_evolution(self, simulator, name, ansatz):
+        solver_cls, config = LAYERED_ANSATZE[ansatz]
+        spec = solver_cls(config=config).build_spec(make_benchmark(name))
+        spec = spec[0] if isinstance(spec, tuple) else spec
+        assert (spec.backend is not None) == ansatz.endswith("subspace")
+        parameters = np.random.default_rng(11).uniform(-np.pi, np.pi, size=4)
+        state = spec.evolve(parameters)
+        if spec.backend is not None:
+            state = spec.backend.subspace_map.lift_vector(state)
+        circuit_state = simulator.statevector(spec.build_circuit(parameters)).data
+        # Up to a global phase: the phase separator drops the constant term.
+        assert abs(np.vdot(circuit_state, state)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_parameter_order_and_ramp(self):
+        assert interleave([1.0, 2.0], [3.0, 4.0]).tolist() == [1.0, 3.0, 2.0, 4.0]
+        assert np.allclose(linear_ramp(2), [0.35, 0.45, 0.7, 0.1])
+
+    def test_uniform_start_is_dense_only(self, paper_example_problem):
+        with pytest.raises(SolverError, match="dense layout only"):
+            layered_ansatz(
+                "uniform",
+                paper_example_problem,
+                "subspace",
+                None,
+                cost_terms={},
+                initial_bits=None,
+                driver=None,
+                mix=lambda circuit, beta: None,
+                num_layers=1,
+                initial_parameters=np.zeros(2),
+                metadata={},
+            )
 
 
 def _toy_spec() -> AnsatzSpec:

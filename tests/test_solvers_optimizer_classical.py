@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import SolverError
 from repro.solvers.optimizer import (
     CobylaOptimizer,
@@ -41,6 +44,22 @@ class TestOptimizers:
     def test_invalid_iterations(self):
         with pytest.raises(SolverError):
             CobylaOptimizer(max_iterations=0)
+
+    def test_cobyla_rejects_a_budget_below_num_parameters_plus_two(self):
+        # SciPy would silently raise 3 to 4 and report 4 evaluations.
+        with pytest.raises(SolverError, match=r"num_parameters \+ 2 = 4, got 3"):
+            CobylaOptimizer(max_iterations=3).minimize(quadratic_bowl, [0.0, 0.0])
+
+    def test_cobyla_minimum_budget_runs_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CobylaOptimizer(max_iterations=4).minimize(quadratic_bowl, [0.0, 0.0])
+        assert result.num_iterations <= 4
+
+    def test_solve_rejects_a_budget_below_the_ansatz_minimum(self):
+        # HEA on F1 has 4 RY layers of 6 qubits: 24 parameters.
+        with pytest.raises(SolverError, match=r"= 26, got 8"):
+            repro.solve("F1", "hea", optimizer=CobylaOptimizer(max_iterations=8))
 
     def test_factory(self):
         assert isinstance(make_optimizer("cobyla"), CobylaOptimizer)

@@ -284,9 +284,12 @@ class TestWarmEqualsCold:
         ],
     )
     def test_baselines_draw_seeded_starts_per_call(self, solver, config):
+        # HEA's 3 x 8 RY angles need COBYLA's minimum budget of 24 + 2.
+        budget = 26 if solver == "hea" else 12
+
         def spec(seed):
             return RunSpec(solver=solver, benchmark="K1", config=config, seed=seed,
-                           shots=256, max_iterations=12)
+                           shots=256, max_iterations=budget)
 
         cold = _comparable(execute_spec(spec(5)))
         clear_structure_cache()
