@@ -20,13 +20,16 @@ Note that the conflict rows mix several vertices' variables across colors,
 which is exactly the "complex constraints sharing variables" regime where the
 cyclic-Hamiltonian baseline loses its encoding (Section III) and Choco-Q's
 generality pays off.
+
+Generated graphs are checked with a DSATUR greedy coloring implemented in
+this module (:func:`_dsatur_color_count`), so the generator needs nothing
+beyond NumPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
@@ -59,10 +62,14 @@ def random_graph_coloring(
 ) -> GraphColoringInstance:
     """Generate a random graph with ``num_edges`` edges that is k-colorable.
 
-    Edges are sampled without replacement from the complete graph, but only
-    edge sets whose graph is colorable with ``num_colors`` colors are kept
-    (checked with a greedy coloring / bipartiteness test), so the resulting
-    optimization problem always has a feasible assignment.  The color usage
+    Edges are sampled without replacement from the complete graph (for two
+    colors, only across a random split of the vertices, so the graph is
+    bipartite), and a draw is kept only when :func:`_dsatur_color_count`
+    colors it with at most ``num_colors`` colors, so the resulting
+    optimization problem always has a feasible assignment.  DSATUR
+    2-colors every bipartite graph, so a two-color draw is kept on its first
+    attempt.  After 200 rejected draws the generator raises
+    :class:`ProblemError`.  The color usage
     costs are small distinct integers so the optimum is generically unique.
     """
     if num_vertices < 2:
@@ -94,15 +101,7 @@ def random_graph_coloring(
             )
         chosen = rng.choice(len(candidates), size=num_edges, replace=False)
         edges = tuple(candidates[i] for i in sorted(chosen))
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_vertices))
-        graph.add_edges_from(edges)
-        if num_colors == 2:
-            colorable = nx.is_bipartite(graph)
-        else:
-            greedy = nx.coloring.greedy_color(graph, strategy="DSATUR")
-            colorable = (max(greedy.values(), default=0) + 1) <= num_colors
-        if colorable:
+        if _dsatur_color_count(num_vertices, edges) <= num_colors:
             return GraphColoringInstance(
                 num_vertices=num_vertices,
                 edges=edges,
@@ -112,6 +111,32 @@ def random_graph_coloring(
     raise ProblemError(
         f"failed to generate a {num_colors}-colorable graph with {num_edges} edges"
     )
+
+
+def _dsatur_color_count(num_vertices: int, edges: tuple[tuple[int, int], ...]) -> int:
+    """Number of colors the DSATUR greedy coloring uses on the graph.
+
+    The next vertex is the uncolored one with the most distinct neighbor
+    colors (saturation), then the highest degree, then the lowest index; it
+    gets the smallest color no neighbor has.  The tie-breaking is pinned:
+    a different vertex order can change the count, and with it which edge
+    draws :func:`random_graph_coloring` keeps.
+    """
+    neighbors: list[set[int]] = [set() for _ in range(num_vertices)]
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    seen: list[set[int]] = [set() for _ in range(num_vertices)]
+    uncolored = list(range(num_vertices))
+    count = 0
+    while uncolored:
+        vertex = max(uncolored, key=lambda w: (len(seen[w]), len(neighbors[w])))
+        uncolored.remove(vertex)
+        color = min(set(range(len(seen[vertex]) + 1)) - seen[vertex])
+        for w in neighbors[vertex]:
+            seen[w].add(color)
+        count = max(count, color + 1)
+    return count
 
 
 def variable_layout(instance: GraphColoringInstance) -> dict[str, int]:

@@ -1,0 +1,68 @@
+"""The package imports only the standard library and what ``setup.py`` declares.
+
+``setup.py`` declares ``install_requires`` (NumPy and SciPy); a clean
+install has nothing else.  An import of any other third-party module in
+``src/repro`` would make ``import repro`` fail there, so these tests scan
+every import statement of the package and import it with a blocked module.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "repro"
+
+
+def _install_requires() -> set[str]:
+    tree = ast.parse((REPO / "setup.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "install_requires":
+            return {ast.literal_eval(element) for element in node.value.elts}
+    raise AssertionError("setup.py declares no install_requires")
+
+
+def _imported_roots(path: pathlib.Path) -> set[str]:
+    roots: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_install_requires_is_numpy_and_scipy():
+    assert _install_requires() == {"numpy", "scipy"}
+
+
+def test_package_imports_only_stdlib_and_declared_requirements():
+    allowed = set(sys.stdlib_module_names) | {"repro"} | _install_requires()
+    undeclared = {
+        str(path.relative_to(REPO)): sorted(_imported_roots(path) - allowed)
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {path: roots for path, roots in undeclared.items() if roots} == {}
+
+
+def test_import_repro_without_networkx():
+    # ``sys.modules[name] = None`` makes any ``import name`` raise, as on an
+    # install that lacks the package.
+    environment = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; sys.modules['networkx'] = None; import repro; "
+            "repro.make_benchmark('G4', 0)",
+        ],
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

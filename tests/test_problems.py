@@ -21,6 +21,7 @@ from repro.problems.facility_location import (
     variable_layout as flp_layout,
 )
 from repro.problems.graph_coloring import (
+    _dsatur_color_count,
     coloring_from_assignment,
     graph_coloring_problem,
     is_proper_coloring,
@@ -115,6 +116,43 @@ class TestGraphColoring:
         assignment, _ = problem.brute_force_optimum()
         coloring = coloring_from_assignment(instance, assignment)
         assert is_proper_coloring(instance, coloring)
+
+    def test_gives_up_when_no_draw_is_colorable(self):
+        # Six edges on four vertices is K4, which needs four colors, so all
+        # 200 draws are rejected.
+        with pytest.raises(ProblemError, match="failed to generate a 3-colorable graph"):
+            random_graph_coloring(4, 6, num_colors=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "num_vertices, edges, expected",
+        [
+            (3, (), 1),
+            (4, ((0, 1), (1, 2), (2, 3)), 2),
+            (5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), 3),
+            (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 4),
+            (6, ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (2, 5)), 2),
+        ],
+        ids=["no-edges", "path", "odd-cycle", "K4", "bipartite"],
+    )
+    def test_dsatur_color_count_on_known_graphs(self, num_vertices, edges, expected):
+        assert _dsatur_color_count(num_vertices, edges) == expected
+
+    @pytest.mark.parametrize(
+        "num_vertices, edges",
+        [
+            # Breaking saturation ties by index alone uses four colors.
+            (6, ((0, 1), (0, 4), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5))),
+            # Ranking degree before saturation uses four colors.
+            (7, ((0, 1), (0, 5), (1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (2, 6),
+                 (3, 5), (4, 6), (5, 6))),
+            # Breaking full ties toward the highest index uses four colors.
+            (8, ((0, 1), (0, 2), (0, 3), (1, 3), (1, 6), (2, 3), (2, 4), (2, 7),
+                 (4, 6), (4, 7), (5, 6), (5, 7))),
+        ],
+        ids=["degree-breaks-saturation-ties", "saturation-before-degree", "lowest-index-last"],
+    )
+    def test_dsatur_tie_breaking_is_pinned(self, num_vertices, edges):
+        assert _dsatur_color_count(num_vertices, edges) == 3
 
     def test_objective_prefers_cheap_colors(self):
         instance = random_graph_coloring(3, 1, num_colors=2, seed=4)
