@@ -11,7 +11,6 @@ by a qubit limit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.exceptions import HamiltonianError, SimulationError
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
@@ -22,6 +21,8 @@ _MAX_DENSE_QUBITS = 14
 
 def dense_evolution_operator(hamiltonian: np.ndarray, time: float) -> np.ndarray:
     """The unitary ``e^{-i time H}`` for a dense Hermitian matrix ``H``."""
+    from scipy.linalg import expm
+
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     if hamiltonian.ndim != 2 or hamiltonian.shape[0] != hamiltonian.shape[1]:
         raise HamiltonianError("hamiltonian must be a square matrix")

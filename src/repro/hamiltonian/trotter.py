@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.exceptions import HamiltonianError
 from repro.hamiltonian.commute import CommuteDriver
@@ -79,6 +78,8 @@ class TrotterDecomposer:
                 f"Trotter decomposition of a {driver.num_qubits}-qubit driver exceeds "
                 f"the {self.max_qubits}-qubit limit (the conventional flow times out here)"
             )
+        from scipy.linalg import expm
+
         start = time.perf_counter()
         memory_bytes = 0
 
@@ -117,6 +118,8 @@ class TrotterDecomposer:
 
     def approximation_error(self, driver: CommuteDriver, beta: float) -> float:
         """Spectral-norm error between the exact and Trotterised unitaries."""
+        from scipy.linalg import expm
+
         from repro.hamiltonian.evolution import driver_evolution_operator
 
         exact = driver_evolution_operator(driver, beta)

@@ -424,6 +424,11 @@ _MULTISTART_SPAWN_KEY = 0x6D73  # "ms"
 #: sampling RNG.
 _NOISE_SPAWN_KEY = 0x6E7A  # "nz"
 
+#: Spawn-key component reserving an independent SeedSequence stream for a
+#: stochastic optimizer (SPSA's perturbations), so its trajectory is fixed
+#: by the run seed without perturbing the sampling RNG.
+_OPTIMIZER_SPAWN_KEY = 0x6F70  # "op"
+
 
 def child_seed_sequence(
     seed: "int | np.random.SeedSequence | None", key: int
@@ -433,8 +438,8 @@ def child_seed_sequence(
     Built explicitly — never via ``spawn()``, which advances a caller-owned
     sequence's child counter and would make repeated runs diverge.  The one
     derivation behind every reserved stream in the package: the multistart
-    candidate draws, the noise model, and the elimination pipeline's
-    per-sub-instance streams.
+    candidate draws, the noise model, the optimizer's draws, and the
+    elimination pipeline's per-sub-instance streams.
     """
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return np.random.SeedSequence(
@@ -558,7 +563,10 @@ class VariationalEngine:
         if self.options.multistart > 1:
             initial_parameters, multistart_metadata = self._pick_multistart_basin(spec)
 
-        optimizer_result = self.optimizer.minimize(cost, initial_parameters)
+        optimizer = self.optimizer.seeded(
+            child_seed_sequence(self.options.seed, _OPTIMIZER_SPAWN_KEY)
+        )
+        optimizer_result = optimizer.minimize(cost, initial_parameters)
         classical_seconds = time.perf_counter() - classical_start
 
         # ---- final state and sampling -----------------------------------

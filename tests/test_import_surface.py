@@ -4,11 +4,16 @@
 install has nothing else.  An import of any other third-party module in
 ``src/repro`` would make ``import repro`` fail there, so these tests scan
 every import statement of the package and import it with a blocked module.
+
+They also pin the cold-start surface: ``import repro`` and a COBYLA solve
+load neither ``scipy.optimize`` nor ``scipy.linalg`` (about 40 MB and half a
+second of every process's start).
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -66,3 +71,41 @@ def test_import_repro_without_networkx():
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_solves_leave_out_scipy_optimize_and_linalg():
+    # COBYLA runs PRIMA's core without scipy.optimize, and expm is imported
+    # only by the reference routines; Nelder-Mead imports scipy.optimize
+    # when it runs.
+    script = """
+import json, sys
+import repro
+from repro.solvers.optimizer import NelderMeadOptimizer
+
+def heavy():
+    return sorted(n for n in ("scipy.optimize", "scipy.linalg") if n in sys.modules)
+
+stages = {"import": heavy()}
+repro.solve("K1", "choco-q", backend="subspace")
+stages["choco-q subspace K1"] = heavy()
+repro.solve("F1", "penalty-qaoa")
+stages["penalty F1"] = heavy()
+result = NelderMeadOptimizer(max_iterations=50).minimize(lambda x: float((x ** 2).sum()), [1.0, 1.0])
+stages["nelder-mead"] = result.cost < 1.0
+print(json.dumps(stages))
+"""
+    environment = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout) == {
+        "import": [],
+        "choco-q subspace K1": [],
+        "penalty F1": [],
+        "nelder-mead": True,
+    }
