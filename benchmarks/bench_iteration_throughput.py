@@ -12,9 +12,9 @@ This benchmark times one full cost evaluation (ansatz evolution +
 probability reduction + diagonal expectation) per backend and path:
 
 * ``*_recompute`` — the structure-per-call paths: the dense one rebuilds
-  :func:`~repro.hamiltonian.commute.dense_term_pairing` per term and call,
-  the subspace one runs
-  :func:`~repro.hamiltonian.commute.subspace_pairing_loop` per term and call,
+  the int64 ``dense_term_pairing`` per term and call, the subspace one runs
+  the per-row ``subspace_pairing_loop`` per term and call (both are the
+  test suite's references, imported from ``tests/reference.py``),
   and both re-factor the cost diagonal's level table
   (:func:`~repro.hamiltonian.compiled.diagonal_levels`) per call;
 * ``*_compiled``  — the same arithmetic over the program's cached hop
@@ -42,6 +42,9 @@ pytest-benchmark
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 
 from harness import (
@@ -51,11 +54,12 @@ from harness import (
     write_bench_json,
 )
 
-from repro.hamiltonian.commute import (
-    dense_term_pairing,
-    rotate_pairs_cs,
-    subspace_pairing_loop,
-)
+# The recompute paths run the test suite's int64 reference pairings, both as
+# a script and under pytest.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from reference import dense_term_pairing, subspace_pairing_loop  # noqa: E402
+
+from repro.hamiltonian.commute import rotate_pairs_cs
 from repro.hamiltonian.compiled import (
     apply_diagonal_phase,
     diagonal_levels,

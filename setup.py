@@ -6,6 +6,9 @@ PEP 660 editable installs (``pip install -e .`` with build isolation) cannot
 build an editable wheel; ``pip install --no-use-pep517 -e .`` takes the
 legacy editable path through this file.  ``python setup.py --name`` prints
 the package name without building anything.
+
+SciPy 1.16 is the first release that ships PRIMA's COBYLA core
+(``scipy/_lib/pyprima``), which :mod:`repro.solvers.optimizer` loads at import.
 """
 
 from setuptools import find_packages, setup
@@ -14,5 +17,5 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy", "scipy>=1.16"],
 )

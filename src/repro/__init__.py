@@ -39,7 +39,7 @@ Package layout:
 
 * :mod:`repro.core`        — problem model, constraint machinery, metrics
 * :mod:`repro.qcircuit`    — circuit IR, statevector simulator, transpiler, noise
-* :mod:`repro.hamiltonian` — Pauli algebra, commute Hamiltonians, Trotter baseline
+* :mod:`repro.hamiltonian` — commute Hamiltonians, compiled evolution, Trotter baseline
 * :mod:`repro.solvers`     — Choco-Q, penalty QAOA, cyclic QAOA, HEA
 * :mod:`repro.run`         — solver registry, ``solve`` facade, batch runner
 * :mod:`repro.problems`    — FLP / GCP / KPP generators and the benchmark suite

@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.feasibility import iter_feasible_assignments
 from repro.core.problem import evaluate_polynomial
 from repro.exceptions import InfeasibleError, ProblemError, SubspaceOverflowError
-from repro.qcircuit.statevector import bitstring_keys
+from repro.qcircuit.statevector import bits_index, bitstring_keys
 
 #: Chunk size (rows) of the streaming basis accumulator.  Large enough that
 #: block bookkeeping is negligible, small enough that a map which overflows
@@ -272,8 +272,7 @@ class SubspaceMap:
         """Dense basis index of every coordinate (requires a small register)."""
         if self.num_variables > 62:
             raise ProblemError("dense basis indices overflow beyond 62 qubits")
-        weights = (1 << np.arange(self.num_variables)).astype(np.int64)
-        return self.basis.astype(np.int64) @ weights
+        return bits_index(self.basis)
 
     # ------------------------------------------------------------------
     # Vectors and diagonals
@@ -303,19 +302,6 @@ class SubspaceMap:
             return self.basis[:, variable]
 
         return evaluate_polynomial(terms, self.size, column)
-
-    def restrict_diagonal(self, diagonal: np.ndarray) -> np.ndarray:
-        """Gather a dense ``2^n`` diagonal onto the feasible coordinates.
-
-        A diagonal operator's restriction to the span of the feasible basis
-        states is exactly this sub-vector.  For large registers prefer
-        :meth:`evaluate_polynomial`, which never materialises the ``2^n``
-        vector.
-        """
-        diagonal = np.asarray(diagonal)
-        if diagonal.shape != (2**self.num_variables,):
-            raise ProblemError("diagonal length must be 2^num_variables")
-        return diagonal[self.full_indices()]
 
     def lift_vector(self, sub_state: np.ndarray) -> np.ndarray:
         """Scatter a subspace vector into the dense ``2^n`` statevector."""

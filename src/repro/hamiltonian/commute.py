@@ -20,8 +20,7 @@ Each term has three representations:
 1. its hop pairing — the ``(a, b)`` sides of the basis states the exact
    2x2 rotation ``e^{-i beta H_c(u)}`` mixes, applied by
    :func:`rotate_pairs_cs`.  ``dense_sides`` keys strided views of the
-   ``(2,)*n`` qubit tensor (:func:`dense_term_pairing` is their int64
-   reference); ``subspace_pairing`` indexes the coordinates of a
+   ``(2,)*n`` qubit tensor; ``subspace_pairing`` indexes the coordinates of a
    feasible :class:`~repro.core.subspace.SubspaceMap`, so the rotation runs
    over ``O(|F|)`` amplitudes instead of ``O(2^n)``.  Valid because every
    ``H_c(u)`` maps feasible basis states to feasible basis states
@@ -33,9 +32,11 @@ Each term has three representations:
    pairings once per solver prepare and is the only simulation path;
 2. ``decomposed_circuit`` — the Lemma-2 gate sequence (used for depth
    accounting, noisy execution and deployment);
-3. ``to_matrix`` / ``local_matrix`` / ``to_pauli_sum`` — dense and Pauli
-   forms (used by the verification tests, the Opt2-off ablation circuit
-   and the Trotter baseline).
+3. ``to_matrix`` / ``local_matrix`` — dense matrices (used by the
+   verification tests, the Opt2-off ablation circuit and the Trotter
+   baseline).  The constraint operator ``C_hat`` of Eq. (3) is diagonal,
+   so :meth:`CommuteDriver.commutes_with_constraint` checks Theorem 1's
+   ``[H_c(u), C_hat] = 0`` on these matrices directly.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import HamiltonianError
-from repro.hamiltonian.pauli import PauliString, PauliSum
 from repro.qcircuit.circuit import QuantumCircuit
+from repro.qcircuit.statevector import bits_index
 
 _SIGMA = {
     +1: np.array([[0, 0], [1, 0]], dtype=complex),  # raises |0> -> |1>
@@ -126,21 +127,6 @@ class CommuteHamiltonianTerm:
             for flip in (0, 1)
         )
 
-    # Masks over the full register used by the reference dense pairing.
-    @cached_property
-    def _support_mask(self) -> int:
-        mask = 0
-        for qubit in self.support:
-            mask |= 1 << qubit
-        return mask
-
-    @cached_property
-    def _v_pattern(self) -> int:
-        pattern = 0
-        for qubit, bit in zip(self.support, self.v_bits):
-            pattern |= bit << qubit
-        return pattern
-
     # ------------------------------------------------------------------
     # Operator representations
     # ------------------------------------------------------------------
@@ -159,40 +145,6 @@ class CommuteHamiltonianTerm:
         """
         return _hop_matrix(self.u[qubit] for qubit in self.support)
 
-    def to_pauli_sum(self) -> PauliSum:
-        """Expand ``H_c(u)`` into Pauli strings.
-
-        Uses ``sigma^{+1} = (X - iY)/2`` and ``sigma^{-1} = (X + iY)/2``; the
-        expansion has ``2^{|support|}`` terms, so it is intended for
-        verification on small supports (commutation checks with the
-        constraint operator).
-        """
-        expansions: list[list[PauliString]] = []
-        n = self.num_qubits
-        for qubit, entry in enumerate(self.u):
-            if entry == 0:
-                continue
-            x_term = PauliString(
-                "".join("X" if i == qubit else "I" for i in range(n)), 0.5
-            )
-            y_sign = -1j if entry == +1 else 1j
-            y_term = PauliString(
-                "".join("Y" if i == qubit else "I" for i in range(n)), 0.5 * y_sign
-            )
-            expansions.append([x_term, y_term])
-        # Multiply out the tensor factors.
-        products: list[PauliString] = [PauliString("I" * n, 1.0)]
-        for factor in expansions:
-            products = [p * f for p in products for f in factor]
-        total = PauliSum(products, num_qubits=n)
-        # Add the Hermitian conjugate: conjugating each coefficient works
-        # because the labels themselves are Hermitian.
-        conjugate = PauliSum(
-            [PauliString(t.label, np.conj(t.coefficient)) for t in total.terms],
-            num_qubits=n,
-        )
-        return (total + conjugate).simplify()
-
     def eigenstate(self, sign: int) -> np.ndarray:
         """The dense eigenstate ``|x+->`` (sign=+1) or ``|x-->`` (sign=-1).
 
@@ -200,10 +152,10 @@ class CommuteHamiltonianTerm:
         """
         if sign not in (+1, -1):
             raise HamiltonianError("sign must be +1 or -1")
-        dim = 2**self.num_qubits
-        state = np.zeros(dim, dtype=complex)
-        state[self._v_pattern] = 1 / math.sqrt(2)
-        state[self._v_pattern ^ self._support_mask] = sign / math.sqrt(2)
+        rows = np.zeros((2, self.num_qubits), dtype=np.int64)
+        rows[:, list(self.support)] = (self.v_bits, self.v_bar_bits)
+        state = np.zeros(2**self.num_qubits, dtype=complex)
+        state[bits_index(rows)] = (1 / math.sqrt(2), sign / math.sqrt(2))
         return state
 
     # ------------------------------------------------------------------
@@ -226,9 +178,7 @@ class CommuteHamiltonianTerm:
         Fully vectorised: all partner rows are built in one scatter and
         resolved to coordinates by one batched search of the map's sorted
         row-key index (:meth:`SubspaceMap.coordinates_of_rows
-        <repro.core.subspace.SubspaceMap.coordinates_of_rows>`), replacing
-        the per-row lookup loop kept as :func:`subspace_pairing_loop` for
-        the throughput benchmark.
+        <repro.core.subspace.SubspaceMap.coordinates_of_rows>`).
         """
         basis = subspace_map.basis
         support = np.array(self.support, dtype=np.intp)
@@ -310,59 +260,6 @@ class CommuteHamiltonianTerm:
             circuit.mcp(beta, controls, target)
         circuit.compose(g_circuit.inverse(), qubits=range(register_size))
         return circuit
-
-
-def dense_term_pairing(term: CommuteHamiltonianTerm) -> tuple[np.ndarray, np.ndarray]:
-    """The dense ``(a, b)`` hop index pair of one commute term.
-
-    ``a`` enumerates the basis indices whose support bits read ``v`` and
-    ``b = a XOR support_mask`` their ``v̄`` partners.  The int64
-    gather/scatter reference for :meth:`CommuteHamiltonianTerm.dense_sides`,
-    which the tests and the iteration-throughput benchmark compare against.
-    """
-    indices = np.arange(2**term.num_qubits)
-    in_v = (indices & term._support_mask) == term._v_pattern
-    a_indices = indices[in_v]
-    b_indices = a_indices ^ term._support_mask
-    return a_indices, b_indices
-
-
-def subspace_pairing_loop(
-    term: CommuteHamiltonianTerm, subspace_map
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row reference implementation of :meth:`~CommuteHamiltonianTerm.subspace_pairing`.
-
-    The pre-vectorisation pairing: a Python loop doing one single-row
-    ``coordinate_of`` lookup per ``v``-side row.  Kept callable so the iteration-throughput
-    benchmark can measure the recompute-every-call path it replaced, and so
-    the equivalence tests can pin the vectorised pairing against it
-    element for element.
-    """
-    basis = subspace_map.basis
-    support = np.array(term.support, dtype=int)
-    v_bits = np.array(term.v_bits, dtype=np.uint8)
-    in_v = np.all(basis[:, support] == v_bits, axis=1)
-    in_v_bar = np.all(basis[:, support] == 1 - v_bits, axis=1)
-    a_coordinates = np.nonzero(in_v)[0]
-    b_coordinates = np.empty(len(a_coordinates), dtype=int)
-    for k, coordinate in enumerate(a_coordinates):
-        partner = basis[coordinate].copy()
-        partner[support] = 1 - v_bits
-        try:
-            b_coordinates[k] = subspace_map.coordinate_of(partner)
-        except Exception as error:
-            raise HamiltonianError(
-                "the hop partner of a feasible state is missing from the "
-                "subspace map; the term's u vector is not a nullspace "
-                "solution of the map's constraint system"
-            ) from error
-    if int(np.count_nonzero(in_v_bar)) != len(a_coordinates):
-        raise HamiltonianError(
-            "a feasible state matching the v̄ pattern has no feasible hop "
-            "partner; the term's u vector is not a nullspace solution of "
-            "the map's constraint system"
-        )
-    return a_coordinates, b_coordinates
 
 
 def rotate_pairs_cs(state: np.ndarray, cos_b, sin_b, a_side, b_side) -> None:
@@ -450,12 +347,6 @@ class CommuteDriver:
         for term in self.terms:
             matrix += term.to_matrix()
         return matrix
-
-    def to_pauli_sum(self) -> PauliSum:
-        total = PauliSum([], num_qubits=self.num_qubits)
-        for term in self.terms:
-            total = total + term.to_pauli_sum()
-        return total.simplify()
 
     # ------------------------------------------------------------------
 

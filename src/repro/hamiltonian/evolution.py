@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.exceptions import HamiltonianError, SimulationError
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
-from repro.hamiltonian.pauli import PauliSum
 
 _MAX_DENSE_QUBITS = 14
 
@@ -27,16 +26,6 @@ def dense_evolution_operator(hamiltonian: np.ndarray, time: float) -> np.ndarray
     if hamiltonian.ndim != 2 or hamiltonian.shape[0] != hamiltonian.shape[1]:
         raise HamiltonianError("hamiltonian must be a square matrix")
     return expm(-1j * time * hamiltonian)
-
-
-def pauli_sum_evolution(pauli_sum: PauliSum, time: float) -> np.ndarray:
-    """Exact unitary of a Pauli-sum Hamiltonian (dense)."""
-    if pauli_sum.num_qubits > _MAX_DENSE_QUBITS:
-        raise SimulationError(
-            f"dense evolution limited to {_MAX_DENSE_QUBITS} qubits, "
-            f"got {pauli_sum.num_qubits}"
-        )
-    return dense_evolution_operator(pauli_sum.to_matrix(), time)
 
 
 def term_evolution_operator(term: CommuteHamiltonianTerm, beta: float) -> np.ndarray:

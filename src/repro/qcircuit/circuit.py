@@ -17,7 +17,6 @@ least-significant bit of a computational basis index, so the basis state
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -251,9 +250,6 @@ class QuantumCircuit:
                 continue
             inverted.append(instruction.gate.inverse(), instruction.qubits)
         return inverted
-
-    def deepcopy(self) -> "QuantumCircuit":
-        return copy.deepcopy(self)
 
     # ------------------------------------------------------------------
     # Accounting

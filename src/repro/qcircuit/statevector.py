@@ -9,8 +9,8 @@ touches.
 
 Qubit ordering is little-endian (qubit 0 = least significant bit), matching
 the rest of the package.  The bit-row codec here (:func:`index_bits`,
-:func:`bitstring_keys`, :func:`key_bits`) is the one place that order is
-spelled out: column ``q`` of a ``(k, n)`` 0/1 row, character ``q`` of a
+:func:`bits_index`, :func:`bitstring_keys`, :func:`key_bits`) is the one
+place that order is spelled out: column ``q`` of a ``(k, n)`` 0/1 row, character ``q`` of a
 histogram key and bit ``q`` of a basis index are all qubit ``q``.  The simulator also records intermediate "snapshot"
 statistics used by the parallelism analysis of Fig. 9(b): the number of
 computational basis states with non-negligible amplitude after each gate.
@@ -70,6 +70,15 @@ def index_bits(indices, num_qubits: int) -> np.ndarray:
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     return ((indices[:, None] >> np.arange(num_qubits)) & 1).astype(np.uint8)
+
+
+def bits_index(bits) -> np.ndarray:
+    """Basis index of each 0/1 bit row (last axis): the inverse of :func:`index_bits`.
+
+    One row gives a 0-d index.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64))
 
 
 def bitstring_keys(bits: np.ndarray) -> list[str]:
@@ -136,13 +145,11 @@ class Statevector:
     def from_bitstring(cls, bits: Sequence[int]) -> "Statevector":
         """Build a basis state from a bit assignment ``bits[i]`` for qubit i."""
         num_qubits = len(bits)
-        index = 0
-        for qubit, bit in enumerate(bits):
+        for bit in bits:
             if bit not in (0, 1):
                 raise SimulationError(f"bit values must be 0/1, got {bit!r}")
-            index |= int(bit) << qubit
         data = np.zeros(2**num_qubits, dtype=complex)
-        data[index] = 1.0
+        data[bits_index(bits)] = 1.0
         return cls(data=data, num_qubits=num_qubits)
 
     @classmethod

@@ -44,7 +44,7 @@ from repro.run.registry import make_solver
 from repro.serialization import json_sanitize
 from repro.solvers.base import SolverResult
 from repro.solvers.optimizer import make_optimizer
-from repro.solvers.variational import EngineOptions
+from repro.solvers.variational import EngineOptions, child_seed_sequence
 
 #: Spec fields that identify the computation (everything except ``label``,
 #: which is presentation-only and excluded from the content hash).
@@ -75,6 +75,8 @@ class RunSpec:
     name, config instance) are one spec with one content hash — and cached
     noisy and noiseless runs of otherwise identical specs never collide.
     It is the one spelling: a ``noise`` key inside ``config`` is rejected.
+    ``solver`` is lowercased on construction, as the registry looks it up,
+    so ``"Choco-Q"`` and ``"choco-q"`` are one spec with one content hash.
     """
 
     solver: str
@@ -91,6 +93,8 @@ class RunSpec:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.solver, str):
+            object.__setattr__(self, "solver", self.solver.lower())
         if self.config and "noise" in self.config:
             # Two spellings of one run would get two content hashes (and two
             # store entries), and the override below would silently win.
@@ -224,16 +228,15 @@ class ExperimentPlan:
     def resolved_specs(self) -> list[RunSpec]:
         """Specs with every ``seed=None`` replaced by a derived seed.
 
-        Derivation mirrors ``SeedSequence.spawn`` without mutating any shared
-        sequence: child ``i`` is ``SeedSequence(entropy=base_seed,
-        spawn_key=(i,))``, collapsed to one integer.  The seed depends only
+        Child ``i`` is :func:`~repro.solvers.variational.child_seed_sequence`
+        ``(base_seed, i)``, collapsed to one integer.  The seed depends only
         on ``(base_seed, position)``, so parallel and sequential executions
         of the same plan are seeded identically.
         """
         resolved = []
         for index, spec in enumerate(self.specs):
             if spec.seed is None:
-                child = np.random.SeedSequence(entropy=self.base_seed, spawn_key=(index,))
+                child = child_seed_sequence(self.base_seed, index)
                 derived = int(child.generate_state(1, np.uint64)[0])
                 spec = RunSpec(**{**spec.to_dict(), "seed": derived})
             resolved.append(spec)

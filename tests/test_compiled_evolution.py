@@ -25,6 +25,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference import dense_term_pairing, subspace_pairing_loop
 from solver_factories import make_chocoq_solver, make_cyclic_solver, make_one_hot_problem
 from repro.core.subspace import SubspaceMap
 from repro.exceptions import (
@@ -32,13 +33,7 @@ from repro.exceptions import (
     InfeasibleError,
     ProblemError,
 )
-from repro.hamiltonian.commute import (
-    CommuteDriver,
-    CommuteHamiltonianTerm,
-    dense_term_pairing,
-    rotate_pairs_cs,
-    subspace_pairing_loop,
-)
+from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm, rotate_pairs_cs
 from repro.hamiltonian.compiled import (
     EvolutionProgram,
     apply_diagonal_phase,

@@ -17,12 +17,8 @@ from repro.exceptions import (
     ProblemError,
     SubspaceOverflowError,
 )
-from repro.hamiltonian.commute import (
-    CommuteDriver,
-    CommuteHamiltonianTerm,
-    dense_term_pairing,
-    rotate_pairs_cs,
-)
+from reference import dense_term_pairing
+from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm, rotate_pairs_cs
 from repro.hamiltonian.compiled import EvolutionProgram
 from repro.hamiltonian.diagonal import polynomial_diagonal
 from repro.problems.benchmark_suite import SCALE_NAMES, make_benchmark

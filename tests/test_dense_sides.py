@@ -4,7 +4,7 @@
 term's ``v`` and ``v̄`` sides into the state viewed as ``(2,)*n``, and an
 :class:`~repro.hamiltonian.compiled.EvolutionProgram` over those keys
 rotates strided views instead of gathering through
-:func:`~repro.hamiltonian.commute.dense_term_pairing`'s int64 arrays.  The
+``reference.dense_term_pairing``'s int64 arrays.  The
 same program class still runs the int64 arrays, so each test here builds
 both programs and requires ``tobytes()`` equality on the edge shapes a key
 can take: a support covering the whole register (0-d sides), a 1-qubit
@@ -17,12 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hamiltonian.commute import (
-    CommuteDriver,
-    CommuteHamiltonianTerm,
-    dense_term_pairing,
-    rotate_pairs_cs,
-)
+from reference import dense_term_pairing
+from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm, rotate_pairs_cs
 from repro.hamiltonian.compiled import EvolutionProgram
 
 NUM_LAYERS = 2

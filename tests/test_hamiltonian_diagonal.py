@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference import global_phase_equal
 from repro.exceptions import HamiltonianError
 from repro.hamiltonian.compiled import apply_diagonal_phase, diagonal_levels
 from repro.hamiltonian.diagonal import (
@@ -13,7 +14,6 @@ from repro.hamiltonian.diagonal import (
     split_polynomial,
 )
 from repro.qcircuit.statevector import StatevectorSimulator, Statevector
-from repro.testing import global_phase_equal
 
 
 class TestPolynomialDiagonal:

@@ -6,48 +6,33 @@ import numpy as np
 import pytest
 
 from repro.exceptions import HamiltonianError, SimulationError
-from repro.hamiltonian.commute import CommuteDriver
-from repro.hamiltonian.constraint_operator import (
-    constraint_expectations,
-    constraint_operator,
-    constraint_operator_diagonal,
-    constraint_system_operators,
-)
+from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
+from repro.hamiltonian.constraint_operator import constraint_operator_diagonal
 from repro.hamiltonian.evolution import (
     dense_evolution_operator,
     driver_evolution_operator,
-    pauli_sum_evolution,
+    term_evolution_operator,
 )
-from repro.hamiltonian.pauli import PauliSum, PauliString
 from repro.hamiltonian.trotter import TrotterDecomposer
-from repro.testing import random_statevector
 
 
 class TestConstraintOperator:
-    def test_operator_terms(self):
-        operator = constraint_operator([1.0, 0.0, -2.0])
-        labels = {term.label: term.coefficient for term in operator.terms}
-        assert labels == {"ZII": 1.0, "IIZ": -2.0}
-
     def test_diagonal_values(self):
         diagonal = constraint_operator_diagonal([1.0, -1.0], 2)
         # index 0 -> x=(0,0): 1*(1) + (-1)*(1) = 0
         # index 1 -> x=(1,0): 1*(-1) + (-1)*(1) = -2
         assert np.allclose(diagonal, [0.0, -2.0, 2.0, 0.0])
 
-    def test_register_too_small(self):
+    def test_padded_register(self):
+        # Qubits past the coefficient vector carry a zero coefficient.
+        diagonal = constraint_operator_diagonal([1.0], 2)
+        assert np.allclose(diagonal, [1.0, -1.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("coefficients", [[1.0, 1.0], [1.0, 0.0, 0.0]])
+    def test_register_too_small(self, coefficients):
+        # Trailing zero coefficients still name variables the register lacks.
         with pytest.raises(HamiltonianError):
-            constraint_operator([1.0, 1.0], num_qubits=1)
-
-    def test_system_operators_one_per_row(self):
-        operators = constraint_system_operators(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert len(operators) == 2
-
-    def test_constraint_expectations(self):
-        probabilities = np.zeros(4)
-        probabilities[3] = 1.0  # x = (1, 1)
-        expectations = constraint_expectations(probabilities, np.array([[1.0, 1.0]]), 2)
-        assert expectations[0] == pytest.approx(-2.0)
+            constraint_operator_diagonal(coefficients, num_qubits=1)
 
 
 class TestEvolution:
@@ -60,10 +45,10 @@ class TestEvolution:
         with pytest.raises(HamiltonianError):
             dense_evolution_operator(np.ones((2, 3)), 0.1)
 
-    def test_pauli_sum_evolution_limit(self):
-        big = PauliSum([PauliString("I" * 15)])
+    def test_dense_evolution_limit(self):
+        big = CommuteHamiltonianTerm((1,) + (0,) * 14)
         with pytest.raises(SimulationError):
-            pauli_sum_evolution(big, 0.1)
+            term_evolution_operator(big, 0.1)
 
     def test_zero_time_is_identity(self):
         driver = CommuteDriver.from_solutions([(1, -1, 0), (0, 1, -1)])

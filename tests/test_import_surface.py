@@ -1,9 +1,10 @@
 """The package imports only the standard library and what ``setup.py`` declares.
 
-``setup.py`` declares ``install_requires`` (NumPy and SciPy); a clean
-install has nothing else.  An import of any other third-party module in
-``src/repro`` would make ``import repro`` fail there, so these tests scan
-every import statement of the package and import it with a blocked module.
+``setup.py`` declares ``install_requires`` (NumPy, and SciPy >= 1.16 for
+PRIMA's COBYLA core); a clean install has nothing else.  An import of any
+other third-party module in ``src/repro`` would make ``import repro`` fail
+there, so these tests scan every import statement of the package and import
+it with a blocked module.
 
 They also pin the cold-start surface: ``import repro`` and a COBYLA solve
 load neither ``scipy.optimize`` nor ``scipy.linalg`` (about 40 MB and half a
@@ -16,6 +17,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -23,11 +25,13 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 
 
-def _install_requires() -> set[str]:
+def _install_requires() -> dict[str, str]:
+    """Each requirement of ``setup.py``, keyed by its distribution name."""
     tree = ast.parse((REPO / "setup.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.keyword) and node.arg == "install_requires":
-            return {ast.literal_eval(element) for element in node.value.elts}
+            requirements = [ast.literal_eval(element) for element in node.value.elts]
+            return {re.match(r"[A-Za-z0-9_.-]+", req).group(): req for req in requirements}
     raise AssertionError("setup.py declares no install_requires")
 
 
@@ -42,11 +46,16 @@ def _imported_roots(path: pathlib.Path) -> set[str]:
 
 
 def test_install_requires_is_numpy_and_scipy():
-    assert _install_requires() == {"numpy", "scipy"}
+    assert set(_install_requires()) == {"numpy", "scipy"}
+
+
+def test_scipy_floor_covers_prima():
+    # PRIMA's COBYLA core (scipy/_lib/pyprima) first ships in SciPy 1.16.
+    assert _install_requires()["scipy"] == "scipy>=1.16"
 
 
 def test_package_imports_only_stdlib_and_declared_requirements():
-    allowed = set(sys.stdlib_module_names) | {"repro"} | _install_requires()
+    allowed = set(sys.stdlib_module_names) | {"repro"} | set(_install_requires())
     undeclared = {
         str(path.relative_to(REPO)): sorted(_imported_roots(path) - allowed)
         for path in sorted(PACKAGE.rglob("*.py"))

@@ -17,6 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
+from reference import operators_equal_up_to_phase
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.gates import BASIS_GATES
 from repro.qcircuit.passes import (
@@ -28,7 +29,6 @@ from repro.qcircuit.passes import (
 )
 from repro.qcircuit.statevector import Statevector, StatevectorSimulator
 from repro.qcircuit.transpile import TranspileOptions, transpile
-from repro.testing import operators_equal_up_to_phase
 
 NUM_QUBITS = 3
 CASE_SEEDS = tuple(range(6))

@@ -20,12 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference import dense_term_pairing
 from solver_factories import make_chocoq_solver, make_cyclic_solver
-from repro.hamiltonian.commute import (
-    CommuteHamiltonianTerm,
-    dense_term_pairing,
-    rotate_pairs_cs,
-)
+from repro.hamiltonian.commute import CommuteHamiltonianTerm, rotate_pairs_cs
 from repro.hamiltonian.compiled import (
     EvolutionProgram,
     apply_diagonal_phase,

@@ -13,6 +13,7 @@ from repro.qcircuit.statevector import (
     Statevector,
     StatevectorSimulator,
     apply_matrix,
+    bits_index,
     bitstring_keys,
     index_bits,
     key_bits,
@@ -37,9 +38,10 @@ class TestStatevectorConstruction:
         state = Statevector.from_bitstring([1, 0, 1])
         assert np.argmax(np.abs(state.data)) == 0b101  # q0=1, q2=1 -> index 5
 
-    def test_from_bitstring_rejects_non_binary(self):
-        with pytest.raises(SimulationError):
-            Statevector.from_bitstring([0, 2])
+    @pytest.mark.parametrize("bits", [[0, 2], [0.5, 1], [1, "1"]])
+    def test_from_bitstring_rejects_non_binary(self, bits):
+        with pytest.raises(SimulationError, match="0/1"):
+            Statevector.from_bitstring(bits)
 
     def test_uniform_superposition(self):
         state = Statevector.uniform_superposition(3)
@@ -55,7 +57,7 @@ CODEC_WIDTHS = [1, 8, 62, 63, 64, 70]
 
 
 class TestBitRowCodec:
-    """``index_bits``, ``bitstring_keys`` and ``key_bits``: the one bit order."""
+    """``index_bits``, ``bits_index``, ``bitstring_keys`` and ``key_bits``: the one bit order."""
 
     @pytest.mark.parametrize("width", CODEC_WIDTHS)
     def test_keys_round_trip_through_rows(self, width):
@@ -73,6 +75,17 @@ class TestBitRowCodec:
         keys = bitstring_keys(index_bits(indices, width))
         for index, key in zip(indices, keys):
             assert key == "".join(str((index >> q) & 1) for q in range(width))
+
+    @pytest.mark.parametrize("width", [1, 8, 62, 63])
+    def test_bits_index_inverts_index_bits(self, width):
+        rng = np.random.default_rng(width)
+        top = 2**width - 1
+        indices = np.array([0, 1, int(rng.integers(0, min(top, 2**62))), top], dtype=np.int64)
+        rows = index_bits(indices, width)
+        assert bits_index(rows).tolist() == indices.tolist()
+        assert np.array_equal(index_bits(bits_index(rows), width), rows)
+        # One row gives one (0-d) index.
+        assert bits_index(rows[-1]).shape == () and int(bits_index(rows[-1])) == top
 
     def test_index_bits_shape_and_dtype(self):
         rows = index_bits(np.arange(8), 3)

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from reference import global_phase_equal
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.gates import BASIS_GATES
 from repro.qcircuit.statevector import Statevector, StatevectorSimulator
@@ -22,7 +23,6 @@ from repro.qcircuit.transpile import (
     transpile_with_report,
 )
 
-from repro.testing import global_phase_equal
 
 
 def random_state(num_qubits: int, seed: int = 7) -> np.ndarray:

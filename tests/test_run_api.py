@@ -347,6 +347,21 @@ class TestRunPlan:
         # Same solver at different grid positions draws different seeds.
         assert first[0].seed != first[1].seed
 
+    @pytest.mark.parametrize("base_seed", [0, 7, 2**40])
+    def test_derived_seeds_are_spawn_children_of_the_base_seed(self, base_seed):
+        # Child i of the base seed, collapsed to one integer: stored plans and
+        # JSONL caches keep their seeds (and so their content hashes).
+        specs = [RunSpec(solver="hea", benchmark="F1") for _ in range(3)]
+        plan = ExperimentPlan(specs=specs, base_seed=base_seed)
+        expected = [
+            int(
+                np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
+                .generate_state(1, np.uint64)[0]
+            )
+            for index in range(3)
+        ]
+        assert [spec.seed for spec in plan.resolved_specs()] == expected
+
     def test_resume_returns_cached_records(self, tiny_benchmark, tmp_path):
         plan = tiny_plan(tiny_benchmark)
         path = tmp_path / "plan.jsonl"
@@ -411,6 +426,20 @@ class TestRunPlan:
         assert relabelled.content_hash() == spec.content_hash()
         reseeded = RunSpec.from_dict({**spec.to_dict(), "seed": 4})
         assert reseeded.content_hash() != spec.content_hash()
+
+    def test_solver_name_case_is_one_spec(self):
+        # The registry resolves "Choco-Q" and "choco-q" to one solver, so they
+        # are one spec: one content hash and one service solve group, and a
+        # lowercase spec keeps the hash it had before names were lowercased.
+        from repro.service import solve_group_key
+
+        mixed = RunSpec(solver="Choco-Q", benchmark="F1")
+        lower = RunSpec(solver="choco-q", benchmark="F1")
+        assert mixed == lower
+        assert mixed.solver == "choco-q"
+        assert mixed.content_hash() == lower.content_hash() == "296ea93ba583e367"
+        assert solve_group_key(mixed) == solve_group_key(lower)
+        assert RunSpec.from_dict(mixed.to_dict()) == lower
 
     def test_parallel_failure_preserves_completed_records(self, tmp_path):
         def broken():

@@ -1,7 +1,7 @@
-"""Tests for the shared phase-insensitive comparison helpers in repro.testing.
+"""Tests for the phase-insensitive comparison helpers in ``tests/reference.py``.
 
-These helpers back the transpiler-equivalence assertions across the suite;
-previously they were the one module ``make coverage`` flagged as untested.
+These helpers back the transpiler-equivalence assertions across the suite,
+so a helper that accepted everything would silently pass those tests.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.testing import (
+from reference import (
     global_phase_equal,
     operators_equal_up_to_phase,
     random_statevector,
