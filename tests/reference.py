@@ -7,6 +7,8 @@ fast paths against them element for element, and
 recompute-every-call baseline.  The comparison helpers are phase-insensitive,
 because transpiled circuits equal their sources only up to a global phase
 (an RZ-based Toffoli differs from the textbook one by a constant factor).
+``pauli_matrix`` writes out the Pauli products that Eq. (3) and Eq. (5) are
+stated in, for the tests that check the library's dense forms against them.
 
 Tests import this module as ``reference`` (``tests/conftest.py`` puts this
 directory on ``sys.path``); the benchmark adds the directory itself.
@@ -68,6 +70,26 @@ def subspace_pairing_loop(
             "the map's constraint system"
         )
     return a_coordinates, b_coordinates
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_matrix(label) -> np.ndarray:
+    """Dense matrix of a Pauli product; ``label[q]`` acts on qubit ``q``.
+
+    Little-endian like the simulator: qubit 0 is the least significant bit
+    of a basis index, so ``"XZ"`` is ``kron(Z, X)``.
+    """
+    matrix = np.ones((1, 1), dtype=complex)
+    for character in reversed(tuple(label)):
+        matrix = np.kron(matrix, _PAULI[character])
+    return matrix
 
 
 def global_phase_equal(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:

@@ -13,13 +13,15 @@ These are the core correctness properties of the paper's contribution:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from reference import dense_term_pairing, global_phase_equal, random_statevector
+from reference import dense_term_pairing, global_phase_equal, pauli_matrix, random_statevector
 from repro.exceptions import HamiltonianError
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm, rotate_pairs_cs
 from repro.hamiltonian.constraint_operator import constraint_operator_diagonal
@@ -39,6 +41,35 @@ def evolve_serialized(driver: CommuteDriver, state: np.ndarray, beta: float) -> 
     for term in driver.terms:
         state = evolve_term(term, state, beta)
     return state
+
+
+def pauli_expansion(u) -> np.ndarray:
+    """Eq. (5) written out in Pauli products: ``H_c(u) = prod_i sigma^{u_i} + h.c.``
+
+    ``sigma^{+1} = (X - iY)/2`` raises ``|0> -> |1>`` and ``sigma^{-1} =
+    (X + iY)/2`` lowers it, so each support qubit contributes an ``X`` or
+    a ``Y`` with weight ``1/2`` or ``-i u_i / 2``.
+    """
+    support = [qubit for qubit, entry in enumerate(u) if entry]
+    total = np.zeros((2 ** len(u),) * 2, dtype=complex)
+    for choice in itertools.product("XY", repeat=len(support)):
+        label = ["I"] * len(u)
+        coefficient = 1.0 + 0j
+        for qubit, pauli in zip(support, choice):
+            label[qubit] = pauli
+            coefficient *= (-1j * u[qubit] if pauli == "Y" else 1.0) / 2
+        product = coefficient * pauli_matrix(label)
+        total += product + product.conj().T
+    return total
+
+
+def constraint_pauli_sum(coefficients) -> np.ndarray:
+    """Eq. (3) written out in Pauli products: ``C_hat = sum_i c_i Z_i``."""
+    size = len(coefficients)
+    return sum(
+        coefficient * pauli_matrix("I" * qubit + "Z" + "I" * (size - qubit - 1))
+        for qubit, coefficient in enumerate(coefficients)
+    )
 
 
 PAPER_U1 = (-1, 1, -1, 0)
@@ -79,6 +110,11 @@ class TestTermStructure:
         assert np.allclose(matrix @ plus, plus)
         assert np.allclose(matrix @ minus, -minus)
 
+    @pytest.mark.parametrize("u", [PAPER_U1, PAPER_U2, (1,), (1, 1, -1)])
+    def test_pauli_expansion_matches_matrix(self, u):
+        term = CommuteHamiltonianTerm(u)
+        assert np.allclose(pauli_expansion(u), term.to_matrix(), atol=1e-12)
+
 
 class TestCommutation:
     def test_terms_commute_with_satisfied_constraint(self):
@@ -88,6 +124,14 @@ class TestCommutation:
     def test_terms_do_not_commute_with_violated_constraint(self):
         driver = CommuteDriver.from_solutions([PAPER_U1])
         assert not driver.commutes_with_constraint((1.0, 0.0, 0.0, 0.0))
+
+    def test_pauli_level_commutation(self):
+        """Theorem 1 on the Pauli forms of Eq. (3) and Eq. (5)."""
+        operator = constraint_pauli_sum(PAPER_CONSTRAINT)
+        assert np.allclose(np.diag(operator), constraint_operator_diagonal(PAPER_CONSTRAINT))
+        for u in (PAPER_U1, PAPER_U2):
+            hamiltonian = pauli_expansion(u)
+            assert np.allclose(hamiltonian @ operator, operator @ hamiltonian, atol=1e-12)
 
 
 class TestEvolution:
@@ -297,3 +341,29 @@ def test_property_commutes_with_constraint_iff_c_dot_u_is_zero(entries):
     driver = CommuteDriver.from_solutions([u])
     in_nullspace = sum(c * entry for c, entry in zip(coefficients, u)) == 0
     assert driver.commutes_with_constraint(coefficients) == in_nullspace
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    u=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=5).filter(any)
+)
+def test_property_pauli_expansion_matches_matrix(u):
+    """``to_matrix`` is Eq. (5)'s Pauli expansion for every ``u`` vector."""
+    assert np.allclose(pauli_expansion(u), CommuteHamiltonianTerm(tuple(u)).to_matrix(), atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.sampled_from([-1, 0, 1]), st.integers(-2, 2)), min_size=2, max_size=4
+    ).filter(lambda pairs: any(u for u, _ in pairs))
+)
+def test_property_commutes_with_matches_matrices(entries):
+    """``commutes_with_constraint`` agrees with the commutator of the Pauli forms."""
+    u = tuple(entry for entry, _ in entries)
+    coefficients = [float(c) for _, c in entries]
+    hamiltonian = pauli_expansion(u)
+    operator = constraint_pauli_sum(coefficients)
+    commutator = hamiltonian @ operator - operator @ hamiltonian
+    expected = bool(np.allclose(commutator, 0.0, atol=1e-10))
+    assert CommuteDriver.from_solutions([u]).commutes_with_constraint(coefficients) == expected

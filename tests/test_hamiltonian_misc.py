@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference import pauli_matrix
 from repro.exceptions import HamiltonianError, SimulationError
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
 from repro.hamiltonian.constraint_operator import constraint_operator_diagonal
@@ -22,6 +23,19 @@ class TestConstraintOperator:
         # index 0 -> x=(0,0): 1*(1) + (-1)*(1) = 0
         # index 1 -> x=(1,0): 1*(-1) + (-1)*(1) = -2
         assert np.allclose(diagonal, [0.0, -2.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "coefficients", [[1.0, 0.0, -2.0], [0.5, -1.5], [2.0, 1.0, 0.0, -1.0], [3.0]]
+    )
+    def test_operator_terms(self, coefficients):
+        """The diagonal is that of ``C_hat = sum_i c_i Z_i`` (Eq. 3), term by term."""
+        size = len(coefficients)
+        operator = sum(
+            coefficient * pauli_matrix("I" * qubit + "Z" + "I" * (size - qubit - 1))
+            for qubit, coefficient in enumerate(coefficients)
+        )
+        assert np.allclose(np.diag(np.diag(operator)), operator)
+        assert np.allclose(constraint_operator_diagonal(coefficients), np.diag(operator).real)
 
     def test_padded_register(self):
         # Qubits past the coefficient vector carry a zero coefficient.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from reference import pauli_matrix
 from solver_factories import make_cyclic_solver, make_one_hot_problem
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.exceptions import SolverError
@@ -161,6 +162,39 @@ class TestCyclicQAOA:
             evolved = spec.evolve(np.array([0.0, beta]))
             expected = expm(-1j * beta * hop) @ spec.initial_state
             assert np.max(np.abs(evolved - expected)) < 1e-12
+
+    @pytest.mark.parametrize("size, rhs", [(3, 1), (4, 1), (4, 2), (5, 2), (6, 3)])
+    def test_ring_layer_is_product_of_xy_hops(self, size, rhs):
+        """A ring layer applies ``e^{-i b (X_a X_b + Y_a Y_b)}`` edge by edge.
+
+        The hops are serialized (Lemma 1), so the layer is the ordered
+        product over :func:`chain_hop_edges`, not the exponential of the
+        summed ring Hamiltonian; either way it conserves the chain's
+        excitation number.
+        """
+        problem = make_one_hot_problem(
+            weights=tuple(range(1, size + 1)), rhs=float(rhs), name=f"ring-{size}-{rhs}"
+        )
+        spec = CyclicQAOASolver(
+            config=CyclicQAOAConfig(num_layers=1),
+            optimizer=FAST_OPTIMIZER,
+            options=FAST,
+        ).build_spec(problem)
+        beta = 0.7
+        expected = spec.initial_state
+        for qubit_a, qubit_b in chain_hop_edges(list(range(size))):
+            hop = 0
+            for pauli in "XY":
+                label = ["I"] * size
+                label[qubit_a] = label[qubit_b] = pauli
+                hop = hop + pauli_matrix(label)
+            expected = expm(-1j * beta * hop) @ expected
+        # gamma = 0 isolates the driver layer from the phase separation.
+        evolved = spec.evolve(np.array([0.0, beta]))
+        assert np.max(np.abs(evolved - expected)) < 1e-12
+        populated = np.nonzero(np.abs(evolved) > 1e-12)[0]
+        assert len(populated) > 1
+        assert all(bin(int(index)).count("1") == rhs for index in populated)
 
     @pytest.mark.parametrize("backend", ["subspace", "auto"])
     def test_subspace_backend_matches_dense(self, paper_example_problem, backend):
