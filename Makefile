@@ -30,6 +30,11 @@
 #                    vs warm (K4/F4/G4 subspace, K4/G4 dense); refreshes
 #                    BENCH_structure_memo.json and fails unless every warm
 #                    record equals its cold one.
+#   bench-cobyla   - COBYLA per minimize on the four solvers' cost closures
+#                    (K1/K2/F2): repro's direct PRIMA call against
+#                    scipy.optimize's, on bit-identical trajectories;
+#                    refreshes BENCH_cobyla_core.json (overhead-speedup
+#                    gated).
 #   bench-transpile - gate-count reductions of the circuit-optimization pass
 #                    stack per paper circuit family; refreshes
 #                    BENCH_transpile_optimization.json (speedup-gated).
@@ -53,7 +58,10 @@
 #                    gather paths; writes no file under pytest) and the
 #                    structure memo's whole-solve row (bench_structure_memo:
 #                    cold vs warm choco-q solves, whose records must be
-#                    identical).  Each asserts its expected shape; ~25 s.
+#                    identical), and the COBYLA core row
+#                    (bench_cobyla_core: repro's path against SciPy's, on
+#                    identical trajectories).  Each asserts its expected
+#                    shape; ~35 s.
 #                    Runs in the CI test job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
@@ -64,7 +72,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-structure bench-fig10 bench-transpile bench-service bench-smoke bench-ablation
+.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-structure bench-cobyla bench-fig10 bench-transpile bench-service bench-smoke bench-ablation
 
 test-fast:
 	$(PYTEST) -q -m "not slow"
@@ -100,6 +108,9 @@ bench-hotpath:
 bench-structure:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_structure_memo.py
 
+bench-cobyla:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_cobyla_core.py
+
 bench-fig10:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fig10_hardware.py
 
@@ -110,7 +121,7 @@ bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
 
 bench-ablation:
-	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py -o python_files='bench_*.py' -o python_functions='bench_*'
+	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py benchmarks/bench_cobyla_core.py -o python_files='bench_*.py' -o python_functions='bench_*'
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 

@@ -22,7 +22,6 @@ from repro.hamiltonian.diagonal import (
 from repro.hamiltonian.evolution import (
     dense_evolution_operator,
     driver_evolution_operator,
-    term_evolution_operator,
 )
 from repro.hamiltonian.trotter import TrotterDecomposer, TrotterReport
 
@@ -42,5 +41,4 @@ __all__ = [
     "phase_separation_circuit",
     "polynomial_diagonal",
     "split_polynomial",
-    "term_evolution_operator",
 ]

@@ -35,13 +35,12 @@ Each term has three representations:
 3. ``to_matrix`` / ``local_matrix`` — dense matrices (used by the
    verification tests, the Opt2-off ablation circuit and the Trotter
    baseline).  The constraint operator ``C_hat`` of Eq. (3) is diagonal,
-   so :meth:`CommuteDriver.commutes_with_constraint` checks Theorem 1's
-   ``[H_c(u), C_hat] = 0`` on these matrices directly.
+   so the tests check Theorem 1's ``[H_c(u), C_hat] = 0`` on these
+   matrices directly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -50,7 +49,6 @@ import numpy as np
 
 from repro.exceptions import HamiltonianError
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.statevector import bits_index
 
 _SIGMA = {
     +1: np.array([[0, 0], [1, 0]], dtype=complex),  # raises |0> -> |1>
@@ -144,19 +142,6 @@ class CommuteHamiltonianTerm:
         their opaque local unitaries from it.
         """
         return _hop_matrix(self.u[qubit] for qubit in self.support)
-
-    def eigenstate(self, sign: int) -> np.ndarray:
-        """The dense eigenstate ``|x+->`` (sign=+1) or ``|x-->`` (sign=-1).
-
-        Non-support qubits are placed in ``|0>``.  Mainly used by tests.
-        """
-        if sign not in (+1, -1):
-            raise HamiltonianError("sign must be +1 or -1")
-        rows = np.zeros((2, self.num_qubits), dtype=np.int64)
-        rows[:, list(self.support)] = (self.v_bits, self.v_bar_bits)
-        state = np.zeros(2**self.num_qubits, dtype=complex)
-        state[bits_index(rows)] = (1 / math.sqrt(2), sign / math.sqrt(2))
-        return state
 
     # ------------------------------------------------------------------
     # Subspace-restricted evolution (feasible-subspace backend)
@@ -374,32 +359,3 @@ class CommuteDriver:
             block = term.decomposed_circuit(beta, register_size=self.num_qubits)
             circuit.compose(block, qubits=range(self.num_qubits))
         return circuit
-
-    # ------------------------------------------------------------------
-
-    def commutes_with_constraint_subspace(self, subspace_map) -> bool:
-        """Check every term's hops stay inside the given feasible subspace."""
-        try:
-            for term in self.terms:
-                term.subspace_pairing(subspace_map)
-        except HamiltonianError:
-            return False
-        return True
-
-    def commutes_with_constraint(self, coefficients: Sequence[float], tolerance: float = 1e-9) -> bool:
-        """Check ``[H_c(u), C_hat] = 0`` for every term against one constraint row.
-
-        Uses the dense matrices (exact), so intended for verification on small
-        registers.
-        """
-        from repro.hamiltonian.constraint_operator import constraint_operator_diagonal
-
-        diagonal = constraint_operator_diagonal(coefficients, self.num_qubits)
-        c_matrix = np.diag(diagonal.astype(complex))
-        for term in self.terms:
-            h_matrix = term.to_matrix()
-            commutator = h_matrix @ c_matrix - c_matrix @ h_matrix
-            if np.max(np.abs(commutator)) > tolerance:
-                return False
-        return True
-

@@ -6,9 +6,8 @@ conserved exactly when the driver Hamiltonian commutes with it, which is the
 foundation of the commute-Hamiltonian encoding (Fig. 1b).
 
 ``C_hat`` is diagonal in the computational basis, so this module builds it as
-the vector of its eigenvalues, indexed by basis state: the form the
-commutation check (:meth:`~repro.hamiltonian.commute.CommuteDriver.commutes_with_constraint`)
-and the expectation values during simulation use.
+the vector of its eigenvalues, indexed by basis state: the form the tests'
+commutation check and expectation values use.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import HamiltonianError, SimulationError
-from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
+from repro.hamiltonian.commute import CommuteDriver
 
 _MAX_DENSE_QUBITS = 14
 
@@ -26,16 +26,6 @@ def dense_evolution_operator(hamiltonian: np.ndarray, time: float) -> np.ndarray
     if hamiltonian.ndim != 2 or hamiltonian.shape[0] != hamiltonian.shape[1]:
         raise HamiltonianError("hamiltonian must be a square matrix")
     return expm(-1j * time * hamiltonian)
-
-
-def term_evolution_operator(term: CommuteHamiltonianTerm, beta: float) -> np.ndarray:
-    """Exact dense unitary ``e^{-i beta H_c(u)}`` of a single commute term."""
-    if term.num_qubits > _MAX_DENSE_QUBITS:
-        raise SimulationError(
-            f"dense evolution limited to {_MAX_DENSE_QUBITS} qubits, "
-            f"got {term.num_qubits}"
-        )
-    return dense_evolution_operator(term.to_matrix(), beta)
 
 
 def driver_evolution_operator(driver: CommuteDriver, beta: float) -> np.ndarray:

