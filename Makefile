@@ -35,6 +35,12 @@
 #                    scipy.optimize's, on bit-identical trajectories;
 #                    refreshes BENCH_cobyla_core.json (overhead-speedup
 #                    gated).
+#   bench-optimum  - the exact optimum as a minimum over the feasible set:
+#                    ms to enumerate F and ms for brute_force_optimum on the
+#                    12 suite scales, a 24- and a 27-variable generator
+#                    instance and a 20-variable unconstrained QUBO;
+#                    refreshes BENCH_exact_optimum.json (gated: the
+#                    27-variable optimum takes under 1 s).
 #   bench-transpile - gate-count reductions of the circuit-optimization pass
 #                    stack per paper circuit family; refreshes
 #                    BENCH_transpile_optimization.json (speedup-gated).
@@ -58,10 +64,11 @@
 #                    gather paths; writes no file under pytest) and the
 #                    structure memo's whole-solve row (bench_structure_memo:
 #                    cold vs warm choco-q solves, whose records must be
-#                    identical), and the COBYLA core row
+#                    identical), the COBYLA core row
 #                    (bench_cobyla_core: repro's path against SciPy's, on
-#                    identical trajectories).  Each asserts its expected
-#                    shape; ~35 s.
+#                    identical trajectories) and the exact-optimum row
+#                    (bench_exact_optimum: the 27-variable optimum under
+#                    1 s).  Each asserts its expected shape; ~40 s.
 #                    Runs in the CI test job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
@@ -72,7 +79,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-structure bench-cobyla bench-fig10 bench-transpile bench-service bench-smoke bench-ablation
+.PHONY: test-fast test test-all smoke-examples coverage lint bench-subspace bench-cyclic bench-hotpath bench-structure bench-cobyla bench-optimum bench-fig10 bench-transpile bench-service bench-smoke bench-ablation
 
 test-fast:
 	$(PYTEST) -q -m "not slow"
@@ -111,6 +118,9 @@ bench-structure:
 bench-cobyla:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_cobyla_core.py
 
+bench-optimum:
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_exact_optimum.py
+
 bench-fig10:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_fig10_hardware.py
 
@@ -121,7 +131,7 @@ bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
 
 bench-ablation:
-	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py benchmarks/bench_cobyla_core.py -o python_files='bench_*.py' -o python_functions='bench_*'
+	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py benchmarks/bench_cobyla_core.py benchmarks/bench_exact_optimum.py -o python_files='bench_*.py' -o python_functions='bench_*'
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 

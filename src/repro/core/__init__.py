@@ -11,8 +11,8 @@ from repro.core.encoding import (
 from repro.core.feasibility import (
     count_feasible_assignments,
     enumerate_feasible_assignments,
+    feasible_rows,
     find_feasible_assignment,
-    iter_feasible_assignments,
     problem_initial_assignment,
 )
 from repro.core.metrics import (
@@ -61,10 +61,10 @@ __all__ = [
     "enumerate_ternary_nullspace",
     "evaluate_outcomes",
     "expected_objective",
+    "feasible_rows",
     "find_feasible_assignment",
     "frozen_variables",
     "in_constraints_rate",
-    "iter_feasible_assignments",
     "iter_ternary_nullspace",
     "nullity",
     "penalty_objective",

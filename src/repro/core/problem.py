@@ -13,8 +13,8 @@ This module provides the data model shared by every solver:
   keyed by the empty tuple);
 * :class:`LinearConstraint` — one row ``sum_i coeff_i x_i = rhs``;
 * :class:`ConstrainedBinaryProblem` — the full problem, with evaluation,
-  feasibility checking, penalty reformulation hooks, and a brute-force
-  optimum used as ground truth by the metrics layer;
+  feasibility checking, penalty reformulation hooks, and the exact
+  optimum over the feasible set used as ground truth by the metrics layer;
 * :func:`evaluate_polynomial` and :func:`constraint_violation` — the array
   forms of :meth:`Objective.evaluate` and :meth:`LinearConstraint.violation`
   over 0/1 bit columns, equal to them bit for bit.
@@ -322,39 +322,31 @@ class ConstrainedBinaryProblem:
         return value_a < value_b if self.sense == "min" else value_a > value_b
 
     def brute_force_optimum(self) -> tuple[tuple[int, ...], float]:
-        """Exhaustively find an optimal feasible assignment and its value.
+        """An optimal feasible assignment and its value.
 
         Raises :class:`ProblemError` when the problem has no feasible
-        assignment.  The scan is exponential in the number of variables —
-        exactly the classical cost the paper quotes for exact solvers — but
-        vectorized: assignments are enumerated as integer codes in chunks,
-        each constraint prunes the chunk before the next one runs, and the
-        objective is only evaluated on the feasible survivors.  Code order
-        (variable 0 as the most significant bit), the shared kernels and
+        assignment.  The optimum is a minimum (or maximum) over the feasible
+        set, block by block as :func:`~repro.core.feasibility.feasible_rows`
+        enumerates it, with the shared :func:`evaluate_polynomial` kernel.
+        Code order (variable 0 as the most significant bit) and
         strict-improvement tie-breaking match the naive
         ``itertools.product`` scan bit for bit.
         """
-        n = self.num_variables
+        # Imported here: the feasibility module builds on this one.
+        from repro.core.feasibility import feasible_rows
+
         pick = np.argmin if self.sense == "min" else np.argmax
-        best_code: int | None = None
+        terms = self.objective.terms
+        best_row: np.ndarray | None = None
         best_value = 0.0
-        chunk = 1 << min(n, 18)
-        for start in range(0, 1 << n, chunk):
-            codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-            for constraint in self.constraints:
-                violation = constraint_violation(constraint, codes.size, _code_column(codes, n))
-                codes = codes[violation <= 1e-9]
-                if codes.size == 0:
-                    break
-            if codes.size == 0:
-                continue
-            values = evaluate_polynomial(self.objective.terms, codes.size, _code_column(codes, n))
+        for rows in feasible_rows(*self.constraint_matrix()):
+            values = evaluate_polynomial(terms, rows.shape[0], lambda v: rows[:, v])
             index = int(pick(values))
-            if best_code is None or self.better(float(values[index]), best_value):
-                best_code, best_value = int(codes[index]), float(values[index])
-        if best_code is None:
+            if best_row is None or self.better(float(values[index]), best_value):
+                best_row, best_value = rows[index], float(values[index])
+        if best_row is None:
             raise ProblemError(f"problem {self.name!r} has no feasible assignment")
-        return tuple((best_code >> (n - 1 - j)) & 1 for j in range(n)), best_value
+        return tuple(best_row.tolist()), best_value
 
     def evaluate_rows(
         self, bits: np.ndarray, tolerance: float = 1e-9
@@ -406,7 +398,3 @@ class ConstrainedBinaryProblem:
             f"constraints={self.num_constraints}, sense={self.sense!r})"
         )
 
-
-def _code_column(codes: np.ndarray, n: int) -> Callable[[int], np.ndarray]:
-    """Variable ``v``'s bits of assignment codes (variable ``j`` at bit ``n - 1 - j``)."""
-    return lambda variable: (codes >> (n - 1 - variable)) & 1

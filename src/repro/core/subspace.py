@@ -4,9 +4,9 @@ Choco-Q's central guarantee (Section III) is that the commute-Hamiltonian
 evolution never leaves the feasible subspace ``F = {x in {0,1}^n : C x = c}``.
 A dense statevector nevertheless carries an amplitude for every one of the
 ``2^n`` basis states — almost all of which are provably zero throughout the
-run.  :class:`SubspaceMap` enumerates the feasible basis *once* (via the
-pruned DFS of :mod:`repro.core.feasibility`) and assigns each feasible
-bit assignment a compact *subspace coordinate* ``0 .. |F|-1``.
+run.  :class:`SubspaceMap` enumerates the feasible basis *once* (the blocks
+of :func:`repro.core.feasibility.feasible_rows`, in code order) and assigns
+each feasible bit assignment a compact *subspace coordinate* ``0 .. |F|-1``.
 
 Everything the simulation path needs is then expressible over length-``|F|``
 vectors:
@@ -30,7 +30,8 @@ table, at any register width.
 
 Because no object of size ``2^n`` is ever built, the practical qubit ceiling
 is set by ``|F|`` rather than the Hilbert-space dimension, lifting the dense
-simulator's ``max_qubits = 24`` cap for constrained instances.
+cap (:data:`~repro.qcircuit.statevector.MAX_DENSE_QUBITS`) for constrained
+instances.
 """
 
 from __future__ import annotations
@@ -39,60 +40,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.feasibility import iter_feasible_assignments
+from repro.core.feasibility import feasible_rows
 from repro.core.problem import evaluate_polynomial
 from repro.exceptions import InfeasibleError, ProblemError, SubspaceOverflowError
 from repro.qcircuit.statevector import bits_index, bitstring_keys
-
-#: Chunk size (rows) of the streaming basis accumulator.  Large enough that
-#: block bookkeeping is negligible, small enough that a map which overflows
-#: its ``limit`` never holds more than one excess chunk in memory.
-STREAM_CHUNK_ROWS = 4096
-
-
-def stream_feasible_basis(
-    constraint_matrix: Sequence[Sequence[float]] | np.ndarray,
-    rhs: Sequence[float] | np.ndarray,
-    limit: int | None = None,
-    chunk_rows: int = STREAM_CHUNK_ROWS,
-) -> np.ndarray:
-    """Enumerate the binary solutions of ``C x = c`` into a bit matrix, lazily.
-
-    The pruned DFS of :func:`repro.core.feasibility.iter_feasible_assignments`
-    is consumed one assignment at a time into fixed-size ``uint8`` chunks —
-    no intermediate list of Python tuples is ever materialised, so peak
-    memory is about twice the final ``(|F|, n)`` uint8 basis (chunks plus
-    the concatenated copy), far below the tuple list's cost.  As soon as
-    the enumeration passes ``limit`` it aborts with
-    :class:`SubspaceOverflowError` (without enumerating the rest of the
-    feasible set), which is what makes an automatic dense fallback cheap for
-    instances whose ``|F|`` turns out to be large.
-    """
-    matrix = np.atleast_2d(np.asarray(constraint_matrix, dtype=float))
-    num_variables = matrix.shape[1]
-    if chunk_rows < 1:
-        raise ProblemError("chunk_rows must be positive")
-    chunks: list[np.ndarray] = []
-    current = np.empty((chunk_rows, num_variables), dtype=np.uint8)
-    fill = 0
-    count = 0
-    for assignment in iter_feasible_assignments(matrix, rhs):
-        if limit is not None and count >= limit:
-            raise SubspaceOverflowError(
-                f"the feasible set exceeds limit={limit}; a SubspaceMap must "
-                "be complete — raise the limit or use the dense backend"
-            )
-        if fill == chunk_rows:
-            chunks.append(current)
-            # One allocation per *chunk*, amortised over chunk_rows feasible
-            # assignments — streaming construction, not a per-iteration cost.
-            current = np.empty((chunk_rows, num_variables), dtype=np.uint8)  # repro: ignore[hotpath]
-            fill = 0
-        current[fill] = assignment
-        fill += 1
-        count += 1
-    chunks.append(current[:fill])
-    return np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0].copy()
 
 
 class SubspaceMap:
@@ -139,15 +90,24 @@ class SubspaceMap:
         feasible basis (evolution and sampling renormalise over it), so if
         the feasible set exceeds ``limit`` the enumeration aborts early with
         :class:`SubspaceOverflowError` instead of returning a silently
-        partial map.  Enumeration streams through fixed-size chunks (see
-        :func:`stream_feasible_basis`), so construction never holds a Python
-        list of the whole feasible set.
+        partial map.  The basis is the concatenation of the blocks of
+        :func:`~repro.core.feasibility.feasible_rows`; an overflowing map
+        holds at most one block past ``limit`` when it gives up.
         """
-        matrix = np.atleast_2d(np.asarray(constraint_matrix, dtype=float))
-        basis = stream_feasible_basis(matrix, rhs, limit=limit)
-        if basis.shape[0] == 0:
+        blocks: list[np.ndarray] = []
+        size = 0
+        for block in feasible_rows(constraint_matrix, rhs):
+            size += block.shape[0]
+            if limit is not None and size > limit:
+                raise SubspaceOverflowError(
+                    f"the feasible set exceeds limit={limit}; a SubspaceMap must "
+                    "be complete — raise the limit or use the dense backend"
+                )
+            blocks.append(block)
+        if not blocks:
             raise InfeasibleError("the constraint system C x = c has no binary solution")
-        return cls(basis, matrix.shape[1])
+        basis = np.concatenate(blocks)
+        return cls(basis, basis.shape[1])
 
     @classmethod
     def try_from_constraints(

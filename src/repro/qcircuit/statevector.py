@@ -31,6 +31,11 @@ from repro.qcircuit.circuit import Instruction, QuantumCircuit
 #: per-gate support trace for the Fig. 9(b) parallelism analysis).
 DEFAULT_SUPPORT_TOLERANCE = 1e-9
 
+#: Widest register the package simulates as a dense ``2^n`` statevector
+#: (2^24 complex amplitudes are 256 MB): the simulator's default guard and
+#: the cap past which a solver's dense layout refuses to build.
+MAX_DENSE_QUBITS = 24
+
 
 def abs_squared(amplitudes: np.ndarray) -> np.ndarray:
     """Elementwise ``|z|^2`` without the intermediate ``np.abs`` array.
@@ -228,7 +233,9 @@ class StatevectorSimulator:
             every gate (used for the Fig. 9(b) parallelism analysis).
     """
 
-    def __init__(self, max_qubits: int = 24, record_support: bool = False) -> None:
+    def __init__(
+        self, max_qubits: int = MAX_DENSE_QUBITS, record_support: bool = False
+    ) -> None:
         self.max_qubits = max_qubits
         self.record_support = record_support
 

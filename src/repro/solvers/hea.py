@@ -35,7 +35,7 @@ from repro.qcircuit.statevector import index_bits
 from repro.solvers.base import QuantumSolver
 from repro.solvers.config import NoiseConfig, SolverConfig
 from repro.solvers.structure import memoized_spec, with_initial_parameters
-from repro.solvers.variational import AnsatzSpec
+from repro.solvers.variational import AnsatzSpec, require_dense_register
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,7 @@ class HEASolver(QuantumSolver):
         """Compile the ansatz of ``problem``; it carries no initial parameters
         (an empty array), since HEA draws them from the seed."""
         num_qubits = problem.num_variables
+        require_dense_register(num_qubits)
         num_layers = config.num_layers
         weight = (
             config.penalty_weight

@@ -283,10 +283,12 @@ class SpsaOptimizer(Optimizer):
         parameters = initial.copy()
         best_parameters = parameters.copy()
         best_value = cost(parameters)
-        stability_offset = 0.1 * self.max_iterations
         # One evaluation at the start and three per iteration: stop before
         # an iteration that would run over the evaluation budget.
-        for iteration in range((self.max_iterations - 1) // 3):
+        iterations = (self.max_iterations - 1) // 3
+        # Spall's usual choice: A is ~10% of the iterations actually run.
+        stability_offset = 0.1 * iterations
+        for iteration in range(iterations):
             a_k = self.a / (iteration + 1 + stability_offset) ** self.alpha
             c_k = self.c / (iteration + 1) ** self.gamma
             delta = rng.choice([-1.0, 1.0], size=parameters.shape)

@@ -68,7 +68,7 @@ from repro.qcircuit.sampling import (
     exact_distribution,
     subspace_exact_distribution,
 )
-from repro.qcircuit.statevector import Statevector, abs_squared
+from repro.qcircuit.statevector import MAX_DENSE_QUBITS, Statevector, abs_squared
 from repro.qcircuit.passes.manager import MAX_OPTIMIZATION_LEVEL
 from repro.qcircuit.transpile import (
     TranspileOptions,
@@ -229,6 +229,16 @@ class AnsatzSpec:
     compile_reports: "dict[TranspileOptions, CompileReport] | None" = None
 
 
+def require_dense_register(num_qubits: int) -> None:
+    """Refuse a dense ``2^n`` layout past :data:`MAX_DENSE_QUBITS`, before
+    any array of that size is allocated."""
+    if num_qubits > MAX_DENSE_QUBITS:
+        raise SolverError(
+            f"a dense statevector of {num_qubits} qubits exceeds the {MAX_DENSE_QUBITS}-qubit "
+            "dense cap; only a feasible-subspace layout (backend='subspace') runs past it"
+        )
+
+
 def _choose_subspace_map(
     problem: ConstrainedBinaryProblem, backend: str, subspace_limit: int | None
 ) -> SubspaceMap | None:
@@ -297,6 +307,7 @@ def layered_ansatz(
     num_qubits = problem.num_variables
     subspace_map = _choose_subspace_map(problem, backend, subspace_limit)
     if subspace_map is None:
+        require_dense_register(num_qubits)
         initial_state = (
             uniform_state(num_qubits)
             if initial_bits is None

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import feasibility
 from repro.core.feasibility import (
     count_feasible_assignments,
     enumerate_feasible_assignments,
+    feasible_rows,
     find_feasible_assignment,
     problem_initial_assignment,
 )
+from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
 from repro.core.nullspace import (
     enumerate_ternary_nullspace,
     nullity,
@@ -64,6 +67,89 @@ class TestFeasibility:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ProblemError):
             find_feasible_assignment(np.zeros((0, 0)), [])
+
+    def test_find_one_returns_the_first_row(self):
+        assert find_feasible_assignment(PAPER_MATRIX, PAPER_RHS) == (0, 0, 0, 1)
+        matrix = [[1.0, 2.0, -1.0, 1.0, 1.0]]
+        first = enumerate_feasible_assignments(matrix, [2.0])[0]
+        assert find_feasible_assignment(matrix, [2.0]) == first == (0, 0, 0, 1, 1)
+
+    def test_unconstrained_start_is_all_zeros(self):
+        problem = ConstrainedBinaryProblem(4, Objective.from_linear([1.0, -1.0, 2.0, 0.5]))
+        assert problem_initial_assignment(problem) == (0, 0, 0, 0)
+
+
+def _product_rows(matrix: np.ndarray, rhs: np.ndarray) -> list[tuple[int, ...]]:
+    """Rows of the naive scan: ``itertools.product`` order, scoring's test."""
+    problem = ConstrainedBinaryProblem(
+        matrix.shape[1],
+        Objective(),
+        [LinearConstraint(tuple(row), value) for row, value in zip(matrix, rhs)],
+    )
+    return [
+        bits
+        for bits in itertools.product((0, 1), repeat=matrix.shape[1])
+        if problem.is_feasible(bits)
+    ]
+
+
+def _concatenated(matrix, rhs) -> list[tuple[int, ...]]:
+    rows: list[tuple[int, ...]] = []
+    for block in feasible_rows(matrix, rhs):
+        assert block.dtype == np.uint8 and block.ndim == 2
+        assert 1 <= block.shape[0] <= feasibility.BLOCK_ROWS
+        rows.extend(map(tuple, block.tolist()))
+    return rows
+
+
+class TestFeasibleRows:
+    # 8 variables, sum = 4: C(8, 4) = 70 feasible rows; and the 2^7 cube.
+    SYSTEMS = {
+        "one-hot-sum": (np.ones((1, 8)), np.array([4.0])),
+        "unconstrained": (np.zeros((0, 7)), np.zeros(0)),
+    }
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_block_boundaries_keep_the_rows(self, monkeypatch, system):
+        matrix, rhs = self.SYSTEMS[system]
+        expected = _product_rows(matrix, rhs)
+        assert len(expected) in (70, 128)
+        for block_rows in (1, 3, 64):
+            monkeypatch.setattr(feasibility, "BLOCK_ROWS", block_rows)
+            assert _concatenated(matrix, rhs) == expected
+            assert count_feasible_assignments(matrix, rhs) == len(expected)
+            assert enumerate_feasible_assignments(matrix, rhs, limit=5) == expected[:5]
+
+    def test_prune_never_drops_a_row_the_scoring_test_accepts(self):
+        # 0.1 + 0.2 != 0.3 in floating point: the row (1, 1, 0) misses the
+        # right-hand side by ~5.6e-17, inside the 1e-9 acceptance tolerance.
+        matrix, rhs = np.array([[0.1, 0.2, -0.3]]), np.array([0.0])
+        assert _concatenated(matrix, rhs) == _product_rows(matrix, rhs) == [
+            (0, 0, 0),
+            (1, 1, 1),
+        ]
+        matrix, rhs = np.array([[0.1, 0.2, 0.0]]), np.array([0.3])
+        assert _concatenated(matrix, rhs) == [(1, 1, 0), (1, 1, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_rows=st.integers(0, 3),
+    num_variables=st.integers(1, 10),
+    integral=st.booleans(),
+    shifted=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_property_rows_are_the_feasible_product_in_order(
+    num_rows, num_variables, integral, shifted, seed
+):
+    rng = np.random.default_rng(seed)
+    values = [-2.0, -1.0, 0.0, 1.0, 2.0] if integral else [-1.5, -0.3, 0.0, 0.1, 0.2, 0.7]
+    matrix = rng.choice(values, size=(num_rows, num_variables))
+    # The right-hand side of a random assignment keeps the system feasible;
+    # shifting it by a half usually leaves no binary solution.
+    rhs = matrix @ rng.integers(0, 2, num_variables) + (0.5 if shifted else 0.0)
+    assert _concatenated(matrix, rhs) == _product_rows(matrix, rhs)
 
 
 class TestTernaryNullspace:

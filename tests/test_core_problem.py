@@ -190,19 +190,31 @@ class TestExactOptimum:
     @given(
         seed=st.integers(0, 10_000),
         num_variables=st.integers(2, 7),
+        num_rows=st.integers(0, 3),
         sense=st.sampled_from(["min", "max"]),
     )
-    def test_property_random_instances_match_the_scan(self, seed, num_variables, sense):
+    def test_property_random_instances_match_the_scan(
+        self, seed, num_variables, num_rows, sense
+    ):
         rng = np.random.default_rng(seed)
         objective = Objective.from_linear(rng.integers(-4, 5, num_variables).astype(float).tolist())
         objective.add_term((0, num_variables - 1), float(rng.integers(-3, 4)))
-        coefficients = rng.integers(-1, 2, num_variables).astype(float)
-        # The right-hand side of a random assignment keeps the system feasible.
-        rhs = float(coefficients @ rng.integers(0, 2, num_variables))
-        problem = ConstrainedBinaryProblem(
-            num_variables, objective, [LinearConstraint(tuple(coefficients), rhs)], sense=sense
-        )
+        # The right-hand sides of one random assignment keep every system
+        # feasible; num_rows = 0 is an unconstrained problem.
+        witness = rng.integers(0, 2, num_variables)
+        constraints = []
+        for _ in range(num_rows):
+            coefficients = rng.integers(-1, 2, num_variables).astype(float)
+            constraints.append(LinearConstraint(tuple(coefficients), float(coefficients @ witness)))
+        problem = ConstrainedBinaryProblem(num_variables, objective, constraints, sense=sense)
         assert problem.brute_force_optimum() == _scan_optimum(problem)
+
+    def test_infeasible_problem_has_no_optimum(self):
+        problem = ConstrainedBinaryProblem(
+            3, Objective.from_linear([1.0, 2.0, 3.0]), [LinearConstraint((2.0, 2.0, 2.0), 3.0)]
+        )
+        with pytest.raises(ProblemError, match="no feasible assignment"):
+            problem.brute_force_optimum()
 
 
 @settings(max_examples=30, deadline=None)

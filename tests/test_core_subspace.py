@@ -10,7 +10,8 @@ import pytest
 from repro.core.encoding import default_penalty_weight, penalty_objective
 from repro.core.feasibility import count_feasible_assignments
 from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objective
-from repro.core.subspace import SubspaceMap, stream_feasible_basis
+from repro.core import feasibility
+from repro.core.subspace import SubspaceMap
 from repro.exceptions import (
     HamiltonianError,
     InfeasibleError,
@@ -205,21 +206,20 @@ class TestStreamingConstruction:
     MATRIX = [[1.0] * 8]
     RHS = [4.0]
 
-    def test_streaming_matches_one_shot_enumeration(self):
-        reference = stream_feasible_basis(self.MATRIX, self.RHS)
+    def test_streaming_matches_one_shot_enumeration(self, monkeypatch):
+        reference = SubspaceMap.from_constraints(self.MATRIX, self.RHS).basis
         assert reference.shape == (70, 8)
-        for chunk_rows in (1, 3, 64, 70, 1000):
-            chunked = stream_feasible_basis(self.MATRIX, self.RHS, chunk_rows=chunk_rows)
+        for block_rows in (1, 3, 64):
+            monkeypatch.setattr(feasibility, "BLOCK_ROWS", block_rows)
+            chunked = SubspaceMap.from_constraints(self.MATRIX, self.RHS).basis
             assert np.array_equal(chunked, reference)
 
-    def test_overflow_aborts_enumeration_early(self):
-        with pytest.raises(SubspaceOverflowError):
-            stream_feasible_basis(self.MATRIX, self.RHS, limit=69)
-        assert stream_feasible_basis(self.MATRIX, self.RHS, limit=70).shape == (70, 8)
-
-    def test_invalid_chunk_rows_rejected(self):
-        with pytest.raises(ProblemError):
-            stream_feasible_basis(self.MATRIX, self.RHS, chunk_rows=0)
+    def test_overflow_aborts_enumeration_early(self, monkeypatch):
+        for block_rows in (1, 3, 64, feasibility.BLOCK_ROWS):
+            monkeypatch.setattr(feasibility, "BLOCK_ROWS", block_rows)
+            with pytest.raises(SubspaceOverflowError, match="limit=69"):
+                SubspaceMap.from_constraints(self.MATRIX, self.RHS, limit=69)
+            assert SubspaceMap.from_constraints(self.MATRIX, self.RHS, limit=70).size == 70
 
     def test_streamed_map_equals_legacy_map(self, paper_example_problem):
         matrix, rhs = paper_example_problem.constraint_matrix()

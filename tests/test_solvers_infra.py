@@ -15,11 +15,13 @@ from repro.solvers.optimizer import CobylaOptimizer
 from repro.hamiltonian.commute import CommuteDriver
 from repro.hamiltonian.compiled import EvolutionProgram
 from repro.exceptions import SolverError
+from repro.problems import facility_location_problem, random_facility_location
 from repro.problems.benchmark_suite import make_benchmark
 from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
 from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver
 from repro.solvers.hea import HEAConfig, HEASolver
 from repro.solvers.penalty_qaoa import PenaltyQAOAConfig, PenaltyQAOASolver
+from repro.qcircuit.statevector import MAX_DENSE_QUBITS
 from repro.solvers.variational import (
     AnsatzSpec,
     EngineOptions,
@@ -115,6 +117,37 @@ class TestLayeredAnsatz:
                 initial_parameters=np.zeros(2),
                 metadata={},
             )
+
+
+class TestDenseCap:
+    """Past the dense cap a solver refuses its dense layout with a
+    structured error instead of allocating ``2^n`` amplitudes."""
+
+    @pytest.fixture(scope="class")
+    def wide_problem(self):
+        problem = facility_location_problem(random_facility_location(3, 4, seed=0))
+        assert problem.num_variables == 27 > MAX_DENSE_QUBITS
+        return problem
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            PenaltyQAOASolver(),
+            HEASolver(),
+            ChocoQSolver(config=ChocoQConfig(backend="dense")),
+            CyclicQAOASolver(config=CyclicQAOAConfig(backend="dense")),
+        ],
+        ids=["penalty-qaoa", "hea", "choco-q-dense", "cyclic-dense"],
+    )
+    def test_dense_layout_refuses_past_the_cap(self, wide_problem, solver):
+        with pytest.raises(SolverError, match=f"27 qubits exceeds the {MAX_DENSE_QUBITS}-qubit"):
+            solver.build_spec(wide_problem)
+
+    def test_subspace_layout_still_builds(self, wide_problem):
+        spec, _driver = ChocoQSolver(config=ChocoQConfig(backend="subspace")).build_spec(
+            wide_problem
+        )
+        assert spec.metadata["subspace_size"] == spec.initial_state.size == 132
 
 
 def _toy_spec() -> AnsatzSpec:

@@ -181,6 +181,15 @@ class TestSpsaSeeding:
             optimizer.minimize(quadratic_bowl, [0.0, 0.0]).trace.to_dict()
         )
 
+    def test_gain_offset_is_a_tenth_of_the_iterations_run(self):
+        # On f(x) = x the two-sided estimate is exactly 1 for either sign of
+        # delta, so the first step is -a / (1 + A) ** alpha with A = 0.1 * 33
+        # for 100 evaluations (33 iterations), not 0.1 * 100.
+        optimizer = SpsaOptimizer(max_iterations=100, seed=0)
+        result = optimizer.minimize(lambda x: float(x[0]), [0.0])
+        step = -optimizer.a / (1 + 0.1 * 33) ** optimizer.alpha
+        assert result.trace.parameters[3][0] == pytest.approx(step, rel=1e-12)
+
     def test_deterministic_optimizers_ignore_the_stream(self):
         optimizer = CobylaOptimizer()
         assert optimizer.seeded(np.random.SeedSequence(7)) is optimizer
