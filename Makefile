@@ -66,9 +66,12 @@
 #                    cold vs warm choco-q solves, whose records must be
 #                    identical), the COBYLA core row
 #                    (bench_cobyla_core: repro's path against SciPy's, on
-#                    identical trajectories) and the exact-optimum row
+#                    identical trajectories), the exact-optimum row
 #                    (bench_exact_optimum: the 27-variable optimum under
-#                    1 s).  Each asserts its expected shape; ~40 s.
+#                    1 s) and the Fig. 10 device grid (bench_fig10_hardware:
+#                    54 noisy solves whose rows must equal the committed
+#                    BENCH_fig10_hardware.json, which pins every noisy
+#                    histogram).  Each asserts its expected shape; ~45 s.
 #                    Runs in the CI test job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
@@ -131,7 +134,7 @@ bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
 
 bench-ablation:
-	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py benchmarks/bench_cobyla_core.py benchmarks/bench_exact_optimum.py -o python_files='bench_*.py' -o python_functions='bench_*'
+	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py benchmarks/bench_cobyla_core.py benchmarks/bench_exact_optimum.py benchmarks/bench_fig10_hardware.py -o python_files='bench_*.py' -o python_functions='bench_*'
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 

@@ -17,13 +17,22 @@ re-runs for free and never collides with its noiseless twin.
 Expected shape (paper): noise lowers every number, Fez (native CZ, 99.7%)
 beats the ECR devices, and Choco-Q keeps the highest in-constraints rate
 (2.43x average improvement) and success rate (2.65x) across devices.
+
+The pytest entry (``make bench-ablation``) also fails unless every row
+equals the committed ``BENCH_fig10_hardware.json``, so a change to any noisy
+histogram shows up there; the script entry (``make bench-fig10``) rewrites
+that file.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from harness import CACHE_PATH, SEED, WORKERS, percentage, write_bench_json
+# Aliased: pytest would collect a ``bench_*`` name as a benchmark.
+from harness import bench_json_path as _bench_json_path
 
 from repro.analysis.report import print_table
 from repro.qcircuit import DEFAULT_OPTIMIZATION_LEVEL
@@ -111,6 +120,42 @@ def _check_rows(rows: list[dict]) -> dict[str, float]:
     return averages
 
 
+def _metadata() -> dict:
+    """Every knob that shaped the grid, as ``BENCH_fig10_hardware.json`` records it."""
+    return {
+        "cases": list(CASES),
+        "devices": list(DEVICES),
+        "optimization_levels": list(OPTIMIZATION_LEVELS),
+        "shots": NOISY_SHOTS,
+        "iterations": NOISY_ITERATIONS,
+        "trajectories": NOISY_TRAJECTORIES,
+        "seed": SEED,
+        "designs": {label: list(entry) for label, entry in FIG10_DESIGNS.items()},
+    }
+
+
+def _check_committed(rows: list[dict]) -> None:
+    """Fail unless the grid equals the committed ``BENCH_fig10_hardware.json``.
+
+    Every noisy histogram feeds some rate of the grid, so this pins the
+    noisy sampling path bit for bit.  A change that moves the histograms on
+    purpose regenerates the file (``make bench-fig10``) in the same commit.
+    """
+    with open(_bench_json_path("fig10_hardware"), encoding="utf-8") as handle:
+        committed = json.load(handle)
+    if committed["metadata"] != json.loads(json.dumps(_metadata())):
+        raise AssertionError(
+            f"the grid's knobs {_metadata()} differ from the committed {committed['metadata']}"
+        )
+    rows, pinned = json.loads(json.dumps(rows)), committed["rows"]
+    if rows != pinned:
+        changed = [row for row, old in zip(rows, pinned) if row != old]
+        raise AssertionError(
+            f"the grid differs from the committed one ({len(rows)} rows, committed "
+            f"{len(pinned)}); changed rows: {changed}"
+        )
+
+
 def bench_fig10_hardware(benchmark):
     rows = benchmark.pedantic(_fig10_rows, rounds=1, iterations=1)
     print()
@@ -120,6 +165,7 @@ def bench_fig10_hardware(benchmark):
         "\naverage in-constraints rate: "
         + " ".join(f"{label}={value:.1f}%" for label, value in averages.items())
     )
+    _check_committed(rows)
 
 
 if __name__ == "__main__":
@@ -132,17 +178,4 @@ if __name__ == "__main__":
         "average in-constraints rate: "
         + " ".join(f"{label}={value:.1f}%" for label, value in fig10_averages.items())
     )
-    write_bench_json(
-        "fig10_hardware",
-        fig10_rows,
-        metadata={
-            "cases": list(CASES),
-            "devices": list(DEVICES),
-            "optimization_levels": list(OPTIMIZATION_LEVELS),
-            "shots": NOISY_SHOTS,
-            "iterations": NOISY_ITERATIONS,
-            "trajectories": NOISY_TRAJECTORIES,
-            "seed": SEED,
-            "designs": {label: list(entry) for label, entry in FIG10_DESIGNS.items()},
-        },
-    )
+    write_bench_json("fig10_hardware", fig10_rows, metadata=_metadata())

@@ -40,11 +40,7 @@ from repro.qcircuit.passes import (
     TranspileReport,
     default_pipeline,
 )
-from repro.qcircuit.sampling import (
-    SampleResult,
-    exact_distribution,
-    subspace_exact_distribution,
-)
+from repro.qcircuit.sampling import SampleResult
 from repro.qcircuit.statevector import (
     DEFAULT_SUPPORT_TOLERANCE,
     SimulationResult,
@@ -95,12 +91,10 @@ __all__ = [
     "TranspileOptions",
     "Transpiler",
     "depth_after_transpile",
-    "exact_distribution",
     "get_device_profile",
     "mcp_gate",
     "mcx_gate",
     "state_support_size",
-    "subspace_exact_distribution",
     "standard_gate",
     "transpile",
     "unitary_gate",

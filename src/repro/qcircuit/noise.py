@@ -7,12 +7,13 @@ no access to the hardware, so this module provides the closest synthetic
 equivalent: a Monte-Carlo Pauli-error noise model parameterised by the gate
 fidelities quoted in Section V-A plus readout error.
 
-The noise simulation works by stochastic trajectory sampling: the ideal
-circuit is executed once, but each trajectory inserts random Pauli errors
-after gates with probability derived from the per-gate error rate, and flips
-readout bits with the readout error probability.  Averaging over trajectories
-converges to the depolarizing-channel result while keeping the cost of a
-statevector simulation.
+The noise simulation works by stochastic trajectory sampling: each
+trajectory walks the circuit once over a dense state, applying every gate
+and, with probability derived from the per-gate error rate, a random Pauli on
+each of its qubits right after it; its shots then flip readout bits with the
+readout error probability.  Averaging over trajectories converges to the
+depolarizing-channel result while keeping the cost of a statevector
+simulation.
 
 For larger circuits an analytical *success-probability scaling* shortcut is
 also offered (:meth:`NoiseModel.fidelity_factor`), which multiplies ideal
@@ -20,31 +21,36 @@ outcome probabilities by the product of per-gate fidelities and renormalises
 with a uniform error floor — the standard first-order model of depolarizing
 noise.  Both paths expose the same knobs the paper's hardware discussion
 turns on: two-qubit gate count, depth, and readout quality.
+
+Outcomes come from the one function per kind of outcome in
+:mod:`repro.qcircuit.sampling`: every trajectory and the analytical model's
+noisy distribution are drawn by :func:`~repro.qcircuit.sampling.sample_histogram`
+with the dense layout's ``bits_of`` (``index_bits(indices, n)``).  Both paths
+refuse a circuit wider than
+:data:`~repro.qcircuit.statevector.MAX_DENSE_QUBITS` before any state is
+allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
 
 from repro.exceptions import NoiseModelError
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.statevector import (
-    StatevectorSimulator,
-    Statevector,
-    index_bits,
-    sample_histogram,
-)
-from repro.qcircuit.sampling import SampleResult, split_shots
 from repro.qcircuit.gates import standard_gate
-
-_PAULIS = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from repro.qcircuit.sampling import SampleResult, sample_histogram, split_shots
+from repro.qcircuit.statevector import (
+    Statevector,
+    StatevectorSimulator,
+    abs_squared,
+    apply_matrix,
+    index_bits,
+    require_simulable,
+)
 
 
 @dataclass(frozen=True)
@@ -194,12 +200,7 @@ class NoiseModel:
     # ------------------------------------------------------------------
 
     def sample(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        initial_state: Statevector | list[int] | None = None,
-        trajectories: int = 16,
-        simulator: StatevectorSimulator | None = None,
+        self, circuit: QuantumCircuit, shots: int, trajectories: int = 16
     ) -> SampleResult:
         """Sample the circuit under noise via Pauli-error trajectories.
 
@@ -210,48 +211,44 @@ class NoiseModel:
         rounds to zero is skipped entirely).  Each trajectory inserts a
         random Pauli after every gate with the corresponding error
         probability and applies independent readout bit-flips when sampling.
+        A circuit wider than :data:`~repro.qcircuit.statevector.MAX_DENSE_QUBITS`
+        raises :class:`~repro.exceptions.SimulationError` before any state
+        is allocated.
         """
         if shots < 1:
             raise NoiseModelError("shots must be positive")
         if trajectories < 1:
             raise NoiseModelError("trajectories must be positive")
-        simulator = simulator or StatevectorSimulator(max_qubits=22)
+        require_simulable(circuit.num_qubits)
+        bits_of = partial(index_bits, num_qubits=circuit.num_qubits)
         totals: dict[str, int] = {}
         for per_trajectory in split_shots(shots, trajectories):
             if per_trajectory == 0:
                 continue
-            noisy_circuit = self._sample_noisy_circuit(circuit)
-            state = simulator.statevector(noisy_circuit, initial_state=initial_state)
-            counts = state.sample_counts(per_trajectory, rng=self._rng)
+            probabilities = abs_squared(self._trajectory_state(circuit))
+            counts = sample_histogram(probabilities, per_trajectory, bits_of, rng=self._rng)
             for key, value in self._apply_readout_error(counts).items():
                 totals[key] = totals.get(key, 0) + value
         result = SampleResult.from_counts(totals)
         self._check_shot_conservation(result, shots)
         return result
 
-    def sample_analytical(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        initial_state: Statevector | list[int] | None = None,
-        simulator: StatevectorSimulator | None = None,
-    ) -> SampleResult:
+    def sample_analytical(self, circuit: QuantumCircuit, shots: int) -> SampleResult:
         """Sample under the first-order analytical depolarizing model.
 
         One ideal statevector simulation, the :meth:`apply_analytical`
         uniform-mixing correction, and a single ``shots``-sized draw — the
         cheap counterpart of :meth:`sample` for deep circuits, with the same
-        exact-shot-conservation contract.
+        exact-shot-conservation contract and width cap.
         """
         if shots < 1:
             raise NoiseModelError("shots must be positive")
-        simulator = simulator or StatevectorSimulator(max_qubits=22)
-        state = simulator.statevector(circuit, initial_state=initial_state)
+        state = StatevectorSimulator().statevector(circuit)
         noisy_probabilities = self.apply_analytical(state.probabilities(), circuit)
         counts = sample_histogram(
             noisy_probabilities,
             shots,
-            lambda indices: index_bits(indices, circuit.num_qubits),
+            partial(index_bits, num_qubits=circuit.num_qubits),
             rng=self._rng,
         )
         result = SampleResult.from_counts(counts)
@@ -267,22 +264,30 @@ class NoiseModel:
                 f"shot conservation violated: delivered {result.shots} of {shots}"
             )
 
-    def _sample_noisy_circuit(self, circuit: QuantumCircuit) -> QuantumCircuit:
-        """Clone the circuit, stochastically inserting Pauli errors after gates."""
-        noisy = QuantumCircuit(circuit.num_qubits, name=f"{circuit.name}_noisy")
+    def _trajectory_state(self, circuit: QuantumCircuit) -> np.ndarray:
+        """One trajectory's final dense state, from ``|0...0>``.
+
+        Each gate is applied, then each of its qubits draws ``random()``
+        against the gate's error probability and, on a hit, ``choice`` of a
+        Pauli, which is applied at once.  These draws, in gate order, are
+        the generator's only use here: the pinned noisy histograms depend on
+        that order.
+        """
+        num_qubits = circuit.num_qubits
         p1 = self.profile.single_qubit_error
         p2 = self.profile.effective_two_qubit_error()
+        state = Statevector.zero_state(num_qubits).data
         for instruction in circuit:
             if instruction.is_directive:
-                noisy.append_instruction(instruction)
                 continue
-            noisy.append(instruction.gate, instruction.qubits)
-            error_probability = p2 if len(instruction.qubits) >= 2 else p1
-            for qubit in instruction.qubits:
+            qubits = instruction.qubits
+            state = apply_matrix(state, instruction.gate.to_matrix(), qubits, num_qubits)
+            error_probability = p2 if len(qubits) >= 2 else p1
+            for qubit in qubits:
                 if self._rng.random() < error_probability:
-                    pauli = self._rng.choice(["x", "y", "z"])
-                    noisy.append(standard_gate(pauli), [qubit])
-        return noisy
+                    pauli = standard_gate(self._rng.choice(["x", "y", "z"]))
+                    state = apply_matrix(state, pauli.to_matrix(), (qubit,), num_qubits)
+        return state
 
     def _apply_readout_error(self, counts: Mapping[str, int]) -> dict[str, int]:
         """Flip each measured bit independently with the readout error rate."""

@@ -1,25 +1,23 @@
-"""Measurement sampling utilities.
+"""Measurement outcomes of a final state.
 
 Solvers interact with the simulator through :class:`SampleResult`, a
-histogram of measured bitstrings.  Helpers here turn probability vectors
-into shot histograms and the bit-assignment arrays the problem layer
-consumes, and split a shot budget over the multiple circuit executions that
-the variable-elimination technique of Section IV-C requires (and over the
-noise model's trajectories); each caller sums its partial histograms itself.
+histogram of measured bitstrings.  Every final state — dense, feasible
+subspace or noisy trajectory — becomes outcomes through one function per
+kind of outcome:
 
-Two state layouts feed this module:
+* :func:`outcome_distribution` — the exact bitstring distribution;
+* :func:`sample_histogram` — a ``shots``-sized bitstring histogram.
 
-* **dense** — probabilities indexed by the full ``2^n`` computational basis
-  (:meth:`SampleResult.from_statevector`);
-* **subspace** — probabilities indexed by the compact coordinates of a
-  :class:`~repro.core.subspace.SubspaceMap`
-  (:meth:`SampleResult.from_subspace_probabilities` /
-  :func:`subspace_exact_distribution`), whose basis rows are the
-  coordinates' feasible assignments.
-
-Either way the kept indices become ``(k, n)`` bit rows and all their keys
-come from one :func:`~repro.qcircuit.statevector.bitstring_keys` call, so
-downstream metrics code sees the exact same histogram format.
+Both take the state's probability vector and the layout's row map
+``bits_of(indices) -> (k, n)`` uint8 bit rows, the only thing a layout
+supplies: ``index_bits(indices, n)`` for a dense ``2^n`` state (ideal or
+noisy), ``subspace_map.basis[indices]`` for the compact coordinates of a
+:class:`~repro.core.subspace.SubspaceMap`.  The kept indices' keys all come
+from one :func:`~repro.qcircuit.statevector.bitstring_keys` call, so
+downstream metrics code sees one histogram format.  :func:`split_shots`
+divides a shot budget over the circuit executions that the
+variable-elimination technique of Section IV-C requires (and over the noise
+model's trajectories); each caller sums its partial histograms itself.
 """
 
 from __future__ import annotations
@@ -30,13 +28,47 @@ from typing import Mapping
 import numpy as np
 
 from repro.serialization import json_sanitize
-from repro.qcircuit.statevector import (
-    Statevector,
-    bitstring_keys,
-    index_bits,
-    key_bits,
-    sample_histogram,
-)
+from repro.qcircuit.statevector import bitstring_keys, key_bits
+
+#: Fallback generator for ad-hoc/interactive sampling without a
+#: caller-provided rng.  Seeded, so even unthreaded sampling reproduces
+#: run-to-run; every library path threads a SeedSequence-derived rng and
+#: never touches this.
+_FALLBACK_RNG = np.random.default_rng(0x5EED)
+
+
+def outcome_distribution(probabilities: np.ndarray, bits_of) -> dict[str, float]:
+    """The exact bitstring distribution of a probability vector (no shot noise).
+
+    ``bits_of(indices)`` maps ascending, distinct indices to their ``(k,
+    n)`` bit rows.  Indices whose probability does not exceed ``1e-12`` are
+    left out; the rest contribute their probability under the key of their
+    bit row, in index order.
+    """
+    probabilities = np.asarray(probabilities, dtype=float)
+    indices = np.flatnonzero(probabilities > 1e-12)
+    keys = bitstring_keys(bits_of(indices))
+    return dict(zip(keys, probabilities[indices].tolist()))
+
+
+def sample_histogram(
+    probabilities: np.ndarray,
+    shots: int,
+    bits_of,
+    rng: np.random.Generator | None = None,
+) -> dict[str, int]:
+    """Sample ``shots`` outcomes from a probability vector into a histogram.
+
+    The one sampling loop: one ``rng.choice`` draw of all ``shots``, then
+    one key per distinct sampled index, in index order (``bits_of`` as in
+    :func:`outcome_distribution`).
+    """
+    rng = _FALLBACK_RNG if rng is None else rng
+    probabilities = np.asarray(probabilities, dtype=float)
+    probabilities = probabilities / probabilities.sum()
+    outcomes = rng.choice(len(probabilities), size=shots, p=probabilities)
+    indices, counts = np.unique(outcomes, return_counts=True)
+    return dict(zip(bitstring_keys(bits_of(indices)), counts.tolist()))
 
 
 def split_shots(shots: int, parts: int) -> list[int]:
@@ -68,37 +100,6 @@ class SampleResult:
     def from_counts(cls, counts: Mapping[str, int], metadata: dict | None = None) -> "SampleResult":
         total = int(sum(counts.values()))
         return cls(counts=dict(counts), shots=total, metadata=dict(metadata or {}))
-
-    @classmethod
-    def from_statevector(
-        cls,
-        statevector: Statevector,
-        shots: int,
-        rng: np.random.Generator | None = None,
-        metadata: dict | None = None,
-    ) -> "SampleResult":
-        counts = statevector.sample_counts(shots, rng=rng)
-        return cls(counts=counts, shots=shots, metadata=dict(metadata or {}))
-
-    @classmethod
-    def from_subspace_probabilities(
-        cls,
-        probabilities: np.ndarray,
-        subspace_map,
-        shots: int,
-        rng: np.random.Generator | None = None,
-        metadata: dict | None = None,
-    ) -> "SampleResult":
-        """Sample a feasible-subspace distribution into a bitstring histogram.
-
-        ``probabilities[k]`` is the probability of subspace coordinate ``k``
-        of a :class:`~repro.core.subspace.SubspaceMap`; each sampled
-        coordinate is lifted to its full-register bitstring key.
-        """
-        counts = sample_histogram(
-            probabilities, shots, lambda coordinates: subspace_map.basis[coordinates], rng=rng
-        )
-        return cls(counts=counts, shots=shots, metadata=dict(metadata or {}))
 
     # ------------------------------------------------------------------
 
@@ -139,26 +140,3 @@ class SampleResult:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-
-def subspace_exact_distribution(
-    probabilities: np.ndarray, subspace_map, tolerance: float = 1e-12
-) -> dict[str, float]:
-    """Exact bitstring distribution of a feasible-subspace state.
-
-    The subspace analogue of :func:`exact_distribution`: coordinate ``k`` of
-    a :class:`~repro.core.subspace.SubspaceMap` contributes its probability
-    under the key of basis row ``k``.
-    """
-    probabilities = np.asarray(probabilities, dtype=float)
-    coordinates = np.flatnonzero(probabilities > tolerance)
-    keys = bitstring_keys(subspace_map.basis[coordinates])
-    return dict(zip(keys, probabilities[coordinates].tolist()))
-
-
-def exact_distribution(statevector: Statevector) -> dict[str, float]:
-    """The exact measurement distribution (no shot noise)."""
-    probabilities = statevector.probabilities()
-    indices = np.flatnonzero(probabilities > 1e-12)
-    keys = bitstring_keys(index_bits(indices, statevector.num_qubits))
-    return dict(zip(keys, probabilities[indices].tolist()))

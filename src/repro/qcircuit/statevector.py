@@ -61,11 +61,12 @@ def state_support_size(
     return int(np.count_nonzero(abs_squared(amplitudes) > tolerance))
 
 
-#: Fallback generator for ad-hoc/interactive sampling without a
-#: caller-provided rng.  Seeded, so even unthreaded sampling reproduces
-#: run-to-run; every library path threads a SeedSequence-derived rng and
-#: never touches this.
-_FALLBACK_RNG = np.random.default_rng(0x5EED)
+def require_simulable(num_qubits: int, max_qubits: int = MAX_DENSE_QUBITS) -> None:
+    """Refuse a register wider than ``max_qubits`` before any state of it is allocated."""
+    if num_qubits > max_qubits:
+        raise SimulationError(
+            f"circuit has {num_qubits} qubits, exceeding the simulator limit of {max_qubits}"
+        )
 
 
 def index_bits(indices, num_qubits: int) -> np.ndarray:
@@ -108,28 +109,6 @@ def key_bits(keys: list[str], n: int) -> np.ndarray:
     if bad.size:
         raise ProblemError(f"bitstring {keys[bad[0]]!r} does not start with {n} binary digits")
     return bits
-
-
-def sample_histogram(
-    probabilities: np.ndarray,
-    shots: int,
-    bits_of,
-    rng: np.random.Generator | None = None,
-) -> dict[str, int]:
-    """Sample ``shots`` outcomes from a probability vector into a histogram.
-
-    The single sampling loop shared by the dense and subspace histogram
-    constructors; ``bits_of(indices)`` maps the sampled indices (ascending,
-    distinct) to their ``(k, n)`` bit rows, one distinct row per index:
-    :func:`index_bits` for the dense layout, ``subspace_map.basis[indices]``
-    for a feasible subspace.
-    """
-    rng = _FALLBACK_RNG if rng is None else rng
-    probabilities = np.asarray(probabilities, dtype=float)
-    probabilities = probabilities / probabilities.sum()
-    outcomes = rng.choice(len(probabilities), size=shots, p=probabilities)
-    indices, counts = np.unique(outcomes, return_counts=True)
-    return dict(zip(bitstring_keys(bits_of(indices)), counts.tolist()))
 
 
 @dataclass
@@ -191,19 +170,6 @@ class Statevector:
         """
         return state_support_size(self.data, tolerance)
 
-    def sample_counts(self, shots: int, rng: np.random.Generator | None = None) -> dict[str, int]:
-        """Sample measurement outcomes; keys are little-endian bitstrings.
-
-        The returned keys are strings like ``"0110"`` where character ``i``
-        (from the left) is the value of qubit ``i``.
-        """
-        return sample_histogram(
-            self.probabilities(),
-            shots,
-            lambda indices: index_bits(indices, self.num_qubits),
-            rng=rng,
-        )
-
     def to_dict(self, tolerance: float = 1e-12) -> dict[str, complex]:
         """Sparse dictionary of non-negligible amplitudes keyed by bitstring."""
         indices = np.flatnonzero(np.abs(self.data) > tolerance)
@@ -253,11 +219,7 @@ class StatevectorSimulator:
             initial_state: a :class:`Statevector`, a bit assignment, or
                 ``None`` for ``|0...0>``.
         """
-        if circuit.num_qubits > self.max_qubits:
-            raise SimulationError(
-                f"circuit has {circuit.num_qubits} qubits, exceeding the simulator "
-                f"limit of {self.max_qubits}"
-            )
+        require_simulable(circuit.num_qubits, self.max_qubits)
         state = self._prepare_state(circuit.num_qubits, initial_state)
         support_trace: list[int] = []
         gate_count = 0

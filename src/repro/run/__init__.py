@@ -19,7 +19,6 @@ from repro.run.plan import (
     RunRecord,
     RunSpec,
     execute_spec,
-    load_records,
     merge_records,
     run_plan,
     shard_owner,
@@ -51,7 +50,6 @@ __all__ = [
     "execute_spec",
     "get_solver_entry",
     "load_jsonl_records",
-    "load_records",
     "make_solver",
     "merge_records",
     "register_benchmark",

@@ -328,15 +328,6 @@ def _execute_spec_payload(spec_dict: dict) -> dict:
     return execute_spec(RunSpec.from_dict(spec_dict)).to_dict()
 
 
-def load_records(jsonl_path) -> dict[str, dict]:
-    """Completed records from a JSONL file, keyed by spec content hash.
-
-    Later lines win on duplicate hashes (append-only files self-heal);
-    malformed trailing lines — a run killed mid-write — are skipped.
-    """
-    return load_jsonl_records(jsonl_path)
-
-
 def _pool_context():
     """Prefer ``fork`` so runtime-registered solvers/benchmarks reach workers."""
     import multiprocessing
@@ -375,7 +366,7 @@ def run_plan(
         crash-safety contract.
     """
     specs = plan.resolved_specs()
-    cache = load_records(jsonl_path) if resume else {}
+    cache = load_jsonl_records(jsonl_path) if resume else {}
 
     records: list[RunRecord | None] = [None] * len(specs)
     pending: list[tuple[int, RunSpec]] = []
@@ -531,7 +522,7 @@ def merge_records(
     """
     merged: dict[str, dict] = {}
     for path in paths:
-        merged.update(load_records(path))
+        merged.update(load_jsonl_records(path))
     if output_path is not None:
         output_path = os.fspath(output_path)
         staging = output_path + ".tmp"

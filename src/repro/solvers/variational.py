@@ -63,12 +63,8 @@ from repro.hamiltonian.commute import CommuteDriver
 from repro.hamiltonian.compiled import EvolutionProgram
 from repro.hamiltonian.diagonal import phase_separation_circuit, polynomial_diagonal
 from repro.qcircuit.circuit import QuantumCircuit
-from repro.qcircuit.sampling import (
-    SampleResult,
-    exact_distribution,
-    subspace_exact_distribution,
-)
-from repro.qcircuit.statevector import MAX_DENSE_QUBITS, Statevector, abs_squared
+from repro.qcircuit.sampling import SampleResult, outcome_distribution, sample_histogram
+from repro.qcircuit.statevector import MAX_DENSE_QUBITS, Statevector, abs_squared, index_bits
 from repro.qcircuit.passes.manager import MAX_OPTIMIZATION_LEVEL
 from repro.qcircuit.transpile import (
     TranspileOptions,
@@ -110,7 +106,11 @@ class StateBackend:
 
     A backend fixes the meaning of the amplitude vectors that
     ``AnsatzSpec.evolve`` consumes and produces, and converts the final
-    state into the bitstring-keyed artefacts every solver reports.
+    state into the bitstring-keyed artefacts every solver reports.  Its
+    only layout-specific part of that conversion is :meth:`bits_of`; the
+    distribution and the histogram come from
+    :func:`~repro.qcircuit.sampling.outcome_distribution` and
+    :func:`~repro.qcircuit.sampling.sample_histogram`.
     """
 
     name: str = "backend"
@@ -118,6 +118,10 @@ class StateBackend:
     @property
     def dimension(self) -> int:
         """Length of the amplitude vectors this backend evolves."""
+        raise NotImplementedError
+
+    def bits_of(self, indices: np.ndarray) -> np.ndarray:
+        """``(k, n)`` uint8 bit rows of ascending, distinct state indices."""
         raise NotImplementedError
 
     def exact_distribution(self, state: np.ndarray) -> dict[str, float]:
@@ -143,14 +147,17 @@ class DenseStateBackend(StateBackend):
     def dimension(self) -> int:
         return 2**self.num_qubits
 
+    def bits_of(self, indices: np.ndarray) -> np.ndarray:
+        return index_bits(indices, self.num_qubits)
+
     def exact_distribution(self, state: np.ndarray) -> dict[str, float]:
-        return exact_distribution(Statevector(data=state, num_qubits=self.num_qubits))
+        return outcome_distribution(abs_squared(state), self.bits_of)
 
     def sample(
         self, state: np.ndarray, shots: int, rng: np.random.Generator
     ) -> SampleResult:
-        return SampleResult.from_statevector(
-            Statevector(data=state, num_qubits=self.num_qubits), shots=shots, rng=rng
+        return SampleResult.from_counts(
+            sample_histogram(abs_squared(state), shots, self.bits_of, rng)
         )
 
 
@@ -172,14 +179,17 @@ class SubspaceStateBackend(StateBackend):
     def dimension(self) -> int:
         return self.subspace_map.size
 
+    def bits_of(self, indices: np.ndarray) -> np.ndarray:
+        return self.subspace_map.basis[indices]
+
     def exact_distribution(self, state: np.ndarray) -> dict[str, float]:
-        return subspace_exact_distribution(abs_squared(state), self.subspace_map)
+        return outcome_distribution(abs_squared(state), self.bits_of)
 
     def sample(
         self, state: np.ndarray, shots: int, rng: np.random.Generator
     ) -> SampleResult:
-        return SampleResult.from_subspace_probabilities(
-            abs_squared(state), self.subspace_map, shots=shots, rng=rng
+        return SampleResult.from_counts(
+            sample_histogram(abs_squared(state), shots, self.bits_of, rng)
         )
 
 
@@ -556,6 +566,16 @@ class VariationalEngine:
                 reports.setdefault(transpile_options, compiled)
         compilation_seconds = time.perf_counter() - compile_start
 
+        # The noisy run simulates the transpiled final circuit, whose width
+        # (ancillas included) is this one's: ancillas depend on control
+        # counts, not on angles.  Refuse it now, not after the optimizer.
+        noise = self.noise
+        if noise is not None and self.options.shots > 0 and transpiled.num_qubits > MAX_DENSE_QUBITS:
+            raise SolverError(
+                f"a noisy run simulates the {transpiled.num_qubits}-qubit transpiled circuit "
+                f"(ancillas included), past the {MAX_DENSE_QUBITS}-qubit dense cap"
+            )
+
         # ---- classical optimization against the exact expectation -------
         classical_start = time.perf_counter()
 
@@ -581,7 +601,6 @@ class VariationalEngine:
         classical_seconds = time.perf_counter() - classical_start
 
         # ---- final state and sampling -----------------------------------
-        noise = self.noise
         if noise is not None:
             # A zero-shot run (e.g. an elimination sub-instance whose share of
             # the budget rounded to nothing) has an empty histogram; the noise

@@ -13,7 +13,10 @@ The dense term helpers (``term_evolution_operator``, ``term_eigenstate``)
 and the two commutation checks verify Eq. (5), Theorem 1 and Lemma 2 on
 small registers.  ``engine_cost`` spells out the variational engine's cost
 closure, for the tests and ``benchmarks/bench_cobyla_core.py`` that drive
-an optimizer on it outside a solve.
+an optimizer on it outside a solve.  ``clone_then_simulate_sample`` is the
+noisy trajectory sampler as a circuit rebuild: each trajectory clones the
+circuit with its drawn Paulis inserted, then simulates the clone; the noise
+model's one-pass sampler must give its histograms exactly.
 
 Tests import this module as ``reference`` (``tests/conftest.py`` puts this
 directory on ``sys.path``); the benchmark adds the directory itself.
@@ -31,7 +34,11 @@ from repro.hamiltonian.commute import CommuteDriver, CommuteHamiltonianTerm
 from repro.hamiltonian.constraint_operator import constraint_operator_diagonal
 from repro.hamiltonian.evolution import dense_evolution_operator
 from repro.problems.benchmark_suite import make_benchmark
-from repro.qcircuit.statevector import bits_index
+from repro.qcircuit.circuit import QuantumCircuit
+from repro.qcircuit.gates import standard_gate
+from repro.qcircuit.noise import DeviceProfile
+from repro.qcircuit.sampling import sample_histogram, split_shots
+from repro.qcircuit.statevector import StatevectorSimulator, bits_index, index_bits
 from repro.run.registry import make_solver
 
 
@@ -199,3 +206,50 @@ def operators_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8
     if abs(abs(phase) - 1.0) > 1e-6:
         return False
     return bool(np.allclose(a * phase, b, atol=atol))
+
+
+def clone_then_simulate_sample(
+    profile: DeviceProfile, seed, circuit: QuantumCircuit, shots: int, trajectories: int
+) -> dict[str, int]:
+    """Trajectory-sampled noisy histogram of ``circuit``, one rebuilt circuit per trajectory.
+
+    Draws from ``np.random.default_rng(seed)`` in the order
+    :meth:`~repro.qcircuit.noise.NoiseModel.sample` does: per trajectory, a
+    ``random()`` per gate operand (and a Pauli ``choice`` on a hit), the
+    shot draw, then a ``random()`` per measured bit for readout.
+    """
+    rng = np.random.default_rng(seed)
+    p1 = profile.single_qubit_error
+    p2 = profile.effective_two_qubit_error()
+    totals: dict[str, int] = {}
+    for per_trajectory in split_shots(shots, trajectories):
+        if per_trajectory == 0:
+            continue
+        noisy = QuantumCircuit(circuit.num_qubits)
+        for instruction in circuit:
+            if instruction.is_directive:
+                noisy.append_instruction(instruction)
+                continue
+            noisy.append(instruction.gate, instruction.qubits)
+            error_probability = p2 if len(instruction.qubits) >= 2 else p1
+            for qubit in instruction.qubits:
+                if rng.random() < error_probability:
+                    noisy.append(standard_gate(rng.choice(["x", "y", "z"])), [qubit])
+        state = StatevectorSimulator().statevector(noisy)
+        counts = sample_histogram(
+            state.probabilities(),
+            per_trajectory,
+            lambda indices: index_bits(indices, circuit.num_qubits),
+            rng=rng,
+        )
+        for key, value in counts.items():
+            for _ in range(value):
+                if profile.readout_error > 0.0:
+                    key_read = "".join(
+                        str(1 - int(ch)) if rng.random() < profile.readout_error else ch
+                        for ch in key
+                    )
+                else:
+                    key_read = key
+                totals[key_read] = totals.get(key_read, 0) + 1
+    return totals

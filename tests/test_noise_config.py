@@ -193,6 +193,20 @@ class TestNoiseThreading:
         # single-instance noisy run does.
         assert result.metadata["noise"]["device"] == "fez"
 
+    def test_over_wide_noisy_target_refused_before_optimizing(self, monkeypatch):
+        from repro.problems.k_partition import k_partition_problem, random_k_partition
+        from repro.solvers.optimizer import Optimizer
+
+        calls = []
+        monkeypatch.setattr(Optimizer, "minimize", lambda *args: calls.append(args))
+        # 24 variables fit the subspace layout; the transpiled circuit's two
+        # ancillas take the noisy target to 26 qubits.
+        problem = k_partition_problem(random_k_partition(12, 14, seed=0))
+        assert problem.num_variables == 24
+        with pytest.raises(SolverError, match="26-qubit transpiled circuit"):
+            repro.solve(problem, solver="choco-q", backend="subspace", noise="fez")
+        assert calls == []
+
 
 # ---------------------------------------------------------------------------
 # RunSpec and the batch runner
@@ -381,6 +395,8 @@ class TestAppendInstruction:
         for instruction in source:
             clone.append_instruction(instruction)
         assert [inst.name for inst in clone] == [inst.name for inst in source]
+        gate = Instruction(standard_gate("x"), (0,))
+        assert QuantumCircuit(1).append_instruction(gate).size() == 1
 
     def test_validates_register_bounds(self):
         big = QuantumCircuit(3)
@@ -395,12 +411,3 @@ class TestAppendInstruction:
         target = QuantumCircuit(2)
         target.extend(source)
         assert [inst.name for inst in target] == ["h", "barrier"]
-
-    def test_trajectory_cloning_survives_directives(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0).barrier().cx(0, 1)
-        model = NoiseModel(IBM_OSAKA, seed=2)
-        noisy = model._sample_noisy_circuit(circuit)
-        assert "barrier" in [inst.name for inst in noisy]
-        gate = Instruction(standard_gate("x"), (0,))
-        assert QuantumCircuit(1).append_instruction(gate).size() == 1

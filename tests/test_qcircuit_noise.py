@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import NoiseModelError
+from reference import clone_then_simulate_sample
+from repro.exceptions import NoiseModelError, SimulationError
+from repro.qcircuit import statevector
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.noise import (
     DEVICE_PROFILES,
@@ -15,6 +17,10 @@ from repro.qcircuit.noise import (
     NoiseModel,
     get_device_profile,
 )
+from repro.qcircuit.transpile import transpile
+from repro.run import make_solver
+from repro.run.problems import resolve_benchmark
+from repro.solvers.config import NoiseConfig
 
 
 class TestDeviceProfiles:
@@ -144,3 +150,58 @@ class TestTrajectorySampling:
         flipped = model._apply_readout_error({"0000": 100})
         assert sum(flipped.values()) == 100
         assert all(len(key) == 4 for key in flipped)
+
+
+def _hand_built_circuit() -> QuantumCircuit:
+    """Directives between 1-qubit, 2-qubit and multi-controlled gates."""
+    circuit = QuantumCircuit(4)
+    circuit.h(0).h(1).barrier().rx(0.3, 2).cx(0, 1).mcx([0, 1, 2], 3)
+    circuit.cz(1, 2).barrier([2, 3]).ry(0.7, 3).rzz(0.4, 0, 3).measure_all()
+    return circuit
+
+
+def _chocoq_k1_target() -> QuantumCircuit:
+    """The transpiled choco-q K1 reference circuit, ancillas included."""
+    spec, _driver = make_solver("choco-q").build_spec(resolve_benchmark("K1"))
+    target = transpile(spec.build_circuit(spec.initial_parameters))
+    assert target.num_qubits > spec.num_qubits
+    return target
+
+
+class TestOnePassTrajectories:
+    """Each trajectory applies its drawn Paulis as it walks the circuit; the
+    histograms equal rebuilding the circuit with the Paulis inserted and
+    simulating the rebuild, key order included."""
+
+    @pytest.fixture(scope="class")
+    def circuits(self) -> dict[str, QuantumCircuit]:
+        return {"hand-built": _hand_built_circuit(), "choco-q-K1": _chocoq_k1_target()}
+
+    @pytest.mark.parametrize("name", ["hand-built", "choco-q-K1"])
+    @pytest.mark.parametrize("device", ["fez", "osaka"])
+    @pytest.mark.parametrize("readout", [True, False])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_circuit_rebuild(self, circuits, name, device, readout, seed):
+        circuit = circuits[name]
+        model = NoiseConfig(device=device, readout=readout).build_model(seed=seed)
+        result = model.sample(circuit, shots=64, trajectories=3)
+        expected = clone_then_simulate_sample(model.profile, seed, circuit, 64, 3)
+        assert list(result.counts.items()) == list(expected.items())
+        assert result.shots == 64
+
+
+class TestWidthCap:
+    def test_both_modes_refuse_a_circuit_past_the_dense_cap(self, monkeypatch):
+        def refuse(num_qubits):
+            raise AssertionError(f"a {num_qubits}-qubit state was allocated")
+
+        monkeypatch.setattr(
+            statevector.Statevector, "zero_state", classmethod(lambda cls, n: refuse(n))
+        )
+        circuit = QuantumCircuit(statevector.MAX_DENSE_QUBITS + 1)
+        circuit.h(0)
+        model = NoiseModel(IBM_FEZ, seed=0)
+        with pytest.raises(SimulationError, match="25 qubits"):
+            model.sample(circuit, shots=8, trajectories=2)
+        with pytest.raises(SimulationError, match="25 qubits"):
+            model.sample_analytical(circuit, shots=8)

@@ -1,17 +1,16 @@
-"""Tests for sampling helpers and histogram manipulation."""
+"""Tests for the outcome path: exact distributions, shot histograms, histogram manipulation."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core.subspace import SubspaceMap
-from repro.qcircuit.sampling import (
-    SampleResult,
-    exact_distribution,
-    subspace_exact_distribution,
-)
-from repro.qcircuit.statevector import Statevector
+from repro.qcircuit.sampling import SampleResult, outcome_distribution, sample_histogram
+from repro.qcircuit.statevector import Statevector, index_bits
+from repro.solvers.variational import DenseStateBackend, SubspaceStateBackend
 
 
 class TestSampleResult:
@@ -20,10 +19,11 @@ class TestSampleResult:
         assert result.shots == 10
         assert result.frequencies()["11"] == pytest.approx(0.7)
 
-    def test_from_statevector_respects_distribution(self, rng):
+    def test_dense_sample_respects_distribution(self, rng):
         state = Statevector.from_bitstring([1, 0, 1])
-        result = SampleResult.from_statevector(state, shots=50, rng=rng)
+        result = DenseStateBackend(3).sample(state.data, 50, rng)
         assert result.counts == {"101": 50}
+        assert result.shots == 50
 
     def test_most_common_ordering(self):
         result = SampleResult.from_counts({"00": 1, "01": 5, "10": 3})
@@ -43,9 +43,20 @@ class TestSampleResult:
 class TestDistributionHelpers:
     def test_exact_distribution_matches_probabilities(self):
         state = Statevector.uniform_superposition(2)
-        distribution = exact_distribution(state)
+        distribution = DenseStateBackend(2).exact_distribution(state.data)
         assert len(distribution) == 4
         assert sum(distribution.values()) == pytest.approx(1.0)
+
+    def test_floor_drops_negligible_outcomes_in_index_order(self):
+        probabilities = np.array([0.25, 1e-12, 0.0, 0.75, 2e-12])
+        distribution = outcome_distribution(probabilities, partial(index_bits, num_qubits=3))
+        assert list(distribution.items()) == [("000", 0.25), ("110", 0.75), ("001", 2e-12)]
+
+    def test_histogram_keys_follow_bits_of(self, rng):
+        counts = sample_histogram(
+            np.array([0.0, 1.0]), 12, lambda indices: np.array([[1, 1, 0]] * len(indices)), rng
+        )
+        assert counts == {"110": 12}
 
 
 class TestSubspaceSampling:
@@ -55,27 +66,23 @@ class TestSubspaceSampling:
         return SubspaceMap.from_constraints([[1.0, 1.0, 1.0]], [1.0])
 
     def test_subspace_exact_distribution_lifts_coordinates(self, one_hot_map):
-        probabilities = np.array([0.5, 0.5, 0.0])
-        distribution = subspace_exact_distribution(probabilities, one_hot_map)
+        amplitudes = np.sqrt([0.5, 0.5, 0.0])
+        distribution = SubspaceStateBackend(one_hot_map).exact_distribution(amplitudes)
         assert distribution == {
-            one_hot_map.bitstring_of(0): 0.5,
-            one_hot_map.bitstring_of(1): 0.5,
+            one_hot_map.bitstring_of(0): pytest.approx(0.5),
+            one_hot_map.bitstring_of(1): pytest.approx(0.5),
         }
 
-    def test_from_subspace_probabilities_counts(self, one_hot_map, rng):
-        probabilities = np.array([0.0, 1.0, 0.0])
-        result = SampleResult.from_subspace_probabilities(
-            probabilities, one_hot_map, shots=30, rng=rng
-        )
+    def test_subspace_sample_counts(self, one_hot_map, rng):
+        amplitudes = np.array([0.0, 1.0, 0.0])
+        result = SubspaceStateBackend(one_hot_map).sample(amplitudes, 30, rng)
         assert result.counts == {one_hot_map.bitstring_of(1): 30}
         assert result.shots == 30
 
     def test_subspace_samples_match_dense_format(self, one_hot_map, rng):
         """Sampled keys are full-register feasible bitstrings."""
-        probabilities = np.full(3, 1.0 / 3.0)
-        result = SampleResult.from_subspace_probabilities(
-            probabilities, one_hot_map, shots=90, rng=rng
-        )
+        amplitudes = np.full(3, np.sqrt(1.0 / 3.0))
+        result = SubspaceStateBackend(one_hot_map).sample(amplitudes, 90, rng)
         assert sum(result.counts.values()) == 90
         for key in result.counts:
             assert len(key) == 3

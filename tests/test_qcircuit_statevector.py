@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ProblemError, SimulationError
 from repro.qcircuit.circuit import QuantumCircuit
+from repro.qcircuit.sampling import sample_histogram
 from repro.qcircuit.statevector import (
     Statevector,
     StatevectorSimulator,
@@ -124,9 +127,9 @@ class TestStatevectorOperations:
         assert state_support_size(amplitudes) == state.support_size() == 1
         assert state_support_size(amplitudes, tolerance=0.0) == 2
 
-    def test_sample_counts_total(self, rng):
+    def test_sample_histogram_total(self, rng):
         state = Statevector.uniform_superposition(2)
-        counts = state.sample_counts(100, rng=rng)
+        counts = sample_histogram(state.probabilities(), 100, partial(index_bits, num_qubits=2), rng)
         assert sum(counts.values()) == 100
 
     def test_fidelity_of_identical_states(self):

@@ -23,6 +23,7 @@ from repro.run import (
     available_benchmarks,
     available_solvers,
     get_solver_entry,
+    load_jsonl_records,
     make_solver,
     register_benchmark,
     register_solver,
@@ -470,7 +471,7 @@ class TestRunPlan:
             ]
             # Every healthy spec still reached the JSONL sink before the
             # failure was re-raised — that is the crash-safety contract.
-            assert len(plan_module.load_records(path)) == 4
+            assert len(load_jsonl_records(path)) == 4
         finally:
             unregister_benchmark("tiny-one-hot")
             unregister_benchmark("broken-bench")
