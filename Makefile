@@ -54,9 +54,11 @@
 #                    in the CI test job.
 #   bench-ablation - the paper-figure benches behind the Choco-Q
 #                    optimizations under pytest (pytest-benchmark's
-#                    `benchmark` fixture): fig12 (Trotter vs equivalent
-#                    decomposition), fig13 (variable elimination) and fig14
-#                    (Opt2/Opt3 ablation), plus the pass stack's
+#                    `benchmark` fixture): fig11 (modeled end-to-end
+#                    latency and its quantum/classical breakdown), fig12
+#                    (Trotter vs equivalent decomposition), fig13 (variable
+#                    elimination) and fig14 (Opt2/Opt3 ablation), plus the
+#                    pass stack's
 #                    gate-count gates (bench_transpile_optimization) and the
 #                    hot-path bench's bit-identity and throughput gates
 #                    (bench_iteration_throughput: the compiled dense view
@@ -71,7 +73,7 @@
 #                    1 s) and the Fig. 10 device grid (bench_fig10_hardware:
 #                    54 noisy solves whose rows must equal the committed
 #                    BENCH_fig10_hardware.json, which pins every noisy
-#                    histogram).  Each asserts its expected shape; ~45 s.
+#                    histogram).  Each asserts its expected shape; ~50 s.
 #                    Runs in the CI test job.
 #   bench-service  - load-generator benchmark of the async solve service
 #                    (requests/s, cache-hit/dedup ratios, p50/p99 latency);
@@ -134,7 +136,7 @@ bench-service:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py
 
 bench-ablation:
-	$(PYTEST) -q benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py benchmarks/bench_cobyla_core.py benchmarks/bench_exact_optimum.py benchmarks/bench_fig10_hardware.py -o python_files='bench_*.py' -o python_functions='bench_*'
+	$(PYTEST) -q benchmarks/bench_fig11_latency.py benchmarks/bench_fig12_decomposition.py benchmarks/bench_fig13_elimination.py benchmarks/bench_fig14_ablation.py benchmarks/bench_transpile_optimization.py benchmarks/bench_iteration_throughput.py benchmarks/bench_structure_memo.py benchmarks/bench_cobyla_core.py benchmarks/bench_exact_optimum.py benchmarks/bench_fig10_hardware.py -o python_files='bench_*.py' -o python_functions='bench_*'
 
 BENCH_WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 

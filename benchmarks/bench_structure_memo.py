@@ -13,9 +13,9 @@ benchmark times whole solves, ``RunSpec`` to ``RunRecord`` through
 * ``warm_ms`` — the same spec solved right after, its structure compiled.
 
 Each round runs the pair back to back with a fresh seed; the columns are
-medians over rounds.  Both records of a pair must be identical apart from
-the wall-clock latency fields (``bit_identical``), which is the gate; the
-times are recorded, not gated.  One untimed solve per case first warms
+medians over rounds.  Both records of a pair must be identical, modeled
+latency included (``bit_identical``), which is the gate; the times are
+recorded, not gated.  One untimed solve per case first warms
 imports, the benchmark optimum and the transpile memo.
 
 Run directly (``python benchmarks/bench_structure_memo.py``, which writes
@@ -26,7 +26,6 @@ one round per case, writes no file).
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -48,8 +47,6 @@ CASES = (
 SHOTS = 2048
 MAX_ITERATIONS = 60
 ROUNDS = 3
-#: Record fields that are host wall-clock times.
-WALL_CLOCK = ("compilation_s", "classical_processing_s", "total_s")
 
 
 def _spec(case: str, backend: str, seed: int) -> RunSpec:
@@ -67,11 +64,7 @@ def _timed(spec: RunSpec) -> tuple[float, dict]:
     start = time.perf_counter()
     record = execute_spec(spec)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    data = json.loads(json.dumps(record.to_dict()))
-    for field in WALL_CLOCK:
-        del data["result"]["latency"][field]
-    del data["metrics"]["latency_s"]
-    return elapsed_ms, data
+    return elapsed_ms, record.to_dict()
 
 
 def run_structure_memo(cases=CASES, rounds: int = ROUNDS) -> list[dict]:

@@ -6,7 +6,6 @@ from repro.core.encoding import (
     frozen_variables,
     penalty_objective,
     squared_constraint_penalty,
-    to_qubo,
 )
 from repro.core.feasibility import (
     count_feasible_assignments,
@@ -72,7 +71,6 @@ __all__ = [
     "squared_constraint_penalty",
     "success_rate",
     "ternary_nullspace_basis",
-    "to_qubo",
     "total_nonzeros",
     "variable_nonzero_counts",
 ]

@@ -8,14 +8,9 @@ constraints into the objective as quadratic penalty terms:
 where ``f_min`` is the minimization form of the objective (maximization
 problems are negated first).  The resulting unconstrained polynomial is the
 QUBO handed to the penalty-QAOA and HEA solvers.
-
-The module also provides the plain QUBO split (constant / linear / quadratic
-coefficient maps) consumed by the phase-separation circuit builder.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from repro.core.problem import ConstrainedBinaryProblem, Objective
 from repro.exceptions import ProblemError
@@ -60,28 +55,6 @@ def default_penalty_weight(problem: ConstrainedBinaryProblem) -> float:
     return float(1.0 + swing)
 
 
-def to_qubo(
-    objective: Objective,
-) -> tuple[float, dict[int, float], dict[tuple[int, int], float]]:
-    """Split a (at most quadratic) polynomial into QUBO coefficient maps."""
-    constant = 0.0
-    linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
-    for variables, coefficient in objective.terms.items():
-        if len(variables) == 0:
-            constant += coefficient
-        elif len(variables) == 1:
-            linear[variables[0]] = linear.get(variables[0], 0.0) + coefficient
-        elif len(variables) == 2:
-            key = (min(variables), max(variables))
-            quadratic[key] = quadratic.get(key, 0.0) + coefficient
-        else:
-            raise ProblemError(
-                f"QUBO encoding supports at most quadratic terms, got {variables}"
-            )
-    return constant, linear, quadratic
-
-
 def frozen_variables(problem: ConstrainedBinaryProblem, count: int = 1) -> list[tuple[int, int]]:
     """Pick "hotspot" variables to freeze, FrozenQubits-style.
 
@@ -92,8 +65,11 @@ def frozen_variables(problem: ConstrainedBinaryProblem, count: int = 1) -> list[
     absolute weight) and freeze the top ``count`` to their locally best
     value (the sign of their linear coefficient in the minimization QUBO).
     """
+    # Imported here: the hamiltonian package builds on this one.
+    from repro.hamiltonian.diagonal import split_polynomial
+
     qubo = penalty_objective(problem, default_penalty_weight(problem))
-    _, linear, quadratic = to_qubo(qubo)
+    _, linear, quadratic = split_polynomial(qubo.terms)
     degree: dict[int, int] = {}
     weight: dict[int, float] = {}
     for (i, j), value in quadratic.items():

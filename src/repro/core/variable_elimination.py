@@ -155,7 +155,6 @@ def _renumber(
 def build_elimination_plan(
     problem: ConstrainedBinaryProblem,
     variables: Sequence[int],
-    skip_infeasible: bool = True,
 ) -> EliminationPlan:
     """Build the reduced instances for every assignment of ``variables``.
 
@@ -163,8 +162,8 @@ def build_elimination_plan(
     the remaining (renumbered) variables whose constraints absorb the fixed
     values into their right-hand sides — exactly the transformation described
     in Section IV-C.  Assignments whose reduced constraint system has no
-    binary solution are skipped when ``skip_infeasible`` is True (running
-    that circuit would be wasted work).
+    binary solution are skipped (running that circuit would be wasted
+    work).
     """
     variables = list(dict.fromkeys(int(v) for v in variables))
     for variable in variables:
@@ -204,7 +203,7 @@ def build_elimination_plan(
             name=f"{problem.name}|eliminate{dict(zip(variables, values))}",
             variable_names=[problem.variable_names[v] for v in kept],
         )
-        if skip_infeasible and reduced_problem.constraints:
+        if reduced_problem.constraints:
             matrix, rhs = reduced_problem.constraint_matrix()
             try:
                 find_feasible_assignment(matrix, rhs)

@@ -3,7 +3,6 @@ graph coloring (GCP) and k-partition (KPP), plus the Table-II benchmark
 suite (F1-F4, G1-G4, K1-K4)."""
 
 from repro.problems.benchmark_suite import (
-    DOMAIN_OF_SCALE,
     SCALE_NAMES,
     BenchmarkSpec,
     benchmark_specs,
@@ -32,7 +31,6 @@ from repro.problems.k_partition import (
 
 __all__ = [
     "BenchmarkSpec",
-    "DOMAIN_OF_SCALE",
     "FacilityLocationInstance",
     "GraphColoringInstance",
     "KPartitionInstance",

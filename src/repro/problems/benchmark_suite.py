@@ -34,7 +34,6 @@ tables are reproducible run-to-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.problem import ConstrainedBinaryProblem
 from repro.exceptions import ProblemError
@@ -160,10 +159,3 @@ def _case_seed(spec: BenchmarkSpec, case_index: int) -> int:
 
 
 SCALE_NAMES: tuple[str, ...] = tuple(spec.name for spec in benchmark_specs())
-
-DOMAIN_OF_SCALE: dict[str, str] = {spec.name: spec.domain for spec in benchmark_specs()}
-
-BUILDERS: dict[str, Callable[[int], ConstrainedBinaryProblem]] = {
-    spec.name: (lambda case_index, _name=spec.name: make_benchmark(_name, case_index))
-    for spec in benchmark_specs()
-}

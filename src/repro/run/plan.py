@@ -282,8 +282,9 @@ class RunRecord:
 def execute_spec(spec: RunSpec) -> RunRecord:
     """Run one spec to completion (the unit of work a pool worker executes).
 
-    The record's ``metrics`` are deterministic given the spec —
-    ``latency_s`` is the one wall-clock-dependent entry.
+    The whole record is deterministic given the spec, ``latency_s`` (the
+    modeled device latency) included: it does not depend on the host, the
+    worker or what the process ran before.
     """
     problem = resolve_benchmark(spec.benchmark, spec.case_index)
     # The noise scenario rides as a config override: every registered solver

@@ -36,7 +36,7 @@ import json
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.exceptions import (
@@ -116,18 +116,7 @@ class ServiceStats:
     timeouts: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "requests": self.requests,
-            "store_hits": self.store_hits,
-            "deduped": self.deduped,
-            "executed": self.executed,
-            "solves_coalesced": self.solves_coalesced,
-            "sweep_requests": self.sweep_requests,
-            "sweep_batches": self.sweep_batches,
-            "sweeps_coalesced": self.sweeps_coalesced,
-            "failures": self.failures,
-            "timeouts": self.timeouts,
-        }
+        return asdict(self)
 
 
 def _consume_exception(future: asyncio.Future) -> None:

@@ -18,7 +18,7 @@ from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
 from repro.solvers.config import NoiseConfig, SolverConfig, as_noise_config
 from repro.solvers.cyclic_qaoa import CyclicQAOAConfig, CyclicQAOASolver, summation_chains
 from repro.solvers.hea import HEAConfig, HEASolver
-from repro.solvers.latency import LatencyEstimate, LatencyModel
+from repro.solvers.latency import LatencyModel
 from repro.solvers.optimizer import (
     CobylaOptimizer,
     NelderMeadOptimizer,
@@ -51,7 +51,6 @@ __all__ = [
     "HEAConfig",
     "HEASolver",
     "LatencyBreakdown",
-    "LatencyEstimate",
     "LatencyModel",
     "NelderMeadOptimizer",
     "NoiseConfig",

@@ -72,19 +72,21 @@ class OptimizationTrace:
 
 @dataclass
 class LatencyBreakdown:
-    """End-to-end latency components (Fig. 11), in seconds."""
+    """Modeled end-to-end latency components (Fig. 11), in seconds.
 
-    compilation: float = 0.0
+    Built by :meth:`repro.solvers.latency.LatencyModel.estimate` from the
+    device model alone, so it reproduces bit for bit.
+    """
+
     quantum_execution: float = 0.0
     classical_processing: float = 0.0
 
     @property
     def total(self) -> float:
-        return self.compilation + self.quantum_execution + self.classical_processing
+        return self.quantum_execution + self.classical_processing
 
     def as_dict(self) -> dict[str, float]:
         return {
-            "compilation_s": self.compilation,
             "quantum_execution_s": self.quantum_execution,
             "classical_processing_s": self.classical_processing,
             "total_s": self.total,
@@ -92,9 +94,9 @@ class LatencyBreakdown:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LatencyBreakdown":
-        """Rebuild a breakdown from :meth:`as_dict` output (total is derived)."""
+        """Rebuild a breakdown from :meth:`as_dict` output (total is derived;
+        an older record's ``compilation_s`` is ignored)."""
         return cls(
-            compilation=float(data.get("compilation_s", 0.0)),
             quantum_execution=float(data.get("quantum_execution_s", 0.0)),
             classical_processing=float(data.get("classical_processing_s", 0.0)),
         )

@@ -52,7 +52,6 @@ same closure serves the optimizer and parameter sweeps.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -295,7 +294,6 @@ class ChocoQSolver(QuantumSolver):
         return tuple(variables), CommuteDriver.from_solutions(moves) if moves else None
 
     def _solve_with_elimination(self, problem: ConstrainedBinaryProblem) -> SolverResult:
-        start = time.perf_counter()
         planned, driver = memoized(
             "elimination-plan",
             self,
@@ -360,7 +358,6 @@ class ChocoQSolver(QuantumSolver):
                 )
             for cost, parameters in zip(sub_result.trace.costs, sub_result.trace.parameters):
                 trace.record(cost, parameters)
-            latency.compilation += sub_result.latency.compilation
             latency.quantum_execution += sub_result.latency.quantum_execution
             latency.classical_processing += sub_result.latency.classical_processing
 
@@ -372,7 +369,6 @@ class ChocoQSolver(QuantumSolver):
         backends = sorted({sub.metadata["state_backend"] for sub in ran})
         deepest = max(reversed(ran), key=lambda sub: sub.transpiled_depth, default=None)
         noise = self.config.noise
-        elapsed = time.perf_counter() - start
         return SolverResult(
             solver_name=self.name,
             problem_name=problem.name,
@@ -391,7 +387,6 @@ class ChocoQSolver(QuantumSolver):
                 "eliminated_variables": variables,
                 "num_circuits": plan.num_circuits,
                 "iterations": sum(sub.metadata["iterations"] for sub in sub_results),
-                "wall_clock_s": elapsed,
                 "sub_problem_qubits": problem.num_variables - len(variables),
                 "backend_requested": self.config.backend,
                 **({"state_backend": "+".join(backends)} if backends else {}),

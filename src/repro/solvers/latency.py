@@ -12,22 +12,19 @@ the device profiles of :mod:`repro.qcircuit.noise`:
   natively; ECR devices pay the 3x translation cost) plus the readout time;
 * **quantum execution time per iteration** — shots x circuit duration plus a
   fixed per-job overhead (control-electronics latency);
-* **end-to-end latency** — measured compilation time + iterations x
-  (quantum execution + classical update time).
+* **end-to-end latency** — iterations x (quantum execution + classical
+  update time).
 
-The compilation term is the *measured* host time of the run's own compile
-step, not a model.  A run whose structure was compiled recently in the
-process — another seed of the same problem and config — reuses its
-reference circuit, depth and duration (:mod:`repro.solvers.structure`) and
-answers its transpile from the transpile memo
-(:mod:`repro.qcircuit.transpile`), so it reports about a millisecond where a
-cold run reports the full compile time.  Everything else in the estimate is
-unaffected.
+The estimate is a pure function of the transpiled circuit's duration, the
+iteration count and the shot budget, so a run's latency reproduces bit for
+bit in any process and in any order.  Host time (compiling, simulating,
+running the optimizer) describes the simulator, not the device, and is not
+part of it.
 
 A variable-elimination (Opt3) run is a set of independent sub-runs, one per
 assignment of the eliminated variables, each estimated as above with its own
 circuit, shot share and iteration count.  Its modeled latency is their sum:
-iterations, compilation, quantum execution and classical time all add up.
+quantum execution and classical time both add up.
 
 The absolute numbers depend on our calibration constants, but the *ratios*
 between solvers are driven by exactly what drives them in the paper:
@@ -36,27 +33,10 @@ iteration count and circuit depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.gates import DEFAULT_GATE_DURATIONS
 from repro.qcircuit.noise import DeviceProfile, IBM_FEZ
-
-
-@dataclass(frozen=True)
-class LatencyEstimate:
-    """Latency components for one solver run (seconds)."""
-
-    compilation: float
-    quantum_execution: float
-    classical_processing: float
-    circuit_duration: float
-    iterations: int
-    shots: int
-
-    @property
-    def total(self) -> float:
-        return self.compilation + self.quantum_execution + self.classical_processing
+from repro.solvers.base import LatencyBreakdown
 
 
 class LatencyModel:
@@ -105,31 +85,13 @@ class LatencyModel:
         """Quantum execution time of one iteration (one parameter setting)."""
         return self.per_job_overhead + shots * self.circuit_duration(circuit)
 
-    def estimate(
-        self,
-        circuit: QuantumCircuit,
-        iterations: int,
-        shots: int,
-        compilation_seconds: float,
-        circuit_duration: float | None = None,
-    ) -> LatencyEstimate:
-        """End-to-end latency for a full variational run of one circuit.
+    def estimate(self, circuit_duration: float, iterations: int, shots: int) -> LatencyBreakdown:
+        """End-to-end latency of a variational run of one circuit.
 
-        ``compilation_seconds`` is passed through as measured by the caller;
-        see the module docstring for what it covers.  ``circuit_duration``
-        is this model's :meth:`circuit_duration` of ``circuit`` when the
-        caller already holds it (the engine keeps it once per compiled
-        structure); ``None`` walks the circuit.
+        ``circuit_duration`` is this model's :meth:`circuit_duration` of the
+        transpiled circuit (the engine keeps it once per compiled structure).
         """
-        if circuit_duration is None:
-            circuit_duration = self.circuit_duration(circuit)
-        quantum = iterations * (self.per_job_overhead + shots * circuit_duration)
-        classical = iterations * self.classical_update_time
-        return LatencyEstimate(
-            compilation=compilation_seconds,
-            quantum_execution=quantum,
-            classical_processing=classical,
-            circuit_duration=circuit_duration,
-            iterations=iterations,
-            shots=shots,
+        return LatencyBreakdown(
+            quantum_execution=iterations * (self.per_job_overhead + shots * circuit_duration),
+            classical_processing=iterations * self.classical_update_time,
         )

@@ -35,12 +35,12 @@ implements the shared *how it runs*:
   matching circuit; each solver supplies only its cost terms, start bits,
   driver, mixer gates and metadata.  :func:`interleave` and
   :func:`linear_ramp` spell the ``(gamma_l, beta_l)`` parameter order.
-* :class:`VariationalEngine` — the run loop: measure compilation cost, drive
-  the classical optimizer against the exact expectation value, then sample
-  the optimal state (ideally or through the solver config's
+* :class:`VariationalEngine` — the run loop: compile the reference circuit,
+  drive the classical optimizer against the exact expectation value, then
+  sample the optimal state (ideally or through the solver config's
   :class:`~repro.solvers.config.NoiseConfig`), and assemble a
-  :class:`~repro.solvers.base.SolverResult` with depth and latency
-  accounting.  A spec from the structure memo
+  :class:`~repro.solvers.base.SolverResult` with depth accounting and the
+  modeled latency.  A spec from the structure memo
   (:mod:`repro.solvers.structure`) carries its seed-free
   :class:`CompileReport`, so a warm run neither rebuilds nor walks its
   reference circuit.  :class:`EngineOptions` carries run settings only
@@ -50,7 +50,6 @@ implements the shared *how it runs*:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -73,7 +72,7 @@ from repro.qcircuit.transpile import (
     unitary_synthesis_penalty,
 )
 from repro.serialization import is_integer
-from repro.solvers.base import LatencyBreakdown, SolverResult
+from repro.solvers.base import SolverResult
 from repro.solvers.config import NoiseConfig
 from repro.solvers.latency import LatencyModel
 from repro.solvers.optimizer import Optimizer
@@ -527,23 +526,22 @@ class VariationalEngine:
     def run(self, spec: AnsatzSpec, problem: ConstrainedBinaryProblem) -> SolverResult:
         """Compile, optimize, sample and account for one ansatz on ``problem``.
 
-        ``latency.compilation`` is the measured host time of *this* run's
-        compile step: building the reference circuit, transpiling it for
-        depth accounting and modeling its duration.  The depths and the
+        The compile step builds the reference circuit, transpiles it for
+        depth accounting and models its duration; the depths and the
         two-qubit count are read off the transpile report's ``source`` and
         ``optimized`` stats, so the step walks no circuit after the
         transpile.  A spec from the structure memo (e.g. a second seed of
         the same problem and config) takes its reference circuit, transpiled
         depth and modeled duration from its entry's :class:`CompileReport`,
-        and its transpile is a lookup in the transpile memo: the figure drops
-        from the full compile time to about a millisecond.  Every other
-        result field is unchanged.
+        and its transpile is a lookup in the transpile memo.  ``latency`` is
+        :meth:`LatencyModel.estimate` of that duration, the iteration count
+        and the shot budget, so the whole result is the same whichever
+        path compiled it.
         """
         rng = np.random.default_rng(self.options.seed)
         backend = spec.backend or DenseStateBackend(spec.num_qubits)
 
         # ---- compilation (circuit construction + lowering) --------------
-        compile_start = time.perf_counter()
         transpile_options = self.options.transpile_options()
         reports = spec.compile_reports
         compiled = None if reports is None else reports.get(transpile_options)
@@ -564,7 +562,6 @@ class VariationalEngine:
             )
             if reports is not None:
                 reports.setdefault(transpile_options, compiled)
-        compilation_seconds = time.perf_counter() - compile_start
 
         # The noisy run simulates the transpiled final circuit, whose width
         # (ancillas included) is this one's: ancillas depend on control
@@ -577,8 +574,6 @@ class VariationalEngine:
             )
 
         # ---- classical optimization against the exact expectation -------
-        classical_start = time.perf_counter()
-
         def cost(parameters: np.ndarray) -> float:
             state = spec.evolve(parameters)
             # Deliberately np.abs(...)**2, not abs_squared: the two round
@@ -598,7 +593,6 @@ class VariationalEngine:
             child_seed_sequence(self.options.seed, _OPTIMIZER_SPAWN_KEY)
         )
         optimizer_result = optimizer.minimize(cost, initial_parameters)
-        classical_seconds = time.perf_counter() - classical_start
 
         # ---- final state and sampling -----------------------------------
         if noise is not None:
@@ -638,20 +632,6 @@ class VariationalEngine:
             outcomes = backend.sample(final_state_vector, self.options.shots, rng)
             reported_distribution = backend.exact_distribution(final_state_vector)
 
-        # ---- latency accounting -----------------------------------------
-        estimate = LatencyModel().estimate(
-            transpiled,
-            iterations=max(optimizer_result.num_iterations, 1),
-            shots=self.options.shots,
-            compilation_seconds=compilation_seconds,
-            circuit_duration=compiled.circuit_duration,
-        )
-        latency = LatencyBreakdown(
-            compilation=estimate.compilation,
-            quantum_execution=estimate.quantum_execution,
-            classical_processing=estimate.classical_processing + classical_seconds,
-        )
-
         metadata = dict(spec.metadata or {})
         metadata.update(multistart_metadata)
         metadata.update(
@@ -659,7 +639,7 @@ class VariationalEngine:
                 "iterations": optimizer_result.num_iterations,
                 "optimizer": self.optimizer.name,
                 "final_cost": optimizer_result.cost,
-                "circuit_duration_s": estimate.circuit_duration,
+                "circuit_duration_s": compiled.circuit_duration,
                 "state_backend": backend.name,
             }
         )
@@ -677,7 +657,11 @@ class VariationalEngine:
             transpiled_depth=compiled.transpiled_depth,
             num_qubits=spec.num_qubits,
             num_two_qubit_gates=transpile_report.optimized.two_qubit_gates,
-            latency=latency,
+            latency=LatencyModel().estimate(
+                compiled.circuit_duration,
+                iterations=max(optimizer_result.num_iterations, 1),
+                shots=self.options.shots,
+            ),
             metadata=metadata,
         )
 

@@ -1,4 +1,4 @@
-"""Tests for penalty encodings, QUBO conversion, metrics and elimination."""
+"""Tests for penalty encodings, metrics and elimination."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.core.encoding import (
     frozen_variables,
     penalty_objective,
     squared_constraint_penalty,
-    to_qubo,
 )
 from repro.core.metrics import (
     approximation_ratio_gap,
@@ -66,16 +65,6 @@ class TestPenaltyEncoding:
     def test_negative_weight_rejected(self, paper_example_problem):
         with pytest.raises(ProblemError):
             penalty_objective(paper_example_problem, -1.0)
-
-    def test_to_qubo_split(self):
-        constant, linear, quadratic = to_qubo(Objective({(): 1.0, (0,): 2.0, (0, 1): 3.0}))
-        assert constant == pytest.approx(1.0)
-        assert linear == {0: 2.0}
-        assert quadratic == {(0, 1): 3.0}
-
-    def test_to_qubo_rejects_cubic(self):
-        with pytest.raises(ProblemError):
-            to_qubo(Objective({(0, 1, 2): 1.0}))
 
     def test_frozen_variables_picks_high_degree(self, paper_example_problem):
         frozen = frozen_variables(paper_example_problem, count=2)

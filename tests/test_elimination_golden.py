@@ -2,14 +2,13 @@
 
 ``tests/data/golden_elimination_solves.json`` holds, per case, the full
 ``SolverResult.to_dict()`` of a fixed-seed choco-q solve with elimination,
-minus the wall-clock fields (``latency.compilation_s``,
-``classical_processing_s``, ``total_s`` and ``metadata.wall_clock_s``).  The
-cases cover K1, K2, F2 and G2 with one and two eliminated variables on the
-dense and subspace backends, a plan whose every sub-instance is a single
-feasible point (K1 with three eliminated variables), and a ``fez``-noisy
-plan.  Every dict is compared in insertion order, so the pins cover the
-merged ``exact_distribution`` and counts order, the shot allocation, the
-eliminated assignments, the depths and the transpile report.
+modeled latency included.  The cases cover K1, K2, F2 and G2 with one and
+two eliminated variables on the dense and subspace backends, a plan whose
+every sub-instance is a single feasible point (K1 with three eliminated
+variables), and a ``fez``-noisy plan.  Every dict is compared in insertion
+order, so the pins cover the merged ``exact_distribution`` and counts
+order, the shot allocation, the eliminated assignments, the depths and the
+transpile report.
 
 Regenerate (only when a change means to move these records, and say so)
 with ``PYTHONPATH=src:tests python -c "import test_elimination_golden as t;
@@ -69,11 +68,7 @@ def _record(case: str) -> dict:
         optimizer=CobylaOptimizer(max_iterations=60),
         options=EngineOptions(shots=1024, seed=7),
     ).solve(make_benchmark(name))
-    record = json.loads(json.dumps(result.to_dict()))
-    for field in ("compilation_s", "classical_processing_s", "total_s"):
-        del record["latency"][field]
-    del record["metadata"]["wall_clock_s"]
-    return record
+    return json.loads(json.dumps(result.to_dict()))
 
 
 def _ordered(value):

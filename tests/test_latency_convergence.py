@@ -18,9 +18,9 @@ from repro.qcircuit.noise import IBM_FEZ, IBM_OSAKA
 from repro.qcircuit.sampling import SampleResult
 from repro.qcircuit.transpile import transpile
 from repro.run.problems import resolve_benchmark
-from repro.solvers.base import OptimizationTrace, SolverResult
+from repro.solvers.base import LatencyBreakdown, OptimizationTrace, SolverResult
 from repro.solvers.chocoq import ChocoQSolver
-from repro.solvers.latency import LatencyEstimate, LatencyModel
+from repro.solvers.latency import LatencyModel
 from repro.analysis.convergence import (
     ConvergenceCurve,
     compare_convergence,
@@ -101,47 +101,31 @@ class TestLatencyModel:
         model = LatencyModel(profile=IBM_FEZ, per_job_overhead=1e-3, classical_update_time=2e-3)
         circuit = QuantumCircuit(1)
         circuit.h(0)
-        estimate = model.estimate(circuit, iterations=10, shots=50, compilation_seconds=0.25)
+        estimate = model.estimate(model.circuit_duration(circuit), iterations=10, shots=50)
         per_iteration = model.execution_time(circuit, 50)
-        assert estimate.compilation == pytest.approx(0.25)
         assert estimate.quantum_execution == pytest.approx(10 * per_iteration)
         assert estimate.classical_processing == pytest.approx(10 * 2e-3)
-        assert estimate.iterations == 10
-        assert estimate.shots == 50
-        assert estimate.total == pytest.approx(
-            estimate.compilation + estimate.quantum_execution + estimate.classical_processing
-        )
+        assert estimate.total == estimate.quantum_execution + estimate.classical_processing
 
     def test_estimate_total_is_sum_of_parts(self):
-        estimate = LatencyEstimate(
-            compilation=1.0,
-            quantum_execution=2.0,
-            classical_processing=3.0,
-            circuit_duration=0.1,
-            iterations=5,
-            shots=10,
-        )
-        assert estimate.total == pytest.approx(6.0)
+        estimate = LatencyBreakdown(quantum_execution=2.0, classical_processing=3.0)
+        assert estimate.total == pytest.approx(5.0)
 
     def test_estimate_pinned_on_a_transpiled_k1_circuit(self):
         """Exact values for the K1 choco-q reference circuit (1280 gates).
 
         Pins the arithmetic bit for bit, so computing the critical path once
-        per estimate cannot shift a latency figure.
+        per structure cannot shift a latency figure.
         """
         problem = resolve_benchmark("K1", 0)
         spec, _driver = ChocoQSolver().build_spec(problem)
         circuit = transpile(spec.build_circuit(spec.initial_parameters))
-        estimate = LatencyModel().estimate(
-            circuit, iterations=37, shots=1024, compilation_seconds=0.125
-        )
-        assert estimate == LatencyEstimate(
-            compilation=0.125,
+        model = LatencyModel()
+        duration = model.circuit_duration(circuit)
+        assert duration == 4.511000000000034e-05
+        assert model.estimate(duration, iterations=37, shots=1024) == LatencyBreakdown(
             quantum_execution=1.8941276800000129,
             classical_processing=0.074,
-            circuit_duration=4.511000000000034e-05,
-            iterations=37,
-            shots=1024,
         )
 
 

@@ -245,10 +245,6 @@ def noisy_plan(benchmark: str) -> ExperimentPlan:
     )
 
 
-def deterministic_metrics(record) -> dict:
-    return {key: value for key, value in record.metrics.items() if key != "latency_s"}
-
-
 class TestNoisyRunSpecs:
     def test_noise_separates_content_hash(self):
         ideal = RunSpec(solver="hea", benchmark="F1", seed=1)
@@ -318,12 +314,7 @@ class TestNoisyRunSpecs:
         plan = noisy_plan(tiny_benchmark)
         sequential = run_plan(plan)
         parallel = run_plan(plan, max_workers=2)
-        assert [deterministic_metrics(r) for r in sequential] == [
-            deterministic_metrics(r) for r in parallel
-        ]
-        assert [r.result["outcomes"]["counts"] for r in sequential] == [
-            r.result["outcomes"]["counts"] for r in parallel
-        ]
+        assert [r.to_dict() for r in sequential] == [r.to_dict() for r in parallel]
 
     def test_cached_noisy_plan_executes_zero_specs(self, tiny_benchmark, tmp_path, monkeypatch):
         plan = noisy_plan(tiny_benchmark)
@@ -337,9 +328,7 @@ class TestNoisyRunSpecs:
         monkeypatch.setattr(plan_module, "execute_spec", forbidden)
         second = run_plan(plan, jsonl_path=path)
         assert all(record.cached for record in second)
-        assert [deterministic_metrics(r) for r in first] == [
-            deterministic_metrics(r) for r in second
-        ]
+        assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
     def test_noisy_record_solver_result_reconstruction(self, tiny_benchmark):
         plan = ExperimentPlan(

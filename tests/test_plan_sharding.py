@@ -29,7 +29,7 @@ from repro.run.jsonl import JsonlSink, load_jsonl_records
 from repro.run.plan import merge_records, shard_owner, shard_plan
 from repro.service import merge_shards, run_shard, shard_path
 from repro.service.shard import main as shard_main
-from test_run_api import deterministic_metrics, tiny_problem
+from test_run_api import tiny_problem
 
 BENCH = "shard-tiny-one-hot"
 
@@ -165,11 +165,7 @@ class TestFailureReporting:
             with pytest.raises(PlanExecutionError) as excinfo:
                 run_plan(plan, max_workers=max_workers, jsonl_path=path)
             assert isinstance(excinfo.value.__cause__, ProblemError)
-            sink = {
-                spec_hash: deterministic_metrics(plan_module.RunRecord.from_dict(record))
-                for spec_hash, record in load_jsonl_records(path).items()
-            }
-            outcomes[max_workers] = (excinfo.value.failures, sink)
+            outcomes[max_workers] = (excinfo.value.failures, load_jsonl_records(path))
         assert outcomes[1] == outcomes[2]
         failures, sink = outcomes[1]
         assert [failure["spec_hash"] for failure in failures] == [bad.content_hash()]
@@ -299,12 +295,10 @@ class TestShardPlan:
         assert len(merged) == len(plan)
 
         # Replaying the full plan against the merged file re-executes
-        # nothing and returns records bit-identical in metrics.
+        # nothing and returns the single run's records bit for bit.
         replay = run_plan(plan, jsonl_path=merged_path)
         assert all(record.cached for record in replay)
-        assert [deterministic_metrics(r) for r in replay] == [
-            deterministic_metrics(r) for r in single
-        ]
+        assert [r.to_dict() for r in replay] == [r.to_dict() for r in single]
 
     def test_rerunning_a_shard_resumes_from_its_file(
         self, tiny_benchmark, tmp_path, monkeypatch

@@ -18,7 +18,6 @@ from repro.core.problem import ConstrainedBinaryProblem, LinearConstraint, Objec
 from repro.exceptions import PlanExecutionError, ProblemError, SolverError
 from repro.run import (
     ExperimentPlan,
-    RunRecord,
     RunSpec,
     available_benchmarks,
     available_solvers,
@@ -90,11 +89,6 @@ def tiny_plan(benchmark: str, seeds=(0, 1, 2)) -> ExperimentPlan:
         for spec in plan.specs
     ]
     return plan
-
-
-def deterministic_metrics(record: RunRecord) -> dict:
-    """Record metrics minus the one wall-clock-dependent entry."""
-    return {key: value for key, value in record.metrics.items() if key != "latency_s"}
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +329,24 @@ class TestRunPlan:
         sequential = run_plan(plan)
         parallel = run_plan(plan, max_workers=2)
         assert len(sequential) == len(parallel) == 12
-        assert [deterministic_metrics(r) for r in sequential] == [
-            deterministic_metrics(r) for r in parallel
-        ]
+        assert [r.to_dict() for r in sequential] == [r.to_dict() for r in parallel]
+
+    def test_a_record_does_not_depend_on_what_ran_before_it(self):
+        """Dense, subspace, then dense again in one process: the second dense
+        run is warm (structure and transpile memos), yet its record equals
+        the cold one, and all three report one modeled latency."""
+
+        def spec(backend):
+            return RunSpec("choco-q", "K2", config={"backend": backend}, seed=3,
+                           shots=1024, max_iterations=60)
+
+        cold, subspace, warm = (
+            plan_module.execute_spec(spec(backend))
+            for backend in ("dense", "subspace", "dense")
+        )
+        assert warm.to_dict() == cold.to_dict()
+        latencies = [record.metrics["latency_s"] for record in (cold, subspace, warm)]
+        assert latencies == [cold.metrics["latency_s"]] * 3
 
     def test_derived_seeds_are_deterministic_and_distinct(self, tiny_benchmark):
         plan = tiny_plan(tiny_benchmark, seeds=(None, None))
@@ -370,9 +379,7 @@ class TestRunPlan:
         assert all(not record.cached for record in first)
         second = run_plan(plan, jsonl_path=path)
         assert all(record.cached for record in second)
-        assert [deterministic_metrics(r) for r in first] == [
-            deterministic_metrics(r) for r in second
-        ]
+        assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
     def test_resume_does_not_reexecute_cached_specs(
         self, tiny_benchmark, tmp_path, monkeypatch

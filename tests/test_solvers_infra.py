@@ -192,15 +192,14 @@ class TestVariationalEngine:
         assert result.exact_distribution is None
         assert sum(result.outcomes.counts.values()) > 0
 
-    def test_latency_components_populated(self, small_min_problem):
+    def test_latency_is_the_device_model_of_the_run(self, small_min_problem):
         engine = VariationalEngine(CobylaOptimizer(max_iterations=10), EngineOptions(shots=64))
         result = engine.run(_toy_spec(), small_min_problem)
-        assert result.latency.compilation > 0.0
         assert result.latency.quantum_execution > 0.0
-        assert result.latency.total == pytest.approx(
-            result.latency.compilation
-            + result.latency.quantum_execution
-            + result.latency.classical_processing
+        assert result.latency == LatencyModel().estimate(
+            result.metadata["circuit_duration_s"],
+            iterations=result.metadata["iterations"],
+            shots=64,
         )
 
 
@@ -252,10 +251,11 @@ class TestLatencyModel:
         model = LatencyModel(IBM_FEZ)
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1)
-        base = model.estimate(circuit, iterations=10, shots=100, compilation_seconds=0.1)
-        doubled = model.estimate(circuit, iterations=20, shots=100, compilation_seconds=0.1)
+        duration = model.circuit_duration(circuit)
+        base = model.estimate(duration, iterations=10, shots=100)
+        doubled = model.estimate(duration, iterations=20, shots=100)
         assert doubled.quantum_execution == pytest.approx(2 * base.quantum_execution)
-        assert base.total > 0.1
+        assert doubled.classical_processing == pytest.approx(2 * base.classical_processing)
 
 
 class TestResultTypes:
@@ -269,9 +269,21 @@ class TestResultTypes:
         assert trace.iterations_to_reach(0.5) is None
 
     def test_latency_breakdown_dict(self):
-        breakdown = LatencyBreakdown(compilation=1.0, quantum_execution=2.0, classical_processing=0.5)
-        as_dict = breakdown.as_dict()
-        assert as_dict["total_s"] == pytest.approx(3.5)
+        breakdown = LatencyBreakdown(quantum_execution=2.0, classical_processing=0.5)
+        assert breakdown.as_dict() == {
+            "quantum_execution_s": 2.0,
+            "classical_processing_s": 0.5,
+            "total_s": 2.5,
+        }
+
+    def test_latency_breakdown_ignores_an_older_compilation_field(self):
+        older = {
+            "compilation_s": 0.3,
+            "quantum_execution_s": 2.0,
+            "classical_processing_s": 0.5,
+            "total_s": 2.8,
+        }
+        assert LatencyBreakdown.from_dict(older) == LatencyBreakdown(2.0, 0.5)
 
     def test_solver_result_metrics(self, paper_example_problem):
         result = SolverResult(

@@ -8,7 +8,6 @@ reaches a later solve.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 from dataclasses import replace
@@ -31,10 +30,6 @@ from repro.solvers.structure import (
     structure_cache_info,
 )
 
-#: Wall-clock fields of a record; everything else must match bit for bit.
-WALL_CLOCK = ("compilation_s", "classical_processing_s", "total_s")
-
-
 def _problem(
     objective=(3.0, 2.0, 3.0, 1.0),
     rows=((1.0, 0.0, -1.0, 0.0), (1.0, 1.0, 0.0, 1.0)),
@@ -50,15 +45,6 @@ def _problem(
         sense=sense,
         name=name,
     )
-
-
-def _comparable(record) -> dict:
-    """A record's dict minus the wall-clock fields, with key order kept."""
-    data = json.loads(json.dumps(record.to_dict()))
-    for field in WALL_CLOCK:
-        del data["result"]["latency"][field]
-    del data["metrics"]["latency_s"]
-    return data
 
 
 def _run_spec(solver: str, backend: str, seed: int, case: str = "K1") -> RunSpec:
@@ -160,7 +146,7 @@ class TestMutation:
     @pytest.mark.parametrize("solver", ["choco-q", "cyclic-qaoa"])
     def test_a_caller_mutating_a_spec_or_result_cannot_change_a_later_solve(self, solver):
         spec = _run_spec(solver, "subspace", seed=4)
-        clean = _comparable(execute_spec(spec))
+        clean = execute_spec(spec).to_dict()
         clear_structure_cache()
         direct = make_solver(spec.solver, spec.config)
         problem = make_benchmark(spec.benchmark)
@@ -173,7 +159,7 @@ class TestMutation:
             metadata["poison"] = True
         handed.initial_parameters = np.zeros_like(handed.initial_parameters)
         assert structure_cache_info().misses == 1
-        assert _comparable(execute_spec(spec)) == clean
+        assert execute_spec(spec).to_dict() == clean
 
 
 class TestThreads:
@@ -249,17 +235,17 @@ class TestWarmEqualsCold:
     )
     def test_warm_solve_records_equal_cold_ones(self, solver, case, backend):
         """A warm solve of seed 5 (its structure compiled by seed 3) equals a
-        cold solve of seed 5, wall-clock latency fields aside."""
-        cold = _comparable(execute_spec(_run_spec(solver, backend, 5, case)))
+        cold solve of seed 5, modeled latency included."""
+        cold = execute_spec(_run_spec(solver, backend, 5, case)).to_dict()
         clear_structure_cache()
         execute_spec(_run_spec(solver, backend, 3, case))
-        warm = _comparable(execute_spec(_run_spec(solver, backend, 5, case)))
+        warm = execute_spec(_run_spec(solver, backend, 5, case)).to_dict()
         assert structure_cache_info() == (1, 1, 1)
         assert warm == cold
 
     def test_noisy_solves_reuse_the_noise_free_structure(self):
         """K1 solved noise-free, then under three device profiles, compiles
-        once; each noisy record equals its cold solve, wall clock aside."""
+        once; each noisy record equals its cold solve."""
         devices = ("fez", "osaka", "sherbrooke")
         noisy = [
             replace(_run_spec("choco-q", "dense", 5), noise={"device": device, "mode": "analytical"})
@@ -268,10 +254,10 @@ class TestWarmEqualsCold:
         cold = []
         for spec in noisy:
             clear_structure_cache()
-            cold.append(_comparable(execute_spec(spec)))
+            cold.append(execute_spec(spec).to_dict())
         clear_structure_cache()
         execute_spec(_run_spec("choco-q", "dense", 5))
-        warm = [_comparable(execute_spec(spec)) for spec in noisy]
+        warm = [execute_spec(spec).to_dict() for spec in noisy]
         assert structure_cache_info() == (3, 1, 1)
         assert warm == cold
 
@@ -291,9 +277,9 @@ class TestWarmEqualsCold:
             return RunSpec(solver=solver, benchmark="K1", config=config, seed=seed,
                            shots=256, max_iterations=budget)
 
-        cold = _comparable(execute_spec(spec(5)))
+        cold = execute_spec(spec(5)).to_dict()
         clear_structure_cache()
         execute_spec(spec(3))
-        warm = _comparable(execute_spec(spec(5)))
+        warm = execute_spec(spec(5)).to_dict()
         assert structure_cache_info() == (1, 1, 1)
         assert warm == cold
